@@ -48,7 +48,7 @@ cfg = nn.ModelConfig(vocab_size=vocab.size, embed_dim=16, hidden_dim=16,
 params = nn.init_params(cfg, seed=0)
 train(params, ds, None, TrainConfig(batch_size=8, learning_rate=0.02,
                                     epochs=40, seed=0))
-preds = [int(nn.predict_encoded(params, s).label) for s in seqs]
+preds = [int(p.label) for p in nn.predict_batch(params, seqs)]
 lstm_rep = report(preds, labels)
 from sentimen.baselines import ComparisonRow
 rows.append(ComparisonRow("lstm", lstm_rep.accuracy, lstm_rep.macro_f1))

@@ -147,12 +147,16 @@ def _tokens_column(path: Path) -> list[list[str]] | None:
 
 def _tokenized(ds: ingest.Dataset, path: Path, pp: PreprocessConfig,
                quiet: bool) -> list[list[str]]:
+    """Tokens of the labeled records of ``ds``, the full dataset loaded from
+    ``path``: its ``tokens`` column when it has one for every row."""
+    labeled = [r.label is not None for r in ds.records]
     cached = _tokens_column(path)
     if cached is not None and len(cached) == len(ds):
-        return cached
+        return [toks for toks, keep in zip(cached, labeled) if keep]
+    texts = [r.text for r, keep in zip(ds.records, labeled) if keep]
     if not quiet:
-        print(f"preprocessing {len(ds)} comments...", file=sys.stderr)
-    return [run_pipeline(r.text, pp) for r in ds.records]
+        print(f"preprocessing {len(texts)} comments...", file=sys.stderr)
+    return [run_pipeline(text, pp) for text in texts]
 
 
 # --- commands ------------------------------------------------------------------
@@ -181,10 +185,11 @@ def cmd_preprocess(args, cfg) -> int:
 
 
 def _split_and_encode(args, cfg, pp):
-    ds = _load_corpus(args.corpus).labeled_only()
+    full = _load_corpus(args.corpus)
+    ds = full.labeled_only()
     if len(ds) == 0:
         raise CliError("corpus has no labeled records")
-    docs = _tokenized(ds, Path(args.corpus), pp, args.quiet)
+    docs = _tokenized(full, Path(args.corpus), pp, args.quiet)
     spec = ingest.SplitSpec(float(cfg["train_fraction"]),
                             float(cfg["val_fraction"]),
                             float(cfg["test_fraction"]),
@@ -278,16 +283,15 @@ def cmd_evaluate(args, cfg) -> int:
     out_dir = Path(args.out_dir)
     echo_config(cfg, out_dir)
     params, vocab, max_len = _load_model(args)
-    ds = _load_corpus(args.test_csv).labeled_only()
+    full = _load_corpus(args.test_csv)
+    ds = full.labeled_only()
     if len(ds) == 0:
         raise CliError("test file has no labeled records")
     pp = preprocess_config(args)
-    docs = _tokenized(ds, Path(args.test_csv), pp, args.quiet)
+    docs = _tokenized(full, Path(args.test_csv), pp, args.quiet)
 
-    preds = []
-    for tokens in docs:
-        seq = encode(tokens, vocab, max_len)
-        preds.append(int(nn.predict_encoded(params, seq).label))
+    preds = [int(p.label) for p in nn.predict_batch(
+        params, [encode(tokens, vocab, max_len) for tokens in docs])]
     truth = [int(r.label) for r in ds.records]
 
     cm = evaluation.confusion(preds, truth)
@@ -357,8 +361,8 @@ def cmd_compare(args, cfg) -> int:
                          enc(val_docs, val_labels) if val_docs else None,
                          train_cfg, log=None if args.quiet else sys.stderr)
     model = result.final_params
-    lstm_preds = [int(nn.predict_encoded(model, encode(d, vocab, max_len)).label)
-                  for d in test_docs]
+    lstm_preds = [int(p.label) for p in nn.predict_batch(
+        model, [encode(d, vocab, max_len) for d in test_docs])]
     lstm_rep = evaluation.report(lstm_preds, test_labels)
     rows.append(baselines.ComparisonRow("lstm", lstm_rep.accuracy,
                                         lstm_rep.macro_f1))

@@ -7,17 +7,20 @@ parameter count matches the double-bias convention:
 
     V*E + 4*(E*H + H*H + 2H) + (H*C + C)
 
-Padded positions are handled with a 0/1 carry-forward mask, so forward and
-backward results on a padded sequence are bit-identical to the unpadded run
-and the pad embedding row stays frozen at zero.
+A batch runs only to its longest sequence and each row's final state is
+read at its own length, so forward and backward results on a padded
+sequence are bit-identical to the unpadded run and the pad embedding row
+stays frozen at zero.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -32,13 +35,8 @@ class CheckpointError(Exception):
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x)
-    out = np.empty_like(x, dtype=x.dtype)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function as tanh(x/2)/2 + 1/2, which cannot overflow."""
+    return 0.5 * np.tanh(0.5 * np.asarray(x)) + 0.5
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -235,99 +233,113 @@ def dropout(x: np.ndarray, rate: float, training: bool,
 
 # --- batched forward/backward ----------------------------------------------
 
-def _batch_mask(lengths: np.ndarray, seq_len: int, dtype) -> np.ndarray:
-    return (np.arange(seq_len)[None, :] < lengths[:, None]).astype(dtype)
+def _gate_affine(h_dim: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(scale, shift) over the 4H gate axis: ``scale*tanh(scale*a) + shift``
+    is the sigmoid on the i, f, o blocks and tanh on the g block."""
+    scale = np.full((4, h_dim), 0.5, dtype=dtype)
+    shift = np.full((4, h_dim), 0.5, dtype=dtype)
+    scale[2] = 1.0
+    shift[2] = 0.0
+    return scale.reshape(-1), shift.reshape(-1)
 
 
 def _lstm_forward_batch(params: ModelParams, indices: np.ndarray,
-                        lengths: np.ndarray) -> dict:
-    """Unrolled masked forward over (B, T) index arrays; caches everything
-    the backward pass reuses."""
+                        lengths: np.ndarray, for_backward: bool = True) -> dict:
+    """Forward over a (B, T) batch trimmed to its longest sequence; caches,
+    time-major, what the backward pass reuses.
+
+    Every row runs all T' steps and its final state is read at its own
+    length, so the positions past it reach neither output nor gradients.
+    Without ``for_backward`` the cell state and its tanh are kept for the
+    current step only, updated in place.
+    """
     cell = params.cell
     h_dim = cell.hidden_dim
     dtype = cell.w_ih.dtype
-    batch, seq_len = indices.shape
-    x = params.embedding.weights[indices]            # (B, T, E)
-    mask = _batch_mask(lengths, seq_len, dtype)      # (B, T)
+    batch = indices.shape[0]
+    lengths = np.clip(lengths, 0, indices.shape[1])
+    steps = int(lengths.max(initial=0))
+    indices = indices[:, :steps]
+    x = params.embedding.weights[indices.T]          # (T', B, E)
 
-    h_states = np.zeros((seq_len + 1, batch, h_dim), dtype=dtype)
-    c_states = np.zeros((seq_len + 1, batch, h_dim), dtype=dtype)
-    gates = np.zeros((seq_len, batch, 4 * h_dim), dtype=dtype)
-    c_raw = np.zeros((seq_len, batch, h_dim), dtype=dtype)
-    tanh_c = np.zeros((seq_len, batch, h_dim), dtype=dtype)
+    # input projection and bias of every step in one GEMM
+    gates = np.empty((steps, batch, 4 * h_dim), dtype=dtype)
+    np.matmul(x.reshape(-1, x.shape[-1]), cell.w_ih.T,
+              out=gates.reshape(-1, 4 * h_dim))
+    gates += cell.b_ih + cell.b_hh
+    gate4 = gates.reshape(steps, batch, 4, h_dim)
+    scale, shift = _gate_affine(h_dim, dtype)
 
-    bias = cell.b_ih + cell.b_hh
-    for t in range(seq_len):
-        a = x[:, t, :] @ cell.w_ih.T + h_states[t] @ cell.w_hh.T + bias
-        i = sigmoid(a[:, :h_dim])
-        f = sigmoid(a[:, h_dim:2 * h_dim])
-        g = np.tanh(a[:, 2 * h_dim:3 * h_dim])
-        o = sigmoid(a[:, 3 * h_dim:])
-        gates[t] = np.concatenate([i, f, g, o], axis=1)
-        c_raw[t] = f * c_states[t] + i * g
-        tanh_c[t] = np.tanh(c_raw[t])
-        h_raw = o * tanh_c[t]
-        m = mask[:, t:t + 1]
-        c_states[t + 1] = m * c_raw[t] + (1.0 - m) * c_states[t]
-        h_states[t + 1] = m * h_raw + (1.0 - m) * h_states[t]
+    slots = steps if for_backward else 0
+    h_states = np.zeros((steps + 1, batch, h_dim), dtype=dtype)
+    c_states = np.zeros((slots + 1, batch, h_dim), dtype=dtype)
+    tanh_c = np.empty((max(slots, 1), batch, h_dim), dtype=dtype)
+    for t in range(steps):
+        a = gates[t]
+        a += h_states[t] @ cell.w_hh.T
+        a *= scale
+        np.tanh(a, out=a)
+        a *= scale
+        a += shift
+        i, f, g, o = gate4[t].swapaxes(0, 1)  # (B, H) views
+        prev, cur = (t, t + 1) if for_backward else (0, 0)
+        c = c_states[cur]
+        np.multiply(f, c_states[prev], out=c)
+        c += i * g
+        np.tanh(c, out=tanh_c[prev])
+        np.multiply(o, tanh_c[prev], out=h_states[t + 1])
 
-    return {"x": x, "mask": mask, "h_states": h_states, "c_states": c_states,
-            "gates": gates, "c_raw": c_raw, "tanh_c": tanh_c,
-            "indices": indices}
+    return {"x": x, "lengths": lengths, "indices": indices,
+            "h_states": h_states, "c_states": c_states, "gates": gates,
+            "tanh_c": tanh_c, "h_final": h_states[lengths, np.arange(batch)]}
 
 
 def _lstm_backward_batch(params: ModelParams, cache: dict,
                          d_h_final: np.ndarray) -> dict[str, np.ndarray]:
     cell = params.cell
     h_dim = cell.hidden_dim
-    x, mask = cache["x"], cache["mask"]
-    h_states, c_states = cache["h_states"], cache["c_states"]
-    gates, c_raw, tanh_c = cache["gates"], cache["c_raw"], cache["tanh_c"]
-    batch, seq_len, _ = x.shape
+    x, lengths = cache["x"], cache["lengths"]
+    h_states, c_states, tanh_c = (cache["h_states"], cache["c_states"],
+                                  cache["tanh_c"])
+    steps, batch, _ = x.shape
     dtype = cell.w_ih.dtype
+    gate4 = cache["gates"].reshape(steps, batch, 4, h_dim)
+    i, f, g, o = gate4.transpose(2, 0, 1, 3)  # (T', B, H) views
 
-    d_w_ih = np.zeros_like(cell.w_ih)
-    d_w_hh = np.zeros_like(cell.w_hh)
-    d_b = np.zeros_like(cell.b_ih)
-    d_x = np.zeros_like(x)
+    # Gate gradients, shaped (T', B, 4H).  The factors that do not depend on
+    # the recurrence go in first: d a_{i,f,g} / d c and d a_o / d h.  The
+    # loop then multiplies in each step's dc (i, f, g) and dh (o).
+    d_gates = np.empty_like(cache["gates"])
+    d4 = d_gates.reshape(steps, batch, 4, h_dim)
+    np.multiply(g, i * (1.0 - i), out=d4[:, :, 0])
+    np.multiply(c_states[:-1], f * (1.0 - f), out=d4[:, :, 1])
+    np.multiply(i, 1.0 - g * g, out=d4[:, :, 2])
+    np.multiply(tanh_c, o * (1.0 - o), out=d4[:, :, 3])
+    dc_dh = o * (1.0 - tanh_c * tanh_c)
 
-    dh = d_h_final.astype(dtype, copy=True)
+    # a row's output gradient enters at its last real step; before it
+    # (in reverse time) the row's dh and dc stay zero
+    d_h_in = np.zeros((steps, batch, h_dim), dtype=dtype)
+    live = np.flatnonzero(lengths)
+    d_h_in[lengths[live] - 1, live] = d_h_final[live]
+
     dc = np.zeros((batch, h_dim), dtype=dtype)
-    for t in range(seq_len - 1, -1, -1):
-        m = mask[:, t:t + 1]
-        i = gates[t][:, :h_dim]
-        f = gates[t][:, h_dim:2 * h_dim]
-        g = gates[t][:, 2 * h_dim:3 * h_dim]
-        o = gates[t][:, 3 * h_dim:]
+    for t in range(steps - 1, -1, -1):
+        dh = d_h_in[t]
+        dc_total = dh * dc_dh[t]
+        dc_total += dc
+        d4[t, :, :3] *= dc_total[:, None, :]
+        d4[t, :, 3] *= dh
+        if t:
+            d_h_in[t - 1] += d_gates[t] @ cell.w_hh
+            dc = dc_total * f[t]
 
-        dh_raw = m * dh
-        dh_carry = (1.0 - m) * dh
-        dc_raw = m * dc
-        dc_carry = (1.0 - m) * dc
-
-        d_o = dh_raw * tanh_c[t]
-        dc_total = dc_raw + dh_raw * o * (1.0 - tanh_c[t] ** 2)
-        d_f = dc_total * c_states[t]
-        d_i = dc_total * g
-        d_g = dc_total * i
-
-        da = np.concatenate([
-            d_i * i * (1.0 - i),
-            d_f * f * (1.0 - f),
-            d_g * (1.0 - g ** 2),
-            d_o * o * (1.0 - o),
-        ], axis=1)
-
-        d_w_ih += da.T @ x[:, t, :]
-        d_w_hh += da.T @ h_states[t]
-        d_b += da.sum(axis=0)
-        d_x[:, t, :] = da @ cell.w_ih
-        dh = da @ cell.w_hh + dh_carry
-        dc = dc_total * f + dc_carry
-
+    flat = d_gates.reshape(-1, 4 * h_dim)
+    d_w_ih = flat.T @ x.reshape(-1, x.shape[-1])
+    d_w_hh = flat.T @ h_states[:-1].reshape(-1, h_dim)
+    d_b = flat.sum(axis=0)
     d_emb = np.zeros_like(params.embedding.weights)
-    np.add.at(d_emb, cache["indices"].reshape(-1),
-              d_x.reshape(-1, d_x.shape[-1]))
+    np.add.at(d_emb, cache["indices"].T.reshape(-1), flat @ cell.w_ih)
     d_emb[0] = 0.0  # pad row frozen
     return {"embedding": d_emb, "w_ih": d_w_ih, "w_hh": d_w_hh,
             "b_ih": d_b, "b_hh": d_b.copy()}
@@ -336,8 +348,8 @@ def _lstm_backward_batch(params: ModelParams, cache: dict,
 def forward_logits(params: ModelParams, indices: np.ndarray,
                    lengths: np.ndarray) -> np.ndarray:
     """Inference-mode logits for a (B, T) batch; dropout off."""
-    cache = _lstm_forward_batch(params, indices, lengths)
-    h_final = cache["h_states"][-1]
+    h_final = _lstm_forward_batch(params, indices, lengths,
+                                  for_backward=False)["h_final"]
     return h_final @ params.dense.w.T + params.dense.b
 
 
@@ -345,18 +357,23 @@ def backward(params: ModelParams, indices: np.ndarray, lengths: np.ndarray,
              labels: np.ndarray, rng: np.random.Generator | None = None,
              training: bool = True,
              class_weights: np.ndarray | None = None,
+             logits_out: np.ndarray | None = None,
              ) -> tuple[dict[str, np.ndarray], float]:
     """Full reverse-mode pass; returns (gradients, batch loss).
 
     Loss is the (optionally class-weight normalized) mean of per-example
-    fused softmax cross-entropies; gradients match that reduction.
+    fused softmax cross-entropies; gradients match that reduction.  When
+    ``logits_out`` is given, the (B, C) inference-mode logits of the same
+    forward pass (what ``forward_logits`` returns) are written into it.
     """
     if indices.shape[0] == 0:
         raise ValueError("empty batch")
     cfg = params.config
     cache = _lstm_forward_batch(params, indices, lengths)
-    h_final = cache["h_states"][-1]
+    h_final = cache["h_final"]
     dtype = h_final.dtype
+    if logits_out is not None:
+        logits_out[...] = h_final @ params.dense.w.T + params.dense.b
 
     lstm_mult = np.ones_like(h_final)
     fc_mult = np.ones_like(h_final)
@@ -403,6 +420,11 @@ def backward(params: ModelParams, indices: np.ndarray, lengths: np.ndarray,
 
 # --- Adam --------------------------------------------------------------------
 
+# elements per slice of the blocked Adam update: the slice's parameters,
+# gradients, moments and scratch stay in cache between passes
+_ADAM_BLOCK = 1 << 16
+
+
 @dataclass
 class AdamState:
     m: dict[str, np.ndarray]
@@ -420,9 +442,20 @@ class AdamState:
 
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
               state: AdamState, lr: float) -> tuple[ModelParams, AdamState]:
-    """Bias-corrected Adam update, in place on the parameter arrays."""
+    """Bias-corrected Adam update, in place on the parameters and moments.
+
+    Works through each array in row slices of about ``_ADAM_BLOCK``
+    elements.  The per-element arithmetic is the plain formula's,
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g**2``,
+    ``p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``, in the same order, so the
+    result is bit-identical to it when gradients share the parameter dtype.
+
+    A non-finite update raises ``FloatingPointError`` at the first slice
+    that has one.  The update is then partial: the arrays and slices before
+    it, and that slice's moments, are already updated; the rest are not.
+    """
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2, eps = state.beta1, state.beta2, state.eps
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     for name, p in params.arrays().items():
@@ -430,16 +463,31 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} != param {p.shape} "
                              f"for {name}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * np.square(g)
-        update = lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        if not np.all(np.isfinite(update)):
-            raise FloatingPointError(f"non-finite Adam update for {name}")
-        p -= update.astype(p.dtype)
+        m, v = state.m[name], state.v[name]
+        rows = max(1, _ADAM_BLOCK // max(1, math.prod(p.shape[1:])))
+        step_buf, den_buf = np.empty((2,) + p[:rows].shape, p.dtype)
+        finite_buf = np.empty(step_buf.shape, bool)
+        for s in range(0, len(p), rows):
+            pb, gb = p[s:s + rows], g[s:s + rows]
+            mb, vb = m[s:s + rows], v[s:s + rows]
+            step, den, finite = (b[:len(pb)] for b in
+                                 (step_buf, den_buf, finite_buf))
+            mb *= b1
+            np.multiply(gb, 1.0 - b1, out=step)
+            mb += step
+            vb *= b2
+            np.square(gb, out=step)
+            step *= 1.0 - b2
+            vb += step
+            np.divide(vb, bc2, out=den)
+            np.sqrt(den, out=den)
+            den += eps
+            np.divide(mb, bc1, out=step)
+            step *= lr
+            step /= den
+            if not np.isfinite(step, out=finite).all():
+                raise FloatingPointError(f"non-finite Adam update for {name}")
+            pb -= step
     params.embedding.weights[0] = 0.0  # pad row frozen
     return params, state
 
@@ -453,16 +501,33 @@ class Prediction:
     low_confidence: bool = False
 
 
+# sequences per forward pass of predict_batch
+_PREDICT_BATCH = 256
+
+
+def predict_batch(params: ModelParams,
+                  seqs: Sequence[EncodedSequence]) -> list[Prediction]:
+    """Predictions for many encoded sequences, in their order.
+
+    ``forward_logits`` runs over batches sorted by length, so each batch is
+    trimmed to little more than its own sequences.  The label is the argmax
+    of the float64 softmax, ties to Negative; a sequence left empty by
+    preprocessing is Negative off the zero-state pass, flagged low-confidence.
+    """
+    lengths = np.array([s.true_length for s in seqs], dtype=np.int64)
+    order = np.argsort(lengths, kind="stable")
+    probs = np.empty((len(seqs), params.dense.b.shape[0]))
+    for start in range(0, len(seqs), _PREDICT_BATCH):
+        sel = order[start:start + _PREDICT_BATCH]
+        indices = np.stack([seqs[k].indices for k in sel])
+        probs[sel] = softmax(forward_logits(params, indices, lengths[sel]))
+    return [Prediction(Label.NEGATIVE, p, low_confidence=True) if n == 0
+            else Prediction(Label(int(np.argmax(p))), p)
+            for p, n in zip(probs, lengths)]
+
+
 def predict_encoded(params: ModelParams, seq: EncodedSequence) -> Prediction:
-    logits = forward_logits(params, seq.indices[None, :],
-                            np.array([seq.true_length]))[0]
-    probs = softmax(logits)
-    if seq.true_length == 0:
-        # nothing survived preprocessing: report Negative off the zero-state
-        # pass and flag it
-        return Prediction(Label.NEGATIVE, probs, low_confidence=True)
-    label = Label(int(np.argmax(probs)))  # argmax ties resolve to Negative
-    return Prediction(label, probs)
+    return predict_batch(params, [seq])[0]
 
 
 def predict(text: str, params: ModelParams, vocab: Vocabulary,

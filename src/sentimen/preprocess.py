@@ -32,10 +32,14 @@ def _data_text(name: str) -> str:
     return resources.files("sentimen").joinpath("data", name).read_text("utf-8")
 
 
+# cached: every default config then shares one roots set, which
+# _stemmer_for finds by identity instead of comparing it word by word
+@lru_cache(maxsize=1)
 def load_root_words() -> frozenset[str]:
     return frozenset(w for w in _data_text("root_words.txt").split("\n") if w)
 
 
+@lru_cache(maxsize=1)
 def load_stopwords() -> frozenset[str]:
     return frozenset(w for w in _data_text("stopwords.txt").split("\n") if w)
 

@@ -153,6 +153,7 @@ def train(params: nn.ModelParams, train_set: EncodedDataset,
     drop_rng = np.random.default_rng((cfg.seed, _STREAM_DROPOUT))
     weights = (np.asarray(cfg.class_weights, dtype=np.float64)
                if cfg.class_weights is not None else None)
+    n_classes = params.dense.b.shape[0]
 
     history: list[EpochStats] = []
     best_epoch: int | None = None
@@ -165,15 +166,18 @@ def train(params: nn.ModelParams, train_set: EncodedDataset,
         for batch_no, batch in enumerate(batch_iter(train_set, cfg.batch_size,
                                                     cfg.shuffle, cfg.seed,
                                                     epoch)):
+            # train accuracy comes from the no-dropout logits of the
+            # forward pass the loss is taken on, before the update
+            logits = np.empty((len(batch), n_classes))
             grads, loss = nn.backward(params, batch.indices, batch.lengths,
                                       batch.labels, rng=drop_rng,
-                                      training=True, class_weights=weights)
+                                      training=True, class_weights=weights,
+                                      logits_out=logits)
             if not np.isfinite(loss):
                 raise FloatingPointError(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}")
             nn.adam_step(params, grads, adam, cfg.learning_rate)
             epoch_loss += loss * len(batch)
-            logits = nn.forward_logits(params, batch.indices, batch.lengths)
             correct += int((logits.argmax(axis=1) == batch.labels).sum())
         train_loss = epoch_loss / len(train_set)
         train_acc = correct / len(train_set)

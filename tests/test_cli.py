@@ -135,6 +135,25 @@ class TestTrainCommand:
             blobs.append((out_dir / "history.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_preprocessed_tokens_reused_with_unlabeled_rows(
+            self, tmp_path, small_config, monkeypatch):
+        rows = separable_rows(6) + [("u0", "c", "belum dilabeli", "")]
+        corpus = write_corpus_csv(tmp_path / "c.csv", rows)
+        tokenized = tmp_path / "tok.csv"
+        assert run_cli("--quiet", "preprocess", corpus, "--out", tokenized) == 0
+
+        calls = []
+
+        def counting(text, cfg):
+            calls.append(text)
+            return run_pipeline(text, cfg)
+
+        monkeypatch.setattr(cli, "run_pipeline", counting)
+        code = run_cli("--out-dir", tmp_path / "run", "--quiet", "train",
+                       tokenized, "--config", small_config, "--epochs", "1")
+        assert code == 0
+        assert calls == []
+
     def test_unknown_config_key_exit_2(self, tmp_path, separable_csv):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("unknown_knob = 4\n", "utf-8")

@@ -552,3 +552,239 @@ class TestCheckpoint:
         assert loaded.embedding.weights.dtype == np.dtype("<f4")
         assert np.array_equal(loaded.embedding.weights,
                               params.embedding.weights)
+
+
+# --- the per-step loop LSTM as the batched path's oracle ----------------------
+# The batched forward/backward before its length trimming, hoisted input
+# projection and post-loop weight GEMMs: one masked step at a time over the
+# full padded width, with the exp-based sigmoid.
+
+def loop_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def loop_forward(params, indices, lengths):
+    cell = params.cell
+    h_dim = cell.hidden_dim
+    batch, seq_len = indices.shape
+    x = params.embedding.weights[indices]
+    mask = (np.arange(seq_len)[None, :] < lengths[:, None]).astype(x.dtype)
+    h_states = np.zeros((seq_len + 1, batch, h_dim))
+    c_states = np.zeros((seq_len + 1, batch, h_dim))
+    gates = np.zeros((seq_len, batch, 4 * h_dim))
+    tanh_c = np.zeros((seq_len, batch, h_dim))
+    bias = cell.b_ih + cell.b_hh
+    for t in range(seq_len):
+        a = x[:, t, :] @ cell.w_ih.T + h_states[t] @ cell.w_hh.T + bias
+        i = loop_sigmoid(a[:, :h_dim])
+        f = loop_sigmoid(a[:, h_dim:2 * h_dim])
+        g = np.tanh(a[:, 2 * h_dim:3 * h_dim])
+        o = loop_sigmoid(a[:, 3 * h_dim:])
+        gates[t] = np.concatenate([i, f, g, o], axis=1)
+        c_raw = f * c_states[t] + i * g
+        tanh_c[t] = np.tanh(c_raw)
+        m = mask[:, t:t + 1]
+        c_states[t + 1] = m * c_raw + (1.0 - m) * c_states[t]
+        h_states[t + 1] = m * (o * tanh_c[t]) + (1.0 - m) * h_states[t]
+    return {"x": x, "mask": mask, "h_states": h_states, "c_states": c_states,
+            "gates": gates, "tanh_c": tanh_c, "indices": indices}
+
+
+def loop_backward(params, cache, d_h_final):
+    cell = params.cell
+    h_dim = cell.hidden_dim
+    x, mask = cache["x"], cache["mask"]
+    h_states, c_states = cache["h_states"], cache["c_states"]
+    gates, tanh_c = cache["gates"], cache["tanh_c"]
+    batch, seq_len, _ = x.shape
+    d_w_ih = np.zeros_like(cell.w_ih)
+    d_w_hh = np.zeros_like(cell.w_hh)
+    d_b = np.zeros_like(cell.b_ih)
+    d_x = np.zeros_like(x)
+    dh = d_h_final.copy()
+    dc = np.zeros((batch, h_dim))
+    for t in range(seq_len - 1, -1, -1):
+        m = mask[:, t:t + 1]
+        i, f, g, o = np.split(gates[t], 4, axis=1)
+        dh_raw, dc_raw = m * dh, m * dc
+        d_o = dh_raw * tanh_c[t]
+        dc_total = dc_raw + dh_raw * o * (1.0 - tanh_c[t] ** 2)
+        da = np.concatenate([dc_total * g * i * (1.0 - i),
+                             dc_total * c_states[t] * f * (1.0 - f),
+                             dc_total * i * (1.0 - g ** 2),
+                             d_o * o * (1.0 - o)], axis=1)
+        d_w_ih += da.T @ x[:, t, :]
+        d_w_hh += da.T @ h_states[t]
+        d_b += da.sum(axis=0)
+        d_x[:, t, :] = da @ cell.w_ih
+        dh = da @ cell.w_hh + (1.0 - m) * dh
+        dc = dc_total * f + (1.0 - m) * dc
+    d_emb = np.zeros_like(params.embedding.weights)
+    np.add.at(d_emb, cache["indices"].reshape(-1),
+              d_x.reshape(-1, d_x.shape[-1]))
+    d_emb[0] = 0.0
+    return {"embedding": d_emb, "w_ih": d_w_ih, "w_hh": d_w_hh, "b_ih": d_b}
+
+
+class TestBatchedPathMatchesLoop:
+    """Trimmed, fused batched path against the loop oracle, float64."""
+
+    @staticmethod
+    def batch_with_gaps(cfg, rng, batch):
+        # zero lengths, and a padded width past the longest sequence, so the
+        # trailing columns are padding in every row
+        lengths = rng.integers(0, cfg.max_len - 1, size=batch)
+        lengths[0] = 0
+        idx = rng.integers(1, cfg.vocab_size, size=(batch, cfg.max_len))
+        for b in range(batch):
+            idx[b, lengths[b]:] = 0
+        return idx, lengths
+
+    def test_forward_and_backward_agree_to_1e12(self):
+        rng = np.random.default_rng(31)
+        for trial in range(25):
+            cfg = tiny_config(V=int(rng.integers(3, 12)),
+                              E=int(rng.integers(1, 6)),
+                              H=int(rng.integers(1, 6)),
+                              T=int(rng.integers(2, 9)))
+            params = random_params(cfg, seed=trial)
+            idx, lengths = self.batch_with_gaps(cfg, rng,
+                                                int(rng.integers(1, 6)))
+            new = nn._lstm_forward_batch(params, idx, lengths)
+            old = loop_forward(params, idx, lengths)
+            assert np.max(np.abs(new["h_final"] - old["h_states"][-1]),
+                          initial=0.0) <= 1e-12
+            logits_only = nn._lstm_forward_batch(params, idx, lengths,
+                                                 for_backward=False)
+            assert np.array_equal(logits_only["h_final"], new["h_final"])
+
+            d_h = rng.normal(size=(len(idx), cfg.hidden_dim))
+            g_new = nn._lstm_backward_batch(params, new, d_h)
+            g_old = loop_backward(params, old, d_h)
+            for name, want in g_old.items():
+                assert np.max(np.abs(g_new[name] - want)) <= 1e-12, name
+            assert np.array_equal(g_new["b_hh"], g_new["b_ih"])
+
+    def test_all_empty_batch_runs_no_steps(self):
+        cfg = tiny_config()
+        params = random_params(cfg, seed=3)
+        idx = np.zeros((3, cfg.max_len), dtype=np.int64)
+        lengths = np.zeros(3, dtype=np.int64)
+        cache = nn._lstm_forward_batch(params, idx, lengths)
+        assert cache["gates"].shape[0] == 0
+        assert np.array_equal(cache["h_final"], np.zeros((3, cfg.hidden_dim)))
+        grads = nn._lstm_backward_batch(params, cache,
+                                        np.ones((3, cfg.hidden_dim)))
+        assert all(np.all(g == 0.0) for g in grads.values())
+
+    def test_logits_out_are_the_inference_logits(self):
+        cfg = tiny_config(fc_dropout=0.5)
+        params = random_params(cfg, seed=6)
+        idx, lengths, labels = random_batch(cfg, np.random.default_rng(4),
+                                            batch=4)
+        logits = np.empty((4, cfg.num_classes))
+        nn.backward(params, idx, lengths, labels,
+                    rng=np.random.default_rng(0), logits_out=logits)
+        assert np.array_equal(logits, nn.forward_logits(params, idx, lengths))
+
+
+def unblocked_adam_step(p, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """The plain whole-array Adam formula."""
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * np.square(g)
+    p -= lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+
+
+class TestBlockedAdam:
+    def test_bit_identical_to_unblocked_formula(self):
+        # an embedding table of 2.5 blocks: full slices and a partial one
+        rows = 5 * nn._ADAM_BLOCK // (2 * 16) + 3
+        cfg = nn.ModelConfig(vocab_size=rows, embed_dim=16, hidden_dim=3,
+                             num_classes=2, max_len=4)
+        assert cfg.vocab_size * cfg.embed_dim % nn._ADAM_BLOCK != 0
+        rng = np.random.default_rng(12)
+        for dtype in (np.float32, np.float64):
+            params = nn.init_params(cfg, seed=1, dtype=dtype)
+            state = nn.AdamState.for_params(params)
+            want = {k: a.copy() for k, a in params.arrays().items()}
+            m = {k: np.zeros_like(a) for k, a in want.items()}
+            v = {k: np.zeros_like(a) for k, a in want.items()}
+            for t in (1, 2, 3):
+                grads = {k: rng.normal(size=a.shape).astype(dtype)
+                         for k, a in want.items()}
+                nn.adam_step(params, grads, state, lr=0.01)
+                for k in want:
+                    unblocked_adam_step(want[k], grads[k], m[k], v[k], t, 0.01)
+                want["embedding"][0] = 0.0
+                for k, a in params.arrays().items():
+                    assert np.array_equal(a, want[k]), (dtype, t, k)
+                    assert np.array_equal(state.m[k], m[k])
+                    assert np.array_equal(state.v[k], v[k])
+
+    def test_non_finite_update_rejected(self):
+        cfg = tiny_config()
+        params = nn.init_params(cfg)
+        grads = {k: np.zeros_like(a) for k, a in params.arrays().items()}
+        grads["w_hh"][1, 2] = np.nan
+        with pytest.raises(FloatingPointError, match="w_hh"):
+            nn.adam_step(params, grads, nn.AdamState.for_params(params), 0.1)
+
+    def test_non_finite_update_stops_at_its_slice(self):
+        # slices before the non-finite one are updated, it and the rest not
+        per_slice = nn._ADAM_BLOCK // 16
+        cfg = nn.ModelConfig(vocab_size=3 * per_slice, embed_dim=16,
+                             hidden_dim=3, num_classes=2, max_len=4)
+        params = nn.init_params(cfg, seed=1)
+        before = {k: a.copy() for k, a in params.arrays().items()}
+        grads = {k: np.ones_like(a) for k, a in params.arrays().items()}
+        grads["embedding"][per_slice + 5, 0] = np.nan
+        with pytest.raises(FloatingPointError, match="embedding"):
+            nn.adam_step(params, grads, nn.AdamState.for_params(params), 0.1)
+        emb = params.embedding.weights
+        assert np.all(emb[1:per_slice] != before["embedding"][1:per_slice])
+        assert np.array_equal(emb[per_slice:],
+                              before["embedding"][per_slice:])
+        for k, a in params.arrays().items():
+            if k != "embedding":
+                assert np.array_equal(a, before[k]), k
+
+
+class TestPredictBatch:
+    def test_labels_match_one_at_a_time(self, pp_cfg, monkeypatch):
+        from conftest import NEGATIVE_TEXTS, POSITIVE_TEXTS
+        from sentimen.preprocess import run_pipeline
+        from sentimen.vocab import build_vocab, encode
+
+        texts = POSITIVE_TEXTS + NEGATIVE_TEXTS + ["@user http://x.co 123 !!"]
+        docs = [run_pipeline(t, pp_cfg) for t in texts]
+        assert docs[-1] == [] and len({len(d) for d in docs}) > 3
+        vocab = build_vocab(docs[::2])  # out-of-vocabulary tokens too
+        seqs = [encode(d, vocab, 6) for d in docs]
+        cfg = tiny_config(V=vocab.size, E=4, H=5, T=6)
+        monkeypatch.setattr(nn, "_PREDICT_BATCH", 4)  # several sorted batches
+        for seed in range(5):
+            params = random_params(cfg, seed=seed, bias_scale=1.0)
+            batched = nn.predict_batch(params, seqs)
+            assert len(batched) == len(seqs)
+            for seq, got in zip(seqs, batched):
+                one = nn.predict_encoded(params, seq)
+                logits = nn.forward_logits(params, seq.indices[None, :],
+                                           np.array([seq.true_length]))
+                label = (int(np.argmax(nn.softmax(logits[0])))
+                         if seq.true_length else 0)
+                assert got.label == one.label == label
+                assert got.low_confidence == one.low_confidence == \
+                    (seq.true_length == 0)
+                assert np.allclose(got.probabilities, one.probabilities,
+                                   rtol=0, atol=1e-12)
+
+    def test_empty_input(self):
+        params = nn.init_params(tiny_config())
+        assert nn.predict_batch(params, []) == []

@@ -137,3 +137,16 @@ class TestRunPipeline:
         bare = PreprocessConfig(case_fold=True, clean=True, normalize=False,
                                 remove_stopwords=False, stem=False)
         assert len(full) <= len(run_pipeline(text, bare))
+
+
+class TestDictionaryCache:
+    def test_default_configs_share_one_stemmer(self):
+        from sentimen.preprocess import _stemmer_for
+
+        _stemmer_for.cache_clear()
+        a, b = PreprocessConfig.default(), PreprocessConfig.default()
+        assert a.roots is b.roots and a.stopwords is b.stopwords
+        assert a.slang is not b.slang  # the mutable map is not shared
+        run_pipeline("makanannya enak", a)
+        run_pipeline("programnya bagus", b)
+        assert _stemmer_for.cache_info().currsize == 1

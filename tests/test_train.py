@@ -139,6 +139,32 @@ class TestTrain:
         assert result.history[0].train_loss == pytest.approx(
             float(np.mean(losses)), rel=1e-12)
 
+    def test_train_accuracy_is_pre_update_without_dropout(self):
+        # accuracy of the inference-mode logits each batch has before its
+        # own update, recomputed with a hand-rolled loop
+        ds = make_encoded(10, seed=4, balanced=False)
+        cfg = nn.ModelConfig(vocab_size=10, embed_dim=4, hidden_dim=4,
+                             max_len=4, fc_dropout=0.5)
+        params = nn.init_params(cfg, seed=7)
+        manual = nn.init_params(cfg, seed=7)
+        result = train(params, ds, None,
+                       TrainConfig(batch_size=3, epochs=1, seed=7,
+                                   learning_rate=0.05, shuffle=False))
+
+        state = nn.AdamState.for_params(manual)
+        drop_rng = np.random.default_rng((7, 2))
+        correct = 0
+        for start in range(0, len(ds), 3):
+            sl = slice(start, start + 3)
+            logits = nn.forward_logits(manual, ds.indices[sl], ds.lengths[sl])
+            correct += int((logits.argmax(axis=1) == ds.labels[sl]).sum())
+            grads, _ = nn.backward(manual, ds.indices[sl], ds.lengths[sl],
+                                   ds.labels[sl], rng=drop_rng, training=True)
+            nn.adam_step(manual, grads, state, 0.05)
+        assert result.history[0].train_accuracy == correct / len(ds)
+        for name, arr in params.arrays().items():
+            assert np.array_equal(arr, manual.arrays()[name])
+
     def test_best_checkpoint_tracks_val_accuracy(self):
         ds = separable_dataset(n=12)
         cfg = nn.ModelConfig(vocab_size=10, embed_dim=6, hidden_dim=6,
