@@ -24,17 +24,19 @@ labels = [1] * len(pos_docs) + [0] * len(neg_docs)
 vocab = build_vocab(docs)
 print(f"vocabulary size (incl. PAD/OOV): {vocab.size}")
 
-# TF-IDF features: tf * (ln((1+N)/(1+df)) + 1), L2-normalized
-vec = TfidfVectorizer.fit(docs, vocab)
-sample = vec.transform(docs[0])
-print("tf-idf of first doc:", dict(zip(sample.cols.tolist(),
-                                       np.round(sample.vals, 3).tolist())))
+# TF-IDF features: tf * (ln((1+N)/(1+df)) + 1), rows L2-normalized; the
+# corpus is one CSR matrix, a row per document
+x = TfidfVectorizer.fit(docs, vocab).transform(docs)
+print(f"tf-idf matrix: {x.n_rows} x {x.n_cols}, {len(x.data)} stored entries")
+first = slice(x.indptr[0], x.indptr[1])
+print("tf-idf of first doc:", dict(zip(x.indices[first].tolist(),
+                                       np.round(x.data[first], 3).tolist())))
 
-# Naive Bayes posteriors
+# Naive Bayes posteriors, one row per document
 model = nb_fit(docs, labels, vocab)
-posterior = np.exp(model.log_posteriors(count_vector(["bagus"], vocab)))
-print(f"NB posterior for ['bagus']: negative {posterior[0]:.3f}, "
-      f"positive {posterior[1]:.3f}")
+posterior = np.exp(model.log_posteriors(count_vector([["bagus"], ["basi"]], vocab)))
+for word, (neg, pos) in zip(("bagus", "basi"), posterior):
+    print(f"NB posterior for ['{word}']: negative {neg:.3f}, positive {pos:.3f}")
 
 # classical models on the shared features
 rows = run_comparison(docs, labels, docs, labels, vocab, seed=0)

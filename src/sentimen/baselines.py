@@ -5,8 +5,13 @@ smoothing, logistic regression by full-batch gradient descent, and a linear
 SVM by Pegasos-style stochastic subgradient descent.  Features come from
 the shared Vocabulary so every model sees the identical preprocessing.
 
+A corpus is one ``CsrMatrix`` (compressed sparse row: one row per
+document, one column per real vocabulary token).  The models take the
+matrix whole and answer for every row at once; only the Pegasos step loop
+and the one pass that counts the tokens run per document.
+
 TF-IDF convention (pinned because the bare name is ambiguous):
-tf = raw count, idf(t) = ln((1+N)/(1+df(t))) + 1, vectors L2-normalized.
+tf = raw count, idf(t) = ln((1+N)/(1+df(t))) + 1, rows L2-normalized.
 """
 
 from __future__ import annotations
@@ -14,34 +19,58 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .ingest import Label
-from .vocab import Vocabulary
+from .vocab import OOV_INDEX, Vocabulary
 
 
 @dataclass(frozen=True)
-class SparseVec:
-    """Feature vector stored as (sorted column indices, values)."""
-    cols: np.ndarray
-    vals: np.ndarray
-    dim: int
+class CsrMatrix:
+    """Row i holds columns ``indices[indptr[i]:indptr[i+1]]`` (sorted, unique)
+    with values ``data[indptr[i]:indptr[i+1]]``."""
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    n_cols: int
 
-    def dot(self, dense: np.ndarray) -> float:
-        return float(dense[self.cols] @ self.vals)
+    @property
+    def n_rows(self) -> int:
+        return len(self.indptr) - 1
 
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.dim)
-        out[self.cols] = self.vals
-        return out
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """Row index of each stored entry."""
+        return np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
+
+    def matvec(self, w: np.ndarray) -> np.ndarray:
+        return np.bincount(self.rows, self.data * w[self.indices],
+                           minlength=self.n_rows)
+
+    def rmatvec(self, r: np.ndarray) -> np.ndarray:
+        return np.bincount(self.indices, self.data * r[self.rows],
+                           minlength=self.n_cols)
 
 
-def _column(vocab: Vocabulary, token: str) -> int | None:
-    """Feature column for a real token; reserved indices carry no feature."""
-    idx = vocab.token_to_index.get(token)
-    return None if idx is None else idx - 2
+def count_vector(docs: Sequence[Sequence[str]], vocab: Vocabulary) -> CsrMatrix:
+    """Raw token counts of each document; out-of-vocabulary tokens carry no
+    feature, and column c is vocabulary index c + 2 (past PAD and OOV)."""
+    lookup = vocab.token_to_index
+    n_rows, n_cols = len(docs), vocab.size - 2
+    lengths = np.fromiter(map(len, docs), dtype=np.int64, count=n_rows)
+    ids = np.fromiter((lookup.get(t, OOV_INDEX) for tokens in docs for t in tokens),
+                      dtype=np.int64, count=int(lengths.sum()))
+    real = ids > OOV_INDEX
+    rows = np.repeat(np.arange(n_rows), lengths)[real]
+    # sorted unique (row, column) keys: one entry per distinct token of a row
+    keys, counts = np.unique(rows * n_cols + (ids[real] - 2), return_counts=True)
+    entry_rows, indices = np.divmod(keys, max(n_cols, 1))
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(entry_rows, minlength=n_rows), out=indptr[1:])
+    return CsrMatrix(indptr, indices, counts.astype(np.float64), n_cols)
 
 
 @dataclass
@@ -49,35 +78,22 @@ class TfidfVectorizer:
     vocab: Vocabulary
     idf: np.ndarray  # (n_features,)
 
-    @property
-    def n_features(self) -> int:
-        return self.vocab.size - 2
-
     @classmethod
     def fit(cls, corpus: Sequence[Sequence[str]], vocab: Vocabulary) -> "TfidfVectorizer":
-        n_features = vocab.size - 2
-        df = np.zeros(n_features, dtype=np.int64)
-        n_docs = 0
-        for tokens in corpus:
-            n_docs += 1
-            seen = {c for t in set(tokens) if (c := _column(vocab, t)) is not None}
-            for c in seen:
-                df[c] += 1
-        idf = np.log((1.0 + n_docs) / (1.0 + df)) + 1.0
+        counts = count_vector(corpus, vocab)
+        df = np.bincount(counts.indices, minlength=counts.n_cols)
+        idf = np.log((1.0 + counts.n_rows) / (1.0 + df)) + 1.0
         return cls(vocab=vocab, idf=idf)
 
-    def transform(self, tokens: Sequence[str]) -> SparseVec:
-        counts = Counter(c for t in tokens if (c := _column(self.vocab, t)) is not None)
-        if not counts:
-            return SparseVec(np.empty(0, dtype=np.int64), np.empty(0),
-                             self.n_features)
-        cols = np.array(sorted(counts), dtype=np.int64)
-        vals = np.array([counts[c] for c in cols], dtype=np.float64)
-        vals *= self.idf[cols]
-        norm = np.linalg.norm(vals)
-        if norm > 0:
-            vals /= norm
-        return SparseVec(cols, vals, self.n_features)
+    def transform(self, docs: Sequence[Sequence[str]]) -> CsrMatrix:
+        """Weighted, row-L2-normalized features; an empty row stays empty."""
+        counts = count_vector(docs, self.vocab)
+        data = counts.data * self.idf[counts.indices]
+        # every stored entry is >= 1 (count >= 1, idf >= 1): no zero norms
+        norms = np.sqrt(np.bincount(counts.rows, data * data,
+                                    minlength=counts.n_rows))
+        data /= norms[counts.rows]
+        return CsrMatrix(counts.indptr, counts.indices, data, counts.n_cols)
 
 
 # --- multinomial Naive Bayes -------------------------------------------------
@@ -87,44 +103,33 @@ class NaiveBayesModel:
     log_priors: np.ndarray       # (C,)
     log_likelihoods: np.ndarray  # (C, n_features), Laplace alpha=1
 
-    def log_posteriors(self, counts: SparseVec) -> np.ndarray:
-        scores = self.log_priors + (self.log_likelihoods[:, counts.cols]
-                                    @ counts.vals)
-        return scores - _logsumexp(scores)
+    def _scores(self, counts: CsrMatrix) -> np.ndarray:
+        return self.log_priors + np.stack(
+            [counts.matvec(ll) for ll in self.log_likelihoods], axis=1)
 
-    def predict(self, counts: SparseVec) -> Label:
-        scores = self.log_priors + (self.log_likelihoods[:, counts.cols]
-                                    @ counts.vals)
-        return Label(int(np.argmax(scores)))  # argmax ties resolve to Negative
+    def log_posteriors(self, counts: CsrMatrix) -> np.ndarray:
+        """(n_docs, C) normalized log posteriors."""
+        scores = self._scores(counts)
+        m = scores.max(axis=1, keepdims=True)
+        return scores - (m + np.log(np.exp(scores - m).sum(axis=1, keepdims=True)))
 
-
-def _logsumexp(x: np.ndarray) -> float:
-    m = float(np.max(x))
-    return m + math.log(float(np.exp(x - m).sum()))
-
-
-def count_vector(tokens: Sequence[str], vocab: Vocabulary) -> SparseVec:
-    counts = Counter(c for t in tokens if (c := _column(vocab, t)) is not None)
-    cols = np.array(sorted(counts), dtype=np.int64)
-    vals = np.array([counts[c] for c in cols], dtype=np.float64)
-    return SparseVec(cols, vals, vocab.size - 2)
+    def predict(self, counts: CsrMatrix) -> np.ndarray:
+        # argmax ties resolve to Negative
+        return np.argmax(self._scores(counts), axis=1)
 
 
 def nb_fit(docs: Sequence[Sequence[str]], labels: Sequence[int | Label],
            vocab: Vocabulary, alpha: float = 1.0) -> NaiveBayesModel:
-    n_features = vocab.size - 2
     n_classes = 2
-    class_counts = np.zeros(n_classes)
-    word_counts = np.zeros((n_classes, n_features))
-    for tokens, label in zip(docs, labels):
-        label = int(label)
-        class_counts[label] += 1
-        for t in tokens:
-            c = _column(vocab, t)
-            if c is not None:
-                word_counts[label, c] += 1
-    if class_counts.sum() == 0:
+    counts = count_vector(docs, vocab)
+    if counts.n_rows == 0:
         raise ValueError("no training documents")
+    labels = np.asarray(labels, dtype=np.int64)
+    class_counts = np.bincount(labels, minlength=n_classes).astype(np.float64)
+    # one bincount over (class, column) keys gives every class's word counts
+    word_counts = np.bincount(labels[counts.rows] * counts.n_cols + counts.indices,
+                              counts.data, minlength=n_classes * counts.n_cols
+                              ).reshape(n_classes, counts.n_cols)
     with np.errstate(divide="ignore"):
         # a class with no documents gets a -inf prior: never predicted
         log_priors = np.log(class_counts / class_counts.sum())
@@ -141,54 +146,42 @@ class LinearModel:
     b: float
     objective: str  # "logistic" | "hinge"
 
-    def score(self, x: SparseVec) -> float:
-        return x.dot(self.w) + self.b
+    def score(self, x: CsrMatrix) -> np.ndarray:
+        return x.matvec(self.w) + self.b
 
-    def predict(self, x: SparseVec) -> Label:
+    def predict(self, x: CsrMatrix) -> np.ndarray:
         # sign rule with ties to Negative: positive score means Positive
-        return Label.POSITIVE if self.score(x) > 0 else Label.NEGATIVE
+        return (self.score(x) > 0).astype(np.int64)
 
 
-def _neg_sigmoid(margin: float) -> float:
-    """1 / (1 + e^margin) without overflow."""
-    if margin >= 0:
-        e = math.exp(-margin)
-        return e / (1.0 + e)
-    return 1.0 / (1.0 + math.exp(margin))
-
-
-def logistic_loss_and_grad(w: np.ndarray, b: float, xs: Sequence[SparseVec],
+def logistic_loss_and_grad(w: np.ndarray, b: float, x: CsrMatrix,
                            ys: np.ndarray, l2: float,
                            ) -> tuple[float, np.ndarray, float]:
     """L2-regularized mean log loss with y in {-1, +1}."""
-    n = len(xs)
-    grad_w = l2 * w
-    grad_b = 0.0
-    data_loss = 0.0
-    for x, y in zip(xs, ys):
-        margin = y * (x.dot(w) + b)
-        # log(1 + e^-m), stable for both signs of m
-        data_loss += math.log1p(math.exp(-abs(margin))) + max(0.0, -margin)
-        s = -y * _neg_sigmoid(margin)
-        grad_w[x.cols] += (s / n) * x.vals
-        grad_b += s / n
+    n = x.n_rows
+    margin = ys * (x.matvec(w) + b)
+    # log(1 + e^-m) and 1 / (1 + e^m), stable for both signs of m
+    e = np.exp(-np.abs(margin))
+    data_loss = float(np.sum(np.log1p(e) + np.maximum(0.0, -margin)))
+    neg_sigmoid = np.where(margin >= 0, e / (1.0 + e), 1.0 / (1.0 + e))
+    s = -ys * neg_sigmoid / n
+    grad_w = l2 * w + x.rmatvec(s)
     loss = data_loss / n + 0.5 * l2 * float(w @ w)
-    return loss, grad_w, grad_b
+    return loss, grad_w, float(s.sum())
 
 
-def linear_fit(xs: Sequence[SparseVec], labels: Sequence[int | Label],
+def linear_fit(x: CsrMatrix, labels: Sequence[int | Label],
                objective: str = "logistic", l2: float = 1e-4,
                lr: float = 1.0, epochs: int = 200, seed: int = 0) -> LinearModel:
     """Logistic: full-batch gradient descent.  Hinge: Pegasos SGD."""
     if objective not in ("logistic", "hinge"):
         raise ValueError(f"unknown objective {objective!r}")
-    dim = xs[0].dim if xs else 0
-    ys = np.array([1.0 if int(l) == 1 else -1.0 for l in labels])
-    w = np.zeros(dim)
+    ys = np.where(np.asarray(labels, dtype=np.int64) == 1, 1.0, -1.0)
+    w = np.zeros(x.n_cols)
     b = 0.0
     if objective == "logistic":
         for _ in range(epochs):
-            loss, grad_w, grad_b = logistic_loss_and_grad(w, b, xs, ys, l2)
+            _, grad_w, grad_b = logistic_loss_and_grad(w, b, x, ys, l2)
             w -= lr * grad_w
             b -= lr * grad_b
             if not np.all(np.isfinite(w)) or not math.isfinite(b):
@@ -196,20 +189,23 @@ def linear_fit(xs: Sequence[SparseVec], labels: Sequence[int | Label],
     else:
         rng = np.random.default_rng((seed, 3))
         lam = max(l2, 1e-12)
+        indptr = x.indptr.tolist()
         t = 0
         for _ in range(epochs):
-            for j in rng.permutation(len(xs)):
+            for j in rng.permutation(x.n_rows):
                 t += 1
                 eta = 1.0 / (lam * t)
-                x, y = xs[j], ys[j]
-                margin = y * (x.dot(w) + b)
+                cols = x.indices[indptr[j]:indptr[j + 1]]
+                vals = x.data[indptr[j]:indptr[j + 1]]
+                y = ys[j]
+                margin = y * (float(w[cols] @ vals) + b)
                 w *= (1.0 - eta * lam)
                 if margin < 1.0:
-                    w[x.cols] += eta * y * x.vals
+                    w[cols] += eta * y * vals
                     b += eta * y
             if not np.all(np.isfinite(w)):
                 raise FloatingPointError("SVM training diverged")
-    return LinearModel(w=w, b=b, objective=objective)
+    return LinearModel(w=w, b=float(b), objective=objective)
 
 
 # --- model comparison ---------------------------------------------------------
@@ -237,10 +233,10 @@ def compare_models(rows: Iterable[ComparisonRow]) -> str:
     return "\n".join(lines)
 
 
-def _row(name: str, preds: Sequence[Label],
+def _row(name: str, preds: Sequence[int | Label],
          truth: Sequence[int | Label]) -> ComparisonRow:
     from .evaluation import report
-    rep = report(preds, truth)
+    rep = report(list(preds), truth)
     return ComparisonRow(model=name, accuracy=rep.accuracy, macro_f1=rep.macro_f1)
 
 
@@ -259,20 +255,19 @@ def run_comparison(train_docs: Sequence[Sequence[str]],
         rows.append(_row("majority", [major] * len(test_labels), test_labels))
     if "naive_bayes" in include:
         model = nb_fit(train_docs, train_labels, vocab)
-        preds = [model.predict(count_vector(d, vocab)) for d in test_docs]
-        rows.append(_row("naive_bayes", preds, test_labels))
+        rows.append(_row("naive_bayes", model.predict(count_vector(test_docs, vocab)),
+                         test_labels))
     if {"logistic_regression", "linear_svm"} & set(include):
         vectorizer = TfidfVectorizer.fit(train_docs, vocab)
-        train_x = [vectorizer.transform(d) for d in train_docs]
-        test_x = [vectorizer.transform(d) for d in test_docs]
+        train_x = vectorizer.transform(train_docs)
+        test_x = vectorizer.transform(test_docs)
         if "logistic_regression" in include:
             lr_model = linear_fit(train_x, train_labels, objective="logistic",
                                   l2=1e-4, lr=1.0, epochs=200, seed=seed)
-            rows.append(_row("logistic_regression",
-                             [lr_model.predict(x) for x in test_x], test_labels))
+            rows.append(_row("logistic_regression", lr_model.predict(test_x),
+                             test_labels))
         if "linear_svm" in include:
             svm = linear_fit(train_x, train_labels, objective="hinge",
                              l2=1e-4, epochs=30, seed=seed)
-            rows.append(_row("linear_svm",
-                             [svm.predict(x) for x in test_x], test_labels))
+            rows.append(_row("linear_svm", svm.predict(test_x), test_labels))
     return rows

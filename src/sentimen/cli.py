@@ -205,6 +205,43 @@ def _split_and_encode(args, cfg, pp):
     return part(train_ds), part(val_ds), part(test_ds)
 
 
+_DTYPES = {"float32": np.float32, "float64": np.float64}
+
+
+def _train_lstm(cfg, vocab, train_split, val_split, quiet):
+    """Build the LSTM and the TrainConfig the resolved config asks for and
+    train on the (docs, labels) splits.  Returns the TrainResult and
+    max_len, which defaults to the 95th percentile of training lengths."""
+    dtype = _DTYPES.get(cfg["dtype"])
+    if dtype is None:
+        raise CliError(f"dtype must be one of {sorted(_DTYPES)}, "
+                       f"not {cfg['dtype']!r}")
+    max_len = (int(cfg["max_len"]) if cfg["max_len"]
+               else suggest_max_len(train_split[0]))
+    model_cfg = nn.ModelConfig(
+        vocab_size=vocab.size, embed_dim=int(cfg["embed_dim"]),
+        hidden_dim=int(cfg["hidden_dim"]), max_len=max_len,
+        lstm_dropout=float(cfg["lstm_dropout"]),
+        fc_dropout=float(cfg["fc_dropout"]))
+    params = nn.init_params(model_cfg, seed=int(cfg["seed"]), dtype=dtype)
+    train_cfg = TrainConfig(
+        batch_size=int(cfg["batch_size"]),
+        learning_rate=float(cfg["learning_rate"]),
+        epochs=int(cfg["epochs"]), seed=int(cfg["seed"]),
+        class_weights=_class_weights(cfg), shuffle=_as_bool(cfg["shuffle"]))
+    if train_cfg.epochs == 0:
+        print("warning: epochs = 0, nothing to train", file=sys.stderr)
+
+    def enc(docs, labels):
+        return EncodedDataset.from_sequences(
+            [encode(d, vocab, max_len) for d in docs], labels)
+
+    result = train_model(params, enc(*train_split),
+                         enc(*val_split) if val_split[0] else None,
+                         train_cfg, log=None if quiet else sys.stderr)
+    return result, max_len
+
+
 def cmd_train(args, cfg) -> int:
     out_dir = Path(args.out_dir)
     echo_config(cfg, out_dir)
@@ -215,33 +252,10 @@ def cmd_train(args, cfg) -> int:
         raise CliError("train split is empty")
 
     vocab = build_vocab(train_docs, min_freq=int(cfg["min_freq"]))
-    max_len = (int(cfg["max_len"]) if cfg["max_len"]
-               else suggest_max_len(train_docs))
+    result, max_len = _train_lstm(cfg, vocab, (train_docs, train_labels),
+                                  (val_docs, val_labels), args.quiet)
     save_vocab(vocab, out_dir / "vocab.txt", max_len,
                min_freq=int(cfg["min_freq"]))
-
-    dtype = np.float64 if cfg["dtype"] == "float64" else np.float32
-    model_cfg = nn.ModelConfig(
-        vocab_size=vocab.size, embed_dim=int(cfg["embed_dim"]),
-        hidden_dim=int(cfg["hidden_dim"]), max_len=max_len,
-        lstm_dropout=float(cfg["lstm_dropout"]),
-        fc_dropout=float(cfg["fc_dropout"]))
-    params = nn.init_params(model_cfg, seed=int(cfg["seed"]), dtype=dtype)
-
-    def enc(docs, labels):
-        return EncodedDataset.from_sequences(
-            [encode(d, vocab, max_len) for d in docs], labels)
-
-    train_cfg = TrainConfig(
-        batch_size=int(cfg["batch_size"]),
-        learning_rate=float(cfg["learning_rate"]),
-        epochs=int(cfg["epochs"]), seed=int(cfg["seed"]),
-        class_weights=_class_weights(cfg), shuffle=_as_bool(cfg["shuffle"]))
-    if train_cfg.epochs == 0:
-        print("warning: epochs = 0, nothing to train", file=sys.stderr)
-    val_set = enc(val_docs, val_labels) if val_docs else None
-    result = train_model(params, enc(train_docs, train_labels), val_set,
-                         train_cfg, log=None if args.quiet else sys.stderr)
 
     save_history_csv(result.history, out_dir / "history.csv")
     nn.save_checkpoint(out_dir / "checkpoint.bin", result.final_params)
@@ -257,7 +271,7 @@ def cmd_train(args, cfg) -> int:
              "val": [s.val_accuracy for s in result.history]},
             "training and validation accuracy", "accuracy"), "utf-8")
     if not args.quiet:
-        print(f"trained {train_cfg.epochs} epochs; artifacts in {out_dir}")
+        print(f"trained {len(result.history)} epochs; artifacts in {out_dir}")
     return EXIT_OK
 
 
@@ -338,28 +352,8 @@ def cmd_compare(args, cfg) -> int:
                                     include=include)
 
     # the LSTM row is always present, baselines config notwithstanding
-    max_len = (int(cfg["max_len"]) if cfg["max_len"]
-               else suggest_max_len(train_docs))
-    model_cfg = nn.ModelConfig(
-        vocab_size=vocab.size, embed_dim=int(cfg["embed_dim"]),
-        hidden_dim=int(cfg["hidden_dim"]), max_len=max_len,
-        lstm_dropout=float(cfg["lstm_dropout"]),
-        fc_dropout=float(cfg["fc_dropout"]))
-    dtype = np.float64 if cfg["dtype"] == "float64" else np.float32
-    params = nn.init_params(model_cfg, seed=int(cfg["seed"]), dtype=dtype)
-
-    def enc(docs, labels):
-        return EncodedDataset.from_sequences(
-            [encode(d, vocab, max_len) for d in docs], labels)
-
-    train_cfg = TrainConfig(
-        batch_size=int(cfg["batch_size"]),
-        learning_rate=float(cfg["learning_rate"]),
-        epochs=int(cfg["epochs"]), seed=int(cfg["seed"]),
-        class_weights=_class_weights(cfg), shuffle=_as_bool(cfg["shuffle"]))
-    result = train_model(params, enc(train_docs, train_labels),
-                         enc(val_docs, val_labels) if val_docs else None,
-                         train_cfg, log=None if args.quiet else sys.stderr)
+    result, max_len = _train_lstm(cfg, vocab, (train_docs, train_labels),
+                                  (val_docs, val_labels), args.quiet)
     model = result.final_params
     lstm_preds = [int(p.label) for p in nn.predict_batch(
         model, [encode(d, vocab, max_len) for d in test_docs])]

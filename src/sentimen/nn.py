@@ -20,7 +20,7 @@ import struct
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -505,6 +505,15 @@ class Prediction:
 _PREDICT_BATCH = 256
 
 
+def length_sorted_batches(lengths: np.ndarray,
+                          batch_size: int) -> Iterator[np.ndarray]:
+    """Row indices in batches of ``batch_size``, ordered by length (stable),
+    so ``forward_logits`` trims each batch to little more than its rows."""
+    order = np.argsort(lengths, kind="stable")
+    for start in range(0, len(order), batch_size):
+        yield order[start:start + batch_size]
+
+
 def predict_batch(params: ModelParams,
                   seqs: Sequence[EncodedSequence]) -> list[Prediction]:
     """Predictions for many encoded sequences, in their order.
@@ -515,10 +524,8 @@ def predict_batch(params: ModelParams,
     preprocessing is Negative off the zero-state pass, flagged low-confidence.
     """
     lengths = np.array([s.true_length for s in seqs], dtype=np.int64)
-    order = np.argsort(lengths, kind="stable")
     probs = np.empty((len(seqs), params.dense.b.shape[0]))
-    for start in range(0, len(seqs), _PREDICT_BATCH):
-        sel = order[start:start + _PREDICT_BATCH]
+    for sel in length_sorted_batches(lengths, _PREDICT_BATCH):
         indices = np.stack([seqs[k].indices for k in sel])
         probs[sel] = softmax(forward_logits(params, indices, lengths[sel]))
     return [Prediction(Label.NEGATIVE, p, low_confidence=True) if n == 0

@@ -79,7 +79,6 @@ class PreprocessConfig:
     case_fold: bool = True
     clean: bool = True
     normalize: bool = True
-    tokenize: bool = True      # kept for symmetric config; always applied
     remove_stopwords: bool = True
     stem: bool = True
     slang: dict[str, str] = field(default_factory=dict)

@@ -90,16 +90,14 @@ def batch_iter(ds: EncodedDataset, batch_size: int, shuffle: bool,
 
 def evaluate_split(params: nn.ModelParams, ds: EncodedDataset,
                    batch_size: int = 256) -> tuple[float, float]:
-    """(mean loss, accuracy) in inference mode."""
+    """(mean loss, accuracy) in inference mode, over length-sorted batches."""
     if len(ds) == 0:
         raise ValueError("empty dataset")
     total_loss = 0.0
     correct = 0
-    for start in range(0, len(ds), batch_size):
-        idx = ds.indices[start:start + batch_size]
-        lengths = ds.lengths[start:start + batch_size]
-        labels = ds.labels[start:start + batch_size]
-        logits = nn.forward_logits(params, idx, lengths)
+    for sel in nn.length_sorted_batches(ds.lengths, batch_size):
+        labels = ds.labels[sel]
+        logits = nn.forward_logits(params, ds.indices[sel], ds.lengths[sel])
         shifted = logits - logits.max(axis=1, keepdims=True)
         lse = np.log(np.exp(shifted).sum(axis=1))
         losses = lse - shifted[np.arange(len(labels)), labels]

@@ -1,14 +1,24 @@
+import math
+from collections import Counter
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sentimen.baselines import (ComparisonRow, TfidfVectorizer, compare_models,
-                                count_vector, linear_fit,
+from sentimen.baselines import (ComparisonRow, LinearModel, TfidfVectorizer,
+                                compare_models, count_vector, linear_fit,
                                 logistic_loss_and_grad, majority_class,
                                 nb_fit, run_comparison)
 from sentimen.ingest import Label
 from sentimen.vocab import build_vocab
+
+
+def _dense(m):
+    out = np.zeros((m.n_rows, m.n_cols))
+    out[m.rows, m.indices] = m.data
+    return out
 
 
 @pytest.fixture
@@ -22,30 +32,29 @@ class TestTfidf:
         vec = TfidfVectorizer.fit([["bagus"]], vocab)
         # idf = ln(2/2) + 1 = 1; single-component vector normalizes to 1.0
         assert vec.idf.tolist() == [1.0]
-        out = vec.transform(["bagus"])
-        assert out.vals.tolist() == [1.0]
+        out = vec.transform([["bagus"]])
+        assert out.data.tolist() == [1.0]
 
     def test_empty_doc_zero_vector(self, small_vocab):
         vec = TfidfVectorizer.fit([["bagus"]], small_vocab)
-        out = vec.transform([])
-        assert out.cols.size == 0
-        assert np.all(out.to_dense() == 0.0)
+        out = vec.transform([[]])
+        assert out.n_rows == 1 and out.indices.size == 0
+        assert np.all(_dense(out) == 0.0)
 
     def test_oov_token_ignored(self, small_vocab):
         vec = TfidfVectorizer.fit([["bagus"]], small_vocab)
-        assert vec.transform(["zzz"]).cols.size == 0
+        assert vec.transform([["zzz"]]).indices.size == 0
 
     def test_doubled_document_same_direction(self, small_vocab):
         vec = TfidfVectorizer.fit([["bagus", "enak"], ["buruk"]], small_vocab)
         doc = ["bagus", "enak", "enak"]
-        once = vec.transform(doc).to_dense()
-        twice = vec.transform(doc + doc).to_dense()
+        once, twice = _dense(vec.transform([doc, doc + doc]))
         assert np.allclose(once, twice, atol=1e-12)
 
     def test_l2_normalized(self, small_vocab):
         vec = TfidfVectorizer.fit([["bagus", "enak"], ["jelek"]], small_vocab)
-        out = vec.transform(["bagus", "jelek", "jelek"])
-        assert np.linalg.norm(out.vals) == pytest.approx(1.0, rel=1e-12)
+        out = vec.transform([["bagus", "jelek", "jelek"]])
+        assert np.linalg.norm(out.data) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestNaiveBayes:
@@ -54,23 +63,23 @@ class TestNaiveBayes:
         vocab = build_vocab([["bagus"], ["buruk"]])
         model = nb_fit([["bagus"], ["buruk"]], [Label.POSITIVE, Label.NEGATIVE],
                        vocab)
-        counts = count_vector(["bagus"], vocab)
-        assert model.predict(counts) == Label.POSITIVE
-        posterior = np.exp(model.log_posteriors(counts))
+        counts = count_vector([["bagus"]], vocab)
+        assert model.predict(counts).tolist() == [Label.POSITIVE]
+        (posterior,) = np.exp(model.log_posteriors(counts))
         assert posterior[Label.POSITIVE] == pytest.approx(2 / 3, rel=1e-12)
 
     def test_single_class_always_predicted(self):
         vocab = build_vocab([["bagus"], ["enak"]])
         model = nb_fit([["bagus"], ["enak"]],
                        [Label.POSITIVE, Label.POSITIVE], vocab)
-        for doc in (["bagus"], ["enak"], ["zzz"], []):
-            assert model.predict(count_vector(doc, vocab)) == Label.POSITIVE
+        docs = [["bagus"], ["enak"], ["zzz"], []]
+        assert model.predict(count_vector(docs, vocab)).tolist() == [Label.POSITIVE] * 4
 
     def test_empty_doc_falls_back_to_priors(self):
         vocab = build_vocab([["bagus"], ["buruk"]])
         model = nb_fit([["buruk"], ["buruk"], ["bagus"]],
                        [0, 0, 1], vocab)
-        assert model.predict(count_vector([], vocab)) == Label.NEGATIVE
+        assert model.predict(count_vector([[]], vocab)).tolist() == [Label.NEGATIVE]
 
     def test_no_documents_rejected(self):
         vocab = build_vocab([["a"]])
@@ -83,7 +92,7 @@ class TestNaiveBayes:
     def test_posteriors_sum_to_one(self, doc):
         vocab = build_vocab([["bagus", "buruk", "enak", "jelek"]])
         model = nb_fit([["bagus", "enak"], ["buruk", "jelek"]], [1, 0], vocab)
-        posterior = np.exp(model.log_posteriors(count_vector(doc, vocab)))
+        (posterior,) = np.exp(model.log_posteriors(count_vector([doc], vocab)))
         assert abs(posterior.sum() - 1.0) <= 1e-12
 
 
@@ -92,71 +101,69 @@ def separable_toy():
     labels = [Label.POSITIVE, Label.POSITIVE, Label.NEGATIVE, Label.NEGATIVE]
     vocab = build_vocab(docs)
     vec = TfidfVectorizer.fit(docs, vocab)
-    return [vec.transform(d) for d in docs], labels, vocab, vec
+    return vec.transform(docs), labels, vocab, vec
 
 
 class TestLinearModels:
     def test_separable_perfect_fit_both_objectives(self):
-        xs, labels, _, _ = separable_toy()
+        x, labels, _, _ = separable_toy()
         for objective in ("logistic", "hinge"):
-            model = linear_fit(xs, labels, objective=objective, epochs=300,
+            model = linear_fit(x, labels, objective=objective, epochs=300,
                                seed=1)
-            preds = [model.predict(x) for x in xs]
-            assert preds == labels, objective
+            assert model.predict(x).tolist() == labels, objective
 
     def test_huge_regularization_shrinks_weights(self):
-        xs, labels, _, _ = separable_toy()
+        x, labels, _, _ = separable_toy()
         # lr * l2 must stay below 1 for plain GD to contract
-        model = linear_fit(xs, labels, objective="logistic", l2=1e6,
+        model = linear_fit(x, labels, objective="logistic", l2=1e6,
                            lr=1e-7, epochs=50)
         assert np.max(np.abs(model.w)) < 1e-3
-        assert abs(model.score(xs[0])) < 1e-3
+        assert abs(model.score(x)[0]) < 1e-3
 
     def test_exact_zero_score_ties_to_negative(self):
-        xs, _, _, _ = separable_toy()
-        from sentimen.baselines import LinearModel
-        model = LinearModel(w=np.zeros(xs[0].dim), b=0.0, objective="logistic")
-        assert model.predict(xs[0]) == Label.NEGATIVE
+        x, _, _, _ = separable_toy()
+        model = LinearModel(w=np.zeros(x.n_cols), b=0.0, objective="logistic")
+        assert model.predict(x)[0] == Label.NEGATIVE
 
     def test_logistic_gradient_matches_finite_differences(self):
-        xs, labels, _, _ = separable_toy()
+        x, labels, _, _ = separable_toy()
         ys = np.array([1.0 if int(l) == 1 else -1.0 for l in labels])
         rng = np.random.default_rng(0)
-        w = rng.normal(0, 0.5, xs[0].dim)
+        w = rng.normal(0, 0.5, x.n_cols)
         b = 0.3
-        _, grad_w, grad_b = logistic_loss_and_grad(w, b, xs, ys, l2=0.01)
+        _, grad_w, grad_b = logistic_loss_and_grad(w, b, x, ys, l2=0.01)
         eps = 1e-7
         for j in range(len(w)):
             w[j] += eps
-            up, _, _ = logistic_loss_and_grad(w, b, xs, ys, l2=0.01)
+            up, _, _ = logistic_loss_and_grad(w, b, x, ys, l2=0.01)
             w[j] -= 2 * eps
-            down, _, _ = logistic_loss_and_grad(w, b, xs, ys, l2=0.01)
+            down, _, _ = logistic_loss_and_grad(w, b, x, ys, l2=0.01)
             w[j] += eps
             fd = (up - down) / (2 * eps)
             assert abs(fd - grad_w[j]) / max(abs(fd), abs(grad_w[j]), 1e-8) < 1e-6
 
     def test_logistic_loss_decreases_monotonically(self):
-        xs, labels, _, _ = separable_toy()
+        x, labels, _, _ = separable_toy()
         ys = np.array([1.0 if int(l) == 1 else -1.0 for l in labels])
-        w = np.zeros(xs[0].dim)
+        w = np.zeros(x.n_cols)
         b = 0.0
         losses = []
         for _ in range(40):
-            loss, grad_w, grad_b = logistic_loss_and_grad(w, b, xs, ys, 1e-4)
+            loss, grad_w, grad_b = logistic_loss_and_grad(w, b, x, ys, 1e-4)
             losses.append(loss)
             w -= 0.5 * grad_w
             b -= 0.5 * grad_b
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_determinism_fixed_seed(self):
-        xs, labels, _, _ = separable_toy()
-        a = linear_fit(xs, labels, objective="hinge", epochs=20, seed=9)
-        b = linear_fit(xs, labels, objective="hinge", epochs=20, seed=9)
+        x, labels, _, _ = separable_toy()
+        a = linear_fit(x, labels, objective="hinge", epochs=20, seed=9)
+        b = linear_fit(x, labels, objective="hinge", epochs=20, seed=9)
         assert np.array_equal(a.w, b.w) and a.b == b.b
 
     def test_unknown_objective(self):
         with pytest.raises(ValueError):
-            linear_fit([], [], objective="quadratic")
+            linear_fit(count_vector([], build_vocab([])), [], objective="quadratic")
 
 
 class TestComparison:
@@ -195,3 +202,158 @@ class TestComparison:
         floor = named["majority"].accuracy
         for name in ("naive_bayes", "logistic_regression", "linear_svm"):
             assert named[name].accuracy >= floor
+
+
+# --- oracle: the per-document SparseVec implementation the matrix code replaced
+
+@dataclass(frozen=True)
+class _SparseVec:
+    cols: np.ndarray
+    vals: np.ndarray
+    dim: int
+
+    def dot(self, dense):
+        return float(dense[self.cols] @ self.vals)
+
+
+def _oracle_counts(tokens, vocab):
+    counts = Counter(vocab.token_to_index[t] - 2 for t in tokens
+                     if t in vocab.token_to_index)
+    cols = np.array(sorted(counts), dtype=np.int64)
+    return cols, np.array([counts[c] for c in cols], dtype=np.float64)
+
+
+def _oracle_tfidf(train_docs, docs, vocab):
+    n_features = vocab.size - 2
+    df = np.zeros(n_features, dtype=np.int64)
+    for tokens in train_docs:
+        df[_oracle_counts(tokens, vocab)[0]] += 1
+    idf = np.log((1.0 + len(train_docs)) / (1.0 + df)) + 1.0
+    out = []
+    for tokens in docs:
+        cols, vals = _oracle_counts(tokens, vocab)
+        vals = vals * idf[cols]
+        norm = np.linalg.norm(vals)
+        if norm > 0:
+            vals /= norm
+        out.append(_SparseVec(cols, vals, n_features))
+    return out
+
+
+def _oracle_nb_log_posteriors(train_docs, labels, docs, vocab):
+    class_counts = np.zeros(2)
+    word_counts = np.zeros((2, vocab.size - 2))
+    for tokens, label in zip(train_docs, labels):
+        class_counts[label] += 1
+        for t in tokens:
+            if t in vocab.token_to_index:
+                word_counts[label, vocab.token_to_index[t] - 2] += 1
+    with np.errstate(divide="ignore"):
+        log_priors = np.log(class_counts / class_counts.sum())
+    smoothed = word_counts + 1.0
+    log_likelihoods = np.log(smoothed / smoothed.sum(axis=1, keepdims=True))
+    out = []
+    for tokens in docs:
+        cols, vals = _oracle_counts(tokens, vocab)
+        scores = log_priors + log_likelihoods[:, cols] @ vals
+        m = float(np.max(scores))
+        out.append(scores - (m + math.log(float(np.exp(scores - m).sum()))))
+    return np.array(out)
+
+
+def _oracle_neg_sigmoid(margin):
+    if margin >= 0:
+        e = math.exp(-margin)
+        return e / (1.0 + e)
+    return 1.0 / (1.0 + math.exp(margin))
+
+
+def _oracle_linear_fit(xs, labels, objective, epochs, seed=0, l2=1e-4, lr=1.0):
+    ys = np.array([1.0 if int(l) == 1 else -1.0 for l in labels])
+    w = np.zeros(xs[0].dim)
+    b = 0.0
+    if objective == "logistic":
+        n = len(xs)
+        for _ in range(epochs):
+            grad_w = l2 * w
+            grad_b = 0.0
+            for x, y in zip(xs, ys):
+                s = -y * _oracle_neg_sigmoid(y * (x.dot(w) + b))
+                grad_w[x.cols] += (s / n) * x.vals
+                grad_b += s / n
+            w -= lr * grad_w
+            b -= lr * grad_b
+        return w, b
+    rng = np.random.default_rng((seed, 3))
+    lam = l2
+    t = 0
+    for _ in range(epochs):
+        for j in rng.permutation(len(xs)):
+            t += 1
+            eta = 1.0 / (lam * t)
+            x, y = xs[j], ys[j]
+            margin = y * (x.dot(w) + b)
+            w *= (1.0 - eta * lam)
+            if margin < 1.0:
+                w[x.cols] += eta * y * x.vals
+                b += eta * y
+    return w, b
+
+
+def _oracle_dense(xs):
+    out = np.zeros((len(xs), xs[0].dim))
+    for i, x in enumerate(xs):
+        out[i, x.cols] = x.vals
+    return out
+
+
+@pytest.fixture(scope="module")
+def random_corpus():
+    """Seeded corpus with empty documents, tokens too rare for the vocabulary
+    (min_freq 2) in training, and tokens never seen in training in the test
+    documents."""
+    rng = np.random.default_rng(20240601)
+    words = [f"w{k}" for k in range(120)]
+
+    def docs(n, pool):
+        zipf = 1.0 / np.arange(1, len(pool) + 1)
+        return [[str(t) for t in rng.choice(pool, size=rng.geometric(0.12) - 1,
+                                            p=zipf / zipf.sum())]
+                if rng.random() > 0.08 else [] for _ in range(n)]
+
+    train_docs = docs(150, words[:100])
+    test_docs = docs(60, words) + [[], ["zzz", "w119"]]
+    labels = [int(l) for l in (rng.random(len(train_docs)) < 0.3)]
+    vocab = build_vocab(train_docs, min_freq=2)
+    assert any(not d for d in train_docs) and any(not d for d in test_docs)
+    assert any(t not in vocab for d in train_docs for t in d)
+    return train_docs, labels, test_docs, vocab
+
+
+class TestMatrixAgainstPerDocumentOracle:
+    TOL = 1e-12
+
+    def test_tfidf_values(self, random_corpus):
+        train_docs, _, test_docs, vocab = random_corpus
+        vec = TfidfVectorizer.fit(train_docs, vocab)
+        for docs in (train_docs, test_docs):
+            want = _oracle_dense(_oracle_tfidf(train_docs, docs, vocab))
+            assert np.max(np.abs(_dense(vec.transform(docs)) - want)) <= self.TOL
+
+    def test_naive_bayes_log_posteriors(self, random_corpus):
+        train_docs, labels, test_docs, vocab = random_corpus
+        model = nb_fit(train_docs, labels, vocab)
+        got = model.log_posteriors(count_vector(test_docs, vocab))
+        want = _oracle_nb_log_posteriors(train_docs, labels, test_docs, vocab)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= self.TOL
+
+    @pytest.mark.parametrize("objective,epochs", [("logistic", 200), ("hinge", 4)])
+    def test_linear_weights(self, random_corpus, objective, epochs):
+        train_docs, labels, _, vocab = random_corpus
+        x = TfidfVectorizer.fit(train_docs, vocab).transform(train_docs)
+        model = linear_fit(x, labels, objective=objective, epochs=epochs, seed=5)
+        w, b = _oracle_linear_fit(_oracle_tfidf(train_docs, train_docs, vocab),
+                                  labels, objective, epochs, seed=5)
+        assert np.max(np.abs(model.w - w)) <= self.TOL
+        assert abs(model.b - b) <= self.TOL

@@ -160,6 +160,15 @@ class TestTrainCommand:
         assert run_cli("--quiet", "train", separable_csv,
                        "--config", cfg) == 2
 
+    def test_mistyped_dtype_exit_2(self, tmp_path, separable_csv, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("dtype = flaot64\nepochs = 1\n", "utf-8")
+        out_dir = tmp_path / "run"
+        assert run_cli("--out-dir", out_dir, "--quiet", "train", separable_csv,
+                       "--config", cfg) == 2
+        assert "flaot64" in capsys.readouterr().err
+        assert not (out_dir / "checkpoint.bin").exists()
+
 
 @pytest.fixture
 def trained_run(tmp_path, separable_csv, small_config):

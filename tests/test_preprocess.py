@@ -98,8 +98,7 @@ class TestRunPipeline:
 
     def test_all_disabled_tokenize_only(self):
         cfg = PreprocessConfig(case_fold=False, clean=False, normalize=False,
-                               tokenize=False, remove_stopwords=False,
-                               stem=False)
+                               remove_stopwords=False, stem=False)
         assert run_pipeline("A b", cfg) == ["A", "b"]
 
     def test_idempotent_on_fixture_corpus(self, pp_cfg):

@@ -222,6 +222,34 @@ class TestEvaluateSplit:
         with pytest.raises(ValueError):
             evaluate_split(params, empty)
 
+    def test_length_sorted_batches_match_one_at_a_time(self, monkeypatch):
+        ds = make_encoded(40, T=8, seed=3, balanced=False)
+        ds.indices[:3] = 0
+        ds.lengths[:3] = 0  # comments left empty by preprocessing
+        cfg = nn.ModelConfig(vocab_size=10, embed_dim=6, hidden_dim=5,
+                             max_len=8)
+        params = nn.init_params(cfg, seed=2, dtype=np.float64)
+        losses, correct = [], 0
+        for i in range(len(ds)):
+            logits = nn.forward_logits(params, ds.indices[i:i + 1],
+                                       ds.lengths[i:i + 1])[0]
+            losses.append(nn.cross_entropy(logits, int(ds.labels[i]))[0])
+            correct += int(np.argmax(logits) == ds.labels[i])
+
+        seen = []
+        forward = nn.forward_logits
+
+        def recording(p, indices, lengths):
+            seen.append(lengths.copy())
+            return forward(p, indices, lengths)
+
+        monkeypatch.setattr(nn, "forward_logits", recording)
+        loss, acc = evaluate_split(params, ds, batch_size=8)
+        assert loss == pytest.approx(math.fsum(losses) / len(ds), rel=1e-12)
+        assert acc == correct / len(ds)
+        assert len(seen) == 5
+        assert np.all(np.diff(np.concatenate(seen)) >= 0)
+
 
 class TestWeightedLoss:
     def test_unit_weights_identity(self):
