@@ -67,7 +67,7 @@ def count_vector(docs: Sequence[Sequence[str]], vocab: Vocabulary) -> CsrMatrix:
     rows = np.repeat(np.arange(n_rows), lengths)[real]
     # sorted unique (row, column) keys: one entry per distinct token of a row
     keys, counts = np.unique(rows * n_cols + (ids[real] - 2), return_counts=True)
-    entry_rows, indices = np.divmod(keys, max(n_cols, 1))
+    entry_rows, indices = np.divmod(keys, n_cols)
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(entry_rows, minlength=n_rows), out=indptr[1:])
     return CsrMatrix(indptr, indices, counts.astype(np.float64), n_cols)
@@ -236,7 +236,7 @@ def compare_models(rows: Iterable[ComparisonRow]) -> str:
 def _row(name: str, preds: Sequence[int | Label],
          truth: Sequence[int | Label]) -> ComparisonRow:
     from .evaluation import report
-    rep = report(list(preds), truth)
+    rep = report(list(preds), truth)  # confusion() tests `not preds`
     return ComparisonRow(model=name, accuracy=rep.accuracy, macro_f1=rep.macro_f1)
 
 

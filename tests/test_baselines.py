@@ -162,8 +162,9 @@ class TestLinearModels:
         assert np.array_equal(a.w, b.w) and a.b == b.b
 
     def test_unknown_objective(self):
-        with pytest.raises(ValueError):
-            linear_fit(count_vector([], build_vocab([])), [], objective="quadratic")
+        x, labels, _, _ = separable_toy()
+        with pytest.raises(ValueError, match="objective"):
+            linear_fit(x, labels, objective="quadratic")
 
 
 class TestComparison:
