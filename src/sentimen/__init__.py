@@ -15,9 +15,9 @@ from .stemmer import IndonesianStemmer
 from .vocab import (EncodedSequence, Vocabulary, build_vocab, decode, encode,
                     load_vocab, save_vocab)
 from .nn import (AdamState, ModelConfig, ModelParams, Prediction, adam_step,
-                 backward, count_parameters, cross_entropy, dropout,
-                 forward_logits, init_params, load_checkpoint, lstm_forward,
-                 lstm_step, predict, predict_batch, save_checkpoint, softmax)
+                 backward, count_parameters, cross_entropy, forward_logits,
+                 init_params, load_checkpoint, predict, predict_batch,
+                 save_checkpoint, softmax)
 from .train import (EncodedDataset, EpochStats, TrainConfig, batch_iter,
                     evaluate_split, train)
 from .evaluation import (ClassificationReport, ConfusionMatrix, confusion,

@@ -210,6 +210,10 @@ def linear_fit(x: CsrMatrix, labels: Sequence[int | Label],
 
 # --- model comparison ---------------------------------------------------------
 
+# the classical models run_comparison can include
+MODELS = ("majority", "naive_bayes", "logistic_regression", "linear_svm")
+
+
 @dataclass(frozen=True)
 class ComparisonRow:
     model: str
@@ -245,8 +249,7 @@ def run_comparison(train_docs: Sequence[Sequence[str]],
                    test_docs: Sequence[Sequence[str]],
                    test_labels: Sequence[int | Label],
                    vocab: Vocabulary, seed: int = 0,
-                   include: Sequence[str] = ("majority", "naive_bayes",
-                                             "logistic_regression", "linear_svm"),
+                   include: Sequence[str] = MODELS,
                    ) -> list[ComparisonRow]:
     """Fit each classical model on identical features and score the test set."""
     rows = []

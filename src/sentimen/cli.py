@@ -52,8 +52,12 @@ DEFAULTS = {
     "class_weights": "",      # e.g. "1.0,4.0"; empty -> unweighted
     "shuffle": "true",
     "dtype": "float32",
-    "baselines": "majority,naive_bayes,logistic_regression,linear_svm",
+    "baselines": ",".join(baselines.MODELS),
 }
+
+_DTYPES = {"float32": np.float32, "float64": np.float64}
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
 
 
 def parse_config_file(path: Path) -> dict[str, str]:
@@ -86,6 +90,16 @@ def resolve_config(args: argparse.Namespace) -> dict[str, str]:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = str(value)
+    if cfg["dtype"] not in _DTYPES:
+        raise CliError(f"dtype must be one of {sorted(_DTYPES)}, "
+                       f"not {cfg['dtype']!r}")
+    if cfg["shuffle"].lower() not in _BOOLS:
+        raise CliError(f"shuffle must be one of {sorted(_BOOLS)}, "
+                       f"not {cfg['shuffle']!r}")
+    unknown = sorted(set(_baseline_names(cfg)) - set(baselines.MODELS))
+    if unknown:
+        raise CliError(f"unknown baselines {unknown}; "
+                       f"choose from {list(baselines.MODELS)}")
     return cfg
 
 
@@ -95,8 +109,8 @@ def echo_config(cfg: dict[str, str], out_dir: Path) -> None:
     (out_dir / "config.resolved.txt").write_text("\n".join(lines) + "\n", "utf-8")
 
 
-def _as_bool(value: str) -> bool:
-    return value.strip().lower() in ("1", "true", "yes", "on")
+def _baseline_names(cfg: dict[str, str]) -> list[str]:
+    return [p.strip() for p in cfg["baselines"].split(",") if p.strip()]
 
 
 def _class_weights(cfg: dict[str, str]) -> tuple[float, ...] | None:
@@ -185,37 +199,26 @@ def cmd_preprocess(args, cfg) -> int:
 
 
 def _split_and_encode(args, cfg, pp):
+    """(docs, labels) of the train, validation and test splits of the
+    labeled records of the corpus."""
     full = _load_corpus(args.corpus)
-    ds = full.labeled_only()
-    if len(ds) == 0:
+    labels = [r.label for r in full.records if r.label is not None]
+    if not labels:
         raise CliError("corpus has no labeled records")
     docs = _tokenized(full, Path(args.corpus), pp, args.quiet)
     spec = ingest.SplitSpec(float(cfg["train_fraction"]),
                             float(cfg["val_fraction"]),
                             float(cfg["test_fraction"]),
                             seed=int(cfg["seed"]))
-    by_id = {id(r): toks for r, toks in zip(ds.records, docs)}
-    train_ds, val_ds, test_ds = ingest.stratified_split(ds, spec)
-
-    def part(split: ingest.Dataset):
-        toks = [by_id[id(r)] for r in split.records]
-        labels = [int(r.label) for r in split.records]
-        return toks, labels
-
-    return part(train_ds), part(val_ds), part(test_ds)
-
-
-_DTYPES = {"float32": np.float32, "float64": np.float64}
+    return tuple(([docs[i] for i in part], [int(labels[i]) for i in part])
+                 for part in ingest.stratified_indices(labels, spec))
 
 
 def _train_lstm(cfg, vocab, train_split, val_split, quiet):
     """Build the LSTM and the TrainConfig the resolved config asks for and
     train on the (docs, labels) splits.  Returns the TrainResult and
     max_len, which defaults to the 95th percentile of training lengths."""
-    dtype = _DTYPES.get(cfg["dtype"])
-    if dtype is None:
-        raise CliError(f"dtype must be one of {sorted(_DTYPES)}, "
-                       f"not {cfg['dtype']!r}")
+    dtype = _DTYPES[cfg["dtype"]]
     max_len = (int(cfg["max_len"]) if cfg["max_len"]
                else suggest_max_len(train_split[0]))
     model_cfg = nn.ModelConfig(
@@ -228,7 +231,8 @@ def _train_lstm(cfg, vocab, train_split, val_split, quiet):
         batch_size=int(cfg["batch_size"]),
         learning_rate=float(cfg["learning_rate"]),
         epochs=int(cfg["epochs"]), seed=int(cfg["seed"]),
-        class_weights=_class_weights(cfg), shuffle=_as_bool(cfg["shuffle"]))
+        class_weights=_class_weights(cfg),
+        shuffle=_BOOLS[cfg["shuffle"].lower()])
     if train_cfg.epochs == 0:
         print("warning: epochs = 0, nothing to train", file=sys.stderr)
 
@@ -346,10 +350,9 @@ def cmd_compare(args, cfg) -> int:
         raise CliError("test split is empty; adjust split fractions")
 
     vocab = build_vocab(train_docs, min_freq=int(cfg["min_freq"]))
-    include = [p.strip() for p in cfg["baselines"].split(",") if p.strip()]
     rows = baselines.run_comparison(train_docs, train_labels, test_docs,
                                     test_labels, vocab, seed=int(cfg["seed"]),
-                                    include=include)
+                                    include=_baseline_names(cfg))
 
     # the LSTM row is always present, baselines config notwithstanding
     result, max_len = _train_lstm(cfg, vocab, (train_docs, train_labels),

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -194,19 +194,18 @@ def largest_remainder(n: int, fractions: Iterable[float]) -> list[int]:
     return sizes
 
 
-def stratified_split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
-    """Deterministic per-class split into (train, val, test).
+def stratified_indices(labels: Sequence[Label],
+                       spec: SplitSpec) -> tuple[list[int], list[int], list[int]]:
+    """Deterministic per-class split of positions into (train, val, test),
+    each in ascending order.
 
     Per-class sizes come from largest-remainder rounding, so the same
-    (dataset, spec) always produces identical splits; the seed only shuffles
+    (labels, spec) always produces identical splits; the seed only shuffles
     membership within each class.
     """
-    if ds.n_unlabeled:
-        raise ValueError(f"{ds.n_unlabeled} unlabeled records; call "
-                         "labeled_only() before splitting")
     by_class: dict[Label, list[int]] = {Label.NEGATIVE: [], Label.POSITIVE: []}
-    for i, r in enumerate(ds.records):
-        by_class[r.label].append(i)
+    for i, label in enumerate(labels):
+        by_class[label].append(i)
 
     n_nonzero = sum(1 for f in spec.fractions if f > 0)
     parts: list[list[int]] = [[], [], []]
@@ -225,8 +224,16 @@ def stratified_split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Da
             parts[j].extend(shuffled[start:start + size])
             start += size
 
-    out = []
     for part in parts:
         part.sort()  # keep original record order inside each split
-        out.append(Dataset(tuple(ds.records[i] for i in part)))
-    return out[0], out[1], out[2]
+    return parts[0], parts[1], parts[2]
+
+
+def stratified_split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
+    """``stratified_indices`` over the records of a fully labeled dataset."""
+    if ds.n_unlabeled:
+        raise ValueError(f"{ds.n_unlabeled} unlabeled records; call "
+                         "labeled_only() before splitting")
+    labels = [r.label for r in ds.records]
+    return tuple(Dataset(tuple(ds.records[i] for i in part))
+                 for part in stratified_indices(labels, spec))

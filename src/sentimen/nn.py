@@ -7,10 +7,11 @@ parameter count matches the double-bias convention:
 
     V*E + 4*(E*H + H*H + 2H) + (H*C + C)
 
-A batch runs only to its longest sequence and each row's final state is
-read at its own length, so forward and backward results on a padded
-sequence are bit-identical to the unpadded run and the pad embedding row
-stays frozen at zero.
+There is one LSTM implementation, over (B, T) batches; a single sequence
+is a batch of one.  A batch runs only to its longest sequence and each
+row's final state is read at its own length, so forward and backward
+results on a padded sequence are bit-identical to the unpadded run and the
+pad embedding row stays frozen at zero.
 """
 
 from __future__ import annotations
@@ -34,11 +35,6 @@ class CheckpointError(Exception):
     pass
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function as tanh(x/2)/2 + 1/2, which cannot overflow."""
-    return 0.5 * np.tanh(0.5 * np.asarray(x)) + 0.5
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Max-subtracted softmax along the last axis; safe for huge logits."""
     z = np.asarray(logits, dtype=np.float64)
@@ -58,6 +54,13 @@ def cross_entropy(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
     grad = np.exp(z - lse)
     grad[label] -= 1.0
     return loss, grad
+
+
+def row_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-row -log softmax(logits)[label] of (B, C) logits, in their dtype."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1))
+    return lse - shifted[np.arange(len(labels)), labels]
 
 
 def count_parameters(vocab_size: int, embed_dim: int, hidden_dim: int,
@@ -85,12 +88,6 @@ class LstmCell:
     @property
     def hidden_dim(self) -> int:
         return self.w_hh.shape[1]
-
-
-@dataclass
-class LstmState:
-    h: np.ndarray
-    c: np.ndarray
 
 
 @dataclass
@@ -131,6 +128,16 @@ class ModelParams:
             "b_out": self.dense.b,
         }
 
+    @classmethod
+    def from_arrays(cls, config: ModelConfig,
+                    arrays: dict[str, np.ndarray]) -> "ModelParams":
+        """Inverse of ``arrays()``; the arrays are used as given, not copied."""
+        return cls(config=config,
+                   embedding=EmbeddingLayer(arrays["embedding"]),
+                   cell=LstmCell(arrays["w_ih"], arrays["w_hh"],
+                                 arrays["b_ih"], arrays["b_hh"]),
+                   dense=DenseLayer(arrays["w_out"], arrays["b_out"]))
+
     def n_parameters(self) -> int:
         return sum(a.size for a in self.arrays().values())
 
@@ -166,47 +173,7 @@ def init_params(config: ModelConfig, seed: int = 0,
     return params
 
 
-# --- single-sequence operations (contract surface + oracles) ---------------
-
-def embed_forward(seq: EncodedSequence, emb: EmbeddingLayer) -> np.ndarray:
-    """Row lookup: output[t] = weights[seq.indices[t]]."""
-    if np.any(seq.indices >= emb.weights.shape[0]) or np.any(seq.indices < 0):
-        raise IndexError("sequence index out of embedding range")
-    return emb.weights[seq.indices]
-
-
-def lstm_step(x: np.ndarray, state: LstmState, cell: LstmCell) -> LstmState:
-    """One gate update: c' = f*c + i*g, h' = o*tanh(c')."""
-    h_dim = cell.hidden_dim
-    if x.shape[-1] != cell.w_ih.shape[1]:
-        raise ValueError(f"input dim {x.shape[-1]} != {cell.w_ih.shape[1]}")
-    a = cell.w_ih @ x + cell.w_hh @ state.h + cell.b_ih + cell.b_hh
-    i = sigmoid(a[:h_dim])
-    f = sigmoid(a[h_dim:2 * h_dim])
-    g = np.tanh(a[2 * h_dim:3 * h_dim])
-    o = sigmoid(a[3 * h_dim:])
-    c_new = f * state.c + i * g
-    h_new = o * np.tanh(c_new)
-    return LstmState(h_new, c_new)
-
-
-def lstm_forward(vectors: np.ndarray, true_length: int, cell: LstmCell) -> LstmState:
-    """Iterate lstm_step over the first ``true_length`` positions only."""
-    if true_length > len(vectors):
-        raise ValueError("true_length exceeds sequence length")
-    h_dim = cell.hidden_dim
-    dtype = cell.w_ih.dtype
-    state = LstmState(np.zeros(h_dim, dtype=dtype), np.zeros(h_dim, dtype=dtype))
-    for t in range(true_length):
-        state = lstm_step(vectors[t], state, cell)
-    return state
-
-
-def dense_forward(h: np.ndarray, dense: DenseLayer) -> np.ndarray:
-    if h.shape[-1] != dense.w.shape[1]:
-        raise ValueError(f"hidden dim {h.shape[-1]} != {dense.w.shape[1]}")
-    return h @ dense.w.T + dense.b
-
+# --- batched forward/backward ----------------------------------------------
 
 def dropout_mask(shape, rate: float, rng: np.random.Generator,
                  dtype=np.float64) -> np.ndarray:
@@ -218,20 +185,6 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator,
     keep = (rng.random(shape) >= rate).astype(dtype)
     return keep / (1.0 - rate)
 
-
-def dropout(x: np.ndarray, rate: float, training: bool,
-            rng: np.random.Generator | None = None) -> np.ndarray:
-    """Identity at inference; inverted dropout during training."""
-    if not training or rate == 0:
-        if not 0 <= rate < 1:
-            raise ValueError("dropout rate must be in [0, 1)")
-        return x
-    if rng is None:
-        raise ValueError("training-mode dropout needs an rng")
-    return x * dropout_mask(x.shape, rate, rng, dtype=x.dtype)
-
-
-# --- batched forward/backward ----------------------------------------------
 
 def _gate_affine(h_dim: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     """(scale, shift) over the 4H gate axis: ``scale*tanh(scale*a) + shift``
@@ -386,15 +339,10 @@ def backward(params: ModelParams, indices: np.ndarray, lengths: np.ndarray,
     h_drop = h_final * lstm_mult * fc_mult
 
     logits = h_drop @ params.dense.w.T + params.dense.b
-    probs = softmax(logits)
+    losses = row_cross_entropy(logits, labels)
     batch = indices.shape[0]
-    row = np.arange(batch)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
-    losses = lse - shifted[row, labels]
-
-    d_logits = probs.copy()
-    d_logits[row, labels] -= 1.0
+    d_logits = softmax(logits)
+    d_logits[np.arange(batch), labels] -= 1.0
     if class_weights is None:
         loss = float(losses.mean(dtype=np.float64))
         d_logits /= batch
@@ -565,18 +513,35 @@ def _write_array(fh, arr: np.ndarray) -> None:
     fh.write(raw)
 
 
-def _read_array(fh, shape, dtype) -> np.ndarray:
-    header = fh.read(8)
-    if len(header) != 8:
-        raise CheckpointError("truncated checkpoint: missing array header")
-    (nbytes,) = struct.unpack("<Q", header)
-    expected = int(np.prod(shape)) * dtype.itemsize
-    if nbytes != expected:
-        raise CheckpointError(f"array payload {nbytes} bytes, expected {expected}")
-    raw = fh.read(nbytes)
-    if len(raw) != nbytes:
-        raise CheckpointError("truncated checkpoint: short array payload")
-    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+class _Reader:
+    """Length-checked reads over the bytes of a checkpoint file."""
+
+    def __init__(self, view: memoryview):
+        self._view = view
+        self._pos = 0
+
+    def take(self, n: int, what: str) -> memoryview:
+        if n > len(self._view) - self._pos:
+            raise CheckpointError(f"truncated checkpoint: {what}")
+        self._pos += n
+        return self._view[self._pos - n:self._pos]
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def array(self, shape, dtype) -> np.ndarray:
+        (nbytes,) = self.unpack("<Q", "array header")
+        expected = math.prod(shape) * dtype.itemsize
+        if nbytes != expected:
+            raise CheckpointError(f"array payload {nbytes} bytes, "
+                                  f"expected {expected}")
+        raw = self.take(nbytes, "array payload")
+        return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+
+    def end(self) -> None:
+        extra = len(self._view) - self._pos
+        if extra:
+            raise CheckpointError(f"{extra} bytes after the checkpoint payload")
 
 
 def save_checkpoint(path: str | Path, params: ModelParams,
@@ -612,50 +577,44 @@ def _expected_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
 def load_checkpoint(path: str | Path,
                     expect: ModelConfig | None = None,
                     ) -> tuple[ModelParams, AdamState | None]:
-    with open(path, "rb") as fh:
-        if fh.read(8) != _MAGIC:
-            raise CheckpointError(f"{path}: not a model checkpoint")
-        header = fh.read(5)
-        if len(header) != 5:
-            raise CheckpointError("truncated checkpoint header")
-        version, code = struct.unpack("<IB", header)
-        if version != _VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version}")
-        if code not in _DTYPE_CODES:
-            raise CheckpointError(f"unknown dtype code {code}")
-        dtype = _DTYPE_CODES[code]
-        dims = struct.unpack("<5Q", fh.read(40))
-        drops = struct.unpack("<2d", fh.read(16))
-        cfg = ModelConfig(vocab_size=dims[0], embed_dim=dims[1],
-                          hidden_dim=dims[2], num_classes=dims[3],
-                          max_len=dims[4], lstm_dropout=drops[0],
-                          fc_dropout=drops[1])
-        if expect is not None:
-            for attr in ("vocab_size", "embed_dim", "hidden_dim",
-                         "num_classes", "max_len"):
-                if getattr(expect, attr) != getattr(cfg, attr):
-                    raise CheckpointError(
-                        f"dimension mismatch: checkpoint {attr}="
-                        f"{getattr(cfg, attr)}, expected {getattr(expect, attr)}")
-        shapes = _expected_shapes(cfg)
-        arrays = {name: _read_array(fh, shape, dtype)
-                  for name, shape in shapes.items()}
-        params = ModelParams(
-            config=cfg,
-            embedding=EmbeddingLayer(arrays["embedding"]),
-            cell=LstmCell(arrays["w_ih"], arrays["w_hh"],
-                          arrays["b_ih"], arrays["b_hh"]),
-            dense=DenseLayer(arrays["w_out"], arrays["b_out"]),
-        )
-        flag = fh.read(1)
-        if len(flag) != 1:
-            raise CheckpointError("truncated checkpoint: missing Adam flag")
-        adam = None
-        if flag[0] == 1:
-            (t,) = struct.unpack("<Q", fh.read(8))
-            m, v = {}, {}
-            for name, shape in shapes.items():
-                m[name] = _read_array(fh, shape, dtype)
-                v[name] = _read_array(fh, shape, dtype)
-            adam = AdamState(m=m, v=v, t=t)
-        return params, adam
+    """Read a version-1 checkpoint; any deviation from the layout
+    ``save_checkpoint`` writes raises ``CheckpointError``."""
+    blob = Path(path).read_bytes()
+    if not blob.startswith(_MAGIC):
+        raise CheckpointError(f"{path}: not a model checkpoint")
+    reader = _Reader(memoryview(blob)[len(_MAGIC):])
+    version, code = reader.unpack("<IB", "header")
+    if version != _VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version}")
+    if code not in _DTYPE_CODES:
+        raise CheckpointError(f"unknown dtype code {code}")
+    dtype = _DTYPE_CODES[code]
+    dims = reader.unpack("<5Q", "dimensions")
+    drops = reader.unpack("<2d", "dropout rates")
+    cfg = ModelConfig(vocab_size=dims[0], embed_dim=dims[1],
+                      hidden_dim=dims[2], num_classes=dims[3],
+                      max_len=dims[4], lstm_dropout=drops[0],
+                      fc_dropout=drops[1])
+    if expect is not None:
+        for attr in ("vocab_size", "embed_dim", "hidden_dim",
+                     "num_classes", "max_len"):
+            if getattr(expect, attr) != getattr(cfg, attr):
+                raise CheckpointError(
+                    f"dimension mismatch: checkpoint {attr}="
+                    f"{getattr(cfg, attr)}, expected {getattr(expect, attr)}")
+    shapes = _expected_shapes(cfg)
+    params = ModelParams.from_arrays(
+        cfg, {name: reader.array(shape, dtype) for name, shape in shapes.items()})
+    (flag,) = reader.unpack("<B", "Adam flag")
+    if flag not in (0, 1):
+        raise CheckpointError(f"Adam flag {flag}, expected 0 or 1")
+    adam = None
+    if flag == 1:
+        (t,) = reader.unpack("<Q", "Adam step count")
+        m, v = {}, {}
+        for name, shape in shapes.items():
+            m[name] = reader.array(shape, dtype)
+            v[name] = reader.array(shape, dtype)
+        adam = AdamState(m=m, v=v, t=t)
+    reader.end()
+    return params, adam

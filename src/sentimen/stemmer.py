@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Sequence
 
 VOWELS = "aiueo"
 
@@ -211,20 +212,19 @@ class IndonesianStemmer:
         current, removals, hit = self._remove_suffixes(word)
         if hit:
             return current
-        suffixes = [r.removed for r in removals]
-        found = self._remove_prefixes(current, suffixes)
-        if found is not None:
-            return found
+        reached, is_root = self._walk_prefixes(
+            current, [r.removed for r in removals])
+        if is_root:
+            return reached
         return self._restore_suffixes(removals)
 
     def _prefix_first(self, word: str) -> str | None:
-        found = self._remove_prefixes(word, removed_suffixes=[])
-        if found is not None:
-            return found
-        # prefixes alone were not enough: strip them once, then suffixes
-        stripped = self._strip_prefixes_once(word)
-        if stripped != word:
-            current, _, hit = self._remove_suffixes(stripped)
+        reached, is_root = self._walk_prefixes(word)
+        if is_root:
+            return reached
+        # prefixes alone were not enough: strip suffixes from where they led
+        if reached != word:
+            current, _, hit = self._remove_suffixes(reached)
             if hit:
                 return current
         return None
@@ -244,41 +244,25 @@ class IndonesianStemmer:
                 return current, removals, True
         return current, removals, False
 
-    def _remove_prefixes(self, word: str, removed_suffixes: list[str]) -> str | None:
-        """Up to three prefix removals; None when no removal reaches a root."""
-        if word in self.roots:
-            return word
+    def _walk_prefixes(self, word: str,
+                       removed_suffixes: Sequence[str] = ()) -> tuple[str, bool]:
+        """Up to three prefix removals, stopping at the first root.
+
+        Returns the word the walk reached and whether it is a root.
+        """
         current = word
         for iteration in range(3):
+            if current in self.roots:
+                break
             matched = _prefix_candidates(current)
             if matched is None:
-                return None
+                break
             family, candidates = matched
             # pair rules constrain the outermost prefix only: once it is
             # stripped, the removed suffix belonged to that outer confix
             if iteration == 0 and any((family, s) in FORBIDDEN_PAIRS
                                       for s in removed_suffixes):
-                return None
-            chosen = candidates[-1]
-            for cand in candidates:
-                if cand in self.roots:
-                    chosen = cand
-                    break
-            if len(chosen) < 2:
-                return None
-            current = chosen
-            if current in self.roots:
-                return current
-        return None
-
-    def _strip_prefixes_once(self, word: str) -> str:
-        """Best-effort prefix stripping for the prefix-first path."""
-        current = word
-        for _ in range(3):
-            matched = _prefix_candidates(current)
-            if matched is None:
                 break
-            _, candidates = matched
             chosen = candidates[-1]
             for cand in candidates:
                 if cand in self.roots:
@@ -287,9 +271,7 @@ class IndonesianStemmer:
             if len(chosen) < 2:
                 break
             current = chosen
-            if current in self.roots:
-                break
-        return current
+        return current, current in self.roots
 
     def _restore_suffixes(self, removals: list[_Removal]) -> str | None:
         """Put removed suffixes back one at a time and retry the prefixes.
@@ -304,7 +286,7 @@ class IndonesianStemmer:
                 candidates.append(removal.result + "k")
             candidates.append(removal.subject)
             for cand in candidates:
-                found = self._remove_prefixes(cand, removed_suffixes=[])
-                if found is not None:
-                    return found
+                reached, is_root = self._walk_prefixes(cand)
+                if is_root:
+                    return reached
         return None

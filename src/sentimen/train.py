@@ -98,19 +98,10 @@ def evaluate_split(params: nn.ModelParams, ds: EncodedDataset,
     for sel in nn.length_sorted_batches(ds.lengths, batch_size):
         labels = ds.labels[sel]
         logits = nn.forward_logits(params, ds.indices[sel], ds.lengths[sel])
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(shifted).sum(axis=1))
-        losses = lse - shifted[np.arange(len(labels)), labels]
+        losses = nn.row_cross_entropy(logits, labels)
         total_loss += float(losses.sum(dtype=np.float64))
         correct += int((logits.argmax(axis=1) == labels).sum())
     return total_loss / len(ds), correct / len(ds)
-
-
-def weighted_loss(logits: np.ndarray, label: int,
-                  class_weights: Sequence[float]) -> float:
-    """Single-example cross-entropy scaled by its class weight."""
-    loss, _ = nn.cross_entropy(logits, label)
-    return float(class_weights[label]) * loss
 
 
 def inverse_frequency_weights(counts: Sequence[int]) -> np.ndarray:
@@ -127,16 +118,6 @@ class TrainResult:
     best_epoch: int | None
     best_params: nn.ModelParams | None
     final_params: nn.ModelParams
-
-
-def _clone_params(params: nn.ModelParams) -> nn.ModelParams:
-    return nn.ModelParams(
-        config=params.config,
-        embedding=nn.EmbeddingLayer(params.embedding.weights.copy()),
-        cell=nn.LstmCell(params.cell.w_ih.copy(), params.cell.w_hh.copy(),
-                         params.cell.b_ih.copy(), params.cell.b_hh.copy()),
-        dense=nn.DenseLayer(params.dense.w.copy(), params.dense.b.copy()),
-    )
 
 
 def train(params: nn.ModelParams, train_set: EncodedDataset,
@@ -193,7 +174,8 @@ def train(params: nn.ModelParams, train_set: EncodedDataset,
         if val_acc > best_acc:
             best_acc = val_acc
             best_epoch = epoch
-            best_params = _clone_params(params)
+            best_params = nn.ModelParams.from_arrays(
+                params.config, {k: a.copy() for k, a in params.arrays().items()})
 
     return TrainResult(history=history, best_epoch=best_epoch,
                        best_params=best_params, final_params=params)

@@ -116,13 +116,20 @@ def save_vocab(vocab: Vocabulary, path: str | Path, max_len: int,
 
 
 def load_vocab(path: str | Path) -> tuple[Vocabulary, int, int]:
+    """(vocabulary, max_len, min_freq); ValueError when the ``.meta``
+    sidecar is missing or records no max_len."""
     path = Path(path)
     tokens = [t for t in path.read_text("utf-8").split("\n") if t]
     token_to_index = {t: i + 2 for i, t in enumerate(tokens)}
+    meta_path = Path(str(path) + ".meta")
+    if not meta_path.exists():
+        raise ValueError(f"vocabulary sidecar not found: {meta_path}")
     meta: dict[str, str] = {}
-    for line in Path(str(path) + ".meta").read_text("utf-8").splitlines():
+    for line in meta_path.read_text("utf-8").splitlines():
         if "=" in line:
             key, value = line.split("=", 1)
             meta[key.strip()] = value.strip()
+    if "max_len" not in meta:
+        raise ValueError(f"{meta_path}: no max_len")
     vocab = Vocabulary(token_to_index, {i: t for t, i in token_to_index.items()})
     return vocab, int(meta["max_len"]), int(meta.get("min_freq", "1"))

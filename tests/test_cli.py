@@ -169,6 +169,15 @@ class TestTrainCommand:
         assert "flaot64" in capsys.readouterr().err
         assert not (out_dir / "checkpoint.bin").exists()
 
+    def test_mistyped_shuffle_exit_2(self, tmp_path, separable_csv, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("shuffle = ture\nepochs = 1\n", "utf-8")
+        out_dir = tmp_path / "run"
+        assert run_cli("--out-dir", out_dir, "--quiet", "train", separable_csv,
+                       "--config", cfg) == 2
+        assert "ture" in capsys.readouterr().err
+        assert not (out_dir / "checkpoint.bin").exists()
+
 
 @pytest.fixture
 def trained_run(tmp_path, separable_csv, small_config):
@@ -205,6 +214,26 @@ class TestEvaluateCommand:
 
     def test_missing_checkpoint_exit_2(self, tmp_path, separable_csv):
         assert run_cli("evaluate", tmp_path / "nope.bin", separable_csv) == 2
+
+    def test_truncated_checkpoint_exit_2(self, tmp_path, trained_run,
+                                         separable_csv, capsys):
+        ckpt = trained_run / "checkpoint.bin"
+        ckpt.write_bytes(ckpt.read_bytes()[:20])
+        assert run_cli("--out-dir", tmp_path / "e", "evaluate", ckpt,
+                       separable_csv) == 2
+        assert "truncated checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("meta", [None, "min_freq=1\n"],
+                             ids=["missing", "no_max_len"])
+    def test_missing_vocab_meta_exit_2(self, tmp_path, trained_run,
+                                       separable_csv, meta):
+        path = trained_run / "vocab.txt.meta"
+        if meta is None:
+            path.unlink()
+        else:
+            path.write_text(meta, "utf-8")
+        assert run_cli("--out-dir", tmp_path / "e", "evaluate",
+                       trained_run / "checkpoint.bin", separable_csv) == 2
 
 
 class TestPredictCommand:
@@ -271,6 +300,15 @@ class TestCompareCommand:
         rows = (out_dir / "comparison.csv").read_text().strip().splitlines()
         assert rows[1].startswith("lstm,")
         assert len(rows) == 2
+
+    def test_unknown_baseline_exit_2(self, tmp_path, separable_csv, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("baselines = naive_bayse\nepochs = 1\n", "utf-8")
+        out_dir = tmp_path / "cmp3"
+        assert run_cli("--out-dir", out_dir, "--quiet", "compare",
+                       separable_csv, "--config", cfg) == 2
+        assert "naive_bayse" in capsys.readouterr().err
+        assert not (out_dir / "comparison.csv").exists()
 
 
 class TestFetchCommand:

@@ -164,148 +164,99 @@ def scalar_lstm_step(x, h, c, cell):
     return h_new, c_new
 
 
+def batch_with_gaps(cfg, rng, batch):
+    """Random (indices, lengths) with a zero-length first row and a padded
+    width past the longest sequence, so trailing columns are all padding."""
+    lengths = rng.integers(0, cfg.max_len - 1, size=batch)
+    lengths[0] = 0
+    idx = rng.integers(1, cfg.vocab_size, size=(batch, cfg.max_len))
+    for b in range(batch):
+        idx[b, lengths[b]:] = 0
+    return idx, lengths
+
+
 class TestLstmStep:
+    """The gate equations, through the batched path."""
+
     def test_all_zero_weights_analytic(self):
-        cell = nn.LstmCell(np.zeros((8, 3)), np.zeros((8, 2)),
-                           np.zeros(8), np.zeros(8))
-        state = nn.LstmState(np.zeros(2), np.zeros(2))
-        out = nn.lstm_step(np.array([1.0, -2.0, 0.5]), state, cell)
-        assert np.allclose(out.c, 0.0) and np.allclose(out.h, 0.0)
+        cfg = tiny_config(E=3, H=2)
+        params = random_params(cfg, seed=1)
+        for arr in params.arrays().values():
+            if arr is not params.embedding.weights:
+                arr[:] = 0.0
+        cache = nn._lstm_forward_batch(params, np.array([[1, 2, 0]]),
+                                       np.array([2]))
+        assert np.all(cache["c_states"] == 0.0)
+        assert np.all(cache["h_final"] == 0.0)
 
     def test_scalar_saturated_gates(self):
         # E = H = 1, zero weights, biases drive i, g, o to saturation
-        b = np.array([100.0, 0.0, 100.0, 100.0])  # [i, f, g, o]
-        cell = nn.LstmCell(np.zeros((4, 1)), np.zeros((4, 1)), b, np.zeros(4))
-        out = nn.lstm_step(np.array([0.0]),
-                           nn.LstmState(np.zeros(1), np.zeros(1)), cell)
-        assert out.c[0] == pytest.approx(1.0, abs=1e-12)
-        assert out.h[0] == pytest.approx(0.7616, abs=5e-5)
+        params = nn.init_params(tiny_config(V=2, E=1, H=1, T=1))
+        for arr in params.arrays().values():
+            arr[:] = 0.0
+        params.cell.b_ih[:] = [100.0, 0.0, 100.0, 100.0]  # [i, f, g, o]
+        cache = nn._lstm_forward_batch(params, np.array([[1]]), np.array([1]))
+        assert cache["c_states"][1, 0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert cache["h_final"][0, 0] == pytest.approx(0.7616, abs=5e-5)
 
     def test_matches_scalar_oracle(self):
+        # scalar_lstm_step over each row's real tokens, then the dense head
         rng = np.random.default_rng(11)
-        H, E = 2, 2
-        cell = nn.LstmCell(rng.normal(0, 0.7, (4 * H, E)),
-                           rng.normal(0, 0.7, (4 * H, H)),
-                           rng.normal(0, 0.7, 4 * H),
-                           rng.normal(0, 0.7, 4 * H))
-        x = rng.normal(0, 1, E)
-        state = nn.LstmState(rng.normal(0, 1, H), rng.normal(0, 1, H))
-        out = nn.lstm_step(x, state, cell)
-        h_ref, c_ref = scalar_lstm_step(x, state.h, state.c, cell)
-        assert np.allclose(out.h, h_ref, atol=1e-12)
-        assert np.allclose(out.c, c_ref, atol=1e-12)
-
-    def test_shape_mismatch(self):
-        cell = nn.LstmCell(np.zeros((8, 3)), np.zeros((8, 2)),
-                           np.zeros(8), np.zeros(8))
-        with pytest.raises(ValueError):
-            nn.lstm_step(np.zeros(4), nn.LstmState(np.zeros(2), np.zeros(2)),
-                         cell)
-
-
-class TestLstmForward:
-    def test_zero_length_convention(self):
-        cell = nn.LstmCell(np.ones((8, 3)), np.ones((8, 2)),
-                           np.ones(8), np.ones(8))
-        out = nn.lstm_forward(np.ones((4, 3)), 0, cell)
-        assert np.all(out.h == 0) and np.all(out.c == 0)
-
-    def test_length_one_is_single_step(self):
-        rng = np.random.default_rng(3)
-        cell = nn.LstmCell(rng.normal(size=(8, 3)), rng.normal(size=(8, 2)),
-                           rng.normal(size=8), rng.normal(size=8))
-        vectors = rng.normal(size=(4, 3))
-        fwd = nn.lstm_forward(vectors, 1, cell)
-        step = nn.lstm_step(vectors[0],
-                            nn.LstmState(np.zeros(2), np.zeros(2)), cell)
-        assert np.array_equal(fwd.h, step.h) and np.array_equal(fwd.c, step.c)
-
-    def test_padding_ignored(self):
-        rng = np.random.default_rng(4)
-        cell = nn.LstmCell(rng.normal(size=(8, 3)), rng.normal(size=(8, 2)),
-                           rng.normal(size=8), rng.normal(size=8))
-        real = rng.normal(size=(3, 3))
-        padded = np.concatenate([real, np.zeros((2, 3))])
-        a = nn.lstm_forward(padded, 3, cell)
-        b = nn.lstm_forward(real, 3, cell)
-        assert np.array_equal(a.h, b.h) and np.array_equal(a.c, b.c)
-
-    def test_true_length_too_long(self):
-        cell = nn.LstmCell(np.zeros((8, 3)), np.zeros((8, 2)),
-                           np.zeros(8), np.zeros(8))
-        with pytest.raises(ValueError):
-            nn.lstm_forward(np.zeros((2, 3)), 3, cell)
-
-
-class TestEmbedForward:
-    weights = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 3.0]])
-
-    def test_pad_row_is_zero(self):
-        emb = nn.EmbeddingLayer(self.weights)
-        out = nn.embed_forward(EncodedSequence(np.array([0]), 0), emb)
-        assert np.array_equal(out, [[0.0, 0.0]])
-
-    def test_row_lookup(self):
-        emb = nn.EmbeddingLayer(self.weights)
-        out = nn.embed_forward(EncodedSequence(np.array([2, 1]), 2), emb)
-        assert np.array_equal(out, [[2.0, 3.0], [1.0, 1.0]])
-
-    def test_pad_tail(self):
-        emb = nn.EmbeddingLayer(self.weights)
-        out = nn.embed_forward(EncodedSequence(np.array([2, 0, 0]), 1), emb)
-        assert np.array_equal(out, [[2.0, 3.0], [0.0, 0.0], [0.0, 0.0]])
-
-    def test_out_of_range(self):
-        emb = nn.EmbeddingLayer(self.weights)
-        with pytest.raises(IndexError):
-            nn.embed_forward(EncodedSequence(np.array([5]), 1), emb)
-
-
-class TestDenseForward:
-    def test_bias_only(self):
-        dense = nn.DenseLayer(np.zeros((2, 3)), np.array([1.0, 2.0]))
-        assert np.array_equal(nn.dense_forward(np.ones(3), dense), [1.0, 2.0])
-
-    def test_identity_weights(self):
-        dense = nn.DenseLayer(np.eye(2), np.zeros(2))
-        assert np.array_equal(nn.dense_forward(np.array([3.0, 4.0]), dense),
-                              [3.0, 4.0])
-
-    def test_scalar_dot_oracle(self):
-        rng = np.random.default_rng(9)
-        w, b = rng.normal(size=(2, 4)), rng.normal(size=2)
-        h = rng.normal(size=4)
-        logits = nn.dense_forward(h, nn.DenseLayer(w, b))
-        for k in range(2):
-            ref = b[k] + sum(w[k, j] * h[j] for j in range(4))
-            assert logits[k] == pytest.approx(ref, rel=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            nn.dense_forward(np.zeros(3), nn.DenseLayer(np.zeros((2, 4)),
-                                                        np.zeros(2)))
+        for trial in range(10):
+            cfg = tiny_config(V=int(rng.integers(3, 12)),
+                              E=int(rng.integers(1, 5)),
+                              H=int(rng.integers(1, 5)),
+                              T=int(rng.integers(2, 8)))
+            params = random_params(cfg, seed=trial, bias_scale=0.7)
+            idx, lengths = batch_with_gaps(cfg, rng, int(rng.integers(1, 5)))
+            cache = nn._lstm_forward_batch(params, idx, lengths)
+            c_final = cache["c_states"][lengths, np.arange(len(idx))]
+            logits = nn.forward_logits(params, idx, lengths)
+            w, b = params.dense.w, params.dense.b
+            for row in range(len(idx)):
+                h = [0.0] * cfg.hidden_dim
+                c = [0.0] * cfg.hidden_dim
+                for t in range(lengths[row]):
+                    x = params.embedding.weights[idx[row, t]]
+                    h, c = scalar_lstm_step(x, h, c, params.cell)
+                assert np.max(np.abs(cache["h_final"][row] - h),
+                              initial=0.0) <= 1e-12
+                assert np.max(np.abs(c_final[row] - c), initial=0.0) <= 1e-12
+                for k in range(cfg.num_classes):
+                    ref = b[k] + sum(w[k, j] * h[j]
+                                     for j in range(cfg.hidden_dim))
+                    assert abs(logits[row, k] - ref) <= 1e-12
 
 
 class TestDropout:
     def test_inference_identity(self):
-        x = np.arange(5.0)
-        assert nn.dropout(x, 0.5, training=False) is x
+        # training=False applies no dropout and needs no rng
+        cfg = tiny_config(fc_dropout=0.5)
+        params = random_params(cfg, seed=7)
+        idx, lengths, labels = random_batch(cfg, np.random.default_rng(5),
+                                            batch=4)
+        _, loss = nn.backward(params, idx, lengths, labels, training=False)
+        logits = nn.forward_logits(params, idx, lengths)
+        want = np.mean([nn.cross_entropy(z, y)[0]
+                        for z, y in zip(logits, labels)])
+        assert loss == pytest.approx(want, rel=1e-12)
 
     def test_rate_zero_identity(self):
-        x = np.arange(5.0)
-        assert np.array_equal(nn.dropout(x, 0.0, training=True), x)
+        mask = nn.dropout_mask((3, 4), 0.0, np.random.default_rng(0),
+                               dtype=np.float32)
+        assert mask.dtype == np.float32
+        assert np.array_equal(mask, np.ones((3, 4)))
 
     def test_statistical_mean_preserved(self):
         rng = np.random.default_rng(123)
-        out = nn.dropout(np.ones(10_000), 0.5, training=True, rng=rng)
+        out = nn.dropout_mask(10_000, 0.5, rng)
         assert out.mean() == pytest.approx(1.0, abs=0.05)
         kept = out[out != 0]
         assert np.allclose(kept, 2.0)  # survivors scaled by 1/(1-rate)
 
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
-            nn.dropout(np.ones(3), 1.0, training=True,
-                       rng=np.random.default_rng(0))
+            nn.dropout_mask(3, 1.0, np.random.default_rng(0))
 
 
 class TestBackward:
@@ -545,6 +496,33 @@ class TestCheckpoint:
         with pytest.raises(nn.CheckpointError, match="not a model checkpoint"):
             nn.load_checkpoint(tmp_path / "x.bin")
 
+    @pytest.mark.parametrize("with_adam", [False, True])
+    def test_every_prefix_rejected(self, tmp_path, with_adam):
+        params = random_params(tiny_config(V=3, E=2, H=1, T=2), seed=2)
+        adam = nn.AdamState.for_params(params) if with_adam else None
+        nn.save_checkpoint(tmp_path / "m.bin", params, adam)
+        blob = (tmp_path / "m.bin").read_bytes()
+        nn.load_checkpoint(tmp_path / "m.bin")
+        for n in range(len(blob)):
+            (tmp_path / "t.bin").write_bytes(blob[:n])
+            with pytest.raises(nn.CheckpointError):
+                nn.load_checkpoint(tmp_path / "t.bin")
+
+    def test_trailing_byte_rejected(self, tmp_path):
+        nn.save_checkpoint(tmp_path / "m.bin", nn.init_params(tiny_config()))
+        blob = (tmp_path / "m.bin").read_bytes()
+        (tmp_path / "t.bin").write_bytes(blob + b"\0")
+        with pytest.raises(nn.CheckpointError, match="after the checkpoint"):
+            nn.load_checkpoint(tmp_path / "t.bin")
+
+    def test_adam_flag_other_than_0_or_1_rejected(self, tmp_path):
+        nn.save_checkpoint(tmp_path / "m.bin", nn.init_params(tiny_config()))
+        blob = (tmp_path / "m.bin").read_bytes()
+        assert blob[-1] == 0  # without Adam state the flag is the last byte
+        (tmp_path / "t.bin").write_bytes(blob[:-1] + bytes([7]))
+        with pytest.raises(nn.CheckpointError, match="Adam flag 7"):
+            nn.load_checkpoint(tmp_path / "t.bin")
+
     def test_float32_round_trip(self, tmp_path):
         params = nn.init_params(tiny_config(), dtype=np.float32)
         nn.save_checkpoint(tmp_path / "m.bin", params)
@@ -634,17 +612,6 @@ def loop_backward(params, cache, d_h_final):
 class TestBatchedPathMatchesLoop:
     """Trimmed, fused batched path against the loop oracle, float64."""
 
-    @staticmethod
-    def batch_with_gaps(cfg, rng, batch):
-        # zero lengths, and a padded width past the longest sequence, so the
-        # trailing columns are padding in every row
-        lengths = rng.integers(0, cfg.max_len - 1, size=batch)
-        lengths[0] = 0
-        idx = rng.integers(1, cfg.vocab_size, size=(batch, cfg.max_len))
-        for b in range(batch):
-            idx[b, lengths[b]:] = 0
-        return idx, lengths
-
     def test_forward_and_backward_agree_to_1e12(self):
         rng = np.random.default_rng(31)
         for trial in range(25):
@@ -653,8 +620,7 @@ class TestBatchedPathMatchesLoop:
                               H=int(rng.integers(1, 6)),
                               T=int(rng.integers(2, 9)))
             params = random_params(cfg, seed=trial)
-            idx, lengths = self.batch_with_gaps(cfg, rng,
-                                                int(rng.integers(1, 6)))
+            idx, lengths = batch_with_gaps(cfg, rng, int(rng.integers(1, 6)))
             new = nn._lstm_forward_batch(params, idx, lengths)
             old = loop_forward(params, idx, lengths)
             assert np.max(np.abs(new["h_final"] - old["h_states"][-1]),

@@ -6,8 +6,7 @@ import pytest
 from sentimen import nn
 from sentimen.train import (EncodedDataset, TrainConfig, batch_iter,
                             evaluate_split, inverse_frequency_weights,
-                            load_history_csv, save_history_csv, train,
-                            weighted_loss)
+                            load_history_csv, save_history_csv, train)
 
 
 def make_encoded(n, T=4, V=10, seed=0, balanced=True):
@@ -252,14 +251,24 @@ class TestEvaluateSplit:
 
 
 class TestWeightedLoss:
-    def test_unit_weights_identity(self):
-        logits = np.array([0.4, -0.2])
-        plain, _ = nn.cross_entropy(logits, 1)
-        assert weighted_loss(logits, 1, [1.0, 1.0]) == pytest.approx(plain)
-
     def test_analytic_scaling(self):
-        assert weighted_loss(np.array([0.0, 0.0]), 1, [1.0, 2.0]) == \
-            pytest.approx(2 * math.log(2), rel=1e-12)
+        # zero weights leave logits = b_out, so softmax = [2/3, 1/3] per row
+        cfg = nn.ModelConfig(vocab_size=4, embed_dim=2, hidden_dim=2,
+                             max_len=2, fc_dropout=0.0)
+        params = nn.init_params(cfg)
+        for arr in params.arrays().values():
+            arr[:] = 0.0
+        params.dense.b[:] = [math.log(2), 0.0]
+        grads, loss = nn.backward(params, np.array([[1, 2], [3, 0]]),
+                                  np.array([2, 1]), np.array([0, 1]),
+                                  training=False,
+                                  class_weights=np.array([1.0, 2.0]))
+        # (1 * -ln(2/3) + 2 * -ln(1/3)) / (1 + 2)
+        assert loss == pytest.approx((math.log(1.5) + 2 * math.log(3)) / 3,
+                                     rel=1e-12)
+        # (p - onehot) * w / sum(w): [-1/9, 1/9] + [4/9, -4/9]
+        assert np.allclose(grads["b_out"], [1 / 3, -1 / 3], rtol=0,
+                           atol=1e-12)
 
     def test_inverse_frequency_from_reference_distribution(self):
         w = inverse_frequency_weights([5629, 790])
