@@ -228,6 +228,121 @@ class TestLstmStep:
                     assert abs(logits[row, k] - ref) <= 1e-12
 
 
+class TestLstmForward:
+    """Sequence-level conventions of the batched path."""
+
+    def test_zero_length_convention(self):
+        # a zero-length row keeps the zero state next to a row that runs
+        cfg = tiny_config(E=3, H=2, T=4)
+        params = nn.init_params(cfg)
+        for arr in params.arrays().values():
+            arr[:] = 1.0
+        lengths = np.array([0, 3])
+        cache = nn._lstm_forward_batch(params, np.array([[0, 0, 0, 0],
+                                                         [1, 2, 3, 0]]),
+                                       lengths)
+        c_final = cache["c_states"][lengths, np.arange(2)]
+        assert np.all(cache["h_final"][0] == 0) and np.all(c_final[0] == 0)
+        assert np.all(cache["h_final"][1] != 0)
+
+    def test_length_one_is_single_step(self):
+        cfg = tiny_config(E=3, H=2, T=4)
+        params = random_params(cfg, seed=3, bias_scale=1.0)
+        idx = np.array([[4, 0, 0, 0], [2, 5, 1, 3]])
+        cache = nn._lstm_forward_batch(params, idx, np.array([1, 4]))
+        h, c = scalar_lstm_step(params.embedding.weights[idx[0, 0]],
+                                [0.0, 0.0], [0.0, 0.0], params.cell)
+        assert np.max(np.abs(cache["h_final"][0] - h)) <= 1e-12
+        assert np.max(np.abs(cache["c_states"][1, 0] - c)) <= 1e-12
+
+    def test_padding_ignored(self):
+        # tokens past a row's length change neither its h nor its c
+        rng = np.random.default_rng(4)
+        cfg = tiny_config(E=3, H=2, T=5)
+        params = random_params(cfg, seed=4)
+        lengths = np.array([3, 1, 5])
+        padded = rng.integers(1, cfg.vocab_size, size=(3, cfg.max_len))
+        junk = padded.copy()
+        for b in range(3):
+            padded[b, lengths[b]:] = 0
+        a = nn._lstm_forward_batch(params, padded, lengths)
+        b = nn._lstm_forward_batch(params, junk, lengths)
+        rows = np.arange(3)
+        assert np.array_equal(a["h_final"], b["h_final"])
+        assert np.array_equal(a["c_states"][lengths, rows],
+                              b["c_states"][lengths, rows])
+
+
+class TestEmbedForward:
+    """The batched path's embedding lookup, cached time-major as ``x``."""
+
+    weights = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 3.0]])
+
+    def params(self):
+        params = nn.init_params(tiny_config(V=3, E=2, H=2, T=3))
+        params.embedding.weights[:] = self.weights
+        return params
+
+    def test_pad_row_is_zero(self):
+        params = nn.init_params(tiny_config(V=3, E=2, H=2, T=3))
+        assert np.array_equal(params.embedding.weights[0], [0.0, 0.0])
+        cache = nn._lstm_forward_batch(params, np.array([[0, 0], [1, 0]]),
+                                       np.array([0, 1]))
+        assert np.array_equal(cache["x"][:, 0], [[0.0, 0.0]])
+
+    def test_row_lookup(self):
+        cache = nn._lstm_forward_batch(self.params(), np.array([[2, 1]]),
+                                       np.array([2]))
+        assert np.array_equal(cache["x"][:, 0], [[2.0, 3.0], [1.0, 1.0]])
+
+    def test_pad_tail(self):
+        # alone, the row is trimmed to its length; beside a longer row, its
+        # tail reads the zero pad row
+        alone = nn._lstm_forward_batch(self.params(), np.array([[2, 0, 0]]),
+                                       np.array([1]))
+        assert np.array_equal(alone["x"][:, 0], [[2.0, 3.0]])
+        mixed = nn._lstm_forward_batch(self.params(),
+                                       np.array([[2, 0, 0], [1, 2, 1]]),
+                                       np.array([1, 3]))
+        assert np.array_equal(mixed["x"][:, 0],
+                              [[2.0, 3.0], [0.0, 0.0], [0.0, 0.0]])
+
+
+class TestDenseForward:
+    """The dense head, through ``forward_logits``."""
+
+    def test_bias_only(self):
+        cfg = tiny_config(V=4, E=3, H=3, T=3)
+        params = random_params(cfg, seed=2)
+        params.dense.w[:] = 0.0
+        params.dense.b[:] = [1.0, 2.0]
+        logits = nn.forward_logits(params, np.array([[1, 2, 3], [3, 0, 0]]),
+                                   np.array([3, 1]))
+        assert np.array_equal(logits, [[1.0, 2.0], [1.0, 2.0]])
+
+    def test_identity_weights(self):
+        cfg = tiny_config(E=3, H=2, T=4)
+        params = random_params(cfg, seed=5)
+        params.dense.w[:] = np.eye(2)
+        params.dense.b[:] = 0.0
+        idx, lengths, _ = random_batch(cfg, np.random.default_rng(5))
+        h_final = nn._lstm_forward_batch(params, idx, lengths)["h_final"]
+        assert np.array_equal(nn.forward_logits(params, idx, lengths),
+                              h_final)
+
+    def test_scalar_dot_oracle(self):
+        cfg = tiny_config(E=3, H=4, T=5)
+        params = random_params(cfg, seed=9)
+        idx, lengths, _ = random_batch(cfg, np.random.default_rng(9))
+        h_final = nn._lstm_forward_batch(params, idx, lengths)["h_final"]
+        logits = nn.forward_logits(params, idx, lengths)
+        w, b = params.dense.w, params.dense.b
+        for row in range(len(idx)):
+            for k in range(2):
+                ref = b[k] + sum(w[k, j] * h_final[row, j] for j in range(4))
+                assert logits[row, k] == pytest.approx(ref, rel=1e-12)
+
+
 class TestDropout:
     def test_inference_identity(self):
         # training=False applies no dropout and needs no rng

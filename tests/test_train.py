@@ -251,6 +251,22 @@ class TestEvaluateSplit:
 
 
 class TestWeightedLoss:
+    def test_unit_weights_identity(self):
+        # one example, weights [1, 1]: its cross-entropy and the unweighted
+        # gradients
+        cfg = nn.ModelConfig(vocab_size=4, embed_dim=2, hidden_dim=2,
+                             max_len=2, fc_dropout=0.0)
+        params = nn.init_params(cfg, seed=1)
+        idx, lengths, labels = np.array([[3, 1]]), np.array([2]), np.array([1])
+        plain, _ = nn.cross_entropy(nn.forward_logits(params, idx, lengths)[0],
+                                    1)
+        g_plain, _ = nn.backward(params, idx, lengths, labels, training=False)
+        grads, loss = nn.backward(params, idx, lengths, labels, training=False,
+                                  class_weights=np.array([1.0, 1.0]))
+        assert loss == pytest.approx(plain)
+        for name, g in g_plain.items():
+            assert np.allclose(grads[name], g, rtol=1e-12, atol=0), name
+
     def test_analytic_scaling(self):
         # zero weights leave logits = b_out, so softmax = [2/3, 1/3] per row
         cfg = nn.ModelConfig(vocab_size=4, embed_dim=2, hidden_dim=2,
