@@ -9,6 +9,7 @@ echoed into the output directory before any long-running work.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -35,29 +36,81 @@ class CliError(Exception):
 
 # --- configuration -----------------------------------------------------------
 
-DEFAULTS = {
-    "seed": "0",
-    "epochs": "20",
-    "batch_size": "16",
-    "learning_rate": "0.0005",
-    "embed_dim": "128",
-    "hidden_dim": "128",
-    "lstm_dropout": "0.0",
-    "fc_dropout": "0.5",
-    "min_freq": "1",
-    "max_len": "",            # empty -> 95th percentile of train lengths
-    "train_fraction": "0.70",
-    "val_fraction": "0.15",
-    "test_fraction": "0.15",
-    "class_weights": "",      # e.g. "1.0,4.0"; empty -> unweighted
-    "shuffle": "true",
-    "dtype": "float32",
-    "baselines": ",".join(baselines.MODELS),
-}
+def _checked(convert, expected: str, accepts=lambda _: True,
+             optional: bool = False):
+    """A parser of one config string: ``convert`` it and keep the value if
+    it ``accepts`` it, else raise ``ValueError`` saying what is ``expected``.
+    With ``optional``, the empty string parses to None."""
+    def parse(raw: str):
+        if optional and raw == "":
+            return None
+        try:
+            value = convert(raw)
+            if accepts(value):
+                return value
+        except (KeyError, ValueError):
+            pass
+        raise ValueError(f"expected {expected}")
+    return parse
 
-_DTYPES = {"float32": np.float32, "float64": np.float64}
+
+def _integer(low: int, optional: bool = False):
+    return _checked(int, f"an integer >= {low}", lambda n: n >= low, optional)
+
+
+def _real(accepts, expected: str):
+    return _checked(float, f"a finite number {expected}",
+                    lambda x: math.isfinite(x) and accepts(x))
+
+
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
+_positive = _real(lambda x: x > 0, "> 0")
+_rate = _real(lambda x: 0 <= x < 1, "in [0, 1)")
+_fraction = _real(lambda x: 0 <= x <= 1, "in [0, 1]")
+
+# key -> (default, parser).  resolve_config parses every key once, before
+# any command reads its inputs or creates its out-dir.
+SCHEMA = {
+    "seed": ("0", _integer(0)),
+    "epochs": ("20", _integer(0)),
+    "batch_size": ("16", _integer(1)),
+    "learning_rate": ("0.0005", _positive),
+    "embed_dim": ("128", _integer(1)),
+    "hidden_dim": ("128", _integer(1)),
+    "lstm_dropout": ("0.0", _rate),
+    "fc_dropout": ("0.5", _rate),
+    "min_freq": ("1", _integer(1)),
+    # empty -> 95th percentile of train lengths
+    "max_len": ("", _integer(1, optional=True)),
+    # the sum-to-1 check is SplitSpec's
+    "train_fraction": ("0.70", _fraction),
+    "val_fraction": ("0.15", _fraction),
+    "test_fraction": ("0.15", _fraction),
+    # e.g. "1.0,4.0"; empty -> unweighted
+    "class_weights": ("", _checked(
+        lambda raw: tuple(map(_positive, raw.split(","))),
+        "two comma-separated finite numbers > 0", lambda ws: len(ws) == 2,
+        optional=True)),
+    "shuffle": ("true", _checked(lambda raw: _BOOLS[raw.lower()],
+                                 f"one of {sorted(_BOOLS)}")),
+    "dtype": ("float32", _checked(
+        {"float32": np.float32, "float64": np.float64}.__getitem__,
+        "one of ['float32', 'float64']")),
+    "baselines": (",".join(baselines.MODELS), _checked(
+        lambda raw: [p.strip() for p in raw.split(",") if p.strip()],
+        f"comma-separated names from {list(baselines.MODELS)}",
+        lambda names: set(names) <= set(baselines.MODELS))),
+}
+
+
+class Config(dict):
+    """Each key's value as ``SCHEMA`` parsed it; ``text`` keeps the
+    resolved strings, which ``echo_config`` writes."""
+
+    def __init__(self, values: dict, text: dict[str, str]):
+        super().__init__(values)
+        self.text = text
 
 
 def parse_config_file(path: Path) -> dict[str, str]:
@@ -73,54 +126,35 @@ def parse_config_file(path: Path) -> dict[str, str]:
     return values
 
 
-def resolve_config(args: argparse.Namespace) -> dict[str, str]:
-    cfg = dict(DEFAULTS)
+def resolve_config(args: argparse.Namespace) -> Config:
+    """Defaults, then the config file, then flags; every value parsed."""
+    text = {key: default for key, (default, _) in SCHEMA.items()}
     if args.config:
         path = Path(args.config)
         if not path.exists():
             raise CliError(f"config file not found: {path}")
         file_values = parse_config_file(path)
-        unknown = set(file_values) - set(DEFAULTS)
+        unknown = set(file_values) - set(SCHEMA)
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(file_values)
-    if args.seed is not None:
-        cfg["seed"] = str(args.seed)
-    for key in ("epochs", "batch_size", "learning_rate", "max_len"):
+        text.update(file_values)
+    for key in ("seed", "epochs", "batch_size", "learning_rate", "max_len"):
         value = getattr(args, key, None)
         if value is not None:
-            cfg[key] = str(value)
-    if cfg["dtype"] not in _DTYPES:
-        raise CliError(f"dtype must be one of {sorted(_DTYPES)}, "
-                       f"not {cfg['dtype']!r}")
-    if cfg["shuffle"].lower() not in _BOOLS:
-        raise CliError(f"shuffle must be one of {sorted(_BOOLS)}, "
-                       f"not {cfg['shuffle']!r}")
-    unknown = sorted(set(_baseline_names(cfg)) - set(baselines.MODELS))
-    if unknown:
-        raise CliError(f"unknown baselines {unknown}; "
-                       f"choose from {list(baselines.MODELS)}")
-    return cfg
+            text[key] = str(value)
+    values = {}
+    for key, (_, parse) in SCHEMA.items():
+        try:
+            values[key] = parse(text[key])
+        except ValueError as exc:
+            raise CliError(f"config {key} = '{text[key]}': {exc}") from None
+    return Config(values, text)
 
 
-def echo_config(cfg: dict[str, str], out_dir: Path) -> None:
+def echo_config(cfg: Config, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = [f"{k} = {cfg[k]}" for k in sorted(cfg)]
+    lines = [f"{k} = {cfg.text[k]}" for k in sorted(cfg.text)]
     (out_dir / "config.resolved.txt").write_text("\n".join(lines) + "\n", "utf-8")
-
-
-def _baseline_names(cfg: dict[str, str]) -> list[str]:
-    return [p.strip() for p in cfg["baselines"].split(",") if p.strip()]
-
-
-def _class_weights(cfg: dict[str, str]) -> tuple[float, ...] | None:
-    raw = cfg["class_weights"].strip()
-    if not raw:
-        return None
-    weights = tuple(float(p) for p in raw.split(","))
-    if len(weights) != 2:
-        raise CliError("class_weights needs exactly two comma-separated values")
-    return weights
 
 
 def preprocess_config(args: argparse.Namespace) -> PreprocessConfig:
@@ -135,6 +169,9 @@ def preprocess_config(args: argparse.Namespace) -> PreprocessConfig:
             overrides["slang"] = read_slang_tsv(args.slang)
     except FileNotFoundError as exc:
         raise CliError(f"dictionary file not found: {exc.filename}") from None
+    # no stopwords or slang is a choice; no roots would turn stemming off
+    if "roots" in overrides and not overrides["roots"]:
+        raise CliError(f"root-word dictionary {args.roots} is empty")
     return PreprocessConfig.default(**overrides)
 
 
@@ -143,8 +180,6 @@ def preprocess_config(args: argparse.Namespace) -> PreprocessConfig:
 def _load_corpus(path: str, strict: bool = True) -> ingest.Dataset:
     try:
         return ingest.load_csv(path, strict=strict)
-    except FileNotFoundError as exc:
-        raise CliError(str(exc)) from None
     except ingest.CorpusError as exc:
         raise CliError(str(exc)) from None
 
@@ -206,10 +241,8 @@ def _split_and_encode(args, cfg, pp):
     if not labels:
         raise CliError("corpus has no labeled records")
     docs = _tokenized(full, Path(args.corpus), pp, args.quiet)
-    spec = ingest.SplitSpec(float(cfg["train_fraction"]),
-                            float(cfg["val_fraction"]),
-                            float(cfg["test_fraction"]),
-                            seed=int(cfg["seed"]))
+    spec = ingest.SplitSpec(cfg["train_fraction"], cfg["val_fraction"],
+                            cfg["test_fraction"], seed=cfg["seed"])
     return tuple(([docs[i] for i in part], [int(labels[i]) for i in part])
                  for part in ingest.stratified_indices(labels, spec))
 
@@ -218,21 +251,16 @@ def _train_lstm(cfg, vocab, train_split, val_split, quiet):
     """Build the LSTM and the TrainConfig the resolved config asks for and
     train on the (docs, labels) splits.  Returns the TrainResult and
     max_len, which defaults to the 95th percentile of training lengths."""
-    dtype = _DTYPES[cfg["dtype"]]
-    max_len = (int(cfg["max_len"]) if cfg["max_len"]
-               else suggest_max_len(train_split[0]))
+    max_len = cfg["max_len"] or suggest_max_len(train_split[0])
     model_cfg = nn.ModelConfig(
-        vocab_size=vocab.size, embed_dim=int(cfg["embed_dim"]),
-        hidden_dim=int(cfg["hidden_dim"]), max_len=max_len,
-        lstm_dropout=float(cfg["lstm_dropout"]),
-        fc_dropout=float(cfg["fc_dropout"]))
-    params = nn.init_params(model_cfg, seed=int(cfg["seed"]), dtype=dtype)
+        vocab_size=vocab.size, embed_dim=cfg["embed_dim"],
+        hidden_dim=cfg["hidden_dim"], max_len=max_len,
+        lstm_dropout=cfg["lstm_dropout"], fc_dropout=cfg["fc_dropout"])
+    params = nn.init_params(model_cfg, seed=cfg["seed"], dtype=cfg["dtype"])
     train_cfg = TrainConfig(
-        batch_size=int(cfg["batch_size"]),
-        learning_rate=float(cfg["learning_rate"]),
-        epochs=int(cfg["epochs"]), seed=int(cfg["seed"]),
-        class_weights=_class_weights(cfg),
-        shuffle=_BOOLS[cfg["shuffle"].lower()])
+        batch_size=cfg["batch_size"], learning_rate=cfg["learning_rate"],
+        epochs=cfg["epochs"], seed=cfg["seed"],
+        class_weights=cfg["class_weights"], shuffle=cfg["shuffle"])
     if train_cfg.epochs == 0:
         print("warning: epochs = 0, nothing to train", file=sys.stderr)
 
@@ -255,11 +283,11 @@ def cmd_train(args, cfg) -> int:
     if not train_docs:
         raise CliError("train split is empty")
 
-    vocab = build_vocab(train_docs, min_freq=int(cfg["min_freq"]))
+    vocab = build_vocab(train_docs, min_freq=cfg["min_freq"])
     result, max_len = _train_lstm(cfg, vocab, (train_docs, train_labels),
                                   (val_docs, val_labels), args.quiet)
     save_vocab(vocab, out_dir / "vocab.txt", max_len,
-               min_freq=int(cfg["min_freq"]))
+               min_freq=cfg["min_freq"])
 
     save_history_csv(result.history, out_dir / "history.csv")
     nn.save_checkpoint(out_dir / "checkpoint.bin", result.final_params)
@@ -349,10 +377,10 @@ def cmd_compare(args, cfg) -> int:
     if not test_docs:
         raise CliError("test split is empty; adjust split fractions")
 
-    vocab = build_vocab(train_docs, min_freq=int(cfg["min_freq"]))
+    vocab = build_vocab(train_docs, min_freq=cfg["min_freq"])
     rows = baselines.run_comparison(train_docs, train_labels, test_docs,
-                                    test_labels, vocab, seed=int(cfg["seed"]),
-                                    include=_baseline_names(cfg))
+                                    test_labels, vocab, seed=cfg["seed"],
+                                    include=cfg["baselines"])
 
     # the LSTM row is always present, baselines config notwithstanding
     result, max_len = _train_lstm(cfg, vocab, (train_docs, train_labels),
@@ -469,7 +497,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (FloatingPointError, ValueError) as exc:
+    except (FloatingPointError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except Exception as exc:  # pragma: no cover - defensive

@@ -71,30 +71,7 @@ def count_parameters(vocab_size: int, embed_dim: int, hidden_dim: int,
     return v * e + 4 * (e * h + h * h + 2 * h) + (h * c + c)
 
 
-# --- parameter containers --------------------------------------------------
-
-@dataclass
-class EmbeddingLayer:
-    weights: np.ndarray  # (V, E); row 0 is PAD and stays zero
-
-
-@dataclass
-class LstmCell:
-    w_ih: np.ndarray  # (4H, E)
-    w_hh: np.ndarray  # (4H, H)
-    b_ih: np.ndarray  # (4H,)
-    b_hh: np.ndarray  # (4H,)
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.w_hh.shape[1]
-
-
-@dataclass
-class DenseLayer:
-    w: np.ndarray  # (C, H)
-    b: np.ndarray  # (C,)
-
+# --- parameters --------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -112,31 +89,19 @@ class ModelConfig:
 @dataclass
 class ModelParams:
     config: ModelConfig
-    embedding: EmbeddingLayer
-    cell: LstmCell
-    dense: DenseLayer
+    embedding: np.ndarray  # (V, E); row 0 is PAD and stays zero
+    w_ih: np.ndarray       # (4H, E)
+    w_hh: np.ndarray       # (4H, H)
+    b_ih: np.ndarray       # (4H,)
+    b_hh: np.ndarray       # (4H,)
+    w_out: np.ndarray      # (C, H)
+    b_out: np.ndarray      # (C,)
 
     def arrays(self) -> dict[str, np.ndarray]:
         """Parameter arrays in the fixed serialization order."""
-        return {
-            "embedding": self.embedding.weights,
-            "w_ih": self.cell.w_ih,
-            "w_hh": self.cell.w_hh,
-            "b_ih": self.cell.b_ih,
-            "b_hh": self.cell.b_hh,
-            "w_out": self.dense.w,
-            "b_out": self.dense.b,
-        }
-
-    @classmethod
-    def from_arrays(cls, config: ModelConfig,
-                    arrays: dict[str, np.ndarray]) -> "ModelParams":
-        """Inverse of ``arrays()``; the arrays are used as given, not copied."""
-        return cls(config=config,
-                   embedding=EmbeddingLayer(arrays["embedding"]),
-                   cell=LstmCell(arrays["w_ih"], arrays["w_hh"],
-                                 arrays["b_ih"], arrays["b_hh"]),
-                   dense=DenseLayer(arrays["w_out"], arrays["b_out"]))
+        return {"embedding": self.embedding, "w_ih": self.w_ih,
+                "w_hh": self.w_hh, "b_ih": self.b_ih, "b_hh": self.b_hh,
+                "w_out": self.w_out, "b_out": self.b_out}
 
     def n_parameters(self) -> int:
         return sum(a.size for a in self.arrays().values())
@@ -152,19 +117,16 @@ def init_params(config: ModelConfig, seed: int = 0,
     lim_e, lim_h = 1.0 / np.sqrt(e), 1.0 / np.sqrt(h)
     emb = rng.uniform(-lim_e, lim_e, size=(v, e)).astype(dtype)
     emb[0] = 0.0
+    # arguments evaluate in order, so the draws stay emb, w_ih, w_hh, w_out
     params = ModelParams(
         config=config,
-        embedding=EmbeddingLayer(emb),
-        cell=LstmCell(
-            w_ih=rng.uniform(-lim_h, lim_h, size=(4 * h, e)).astype(dtype),
-            w_hh=rng.uniform(-lim_h, lim_h, size=(4 * h, h)).astype(dtype),
-            b_ih=np.zeros(4 * h, dtype=dtype),
-            b_hh=np.zeros(4 * h, dtype=dtype),
-        ),
-        dense=DenseLayer(
-            w=rng.uniform(-lim_h, lim_h, size=(c, h)).astype(dtype),
-            b=np.zeros(c, dtype=dtype),
-        ),
+        embedding=emb,
+        w_ih=rng.uniform(-lim_h, lim_h, size=(4 * h, e)).astype(dtype),
+        w_hh=rng.uniform(-lim_h, lim_h, size=(4 * h, h)).astype(dtype),
+        b_ih=np.zeros(4 * h, dtype=dtype),
+        b_hh=np.zeros(4 * h, dtype=dtype),
+        w_out=rng.uniform(-lim_h, lim_h, size=(c, h)).astype(dtype),
+        b_out=np.zeros(c, dtype=dtype),
     )
     if config.lstm_dropout > 0:
         warnings.warn("lstm_dropout > 0: the reference single-layer setup "
@@ -206,20 +168,19 @@ def _lstm_forward_batch(params: ModelParams, indices: np.ndarray,
     Without ``for_backward`` the cell state and its tanh are kept for the
     current step only, updated in place.
     """
-    cell = params.cell
-    h_dim = cell.hidden_dim
-    dtype = cell.w_ih.dtype
+    h_dim = params.w_hh.shape[1]
+    dtype = params.w_ih.dtype
     batch = indices.shape[0]
     lengths = np.clip(lengths, 0, indices.shape[1])
     steps = int(lengths.max(initial=0))
     indices = indices[:, :steps]
-    x = params.embedding.weights[indices.T]          # (T', B, E)
+    x = params.embedding[indices.T]          # (T', B, E)
 
     # input projection and bias of every step in one GEMM
     gates = np.empty((steps, batch, 4 * h_dim), dtype=dtype)
-    np.matmul(x.reshape(-1, x.shape[-1]), cell.w_ih.T,
+    np.matmul(x.reshape(-1, x.shape[-1]), params.w_ih.T,
               out=gates.reshape(-1, 4 * h_dim))
-    gates += cell.b_ih + cell.b_hh
+    gates += params.b_ih + params.b_hh
     gate4 = gates.reshape(steps, batch, 4, h_dim)
     scale, shift = _gate_affine(h_dim, dtype)
 
@@ -229,7 +190,7 @@ def _lstm_forward_batch(params: ModelParams, indices: np.ndarray,
     tanh_c = np.empty((max(slots, 1), batch, h_dim), dtype=dtype)
     for t in range(steps):
         a = gates[t]
-        a += h_states[t] @ cell.w_hh.T
+        a += h_states[t] @ params.w_hh.T
         a *= scale
         np.tanh(a, out=a)
         a *= scale
@@ -249,13 +210,12 @@ def _lstm_forward_batch(params: ModelParams, indices: np.ndarray,
 
 def _lstm_backward_batch(params: ModelParams, cache: dict,
                          d_h_final: np.ndarray) -> dict[str, np.ndarray]:
-    cell = params.cell
-    h_dim = cell.hidden_dim
+    h_dim = params.w_hh.shape[1]
     x, lengths = cache["x"], cache["lengths"]
     h_states, c_states, tanh_c = (cache["h_states"], cache["c_states"],
                                   cache["tanh_c"])
     steps, batch, _ = x.shape
-    dtype = cell.w_ih.dtype
+    dtype = params.w_ih.dtype
     gate4 = cache["gates"].reshape(steps, batch, 4, h_dim)
     i, f, g, o = gate4.transpose(2, 0, 1, 3)  # (T', B, H) views
 
@@ -284,15 +244,15 @@ def _lstm_backward_batch(params: ModelParams, cache: dict,
         d4[t, :, :3] *= dc_total[:, None, :]
         d4[t, :, 3] *= dh
         if t:
-            d_h_in[t - 1] += d_gates[t] @ cell.w_hh
+            d_h_in[t - 1] += d_gates[t] @ params.w_hh
             dc = dc_total * f[t]
 
     flat = d_gates.reshape(-1, 4 * h_dim)
     d_w_ih = flat.T @ x.reshape(-1, x.shape[-1])
     d_w_hh = flat.T @ h_states[:-1].reshape(-1, h_dim)
     d_b = flat.sum(axis=0)
-    d_emb = np.zeros_like(params.embedding.weights)
-    np.add.at(d_emb, cache["indices"].T.reshape(-1), flat @ cell.w_ih)
+    d_emb = np.zeros_like(params.embedding)
+    np.add.at(d_emb, cache["indices"].T.reshape(-1), flat @ params.w_ih)
     d_emb[0] = 0.0  # pad row frozen
     return {"embedding": d_emb, "w_ih": d_w_ih, "w_hh": d_w_hh,
             "b_ih": d_b, "b_hh": d_b.copy()}
@@ -303,7 +263,7 @@ def forward_logits(params: ModelParams, indices: np.ndarray,
     """Inference-mode logits for a (B, T) batch; dropout off."""
     h_final = _lstm_forward_batch(params, indices, lengths,
                                   for_backward=False)["h_final"]
-    return h_final @ params.dense.w.T + params.dense.b
+    return h_final @ params.w_out.T + params.b_out
 
 
 def backward(params: ModelParams, indices: np.ndarray, lengths: np.ndarray,
@@ -326,7 +286,7 @@ def backward(params: ModelParams, indices: np.ndarray, lengths: np.ndarray,
     h_final = cache["h_final"]
     dtype = h_final.dtype
     if logits_out is not None:
-        logits_out[...] = h_final @ params.dense.w.T + params.dense.b
+        logits_out[...] = h_final @ params.w_out.T + params.b_out
 
     lstm_mult = np.ones_like(h_final)
     fc_mult = np.ones_like(h_final)
@@ -338,7 +298,7 @@ def backward(params: ModelParams, indices: np.ndarray, lengths: np.ndarray,
         fc_mult = dropout_mask(h_final.shape, cfg.fc_dropout, rng, dtype)
     h_drop = h_final * lstm_mult * fc_mult
 
-    logits = h_drop @ params.dense.w.T + params.dense.b
+    logits = h_drop @ params.w_out.T + params.b_out
     losses = row_cross_entropy(logits, labels)
     batch = indices.shape[0]
     d_logits = softmax(logits)
@@ -355,7 +315,7 @@ def backward(params: ModelParams, indices: np.ndarray, lengths: np.ndarray,
 
     d_w_out = d_logits.T @ h_drop
     d_b_out = d_logits.sum(axis=0)
-    d_h = (d_logits @ params.dense.w) * fc_mult * lstm_mult
+    d_h = (d_logits @ params.w_out) * fc_mult * lstm_mult
 
     grads = _lstm_backward_batch(params, cache, d_h)
     grads["w_out"] = d_w_out
@@ -436,7 +396,7 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
             if not np.isfinite(step, out=finite).all():
                 raise FloatingPointError(f"non-finite Adam update for {name}")
             pb -= step
-    params.embedding.weights[0] = 0.0  # pad row frozen
+    params.embedding[0] = 0.0  # pad row frozen
     return params, state
 
 
@@ -472,7 +432,7 @@ def predict_batch(params: ModelParams,
     preprocessing is Negative off the zero-state pass, flagged low-confidence.
     """
     lengths = np.array([s.true_length for s in seqs], dtype=np.int64)
-    probs = np.empty((len(seqs), params.dense.b.shape[0]))
+    probs = np.empty((len(seqs), params.b_out.shape[0]))
     for sel in length_sorted_batches(lengths, _PREDICT_BATCH):
         indices = np.stack([seqs[k].indices for k in sel])
         probs[sel] = softmax(forward_logits(params, indices, lengths[sel]))
@@ -547,7 +507,7 @@ class _Reader:
 def save_checkpoint(path: str | Path, params: ModelParams,
                     adam: AdamState | None = None) -> None:
     cfg = params.config
-    dtype = params.embedding.weights.dtype
+    dtype = params.embedding.dtype
     code = _dtype_code(dtype)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -603,8 +563,8 @@ def load_checkpoint(path: str | Path,
                     f"dimension mismatch: checkpoint {attr}="
                     f"{getattr(cfg, attr)}, expected {getattr(expect, attr)}")
     shapes = _expected_shapes(cfg)
-    params = ModelParams.from_arrays(
-        cfg, {name: reader.array(shape, dtype) for name, shape in shapes.items()})
+    params = ModelParams(cfg, **{name: reader.array(shape, dtype)
+                                 for name, shape in shapes.items()})
     (flag,) = reader.unpack("<B", "Adam flag")
     if flag not in (0, 1):
         raise CheckpointError(f"Adam flag {flag}, expected 0 or 1")

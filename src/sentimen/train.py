@@ -132,7 +132,7 @@ def train(params: nn.ModelParams, train_set: EncodedDataset,
     drop_rng = np.random.default_rng((cfg.seed, _STREAM_DROPOUT))
     weights = (np.asarray(cfg.class_weights, dtype=np.float64)
                if cfg.class_weights is not None else None)
-    n_classes = params.dense.b.shape[0]
+    n_classes = params.b_out.shape[0]
 
     history: list[EpochStats] = []
     best_epoch: int | None = None
@@ -174,8 +174,8 @@ def train(params: nn.ModelParams, train_set: EncodedDataset,
         if val_acc > best_acc:
             best_acc = val_acc
             best_epoch = epoch
-            best_params = nn.ModelParams.from_arrays(
-                params.config, {k: a.copy() for k, a in params.arrays().items()})
+            best_params = nn.ModelParams(
+                params.config, **{k: a.copy() for k, a in params.arrays().items()})
 
     return TrainResult(history=history, best_epoch=best_epoch,
                        best_params=best_params, final_params=params)

@@ -60,7 +60,9 @@ def fetch_comments(video_id: str, api_key: str | None = None,
                    session: requests.Session | None = None,
                    ) -> list[LabeledComment]:
     """Fetch up to ``max_pages`` pages of top-level comments, page order
-    preserved.  Raises before any network call on a missing key."""
+    preserved.  Raises before any network call on a missing key.  A failed
+    request raises ``TransientFetchError``, and a 200 response whose body is
+    not a JSON object ``FetchError``; neither message holds the key."""
     key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
     if not key:
         raise AuthError(f"no API key: pass api_key or set {API_KEY_ENV}")
@@ -77,14 +79,21 @@ def fetch_comments(video_id: str, api_key: str | None = None,
                   "maxResults": page_size, "textFormat": "plainText"}
         if page_token:
             params["pageToken"] = page_token
-        resp = sess.get(base_url, params=params, timeout=timeout)
+        try:
+            resp = sess.get(base_url, params=params, timeout=timeout)
+        except requests.RequestException as exc:
+            # the exception's text holds the request URL, key included
+            raise TransientFetchError(
+                f"request to {base_url} failed: {type(exc).__name__}") from None
+        try:
+            body = resp.json()
+        except ValueError:
+            body = None
         if resp.status_code != 200:
-            try:
-                payload = resp.json()
-            except ValueError:
-                payload = {}
-            raise _error_for(resp.status_code, payload)
-        body = resp.json()
+            raise _error_for(resp.status_code,
+                             body if isinstance(body, dict) else {})
+        if not isinstance(body, dict):
+            raise FetchError("API response is not a JSON object (HTTP 200)")
         for item in body.get("items", []):
             top = item.get("snippet", {}).get("topLevelComment", {})
             snippet = top.get("snippet", {})

@@ -76,9 +76,9 @@ def test_c04_gradient_correctness_20_random_models():
                     max_len=int(rng.integers(1, 6)))
         cfg = nn.ModelConfig(num_classes=2, fc_dropout=0.0, **dims)
         params = nn.init_params(cfg, seed=trial)
-        params.cell.b_ih[:] = rng.normal(0, 0.3, params.cell.b_ih.shape)
-        params.cell.b_hh[:] = rng.normal(0, 0.3, params.cell.b_hh.shape)
-        params.dense.b[:] = rng.normal(0, 0.3, params.dense.b.shape)
+        params.b_ih[:] = rng.normal(0, 0.3, params.b_ih.shape)
+        params.b_hh[:] = rng.normal(0, 0.3, params.b_hh.shape)
+        params.b_out[:] = rng.normal(0, 0.3, params.b_out.shape)
 
         batch = int(rng.integers(1, 4))
         idx = rng.integers(1, cfg.vocab_size, size=(batch, cfg.max_len))

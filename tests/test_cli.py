@@ -1,9 +1,12 @@
+import argparse
 import csv
+import functools
 import io
 
 import pytest
+import requests
 
-from sentimen import cli
+from sentimen import cli, youtube
 from sentimen.preprocess import run_pipeline
 from sentimen.train import load_history_csv
 
@@ -47,6 +50,78 @@ def run_cli(*args):
     return cli.main([str(a) for a in args])
 
 
+def assert_one_error_line(capsys, prefix="error: "):
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith(prefix), err
+    assert "Traceback" not in err
+    return err
+
+
+# at least one bad value for every key of cli.SCHEMA
+BAD_CONFIG = {
+    "seed": ["1.5", "-1", "x"],
+    "epochs": ["1e3", "-1", ""],
+    "batch_size": ["x", "0"],
+    "learning_rate": ["nan", "inf", "0", "-0.1", "fast"],
+    "embed_dim": ["0", "-3"],
+    "hidden_dim": ["0", "2.5"],
+    "lstm_dropout": ["nan", "-0.5", "1"],
+    "fc_dropout": ["nan", "1.0", "inf"],
+    "min_freq": ["0", "one"],
+    "max_len": ["0", "-2", "6.5"],
+    "train_fraction": ["nan", "1.5", "-0.1"],
+    "val_fraction": ["inf", "x"],
+    "test_fraction": ["-0.15", "2"],
+    "class_weights": ["1,nan", "1,inf", "1", "1,2,3", "1,0", "1,-2", "a,b",
+                      "1,"],
+    "shuffle": ["ture", "2"],
+    "dtype": ["flaot64", "float16", "FLOAT32"],
+    "baselines": ["naive_bayse", "lstm"],
+}
+
+
+@pytest.mark.parametrize("key", sorted(cli.SCHEMA))
+def test_bad_config_value_exit_2_before_any_work(tmp_path, separable_csv,
+                                                 capsys, key):
+    for value in BAD_CONFIG[key]:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = {value}\n", "utf-8")
+        out_dir = tmp_path / "run"
+        assert run_cli("--out-dir", out_dir, "train", separable_csv,
+                       "--config", cfg) == 2, value
+        err = assert_one_error_line(capsys, f"error: config {key} = ")
+        assert f"'{value}'" in err
+        assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--seed", "-1"), ("--epochs", "-1"), ("--batch-size", "0"),
+    ("--learning-rate", "nan"), ("--learning-rate", "-1"), ("--max-len", "0")])
+def test_bad_flag_value_exit_2_before_any_work(tmp_path, separable_csv,
+                                               capsys, flag, value):
+    out_dir = tmp_path / "run"
+    assert run_cli("--out-dir", out_dir, "train", separable_csv,
+                   flag, value) == 2
+    assert_one_error_line(capsys, "error: config ")
+    assert not out_dir.exists()
+
+
+def test_good_values_resolve_typed(tmp_path):
+    path = tmp_path / "good.cfg"
+    path.write_text("shuffle = YES\nclass_weights = 1, 3\nmax_len =\n",
+                    "utf-8")
+    cfg = cli.resolve_config(argparse.Namespace(config=str(path), seed=None))
+    assert cfg["shuffle"] is True
+    assert cfg["class_weights"] == (1.0, 3.0)
+    assert cfg["max_len"] is None
+    assert cfg["epochs"] == 20 and cfg["learning_rate"] == 5e-4
+    assert cfg["baselines"] == list(cli.baselines.MODELS)
+    assert cfg.text["shuffle"] == "YES"
+    assert cfg.text["class_weights"] == "1, 3"
+    assert cfg.text["max_len"] == ""
+
+
 class TestPreprocessCommand:
     def test_golden_tokenized_csv(self, tmp_path, toy_corpus_csv, pp_cfg):
         out = tmp_path / "tok.csv"
@@ -78,6 +153,21 @@ class TestPreprocessCommand:
                        "--out", tmp_path / "x.csv", "--roots", missing)
         assert code == 2
         assert str(missing) in capsys.readouterr().err
+
+    def test_empty_roots_exit_2_with_path(self, tmp_path, toy_corpus_csv,
+                                          separable_csv, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("", "utf-8")
+        assert run_cli("preprocess", toy_corpus_csv, "--out",
+                       tmp_path / "x.csv", "--roots", empty) == 2
+        assert str(empty) in assert_one_error_line(capsys)
+        assert run_cli("--out-dir", tmp_path / "run", "train", separable_csv,
+                       "--epochs", 1, "--roots", empty) == 2
+        assert str(empty) in assert_one_error_line(capsys)
+        # no stopwords and no slang are valid choices
+        assert run_cli("--quiet", "preprocess", toy_corpus_csv, "--out",
+                       tmp_path / "x.csv", "--stopwords", empty,
+                       "--slang", empty) == 0
 
     def test_bad_row_strict_vs_lenient(self, tmp_path):
         src = write_corpus_csv(tmp_path / "bad.csv",
@@ -236,6 +326,33 @@ class TestEvaluateCommand:
                        trained_run / "checkpoint.bin", separable_csv) == 2
 
 
+@pytest.mark.parametrize("case", ["corpus", "config", "roots",
+                                  "checkpoint", "vocab", "out_dir"])
+def test_directory_or_file_in_wrong_place_exit_2(tmp_path, request,
+                                                 separable_csv, capsys, case):
+    folder = tmp_path / "a_directory"
+    folder.mkdir()
+    a_file = tmp_path / "a_file"
+    a_file.write_text("", "utf-8")
+    ckpt = (request.getfixturevalue("trained_run") / "checkpoint.bin"
+            if case == "vocab" else None)
+    argv = {
+        "corpus": ["--out-dir", tmp_path / "o", "train", folder],
+        "config": ["--out-dir", tmp_path / "o", "train", separable_csv,
+                   "--config", folder],
+        "roots": ["preprocess", separable_csv, "--out", tmp_path / "t.csv",
+                  "--roots", folder],
+        "checkpoint": ["--out-dir", tmp_path / "o", "evaluate", folder,
+                       separable_csv],
+        "vocab": ["--out-dir", tmp_path / "o", "evaluate", ckpt,
+                  separable_csv, "--vocab", folder],
+        "out_dir": ["--out-dir", a_file, "train", separable_csv,
+                    "--epochs", 1],
+    }[case]
+    assert run_cli(*argv) == 2
+    assert_one_error_line(capsys)
+
+
 class TestPredictCommand:
     def test_three_lines_three_outputs_in_order(self, trained_run, capsys):
         code = run_cli("predict", trained_run / "checkpoint.bin",
@@ -346,3 +463,29 @@ class TestFetchCommand:
         assert code == 0
         assert out.read_text().strip() == "id,source,text,label"
         assert server.requests == []
+
+    @pytest.mark.parametrize("failure", ["connection", "not_json"])
+    def test_request_failure_exit_3_key_not_shown(self, tmp_path, monkeypatch,
+                                                  capsys, failure):
+        key = "secret-key-123"
+        monkeypatch.setenv("SENTIMEN_API_KEY", key)
+        base_url = "http://127.0.0.1:9/commentThreads"
+
+        class FakeSession:
+            def get(self, url, params, timeout):
+                if failure == "connection":
+                    # requests puts the full URL, query included, in the text
+                    raise requests.ConnectionError(
+                        f"Max retries exceeded with url: {url}?key={params['key']}")
+                resp = requests.Response()
+                resp.status_code = 200
+                resp._content = f"<html>{params['key']}</html>".encode()
+                return resp
+
+        monkeypatch.setattr(cli.youtube, "fetch_comments", functools.partial(
+            youtube.fetch_comments, session=FakeSession()))
+        out = tmp_path / "fetched.csv"
+        assert run_cli("fetch", "vid", "--out", out,
+                       "--base-url", base_url) == 3
+        assert key not in assert_one_error_line(capsys, "error: fetch failed")
+        assert not out.exists()

@@ -18,9 +18,9 @@ def tiny_config(V=6, E=3, H=4, C=2, T=5, fc_dropout=0.0, **kw):
 def random_params(cfg, seed=0, bias_scale=0.3):
     params = nn.init_params(cfg, seed=seed)
     rng = np.random.default_rng(seed + 1000)
-    params.cell.b_ih[:] = rng.normal(0, bias_scale, params.cell.b_ih.shape)
-    params.cell.b_hh[:] = rng.normal(0, bias_scale, params.cell.b_hh.shape)
-    params.dense.b[:] = rng.normal(0, bias_scale, params.dense.b.shape)
+    params.b_ih[:] = rng.normal(0, bias_scale, params.b_ih.shape)
+    params.b_hh[:] = rng.normal(0, bias_scale, params.b_hh.shape)
+    params.b_out[:] = rng.normal(0, bias_scale, params.b_out.shape)
     return params
 
 
@@ -139,7 +139,7 @@ class TestCrossEntropy:
         assert loss >= 0
 
 
-def scalar_lstm_step(x, h, c, cell):
+def scalar_lstm_step(x, h, c, params):
     """Independent per-element re-implementation of the gate equations."""
     H = len(h)
     E = len(x)
@@ -148,11 +148,11 @@ def scalar_lstm_step(x, h, c, cell):
     for k in range(H):
         def pre(block):
             row = block * H + k
-            acc = cell.b_ih[row] + cell.b_hh[row]
+            acc = params.b_ih[row] + params.b_hh[row]
             for j in range(E):
-                acc += cell.w_ih[row, j] * x[j]
+                acc += params.w_ih[row, j] * x[j]
             for j in range(H):
-                acc += cell.w_hh[row, j] * h[j]
+                acc += params.w_hh[row, j] * h[j]
             return acc
 
         i = 1 / (1 + math.exp(-pre(0)))
@@ -182,7 +182,7 @@ class TestLstmStep:
         cfg = tiny_config(E=3, H=2)
         params = random_params(cfg, seed=1)
         for arr in params.arrays().values():
-            if arr is not params.embedding.weights:
+            if arr is not params.embedding:
                 arr[:] = 0.0
         cache = nn._lstm_forward_batch(params, np.array([[1, 2, 0]]),
                                        np.array([2]))
@@ -194,7 +194,7 @@ class TestLstmStep:
         params = nn.init_params(tiny_config(V=2, E=1, H=1, T=1))
         for arr in params.arrays().values():
             arr[:] = 0.0
-        params.cell.b_ih[:] = [100.0, 0.0, 100.0, 100.0]  # [i, f, g, o]
+        params.b_ih[:] = [100.0, 0.0, 100.0, 100.0]  # [i, f, g, o]
         cache = nn._lstm_forward_batch(params, np.array([[1]]), np.array([1]))
         assert cache["c_states"][1, 0, 0] == pytest.approx(1.0, abs=1e-12)
         assert cache["h_final"][0, 0] == pytest.approx(0.7616, abs=5e-5)
@@ -212,13 +212,13 @@ class TestLstmStep:
             cache = nn._lstm_forward_batch(params, idx, lengths)
             c_final = cache["c_states"][lengths, np.arange(len(idx))]
             logits = nn.forward_logits(params, idx, lengths)
-            w, b = params.dense.w, params.dense.b
+            w, b = params.w_out, params.b_out
             for row in range(len(idx)):
                 h = [0.0] * cfg.hidden_dim
                 c = [0.0] * cfg.hidden_dim
                 for t in range(lengths[row]):
-                    x = params.embedding.weights[idx[row, t]]
-                    h, c = scalar_lstm_step(x, h, c, params.cell)
+                    x = params.embedding[idx[row, t]]
+                    h, c = scalar_lstm_step(x, h, c, params)
                 assert np.max(np.abs(cache["h_final"][row] - h),
                               initial=0.0) <= 1e-12
                 assert np.max(np.abs(c_final[row] - c), initial=0.0) <= 1e-12
@@ -250,8 +250,8 @@ class TestLstmForward:
         params = random_params(cfg, seed=3, bias_scale=1.0)
         idx = np.array([[4, 0, 0, 0], [2, 5, 1, 3]])
         cache = nn._lstm_forward_batch(params, idx, np.array([1, 4]))
-        h, c = scalar_lstm_step(params.embedding.weights[idx[0, 0]],
-                                [0.0, 0.0], [0.0, 0.0], params.cell)
+        h, c = scalar_lstm_step(params.embedding[idx[0, 0]],
+                                [0.0, 0.0], [0.0, 0.0], params)
         assert np.max(np.abs(cache["h_final"][0] - h)) <= 1e-12
         assert np.max(np.abs(cache["c_states"][1, 0] - c)) <= 1e-12
 
@@ -280,12 +280,12 @@ class TestEmbedForward:
 
     def params(self):
         params = nn.init_params(tiny_config(V=3, E=2, H=2, T=3))
-        params.embedding.weights[:] = self.weights
+        params.embedding[:] = self.weights
         return params
 
     def test_pad_row_is_zero(self):
         params = nn.init_params(tiny_config(V=3, E=2, H=2, T=3))
-        assert np.array_equal(params.embedding.weights[0], [0.0, 0.0])
+        assert np.array_equal(params.embedding[0], [0.0, 0.0])
         cache = nn._lstm_forward_batch(params, np.array([[0, 0], [1, 0]]),
                                        np.array([0, 1]))
         assert np.array_equal(cache["x"][:, 0], [[0.0, 0.0]])
@@ -314,8 +314,8 @@ class TestDenseForward:
     def test_bias_only(self):
         cfg = tiny_config(V=4, E=3, H=3, T=3)
         params = random_params(cfg, seed=2)
-        params.dense.w[:] = 0.0
-        params.dense.b[:] = [1.0, 2.0]
+        params.w_out[:] = 0.0
+        params.b_out[:] = [1.0, 2.0]
         logits = nn.forward_logits(params, np.array([[1, 2, 3], [3, 0, 0]]),
                                    np.array([3, 1]))
         assert np.array_equal(logits, [[1.0, 2.0], [1.0, 2.0]])
@@ -323,8 +323,8 @@ class TestDenseForward:
     def test_identity_weights(self):
         cfg = tiny_config(E=3, H=2, T=4)
         params = random_params(cfg, seed=5)
-        params.dense.w[:] = np.eye(2)
-        params.dense.b[:] = 0.0
+        params.w_out[:] = np.eye(2)
+        params.b_out[:] = 0.0
         idx, lengths, _ = random_batch(cfg, np.random.default_rng(5))
         h_final = nn._lstm_forward_batch(params, idx, lengths)["h_final"]
         assert np.array_equal(nn.forward_logits(params, idx, lengths),
@@ -336,7 +336,7 @@ class TestDenseForward:
         idx, lengths, _ = random_batch(cfg, np.random.default_rng(9))
         h_final = nn._lstm_forward_batch(params, idx, lengths)["h_final"]
         logits = nn.forward_logits(params, idx, lengths)
-        w, b = params.dense.w, params.dense.b
+        w, b = params.w_out, params.b_out
         for row in range(len(idx)):
             for k in range(2):
                 ref = b[k] + sum(w[k, j] * h_final[row, j] for j in range(4))
@@ -499,19 +499,19 @@ class TestAdam:
         cfg = nn.ModelConfig(vocab_size=1, embed_dim=1, hidden_dim=1,
                              num_classes=1, max_len=1)
         params = nn.init_params(cfg)
-        params.dense.b[:] = 1.0
+        params.b_out[:] = 1.0
         grads = {k: np.zeros_like(a) for k, a in params.arrays().items()}
         grads["b_out"] = np.array([1.0])
         state = nn.AdamState.for_params(params)
         nn.adam_step(params, grads, state, lr=0.1)
         # m-hat = v-hat = 1 on the first step: p = 1 - 0.1/(1 + 1e-8)
-        assert params.dense.b[0] == pytest.approx(0.9, abs=1e-8)
+        assert params.b_out[0] == pytest.approx(0.9, abs=1e-8)
 
     def test_two_steps_match_scalar_recurrence(self):
         cfg = nn.ModelConfig(vocab_size=1, embed_dim=1, hidden_dim=1,
                              num_classes=1, max_len=1)
         params = nn.init_params(cfg)
-        params.dense.b[:] = 1.0
+        params.b_out[:] = 1.0
         grads = {k: np.zeros_like(a) for k, a in params.arrays().items()}
         grads["b_out"] = np.array([1.0])
         state = nn.AdamState.for_params(params)
@@ -524,7 +524,7 @@ class TestAdam:
             v = 0.999 * v + 0.001 * 1.0
             p -= 0.1 * (m / (1 - 0.9 ** t)) / (math.sqrt(v / (1 - 0.999 ** t))
                                                + 1e-8)
-        assert params.dense.b[0] == pytest.approx(p, rel=1e-12)
+        assert params.b_out[0] == pytest.approx(p, rel=1e-12)
         assert state.t == 2
 
     def test_shape_mismatch_rejected(self):
@@ -553,7 +553,7 @@ class TestPredict:
         params = nn.init_params(cfg)
         for arr in params.arrays().values():
             arr[:] = 0.0
-        params.dense.b[:] = [5.0, -5.0]
+        params.b_out[:] = [5.0, -5.0]
         pred = nn.predict_encoded(params, EncodedSequence(np.array([1, 2, 0]), 2))
         assert pred.label == Label.NEGATIVE
         assert pred.probabilities[0] == pytest.approx(0.99995, abs=1e-5)
@@ -642,9 +642,9 @@ class TestCheckpoint:
         params = nn.init_params(tiny_config(), dtype=np.float32)
         nn.save_checkpoint(tmp_path / "m.bin", params)
         loaded, _ = nn.load_checkpoint(tmp_path / "m.bin")
-        assert loaded.embedding.weights.dtype == np.dtype("<f4")
-        assert np.array_equal(loaded.embedding.weights,
-                              params.embedding.weights)
+        assert loaded.embedding.dtype == np.dtype("<f4")
+        assert np.array_equal(loaded.embedding,
+                              params.embedding)
 
 
 # --- the per-step loop LSTM as the batched path's oracle ----------------------
@@ -662,18 +662,17 @@ def loop_sigmoid(x):
 
 
 def loop_forward(params, indices, lengths):
-    cell = params.cell
-    h_dim = cell.hidden_dim
+    h_dim = params.w_hh.shape[1]
     batch, seq_len = indices.shape
-    x = params.embedding.weights[indices]
+    x = params.embedding[indices]
     mask = (np.arange(seq_len)[None, :] < lengths[:, None]).astype(x.dtype)
     h_states = np.zeros((seq_len + 1, batch, h_dim))
     c_states = np.zeros((seq_len + 1, batch, h_dim))
     gates = np.zeros((seq_len, batch, 4 * h_dim))
     tanh_c = np.zeros((seq_len, batch, h_dim))
-    bias = cell.b_ih + cell.b_hh
+    bias = params.b_ih + params.b_hh
     for t in range(seq_len):
-        a = x[:, t, :] @ cell.w_ih.T + h_states[t] @ cell.w_hh.T + bias
+        a = x[:, t, :] @ params.w_ih.T + h_states[t] @ params.w_hh.T + bias
         i = loop_sigmoid(a[:, :h_dim])
         f = loop_sigmoid(a[:, h_dim:2 * h_dim])
         g = np.tanh(a[:, 2 * h_dim:3 * h_dim])
@@ -689,15 +688,14 @@ def loop_forward(params, indices, lengths):
 
 
 def loop_backward(params, cache, d_h_final):
-    cell = params.cell
-    h_dim = cell.hidden_dim
+    h_dim = params.w_hh.shape[1]
     x, mask = cache["x"], cache["mask"]
     h_states, c_states = cache["h_states"], cache["c_states"]
     gates, tanh_c = cache["gates"], cache["tanh_c"]
     batch, seq_len, _ = x.shape
-    d_w_ih = np.zeros_like(cell.w_ih)
-    d_w_hh = np.zeros_like(cell.w_hh)
-    d_b = np.zeros_like(cell.b_ih)
+    d_w_ih = np.zeros_like(params.w_ih)
+    d_w_hh = np.zeros_like(params.w_hh)
+    d_b = np.zeros_like(params.b_ih)
     d_x = np.zeros_like(x)
     dh = d_h_final.copy()
     dc = np.zeros((batch, h_dim))
@@ -714,10 +712,10 @@ def loop_backward(params, cache, d_h_final):
         d_w_ih += da.T @ x[:, t, :]
         d_w_hh += da.T @ h_states[t]
         d_b += da.sum(axis=0)
-        d_x[:, t, :] = da @ cell.w_ih
-        dh = da @ cell.w_hh + (1.0 - m) * dh
+        d_x[:, t, :] = da @ params.w_ih
+        dh = da @ params.w_hh + (1.0 - m) * dh
         dc = dc_total * f + (1.0 - m) * dc
-    d_emb = np.zeros_like(params.embedding.weights)
+    d_emb = np.zeros_like(params.embedding)
     np.add.at(d_emb, cache["indices"].reshape(-1),
               d_x.reshape(-1, d_x.shape[-1]))
     d_emb[0] = 0.0
@@ -828,7 +826,7 @@ class TestBlockedAdam:
         grads["embedding"][per_slice + 5, 0] = np.nan
         with pytest.raises(FloatingPointError, match="embedding"):
             nn.adam_step(params, grads, nn.AdamState.for_params(params), 0.1)
-        emb = params.embedding.weights
+        emb = params.embedding
         assert np.all(emb[1:per_slice] != before["embedding"][1:per_slice])
         assert np.array_equal(emb[per_slice:],
                               before["embedding"][per_slice:])

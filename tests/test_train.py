@@ -185,7 +185,7 @@ class TestEvaluateSplit:
         params = nn.init_params(cfg)
         for arr in params.arrays().values():
             arr[:] = 0.0
-        params.dense.b[:] = [10.0, -10.0]  # always predicts negative
+        params.b_out[:] = [10.0, -10.0]  # always predicts negative
         n_neg, n_pos = 845, 118
         idx = np.ones((n_neg + n_pos, 2), dtype=np.int64)
         lengths = np.full(n_neg + n_pos, 2, dtype=np.int64)
@@ -274,7 +274,7 @@ class TestWeightedLoss:
         params = nn.init_params(cfg)
         for arr in params.arrays().values():
             arr[:] = 0.0
-        params.dense.b[:] = [math.log(2), 0.0]
+        params.b_out[:] = [math.log(2), 0.0]
         grads, loss = nn.backward(params, np.array([[1, 2], [3, 0]]),
                                   np.array([2, 1]), np.array([0, 1]),
                                   training=False,

@@ -1,8 +1,23 @@
 import pytest
+import requests
 
-from sentimen.youtube import (AuthError, QuotaExceededError,
+from sentimen.youtube import (AuthError, FetchError, QuotaExceededError,
                               TransientFetchError, VideoNotFoundError,
                               fetch_comments)
+
+
+class FakeSession:
+    """Answers every request with ``reply``, or raises it."""
+
+    def __init__(self, reply):
+        self.reply = reply
+
+    def get(self, url, params, timeout):
+        if isinstance(self.reply, Exception):
+            raise self.reply
+        resp = requests.Response()
+        resp.status_code, resp._content = self.reply
+        return resp
 
 
 class TestPagination:
@@ -83,3 +98,22 @@ class TestErrors:
         with pytest.raises(ValueError):
             fetch_comments("vid", api_key="k", max_pages=-1,
                            base_url=server.url)
+
+    def test_connection_failure_is_retryable_without_key(self):
+        session = FakeSession(requests.ConnectionError("url?key=secret-key"))
+        with pytest.raises(TransientFetchError) as info:
+            fetch_comments("vid", api_key="secret-key", session=session)
+        assert info.value.retryable
+        assert "secret-key" not in str(info.value)
+        assert info.value.__cause__ is None and info.value.__suppress_context__
+
+    @pytest.mark.parametrize("body", [b"<html>oops</html>", b"[1, 2]"])
+    def test_200_body_not_a_json_object(self, body):
+        with pytest.raises(FetchError) as info:
+            fetch_comments("vid", api_key="k", session=FakeSession((200, body)))
+        assert not info.value.retryable
+
+    def test_error_body_not_a_json_object(self):
+        with pytest.raises(TransientFetchError):
+            fetch_comments("vid", api_key="k",
+                           session=FakeSession((503, b"[1, 2]")))
