@@ -14,10 +14,10 @@ from .preprocess import (PreprocessConfig, case_fold, clean, normalize_slang,
 from .stemmer import IndonesianStemmer
 from .vocab import (EncodedSequence, Vocabulary, build_vocab, decode, encode,
                     load_vocab, save_vocab)
-from .nn import (AdamState, ModelConfig, ModelParams, Prediction, adam_step,
-                 backward, count_parameters, cross_entropy, forward_logits,
-                 init_params, load_checkpoint, predict, predict_batch,
-                 save_checkpoint, softmax)
+from .nn import (AdamState, ModelConfig, ModelParams, Prediction, RowGrad,
+                 adam_step, backward, count_parameters, cross_entropy,
+                 forward_logits, init_params, load_checkpoint, predict,
+                 predict_batch, save_checkpoint, softmax)
 from .train import (EncodedDataset, EpochStats, TrainConfig, batch_iter,
                     evaluate_split, train)
 from .evaluation import (ClassificationReport, ConfusionMatrix, confusion,

@@ -83,7 +83,7 @@ SCHEMA = {
     "min_freq": ("1", _integer(1)),
     # empty -> 95th percentile of train lengths
     "max_len": ("", _integer(1, optional=True)),
-    # the sum-to-1 check is SplitSpec's
+    # resolve_config checks their sum through SplitSpec
     "train_fraction": ("0.70", _fraction),
     "val_fraction": ("0.15", _fraction),
     "test_fraction": ("0.15", _fraction),
@@ -106,11 +106,14 @@ SCHEMA = {
 
 class Config(dict):
     """Each key's value as ``SCHEMA`` parsed it; ``text`` keeps the
-    resolved strings, which ``echo_config`` writes."""
+    resolved strings, which ``echo_config`` writes, and ``split`` is the
+    ``SplitSpec`` of the three fractions and the seed."""
 
-    def __init__(self, values: dict, text: dict[str, str]):
+    def __init__(self, values: dict, text: dict[str, str],
+                 split: ingest.SplitSpec):
         super().__init__(values)
         self.text = text
+        self.split = split
 
 
 def parse_config_file(path: Path) -> dict[str, str]:
@@ -148,7 +151,14 @@ def resolve_config(args: argparse.Namespace) -> Config:
             values[key] = parse(text[key])
         except ValueError as exc:
             raise CliError(f"config {key} = '{text[key]}': {exc}") from None
-    return Config(values, text)
+    try:
+        split = ingest.SplitSpec(values["train_fraction"],
+                                 values["val_fraction"],
+                                 values["test_fraction"], seed=values["seed"])
+    except ValueError as exc:
+        raise CliError(f"config train_fraction, val_fraction, "
+                       f"test_fraction: {exc}") from None
+    return Config(values, text, split)
 
 
 def echo_config(cfg: Config, out_dir: Path) -> None:
@@ -214,6 +224,8 @@ def cmd_fetch(args, cfg) -> int:
     try:
         comments = youtube.fetch_comments(
             args.video_id, max_pages=args.max_pages, base_url=args.base_url)
+    except youtube.InvalidUrlError as exc:
+        raise CliError(f"fetch failed: {exc}") from None
     except youtube.FetchError as exc:
         raise CliError(f"fetch failed: {exc}", code=EXIT_EXTERNAL) from None
     ingest.save_csv(comments, args.out)
@@ -241,10 +253,8 @@ def _split_and_encode(args, cfg, pp):
     if not labels:
         raise CliError("corpus has no labeled records")
     docs = _tokenized(full, Path(args.corpus), pp, args.quiet)
-    spec = ingest.SplitSpec(cfg["train_fraction"], cfg["val_fraction"],
-                            cfg["test_fraction"], seed=cfg["seed"])
     return tuple(([docs[i] for i in part], [int(labels[i]) for i in part])
-                 for part in ingest.stratified_indices(labels, spec))
+                 for part in ingest.stratified_indices(labels, cfg.split))
 
 
 def _train_lstm(cfg, vocab, train_split, val_split, quiet):

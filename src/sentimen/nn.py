@@ -12,6 +12,13 @@ is a batch of one.  A batch runs only to its longest sequence and each
 row's final state is read at its own length, so forward and backward
 results on a padded sequence are bit-identical to the unpadded run and the
 pad embedding row stays frozen at zero.
+
+A batch touches at most B*T' of the embedding table's V rows, so
+``backward`` returns the embedding gradient as a ``RowGrad``: the sorted,
+unique touched rows and their summed gradients, with no dense (V, E)
+array built or scanned.  ``adam_step`` takes a ``RowGrad`` for any array
+and applies dense Adam to it exactly: every row's moments decay and every
+row steps, and only the touched rows add their gradient terms.
 """
 
 from __future__ import annotations
@@ -137,6 +144,38 @@ def init_params(config: ModelConfig, seed: int = 0,
 
 # --- batched forward/backward ----------------------------------------------
 
+@dataclass(frozen=True)
+class RowGrad:
+    """The gradient of an array that is zero outside ``rows``.
+
+    ``rows`` holds sorted, unique row indices and ``values[k]`` the
+    gradient of row ``rows[k]``.  A dense gradient is the case where every
+    row is listed.
+    """
+    rows: np.ndarray    # (K,) integer
+    values: np.ndarray  # (K,) + the array's shape[1:]
+
+    def check(self, shape: tuple[int, ...], name: str) -> None:
+        """Raise ``ValueError`` unless this is a gradient of a ``shape`` array."""
+        rows = self.rows
+        want = (len(rows),) + tuple(shape[1:])
+        if self.values.shape != want:
+            raise ValueError(f"gradient shape {self.values.shape} != "
+                             f"{want} for {name}")
+        if rows.ndim != 1 or rows.dtype.kind not in "iu":
+            raise ValueError(f"row gradient rows of {name} are not a 1-D "
+                             f"integer array")
+        if len(rows) and (rows[0] < 0 or rows[-1] >= shape[0]
+                          or np.any(rows[1:] <= rows[:-1])):
+            raise ValueError(f"row gradient rows of {name} are not sorted, "
+                             f"unique and in [0, {shape[0]})")
+
+    def dense(self, shape: tuple[int, ...], dtype) -> np.ndarray:
+        out = np.zeros(shape, dtype=dtype)
+        out[self.rows] = self.values
+        return out
+
+
 def dropout_mask(shape, rate: float, rng: np.random.Generator,
                  dtype=np.float64) -> np.ndarray:
     """Inverted-dropout multiplier: 0 with probability rate, else 1/(1-rate)."""
@@ -209,7 +248,8 @@ def _lstm_forward_batch(params: ModelParams, indices: np.ndarray,
 
 
 def _lstm_backward_batch(params: ModelParams, cache: dict,
-                         d_h_final: np.ndarray) -> dict[str, np.ndarray]:
+                         d_h_final: np.ndarray,
+                         ) -> dict[str, np.ndarray | RowGrad]:
     h_dim = params.w_hh.shape[1]
     x, lengths = cache["x"], cache["lengths"]
     h_states, c_states, tanh_c = (cache["h_states"], cache["c_states"],
@@ -251,10 +291,13 @@ def _lstm_backward_batch(params: ModelParams, cache: dict,
     d_w_ih = flat.T @ x.reshape(-1, x.shape[-1])
     d_w_hh = flat.T @ h_states[:-1].reshape(-1, h_dim)
     d_b = flat.sum(axis=0)
-    d_emb = np.zeros_like(params.embedding)
-    np.add.at(d_emb, cache["indices"].T.reshape(-1), flat @ params.w_ih)
-    d_emb[0] = 0.0  # pad row frozen
-    return {"embedding": d_emb, "w_ih": d_w_ih, "w_hh": d_w_hh,
+    # each touched row sums its positions in order, as a scatter into the
+    # dense table would
+    rows, slot = np.unique(cache["indices"].T.reshape(-1), return_inverse=True)
+    d_rows = np.zeros((len(rows), x.shape[-1]), dtype=dtype)
+    np.add.at(d_rows, slot, flat @ params.w_ih)
+    d_rows[rows == 0] = 0.0  # pad row frozen
+    return {"embedding": RowGrad(rows, d_rows), "w_ih": d_w_ih, "w_hh": d_w_hh,
             "b_ih": d_b, "b_hh": d_b.copy()}
 
 
@@ -271,8 +314,11 @@ def backward(params: ModelParams, indices: np.ndarray, lengths: np.ndarray,
              training: bool = True,
              class_weights: np.ndarray | None = None,
              logits_out: np.ndarray | None = None,
-             ) -> tuple[dict[str, np.ndarray], float]:
+             ) -> tuple[dict[str, np.ndarray | RowGrad], float]:
     """Full reverse-mode pass; returns (gradients, batch loss).
+
+    The embedding gradient is a ``RowGrad`` over the batch's token ids, the
+    pad row's values zero; the other gradients are dense arrays.
 
     Loss is the (optionally class-weight normalized) mean of per-example
     fused softmax cross-entropies; gradients match that reduction.  When
@@ -321,7 +367,8 @@ def backward(params: ModelParams, indices: np.ndarray, lengths: np.ndarray,
     grads["w_out"] = d_w_out
     grads["b_out"] = d_b_out
     for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
+        # a RowGrad's other rows are exactly zero
+        if not np.all(np.isfinite(g.values if isinstance(g, RowGrad) else g)):
             raise FloatingPointError(f"non-finite gradient in {name}")
     return grads, loss
 
@@ -348,7 +395,7 @@ class AdamState:
                    v={k: np.zeros_like(a) for k, a in params.arrays().items()})
 
 
-def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
+def adam_step(params: ModelParams, grads: dict[str, np.ndarray | RowGrad],
               state: AdamState, lr: float) -> tuple[ModelParams, AdamState]:
     """Bias-corrected Adam update, in place on the parameters and moments.
 
@@ -358,35 +405,53 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
     ``p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``, in the same order, so the
     result is bit-identical to it when gradients share the parameter dtype.
 
-    A non-finite update raises ``FloatingPointError`` at the first slice
-    that has one.  The update is then partial: the arrays and slices before
-    it, and that slice's moments, are already updated; the rest are not.
+    A gradient may be a dense array or a ``RowGrad``; a dense one is the
+    case where every row is touched.  Every row takes ``m *= b1``,
+    ``v *= b2`` and the parameter step, and only the touched rows add
+    ``(1-b1)*g`` and ``(1-b2)*g**2``.  For an untouched row that is the
+    plain formula with g = 0, where adding +0.0 changes no bit, with one
+    exception: a moment that underflows to -0.0 stays -0.0, where the dense
+    formula would make it +0.0.  The parameters are the same either way.
+
+    A gradient of the wrong shape, or a malformed ``RowGrad``, raises
+    ``ValueError`` before anything changes.  A non-finite update raises
+    ``FloatingPointError`` at the first slice that has one.  The update is
+    then partial: the arrays and slices before it, and that slice's
+    moments, are already updated; the rest are not.
     """
+    arrays = params.arrays()
+    touched = {}
+    for name, p in arrays.items():
+        g = grads[name]
+        if not isinstance(g, RowGrad):
+            g = RowGrad(np.arange(len(p)), np.asarray(g))
+        g.check(p.shape, name)
+        touched[name] = g
     state.t += 1
     b1, b2, eps = state.beta1, state.beta2, state.eps
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
-    for name, p in params.arrays().items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} != param {p.shape} "
-                             f"for {name}")
+    for name, p in arrays.items():
+        g = touched[name]
         m, v = state.m[name], state.v[name]
-        rows = max(1, _ADAM_BLOCK // max(1, math.prod(p.shape[1:])))
-        step_buf, den_buf = np.empty((2,) + p[:rows].shape, p.dtype)
+        n = max(1, _ADAM_BLOCK // max(1, math.prod(p.shape[1:])))
+        step_buf, den_buf = np.empty((2,) + p[:n].shape, p.dtype)
         finite_buf = np.empty(step_buf.shape, bool)
-        for s in range(0, len(p), rows):
-            pb, gb = p[s:s + rows], g[s:s + rows]
-            mb, vb = m[s:s + rows], v[s:s + rows]
+        # slice [s, s + n) holds the touched rows g.rows[lo:hi]
+        cuts = np.searchsorted(g.rows, range(0, len(p) + n, n))
+        for s, lo, hi in zip(range(0, len(p), n), cuts, cuts[1:]):
+            pb, mb, vb = p[s:s + n], m[s:s + n], v[s:s + n]
             step, den, finite = (b[:len(pb)] for b in
                                  (step_buf, den_buf, finite_buf))
+            gb, g_term = g.values[lo:hi], step[:hi - lo]
+            at = slice(None) if hi - lo == len(pb) else g.rows[lo:hi] - s
             mb *= b1
-            np.multiply(gb, 1.0 - b1, out=step)
-            mb += step
+            np.multiply(gb, 1.0 - b1, out=g_term)
+            mb[at] += g_term
             vb *= b2
-            np.square(gb, out=step)
-            step *= 1.0 - b2
-            vb += step
+            np.square(gb, out=g_term)
+            g_term *= 1.0 - b2
+            vb[at] += g_term
             np.divide(vb, bc2, out=den)
             np.sqrt(den, out=den)
             den += eps

@@ -40,6 +40,16 @@ class TransientFetchError(FetchError):
     retryable = True
 
 
+class InvalidUrlError(FetchError):
+    """A base URL that ``requests`` rejects before connecting."""
+
+
+# requests raises these before any connection is made
+_URL_ERRORS = (requests.exceptions.MissingSchema,
+               requests.exceptions.InvalidSchema,
+               requests.exceptions.InvalidURL)
+
+
 def _error_for(status: int, payload: dict) -> FetchError:
     reasons = {e.get("reason") for e in
                payload.get("error", {}).get("errors", [])}
@@ -54,15 +64,23 @@ def _error_for(status: int, payload: dict) -> FetchError:
     return FetchError(f"API request failed (HTTP {status})")
 
 
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise FetchError(f"API response {what} is not a JSON object (HTTP 200)")
+    return value
+
+
 def fetch_comments(video_id: str, api_key: str | None = None,
                    max_pages: int = 1, base_url: str = DEFAULT_BASE_URL,
                    page_size: int = PAGE_SIZE, timeout: float = 30.0,
                    session: requests.Session | None = None,
                    ) -> list[LabeledComment]:
     """Fetch up to ``max_pages`` pages of top-level comments, page order
-    preserved.  Raises before any network call on a missing key.  A failed
-    request raises ``TransientFetchError``, and a 200 response whose body is
-    not a JSON object ``FetchError``; neither message holds the key."""
+    preserved.  Raises before any network call on a missing key.  A base URL
+    that ``requests`` rejects raises ``InvalidUrlError``, another failed
+    request ``TransientFetchError``, and a 200 response whose body is not
+    the API's shape of JSON objects ``FetchError``; no message holds the
+    key."""
     key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
     if not key:
         raise AuthError(f"no API key: pass api_key or set {API_KEY_ENV}")
@@ -81,8 +99,11 @@ def fetch_comments(video_id: str, api_key: str | None = None,
             params["pageToken"] = page_token
         try:
             resp = sess.get(base_url, params=params, timeout=timeout)
+        # the exceptions' text holds the request URL, key included
+        except _URL_ERRORS as exc:
+            raise InvalidUrlError(
+                f"bad base URL {base_url}: {type(exc).__name__}") from None
         except requests.RequestException as exc:
-            # the exception's text holds the request URL, key included
             raise TransientFetchError(
                 f"request to {base_url} failed: {type(exc).__name__}") from None
         try:
@@ -92,11 +113,15 @@ def fetch_comments(video_id: str, api_key: str | None = None,
         if resp.status_code != 200:
             raise _error_for(resp.status_code,
                              body if isinstance(body, dict) else {})
-        if not isinstance(body, dict):
-            raise FetchError("API response is not a JSON object (HTTP 200)")
-        for item in body.get("items", []):
-            top = item.get("snippet", {}).get("topLevelComment", {})
-            snippet = top.get("snippet", {})
+        items = _json_object(body, "body").get("items", [])
+        if not isinstance(items, list):
+            raise FetchError("API response items is not a list (HTTP 200)")
+        for item in items:
+            outer = _json_object(_json_object(item, "item").get("snippet", {}),
+                                 "item snippet")
+            top = _json_object(outer.get("topLevelComment", {}),
+                               "topLevelComment")
+            snippet = _json_object(top.get("snippet", {}), "comment snippet")
             text = snippet.get("textOriginal") or snippet.get("textDisplay") or ""
             comments.append(LabeledComment(
                 id=top.get("id", ""), source=video_id, text=text, label=None))

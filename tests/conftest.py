@@ -6,6 +6,7 @@ from urllib.parse import parse_qs, urlparse
 
 import pytest
 
+from sentimen import nn
 from sentimen.preprocess import PreprocessConfig
 
 # small labeled corpus in the canonical CSV shape; texts only use words the
@@ -35,6 +36,13 @@ NEGATIVE_TEXTS = [
 @pytest.fixture(scope="session")
 def pp_cfg() -> PreprocessConfig:
     return PreprocessConfig.default()
+
+
+def dense_grads(params, grads):
+    """``nn.backward``'s gradients with each ``RowGrad`` made a dense array."""
+    arrays = params.arrays()
+    return {name: g.dense(arrays[name].shape, arrays[name].dtype)
+            if isinstance(g, nn.RowGrad) else g for name, g in grads.items()}
 
 
 def write_corpus_csv(path, rows):

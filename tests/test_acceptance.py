@@ -15,7 +15,7 @@ from sentimen.preprocess import _data_text, load_root_words
 from sentimen.stemmer import IndonesianStemmer
 from sentimen.train import EncodedDataset, TrainConfig, evaluate_split, train
 
-from conftest import write_corpus_csv
+from conftest import dense_grads, write_corpus_csv
 
 
 def ok(num: int, text: str) -> None:
@@ -88,6 +88,7 @@ def test_c04_gradient_correctness_20_random_models():
         labels = rng.integers(0, 2, size=batch)
 
         grads, _ = nn.backward(params, idx, lengths, labels, training=False)
+        grads = dense_grads(params, grads)
         eps = 1e-5
         for name, p in params.arrays().items():
             it = np.nditer(p, flags=["multi_index"])
@@ -142,6 +143,7 @@ def test_c05_masking_equivalence_100_cases():
         g_pad, l_pad = nn.backward(params, padded, lengths, label,
                                    training=False)
         worst = max(worst, abs(l_real - l_pad))
+        g_real, g_pad = dense_grads(params, g_real), dense_grads(params, g_pad)
         for name in g_real:
             worst = max(worst,
                         float(np.max(np.abs(g_real[name] - g_pad[name]))))

@@ -107,6 +107,19 @@ def test_bad_flag_value_exit_2_before_any_work(tmp_path, separable_csv,
     assert not out_dir.exists()
 
 
+def test_split_fractions_not_summing_to_1_exit_2_before_any_work(tmp_path,
+                                                                 capsys):
+    cfg = tmp_path / "split.cfg"
+    cfg.write_text("train_fraction = 0.5\n", "utf-8")
+    out_dir = tmp_path / "run"
+    # the corpus does not exist: reading it would be a different error
+    assert run_cli("--out-dir", out_dir, "train", tmp_path / "absent.csv",
+                   "--config", cfg) == 2
+    err = assert_one_error_line(capsys, "error: config ")
+    assert "sum to 0.8" in err
+    assert not out_dir.exists()
+
+
 def test_good_values_resolve_typed(tmp_path):
     path = tmp_path / "good.cfg"
     path.write_text("shuffle = YES\nclass_weights = 1, 3\nmax_len =\n",
@@ -488,4 +501,34 @@ class TestFetchCommand:
         assert run_cli("fetch", "vid", "--out", out,
                        "--base-url", base_url) == 3
         assert key not in assert_one_error_line(capsys, "error: fetch failed")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("body", [b'{"items": ["x"]}',
+                                      b'{"items": [{"snippet": 5}]}',
+                                      b'{"items": 7}'])
+    def test_malformed_body_exit_3(self, tmp_path, monkeypatch, capsys, body):
+        monkeypatch.setenv("SENTIMEN_API_KEY", "k")
+
+        class FakeSession:
+            def get(self, url, params, timeout):
+                resp = requests.Response()
+                resp.status_code, resp._content = 200, body
+                return resp
+
+        monkeypatch.setattr(cli.youtube, "fetch_comments", functools.partial(
+            youtube.fetch_comments, session=FakeSession()))
+        out = tmp_path / "fetched.csv"
+        assert run_cli("fetch", "vid", "--out", out) == 3
+        assert_one_error_line(capsys, "error: fetch failed: API response")
+        assert not out.exists()
+
+    def test_bad_base_url_exit_2(self, tmp_path, monkeypatch, capsys):
+        key = "secret-key-123"
+        monkeypatch.setenv("SENTIMEN_API_KEY", key)
+        out = tmp_path / "f.csv"
+        assert run_cli("fetch", "vid", "--base-url", "notaurl",
+                       "--out", out) == 2
+        err = assert_one_error_line(capsys, "error: fetch failed: ")
+        assert "notaurl" in err and "MissingSchema" in err
+        assert key not in err
         assert not out.exists()

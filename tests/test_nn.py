@@ -9,6 +9,8 @@ from sentimen import nn
 from sentimen.ingest import Label
 from sentimen.vocab import EncodedSequence
 
+from conftest import dense_grads
+
 
 def tiny_config(V=6, E=3, H=4, C=2, T=5, fc_dropout=0.0, **kw):
     return nn.ModelConfig(vocab_size=V, embed_dim=E, hidden_dim=H,
@@ -386,6 +388,7 @@ class TestBackward:
             idx, lengths, labels = random_batch(cfg, rng, batch=2)
             grads, _ = nn.backward(params, idx, lengths, labels,
                                    training=False)
+            grads = dense_grads(params, grads)
             assert gradcheck_max_rel_error(params, grads, idx, lengths,
                                            labels) < 1e-4
 
@@ -397,6 +400,7 @@ class TestBackward:
         idx = np.array([[1, 2, 0]])
         grads, loss = nn.backward(params, idx, np.array([2]), np.array([0]),
                                   training=False)
+        grads = dense_grads(params, grads)
         assert loss == pytest.approx(math.log(2), abs=1e-12)
         assert np.allclose(grads["b_out"], [-0.5, 0.5], atol=1e-12)
         for name in ("embedding", "w_ih", "w_hh", "b_ih", "b_hh", "w_out"):
@@ -413,6 +417,8 @@ class TestBackward:
                                      np.repeat(lengths, 2),
                                      np.repeat(labels, 2), training=False)
         assert loss2 == pytest.approx(loss1, rel=1e-12)
+        single, doubled = (dense_grads(params, single),
+                           dense_grads(params, doubled))
         for name in single:
             assert np.allclose(single[name], doubled[name], atol=1e-12)
 
@@ -422,7 +428,7 @@ class TestBackward:
         idx = np.array([[1, 2, 3, 0, 0]])
         grads, _ = nn.backward(params, idx, np.array([3]), np.array([1]),
                                training=False)
-        assert np.all(grads["embedding"][0] == 0.0)
+        assert np.all(dense_grads(params, grads)["embedding"][0] == 0.0)
 
     def test_empty_batch_rejected(self):
         cfg = tiny_config()
@@ -476,6 +482,8 @@ class TestMaskingEquivalence:
             g_pad, l_pad = nn.backward(params, padded, lengths, label,
                                        training=False)
             assert l_real == l_pad
+            g_real, g_pad = (dense_grads(params, g_real),
+                             dense_grads(params, g_pad))
             for name in g_real:
                 if name == "embedding":
                     # padded run has extra (all-zero) pad-row slots
@@ -743,7 +751,8 @@ class TestBatchedPathMatchesLoop:
             assert np.array_equal(logits_only["h_final"], new["h_final"])
 
             d_h = rng.normal(size=(len(idx), cfg.hidden_dim))
-            g_new = nn._lstm_backward_batch(params, new, d_h)
+            g_new = dense_grads(params,
+                                nn._lstm_backward_batch(params, new, d_h))
             g_old = loop_backward(params, old, d_h)
             for name, want in g_old.items():
                 assert np.max(np.abs(g_new[name] - want)) <= 1e-12, name
@@ -757,8 +766,8 @@ class TestBatchedPathMatchesLoop:
         cache = nn._lstm_forward_batch(params, idx, lengths)
         assert cache["gates"].shape[0] == 0
         assert np.array_equal(cache["h_final"], np.zeros((3, cfg.hidden_dim)))
-        grads = nn._lstm_backward_batch(params, cache,
-                                        np.ones((3, cfg.hidden_dim)))
+        grads = dense_grads(params, nn._lstm_backward_batch(
+            params, cache, np.ones((3, cfg.hidden_dim))))
         assert all(np.all(g == 0.0) for g in grads.values())
 
     def test_logits_out_are_the_inference_logits(self):
@@ -833,6 +842,205 @@ class TestBlockedAdam:
         for k, a in params.arrays().items():
             if k != "embedding":
                 assert np.array_equal(a, before[k]), k
+
+
+# --- the row-sparse embedding gradient ----------------------------------------
+
+def dense_embedding_grad(params, idx, lengths, labels):
+    """The embedding gradient as a dense scatter-add of each position's
+    gradient, in time-major order, with the pad row zeroed.
+
+    A position's gradient is read off a copy of the model whose table gives
+    every non-pad position a row of its own (the same vector), so the
+    forward and backward arithmetic are the model's own."""
+    v = params.config.vocab_size
+    steps = int(lengths.max(initial=0))
+    ids = idx[:, :steps].T.reshape(-1)
+    own = np.where(ids != 0, v + np.arange(len(ids)), 0)
+    spread = nn.ModelParams(
+        params.config, **{**params.arrays(), "embedding": np.concatenate(
+            [params.embedding, params.embedding[ids]])})
+    spread_idx = idx.copy()
+    spread_idx[:, :steps] = own.reshape(steps, -1).T
+    grads, _ = nn.backward(spread, spread_idx, lengths, labels,
+                           training=False)
+    per_position = grads["embedding"].dense(spread.embedding.shape,
+                                            params.embedding.dtype)[own]
+    want = np.zeros_like(params.embedding)
+    np.add.at(want, ids, per_position)
+    want[0] = 0.0
+    return want
+
+
+class TestRowGrad:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_densifies_to_the_dense_scatter(self, dtype):
+        rng = np.random.default_rng(41)
+        cfg = tiny_config(V=7, E=3, H=4, T=6)
+        params = nn.init_params(cfg, seed=2, dtype=dtype)
+        idx, lengths = batch_with_gaps(cfg, rng, 5)
+        idx[1:, :2] = 3          # a repeated id in every row
+        idx[2, 1] = 0            # the pad id inside a sequence
+        lengths[1:] = np.maximum(lengths[1:], 2)
+        labels = rng.integers(0, 2, size=5)
+        grads, _ = nn.backward(params, idx, lengths, labels, training=False)
+        g = grads["embedding"]
+        steps = lengths.max()
+        assert np.array_equal(g.rows, np.unique(idx[:, :steps]))
+        assert g.values.dtype == dtype
+        assert g.values.shape == (len(g.rows), cfg.embed_dim)
+        assert np.array_equal(g.dense(params.embedding.shape, dtype),
+                              dense_embedding_grad(params, idx, lengths,
+                                                   labels))
+        assert np.all(g.values[g.rows == 0] == 0.0)
+
+    def test_all_empty_batch_touches_no_row(self):
+        params = random_params(tiny_config(), seed=3)
+        idx = np.zeros((2, 5), dtype=np.int64)
+        grads, _ = nn.backward(params, idx, np.zeros(2, np.int64),
+                               np.array([0, 1]), training=False)
+        g = grads["embedding"]
+        assert g.rows.shape == (0,) and g.values.shape == (0, 3)
+        assert np.array_equal(g.dense((6, 3), np.float64), np.zeros((6, 3)))
+
+    def test_backward_allocates_nothing_table_sized(self):
+        import tracemalloc
+        cfg = nn.ModelConfig(vocab_size=100_000, embed_dim=16, hidden_dim=4,
+                             max_len=8, fc_dropout=0.0)
+        params = nn.init_params(cfg, seed=0)
+        idx, lengths, labels = random_batch(cfg, np.random.default_rng(2),
+                                            batch=4)
+        tracemalloc.start()
+        try:
+            nn.backward(params, idx, lengths, labels, training=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < params.embedding.nbytes // 10
+
+    def test_adam_matches_the_dense_formula(self):
+        # a table of 2.5 slices; the row sets cross slice boundaries, touch
+        # the partial last slice and row 0, and one step touches nothing
+        per_slice = nn._ADAM_BLOCK // 16
+        n_rows = 5 * per_slice // 2 + 3
+        cfg = nn.ModelConfig(vocab_size=n_rows, embed_dim=16, hidden_dim=3,
+                             num_classes=2, max_len=4)
+        rng = np.random.default_rng(13)
+        row_sets = [
+            [0, per_slice - 1, per_slice, per_slice + 1, n_rows - 1],
+            [],
+            sorted(rng.choice(n_rows, 300, replace=False)),
+            [per_slice - 2, per_slice - 1, 2 * per_slice, 2 * per_slice + 7],
+        ]
+        for dtype in (np.float32, np.float64):
+            params = nn.init_params(cfg, seed=1, dtype=dtype)
+            state = nn.AdamState.for_params(params)
+            want = {k: a.copy() for k, a in params.arrays().items()}
+            m = {k: np.zeros_like(a) for k, a in want.items()}
+            v = {k: np.zeros_like(a) for k, a in want.items()}
+            for t, rows in enumerate(row_sets, start=1):
+                rows = np.array(rows, dtype=np.int64)
+                grads = {k: rng.normal(size=a.shape).astype(dtype)
+                         for k, a in want.items()}
+                grads["embedding"] = nn.RowGrad(rows, rng.normal(
+                    size=(len(rows), 16)).astype(dtype))
+                dense = dense_grads(params, grads)
+                nn.adam_step(params, grads, state, lr=0.01)
+                for k in want:
+                    unblocked_adam_step(want[k], dense[k], m[k], v[k], t, 0.01)
+                want["embedding"][0] = 0.0
+                for k, a in params.arrays().items():
+                    assert np.array_equal(a, want[k]), (dtype, t, k)
+                    assert np.array_equal(state.m[k], m[k]), (dtype, t, k)
+                    assert np.array_equal(state.v[k], v[k]), (dtype, t, k)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_touched_row_rejected_by_backward(self, bad):
+        cfg = tiny_config()
+        params = random_params(cfg, seed=4)
+        idx, lengths, labels = random_batch(cfg, np.random.default_rng(3))
+        params.embedding[idx[0, 0]] = bad
+        with pytest.raises(FloatingPointError, match="embedding"):
+            nn.backward(params, idx, lengths, labels, training=False)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_touched_row_stops_adam_at_its_slice(self, bad):
+        per_slice = nn._ADAM_BLOCK // 16
+        cfg = nn.ModelConfig(vocab_size=3 * per_slice, embed_dim=16,
+                             hidden_dim=3, num_classes=2, max_len=4)
+        params = nn.init_params(cfg, seed=1)
+        before = params.embedding.copy()
+        grads = {k: np.ones_like(a) for k, a in params.arrays().items()}
+        values = np.ones((3, 16))
+        values[1, 4] = bad
+        grads["embedding"] = nn.RowGrad(
+            np.array([3, per_slice + 5, 2 * per_slice]), values)
+        with pytest.raises(FloatingPointError, match="embedding"):
+            nn.adam_step(params, grads, nn.AdamState.for_params(params), 0.1)
+        # the first slice's touched row stepped; the slice it fails in and
+        # the next did not
+        assert np.all(params.embedding[3] != before[3])
+        assert np.array_equal(params.embedding[per_slice:], before[per_slice:])
+
+    @pytest.mark.parametrize("rows,values_shape", [
+        ([1, 2], (3, 3)),        # fewer rows than values
+        ([1, 2], (2, 4)),        # values of the wrong width
+        ([1, 2], (2,)),          # values of the wrong rank
+        ([2, 1], (2, 3)),        # unsorted
+        ([1, 1], (2, 3)),        # duplicated
+        ([-1, 2], (2, 3)),       # out of range below
+        ([1, 6], (2, 3)),        # out of range above
+        ([[1, 2]], (1, 3)),      # rows not 1-D
+        ([1.0, 2.0], (2, 3)),    # rows not integer
+    ])
+    def test_malformed_row_gradient_rejected(self, rows, values_shape):
+        cfg = tiny_config()  # V = 6, E = 3
+        params = random_params(cfg, seed=5)
+        before = {k: a.copy() for k, a in params.arrays().items()}
+        state = nn.AdamState.for_params(params)
+        grads = {k: np.ones_like(a) for k, a in params.arrays().items()}
+        grads["embedding"] = nn.RowGrad(np.array(rows), np.ones(values_shape))
+        with pytest.raises(ValueError, match="embedding"):
+            nn.adam_step(params, grads, state, 0.1)
+        assert state.t == 0
+        for k, a in params.arrays().items():
+            assert np.array_equal(a, before[k]), k
+
+    def test_seeded_training_matches_dense_adam(self):
+        from sentimen.train import (EncodedDataset, TrainConfig, batch_iter,
+                                    train)
+        # a table of 2.5 Adam slices, with dropout drawing from the rng
+        cfg = nn.ModelConfig(vocab_size=5 * nn._ADAM_BLOCK // 32, embed_dim=16,
+                             hidden_dim=4, max_len=6, fc_dropout=0.5)
+        rng = np.random.default_rng(8)
+        idx = rng.integers(1, cfg.vocab_size, size=(40, 6))
+        lengths = rng.integers(1, 7, size=40)
+        for b in range(40):
+            idx[b, lengths[b]:] = 0
+        ds = EncodedDataset(idx, lengths, np.arange(40) % 2)
+        tcfg = TrainConfig(batch_size=8, epochs=2, seed=5, learning_rate=0.01)
+        result = train(nn.init_params(cfg, seed=5), ds, None, tcfg)
+
+        want = nn.init_params(cfg, seed=5)
+        arrays = want.arrays()
+        m = {k: np.zeros_like(a) for k, a in arrays.items()}
+        v = {k: np.zeros_like(a) for k, a in arrays.items()}
+        drop_rng = np.random.default_rng((tcfg.seed, 2))
+        t = 0
+        for epoch in range(tcfg.epochs):
+            for batch in batch_iter(ds, tcfg.batch_size, True, tcfg.seed,
+                                    epoch):
+                grads, _ = nn.backward(want, batch.indices, batch.lengths,
+                                       batch.labels, rng=drop_rng)
+                t += 1
+                for k, g in dense_grads(want, grads).items():
+                    unblocked_adam_step(arrays[k], g, m[k], v[k], t,
+                                        tcfg.learning_rate)
+                want.embedding[0] = 0.0
+        for k, a in result.final_params.arrays().items():
+            assert np.array_equal(a, arrays[k]), k
 
 
 class TestPredictBatch:

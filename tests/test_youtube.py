@@ -1,9 +1,9 @@
 import pytest
 import requests
 
-from sentimen.youtube import (AuthError, FetchError, QuotaExceededError,
-                              TransientFetchError, VideoNotFoundError,
-                              fetch_comments)
+from sentimen.youtube import (AuthError, FetchError, InvalidUrlError,
+                              QuotaExceededError, TransientFetchError,
+                              VideoNotFoundError, fetch_comments)
 
 
 class FakeSession:
@@ -117,3 +117,27 @@ class TestErrors:
         with pytest.raises(TransientFetchError):
             fetch_comments("vid", api_key="k",
                            session=FakeSession((503, b"[1, 2]")))
+
+    @pytest.mark.parametrize("body", [
+        b'{"items": "x"}',
+        b'{"items": {"0": {}}}',
+        b'{"items": ["x"]}',
+        b'{"items": [{"snippet": "x"}]}',
+        b'{"items": [{"snippet": {"topLevelComment": 3}}]}',
+        b'{"items": [{"snippet": {"topLevelComment": {"snippet": []}}}]}',
+    ])
+    def test_200_body_of_the_wrong_shape(self, body):
+        with pytest.raises(FetchError) as info:
+            fetch_comments("vid", api_key="k", session=FakeSession((200, body)))
+        assert not info.value.retryable
+
+    @pytest.mark.parametrize("base_url,kind", [
+        ("notaurl", "MissingSchema"), ("ftp2://host/x", "InvalidSchema"),
+        ("http://", "InvalidURL")])
+    def test_bad_base_url_is_not_retryable(self, base_url, kind):
+        # requests rejects these URLs before it opens a connection
+        with pytest.raises(InvalidUrlError) as info:
+            fetch_comments("vid", api_key="secret-key", base_url=base_url)
+        assert not info.value.retryable
+        assert base_url in str(info.value) and kind in str(info.value)
+        assert "secret-key" not in str(info.value)
