@@ -40,8 +40,9 @@ for token, index in sorted(vocab.token_to_index.items(), key=lambda kv: kv[1]):
     print(f"  {index}: {token}")
 
 max_len = suggest_max_len(corpus)
-seq = encode(["makan", "lezat", "gratis"], vocab, max_len=5)
-print(f"\nencode(['makan', 'lezat', 'gratis'], max_len=5):")
-print(f"  indices     = {seq.indices.tolist()}  ('lezat' is out-of-vocabulary)")
-print(f"  true_length = {seq.true_length}")
-print(f"  decoded     = {decode(seq, vocab)}")
+docs = [["makan", "lezat", "gratis"], ["gratis"]]
+indices, lengths = encode(docs, vocab, max_len=5)
+print(f"\nencode({docs}, max_len=5):")
+print(f"  indices = {indices.tolist()}  ('lezat' is out-of-vocabulary)")
+print(f"  lengths = {lengths.tolist()}")
+print(f"  decoded = {[decode(row, vocab) for row in indices]}")

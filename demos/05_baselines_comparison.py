@@ -43,14 +43,14 @@ rows = run_comparison(docs, labels, docs, labels, vocab, seed=0)
 
 # the LSTM on the same documents
 max_len = 3
-seqs = [encode(d, vocab, max_len) for d in docs]
-ds = EncodedDataset.from_sequences(seqs, labels)
+indices, lengths = encode(docs, vocab, max_len)
+ds = EncodedDataset(indices, lengths, np.array(labels))
 cfg = nn.ModelConfig(vocab_size=vocab.size, embed_dim=16, hidden_dim=16,
                      max_len=max_len, fc_dropout=0.0)
 params = nn.init_params(cfg, seed=0)
 train(params, ds, None, TrainConfig(batch_size=8, learning_rate=0.02,
                                     epochs=40, seed=0))
-preds = [int(p.label) for p in nn.predict_batch(params, seqs)]
+preds = [int(p.label) for p in nn.predict_encoded(params, indices, lengths)]
 lstm_rep = report(preds, labels)
 from sentimen.baselines import ComparisonRow
 rows.append(ComparisonRow("lstm", lstm_rep.accuracy, lstm_rep.macro_f1))

@@ -275,8 +275,8 @@ def _train_lstm(cfg, vocab, train_split, val_split, quiet):
         print("warning: epochs = 0, nothing to train", file=sys.stderr)
 
     def enc(docs, labels):
-        return EncodedDataset.from_sequences(
-            [encode(d, vocab, max_len) for d in docs], labels)
+        return EncodedDataset(*encode(docs, vocab, max_len),
+                              np.array(labels, dtype=np.int64))
 
     result = train_model(params, enc(*train_split),
                          enc(*val_split) if val_split[0] else None,
@@ -346,8 +346,8 @@ def cmd_evaluate(args, cfg) -> int:
     pp = preprocess_config(args)
     docs = _tokenized(full, Path(args.test_csv), pp, args.quiet)
 
-    preds = [int(p.label) for p in nn.predict_batch(
-        params, [encode(tokens, vocab, max_len) for tokens in docs])]
+    preds = [int(p.label) for p in nn.predict_encoded(
+        params, *encode(docs, vocab, max_len))]
     truth = [int(r.label) for r in ds.records]
 
     cm = evaluation.confusion(preds, truth)
@@ -396,8 +396,8 @@ def cmd_compare(args, cfg) -> int:
     result, max_len = _train_lstm(cfg, vocab, (train_docs, train_labels),
                                   (val_docs, val_labels), args.quiet)
     model = result.final_params
-    lstm_preds = [int(p.label) for p in nn.predict_batch(
-        model, [encode(d, vocab, max_len) for d in test_docs])]
+    lstm_preds = [int(p.label) for p in nn.predict_encoded(
+        model, *encode(test_docs, vocab, max_len))]
     lstm_rep = evaluation.report(lstm_preds, test_labels)
     rows.append(baselines.ComparisonRow("lstm", lstm_rep.accuracy,
                                         lstm_rep.macro_f1))

@@ -67,15 +67,7 @@ class Dataset:
         return Dataset(tuple(r for r in self.records if r.label is not None))
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    id_col: str = "id"
-    source_col: str = "source"
-    text_col: str = "text"
-    label_col: str = "label"
-
-
-DEFAULT_SCHEMA = CsvSchema()
+COLUMNS = ("id", "source", "text", "label")
 
 
 def _parse_label(raw: str) -> Label | None:
@@ -87,12 +79,13 @@ def _parse_label(raw: str) -> Label | None:
     return _NAME_TO_LABEL[name]
 
 
-def load_csv(path: str | Path, schema: CsvSchema = DEFAULT_SCHEMA,
-             strict: bool = True) -> Dataset:
+def load_csv(path: str | Path, strict: bool = True) -> Dataset:
     """Load a corpus CSV.
 
     In strict mode any bad row aborts with its row number; in lenient mode
-    bad rows are skipped and tallied on ``Dataset.skipped``.
+    bad rows are skipped and tallied on ``Dataset.skipped``.  A row the csv
+    module cannot read, such as one with a field over its size limit,
+    aborts in either mode.
     """
     path = Path(path)
     if not path.exists():
@@ -100,30 +93,37 @@ def load_csv(path: str | Path, schema: CsvSchema = DEFAULT_SCHEMA,
 
     records: list[LabeledComment] = []
     skipped: list[tuple[int, str]] = []
+    row_no = 1  # the row being read; 1 is the header
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise CorpusError(f"{path}: empty file, expected a header row")
-        for col in (schema.id_col, schema.source_col, schema.text_col, schema.label_col):
-            if col not in reader.fieldnames:
-                raise CorpusError(f"{path}: missing column {col!r} "
-                                  f"(header has {reader.fieldnames})")
-        for row_no, row in enumerate(reader, start=2):  # 1 is the header
-            try:
-                label = _parse_label(row[schema.label_col] or "")
-                text = row[schema.text_col] or ""
-                if label is not None and not text.strip():
-                    raise CorpusError("empty text on a labeled row")
-                records.append(LabeledComment(
-                    id=(row[schema.id_col] or "").strip(),
-                    source=(row[schema.source_col] or "").strip(),
-                    text=text,
-                    label=label,
-                ))
-            except CorpusError as exc:
-                if strict:
-                    raise CorpusError(f"{path}: row {row_no}: {exc}") from None
-                skipped.append((row_no, str(exc)))
+        try:
+            if reader.fieldnames is None:
+                raise CorpusError(f"{path}: empty file, expected a header row")
+            for col in COLUMNS:
+                if col not in reader.fieldnames:
+                    raise CorpusError(f"{path}: missing column {col!r} "
+                                      f"(header has {reader.fieldnames})")
+            row_no = 2
+            for row in reader:
+                try:
+                    label = _parse_label(row["label"] or "")
+                    text = row["text"] or ""
+                    if label is not None and not text.strip():
+                        raise CorpusError("empty text on a labeled row")
+                    records.append(LabeledComment(
+                        id=(row["id"] or "").strip(),
+                        source=(row["source"] or "").strip(),
+                        text=text,
+                        label=label,
+                    ))
+                except CorpusError as exc:
+                    if strict:
+                        raise CorpusError(
+                            f"{path}: row {row_no}: {exc}") from None
+                    skipped.append((row_no, str(exc)))
+                row_no += 1
+        except csv.Error as exc:
+            raise CorpusError(f"{path}: row {row_no}: {exc}") from None
     return Dataset(tuple(records), tuple(skipped))
 
 
@@ -143,7 +143,7 @@ def save_csv(ds: Dataset | Iterable[LabeledComment], path: str | Path,
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["id", "source", "text", "label", *extra.keys()])
+        writer.writerow([*COLUMNS, *extra.keys()])
         for i, r in enumerate(records):
             name = "" if r.label is None else LABEL_NAMES[r.label]
             writer.writerow([r.id, r.source, r.text, name,

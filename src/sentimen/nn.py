@@ -28,12 +28,12 @@ import struct
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from .ingest import Label
-from .vocab import EncodedSequence, Vocabulary, encode
+from .vocab import Vocabulary, encode
 
 GATE_ORDER = "ifgo"
 
@@ -379,15 +379,17 @@ def backward(params: ModelParams, indices: np.ndarray, lengths: np.ndarray,
 # gradients, moments and scratch stay in cache between passes
 _ADAM_BLOCK = 1 << 16
 
+# Adam's moment decay rates and denominator epsilon
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
@@ -428,7 +430,7 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray | RowGrad],
         g.check(p.shape, name)
         touched[name] = g
     state.t += 1
-    b1, b2, eps = state.beta1, state.beta2, state.eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     for name, p in arrays.items():
@@ -474,48 +476,43 @@ class Prediction:
     low_confidence: bool = False
 
 
-# sequences per forward pass of predict_batch
+# sequences per forward pass of predict_encoded and train.evaluate_split
 _PREDICT_BATCH = 256
 
 
-def length_sorted_batches(lengths: np.ndarray,
-                          batch_size: int) -> Iterator[np.ndarray]:
-    """Row indices in batches of ``batch_size``, ordered by length (stable),
-    so ``forward_logits`` trims each batch to little more than its rows."""
+def length_sorted_batches(lengths: np.ndarray) -> Iterator[np.ndarray]:
+    """Row indices in batches of ``_PREDICT_BATCH``, ordered by length
+    (stable), so ``forward_logits`` trims each batch to little more than
+    its rows."""
     order = np.argsort(lengths, kind="stable")
-    for start in range(0, len(order), batch_size):
-        yield order[start:start + batch_size]
+    for start in range(0, len(order), _PREDICT_BATCH):
+        yield order[start:start + _PREDICT_BATCH]
 
 
-def predict_batch(params: ModelParams,
-                  seqs: Sequence[EncodedSequence]) -> list[Prediction]:
-    """Predictions for many encoded sequences, in their order.
+def predict_encoded(params: ModelParams, indices: np.ndarray,
+                    lengths: np.ndarray) -> list[Prediction]:
+    """Predictions for the rows of an encoded corpus, in their order.
 
     ``forward_logits`` runs over batches sorted by length, so each batch is
-    trimmed to little more than its own sequences.  The label is the argmax
-    of the float64 softmax, ties to Negative; a sequence left empty by
-    preprocessing is Negative off the zero-state pass, flagged low-confidence.
+    trimmed to little more than its own rows.  The label is the argmax of
+    the float64 softmax, ties to Negative; a row left empty by
+    preprocessing is Negative off the zero-state pass, flagged
+    low-confidence.
     """
-    lengths = np.array([s.true_length for s in seqs], dtype=np.int64)
-    probs = np.empty((len(seqs), params.b_out.shape[0]))
-    for sel in length_sorted_batches(lengths, _PREDICT_BATCH):
-        indices = np.stack([seqs[k].indices for k in sel])
-        probs[sel] = softmax(forward_logits(params, indices, lengths[sel]))
+    probs = np.empty((len(lengths), params.b_out.shape[0]))
+    for sel in length_sorted_batches(lengths):
+        probs[sel] = softmax(forward_logits(params, indices[sel], lengths[sel]))
     return [Prediction(Label.NEGATIVE, p, low_confidence=True) if n == 0
             else Prediction(Label(int(np.argmax(p))), p)
             for p, n in zip(probs, lengths)]
-
-
-def predict_encoded(params: ModelParams, seq: EncodedSequence) -> Prediction:
-    return predict_batch(params, [seq])[0]
 
 
 def predict(text: str, params: ModelParams, vocab: Vocabulary,
             preprocess_cfg, max_len: int | None = None) -> Prediction:
     from .preprocess import run_pipeline
     tokens = run_pipeline(text, preprocess_cfg)
-    seq = encode(tokens, vocab, max_len or params.config.max_len)
-    return predict_encoded(params, seq)
+    return predict_encoded(params, *encode(
+        [tokens], vocab, max_len or params.config.max_len))[0]
 
 
 # --- checkpoints ---------------------------------------------------------------

@@ -15,8 +15,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import nn
-from .ingest import Label
-from .vocab import EncodedSequence
 
 # rng stream ids, combined with (seed, ...) so streams never collide
 _STREAM_SHUFFLE = 1
@@ -62,15 +60,6 @@ class EncodedDataset:
     def __len__(self) -> int:
         return self.indices.shape[0]
 
-    @classmethod
-    def from_sequences(cls, seqs: Sequence[EncodedSequence],
-                       labels: Sequence[int | Label]) -> "EncodedDataset":
-        if len(seqs) != len(labels):
-            raise ValueError("sequence/label count mismatch")
-        return cls(indices=np.stack([s.indices for s in seqs]),
-                   lengths=np.array([s.true_length for s in seqs], dtype=np.int64),
-                   labels=np.array([int(l) for l in labels], dtype=np.int64))
-
 
 def batch_iter(ds: EncodedDataset, batch_size: int, shuffle: bool,
                seed: int, epoch_index: int) -> Iterator[EncodedDataset]:
@@ -88,14 +77,14 @@ def batch_iter(ds: EncodedDataset, batch_size: int, shuffle: bool,
         yield EncodedDataset(ds.indices[sel], ds.lengths[sel], ds.labels[sel])
 
 
-def evaluate_split(params: nn.ModelParams, ds: EncodedDataset,
-                   batch_size: int = 256) -> tuple[float, float]:
+def evaluate_split(params: nn.ModelParams,
+                   ds: EncodedDataset) -> tuple[float, float]:
     """(mean loss, accuracy) in inference mode, over length-sorted batches."""
     if len(ds) == 0:
         raise ValueError("empty dataset")
     total_loss = 0.0
     correct = 0
-    for sel in nn.length_sorted_batches(ds.lengths, batch_size):
+    for sel in nn.length_sorted_batches(ds.lengths):
         labels = ds.labels[sel]
         logits = nn.forward_logits(params, ds.indices[sel], ds.lengths[sel])
         losses = nn.row_cross_entropy(logits, labels)

@@ -2,8 +2,9 @@
 
 Real tokens occupy indices 2..size-1, assigned by descending training-corpus
 frequency with lexicographic tie-breaks, so building is deterministic.
-Sequences are truncated to the first ``max_len`` tokens and post-padded with
-zeros; ``true_length`` records how many positions are real.
+A corpus encodes to one (N, max_len) index array, each row the first
+``max_len`` tokens of a document post-padded with zeros, and an (N,) array
+of how many positions of each row are real.
 """
 
 from __future__ import annotations
@@ -37,18 +38,6 @@ class Vocabulary:
         return self.token_to_index.get(token, OOV_INDEX)
 
 
-@dataclass(frozen=True)
-class EncodedSequence:
-    indices: np.ndarray  # int64, fixed length
-    true_length: int
-
-    def __post_init__(self):
-        if self.true_length < 0:
-            raise ValueError("negative true_length")
-        if np.any(self.indices[self.true_length:] != PAD_INDEX):
-            raise ValueError("non-pad entries beyond true_length")
-
-
 def build_vocab(corpus: Iterable[Sequence[str]], min_freq: int = 1) -> Vocabulary:
     """Index tokens of frequency >= min_freq by (-frequency, token)."""
     if min_freq < 1:
@@ -67,21 +56,26 @@ def build_vocab(corpus: Iterable[Sequence[str]], min_freq: int = 1) -> Vocabular
     return Vocabulary(token_to_index, index_to_token)
 
 
-def encode(tokens: Sequence[str], vocab: Vocabulary, max_len: int) -> EncodedSequence:
-    """First ``max_len`` tokens as indices, zero-padded to exactly max_len."""
+def encode(docs: Sequence[Sequence[str]], vocab: Vocabulary,
+           max_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """(indices, lengths): the (N, max_len) int64 indices of each doc's first
+    ``max_len`` tokens, post-padded with PAD, and the (N,) int64 count of
+    real positions in each row."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    indices = np.zeros(max_len, dtype=np.int64)
-    kept = tokens[:max_len]
-    for i, tok in enumerate(kept):
-        indices[i] = vocab.index(tok)
-    return EncodedSequence(indices, len(kept))
+    indices = np.zeros((len(docs), max_len), dtype=np.int64)
+    lengths = np.zeros(len(docs), dtype=np.int64)
+    for row, tokens in enumerate(docs):
+        kept = tokens[:max_len]
+        indices[row, :len(kept)] = [vocab.index(tok) for tok in kept]
+        lengths[row] = len(kept)
+    return indices, lengths
 
 
-def decode(seq: EncodedSequence, vocab: Vocabulary) -> list[str]:
-    """Inverse of encode for real indices; PAD dropped, OOV -> sentinel."""
+def decode(row: np.ndarray, vocab: Vocabulary) -> list[str]:
+    """Tokens of one index row of ``encode``; PAD dropped, OOV -> sentinel."""
     out = []
-    for idx in seq.indices[:seq.true_length]:
+    for idx in row:
         idx = int(idx)
         if idx == PAD_INDEX:
             continue

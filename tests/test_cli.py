@@ -366,6 +366,29 @@ def test_directory_or_file_in_wrong_place_exit_2(tmp_path, request,
     assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize("command", ["preprocess", "preprocess_lenient",
+                                     "train", "evaluate", "compare"])
+def test_csv_field_over_size_limit_exit_2(tmp_path, request, capsys,
+                                          command):
+    rows = separable_rows()
+    rows[5] = rows[5][:2] + ("bagus " * 40_000, rows[5][3])  # 240k characters
+    big = write_corpus_csv(tmp_path / "big.csv", rows)
+    ckpt = (request.getfixturevalue("trained_run") / "checkpoint.bin"
+            if command == "evaluate" else None)
+    argv = {
+        "preprocess": ["preprocess", big, "--out", tmp_path / "t.csv"],
+        "preprocess_lenient": ["preprocess", big, "--out", tmp_path / "t.csv",
+                               "--lenient"],
+        "train": ["--out-dir", tmp_path / "o", "train", big, "--epochs", 1],
+        "evaluate": ["--out-dir", tmp_path / "o", "evaluate", ckpt, big],
+        "compare": ["--out-dir", tmp_path / "o", "compare", big,
+                    "--epochs", 1],
+    }[command]
+    assert run_cli(*argv) == 2
+    err = assert_one_error_line(capsys)
+    assert "big.csv: row 7: field larger than field limit" in err
+
+
 class TestPredictCommand:
     def test_three_lines_three_outputs_in_order(self, trained_run, capsys):
         code = run_cli("predict", trained_run / "checkpoint.bin",

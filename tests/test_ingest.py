@@ -73,6 +73,21 @@ class TestLoadCsv:
         assert len(ds.skipped) == 2
         assert [row for row, _ in ds.skipped] == [3, 4]
 
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_unreadable_row_reports_file_and_row(self, tmp_path, strict):
+        # a field over the csv module's 131,072-character limit
+        path = write_corpus_csv(tmp_path / "c.csv", [
+            ("1", "a", "ok", "negative"),
+            ("2", "a", "x" * 200_000, "positive"),
+        ])
+        with pytest.raises(CorpusError, match=r"c\.csv: row 3: field larger"):
+            load_csv(path, strict=strict)
+
+    def test_unreadable_header_is_row_1(self, tmp_path):
+        (tmp_path / "c.csv").write_text("x" * 200_000 + "\n", "utf-8")
+        with pytest.raises(CorpusError, match=r"c\.csv: row 1: field larger"):
+            load_csv(tmp_path / "c.csv")
+
     def test_unlabeled_rows_kept_but_not_counted(self, tmp_path):
         path = write_corpus_csv(tmp_path / "c.csv", [
             ("1", "a", "apa saja", ""),

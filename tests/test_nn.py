@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from sentimen import nn
 from sentimen.ingest import Label
-from sentimen.vocab import EncodedSequence
 
 from conftest import dense_grads
 
@@ -562,7 +561,8 @@ class TestPredict:
         for arr in params.arrays().values():
             arr[:] = 0.0
         params.b_out[:] = [5.0, -5.0]
-        pred = nn.predict_encoded(params, EncodedSequence(np.array([1, 2, 0]), 2))
+        pred = nn.predict_encoded(params, np.array([[1, 2, 0]]),
+                                  np.array([2]))[0]
         assert pred.label == Label.NEGATIVE
         assert pred.probabilities[0] == pytest.approx(0.99995, abs=1e-5)
         assert not pred.low_confidence
@@ -572,14 +572,14 @@ class TestPredict:
         params = nn.init_params(cfg)
         for arr in params.arrays().values():
             arr[:] = 0.0
-        pred = nn.predict_encoded(params, EncodedSequence(np.array([1, 0]), 1))
+        pred = nn.predict_encoded(params, np.array([[1, 0]]), np.array([1]))[0]
         assert np.allclose(pred.probabilities, [0.5, 0.5])
         assert pred.label == Label.NEGATIVE
 
     def test_empty_sequence_low_confidence(self):
         cfg = tiny_config(V=4, E=2, H=2, T=2)
         params = nn.init_params(cfg)
-        pred = nn.predict_encoded(params, EncodedSequence(np.array([0, 0]), 0))
+        pred = nn.predict_encoded(params, np.array([[0, 0]]), np.array([0]))[0]
         assert pred.label == Label.NEGATIVE
         assert pred.low_confidence
 
@@ -1053,25 +1053,27 @@ class TestPredictBatch:
         docs = [run_pipeline(t, pp_cfg) for t in texts]
         assert docs[-1] == [] and len({len(d) for d in docs}) > 3
         vocab = build_vocab(docs[::2])  # out-of-vocabulary tokens too
-        seqs = [encode(d, vocab, 6) for d in docs]
+        indices, lengths = encode(docs, vocab, 6)
         cfg = tiny_config(V=vocab.size, E=4, H=5, T=6)
         monkeypatch.setattr(nn, "_PREDICT_BATCH", 4)  # several sorted batches
         for seed in range(5):
             params = random_params(cfg, seed=seed, bias_scale=1.0)
-            batched = nn.predict_batch(params, seqs)
-            assert len(batched) == len(seqs)
-            for seq, got in zip(seqs, batched):
-                one = nn.predict_encoded(params, seq)
-                logits = nn.forward_logits(params, seq.indices[None, :],
-                                           np.array([seq.true_length]))
+            batched = nn.predict_encoded(params, indices, lengths)
+            assert len(batched) == len(docs)
+            for k, got in enumerate(batched):
+                one = nn.predict_encoded(params, indices[k:k + 1],
+                                         lengths[k:k + 1])[0]
+                logits = nn.forward_logits(params, indices[k:k + 1],
+                                           lengths[k:k + 1])
                 label = (int(np.argmax(nn.softmax(logits[0])))
-                         if seq.true_length else 0)
+                         if lengths[k] else 0)
                 assert got.label == one.label == label
                 assert got.low_confidence == one.low_confidence == \
-                    (seq.true_length == 0)
+                    (lengths[k] == 0)
                 assert np.allclose(got.probabilities, one.probabilities,
                                    rtol=0, atol=1e-12)
 
     def test_empty_input(self):
         params = nn.init_params(tiny_config())
-        assert nn.predict_batch(params, []) == []
+        empty = np.zeros((0, params.config.max_len), dtype=np.int64)
+        assert nn.predict_encoded(params, empty, np.zeros(0, np.int64)) == []

@@ -245,7 +245,8 @@ class TestEvaluateSplit:
             return forward(p, indices, lengths)
 
         monkeypatch.setattr(nn, "forward_logits", recording)
-        loss, acc = evaluate_split(params, ds, batch_size=8)
+        monkeypatch.setattr(nn, "_PREDICT_BATCH", 8)
+        loss, acc = evaluate_split(params, ds)
         assert loss == pytest.approx(math.fsum(losses) / len(ds), rel=1e-12)
         assert acc == correct / len(ds)
         assert len(seen) == 5

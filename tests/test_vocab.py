@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sentimen.vocab import (OOV_TOKEN, EncodedSequence, build_vocab, decode,
-                            encode, load_vocab, save_vocab, suggest_max_len)
+from sentimen.vocab import (OOV_TOKEN, build_vocab, decode, encode, load_vocab,
+                            save_vocab, suggest_max_len)
 
 words = st.text(alphabet="abcdefg", min_size=1, max_size=6)
 
@@ -43,65 +43,87 @@ class TestBuildVocab:
         assert indices == list(range(2, 2 + len(indices)))
 
 
+def encode_one(tokens, vocab, max_len):
+    """The row of ``encode`` for one document: (indices, true length)."""
+    indices, lengths = encode([tokens], vocab, max_len)
+    return indices[0], int(lengths[0])
+
+
 class TestEncode:
     def test_post_padding(self):
         v = build_vocab([["a", "b"]])
-        seq = encode(["a", "b"], v, max_len=4)
-        assert seq.indices.tolist() == [2, 3, 0, 0]
-        assert seq.true_length == 2
+        indices, true_length = encode_one(["a", "b"], v, max_len=4)
+        assert indices.tolist() == [2, 3, 0, 0]
+        assert true_length == 2
 
     def test_oov(self):
         v = build_vocab([["a"]])
-        seq = encode(["z"], v, max_len=2)
-        assert seq.indices.tolist() == [1, 0]
-        assert seq.true_length == 1
+        indices, true_length = encode_one(["z"], v, max_len=2)
+        assert indices.tolist() == [1, 0]
+        assert true_length == 1
 
     def test_empty(self):
         v = build_vocab([["a"]])
-        seq = encode([], v, max_len=3)
-        assert seq.indices.tolist() == [0, 0, 0]
-        assert seq.true_length == 0
+        indices, true_length = encode_one([], v, max_len=3)
+        assert indices.tolist() == [0, 0, 0]
+        assert true_length == 0
 
     def test_truncation_keeps_first(self):
         v = build_vocab([["a", "b", "c"]])
-        seq = encode(["a", "b", "c"], v, max_len=2)
-        assert seq.indices.tolist() == [v.index("a"), v.index("b")]
-        assert seq.true_length == 2
+        indices, true_length = encode_one(["a", "b", "c"], v, max_len=2)
+        assert indices.tolist() == [v.index("a"), v.index("b")]
+        assert true_length == 2
 
     @given(st.lists(words, max_size=20), st.integers(1, 12))
     @settings(max_examples=60)
     def test_length_always_max_len(self, tokens, max_len):
         v = build_vocab([["a", "b", "c"]])
-        seq = encode(tokens, v, max_len)
-        assert len(seq.indices) == max_len
-        assert seq.true_length == min(len(tokens), max_len)
-        assert np.all(seq.indices < v.size)
+        indices, true_length = encode_one(tokens, v, max_len)
+        assert len(indices) == max_len
+        assert true_length == min(len(tokens), max_len)
+        assert np.all(indices < v.size)
+
+    def test_rows_match_one_document_at_a_time(self):
+        v = build_vocab([["a", "b", "c", "a"]])
+        docs = [["a", "b"], [], ["z", "a", "q"], ["c", "b", "a", "c", "b"],
+                ["a"] * 5, ["y"]]
+        indices, lengths = encode(docs, v, 4)
+        assert indices.dtype == np.int64 and lengths.dtype == np.int64
+        assert indices.shape == (len(docs), 4) and lengths.shape == (len(docs),)
+        for row, n, doc in zip(indices, lengths, docs):
+            want = np.zeros(4, dtype=np.int64)  # the one-document encoder
+            kept = doc[:4]
+            for i, tok in enumerate(kept):
+                want[i] = v.index(tok)
+            assert row.tolist() == want.tolist()
+            assert n == len(kept)
+        indices, lengths = encode([], v, 4)
+        assert indices.shape == (0, 4) and lengths.shape == (0,)
 
 
 class TestDecode:
     def test_inverse_map(self):
         v = build_vocab([["a", "b"]])
-        seq = EncodedSequence(np.array([2, 3, 0, 0]), 2)
-        assert decode(seq, v) == ["a", "b"]
+        assert decode(np.array([2, 3, 0, 0]), v) == ["a", "b"]
 
     def test_oov_sentinel(self):
         v = build_vocab([["a"]])
-        assert decode(EncodedSequence(np.array([1, 0]), 1), v) == [OOV_TOKEN]
+        assert decode(np.array([1, 0]), v) == [OOV_TOKEN]
 
     def test_all_pad(self):
         v = build_vocab([["a"]])
-        assert decode(EncodedSequence(np.array([0, 0, 0]), 0), v) == []
+        assert decode(np.array([0, 0, 0]), v) == []
 
     def test_out_of_range_rejected(self):
         v = build_vocab([["a"]])
         with pytest.raises(IndexError):
-            decode(EncodedSequence(np.array([9]), 1), v)
+            decode(np.array([9]), v)
 
     @given(st.lists(st.sampled_from(["a", "b", "c"]), max_size=6))
     @settings(max_examples=40)
     def test_round_trip(self, tokens):
         v = build_vocab([["a", "b", "c"]])
-        assert decode(encode(tokens, v, 6), v) == tokens
+        assert decode(encode_one(tokens, v, 6)[0], v) == tokens
 
 
 class TestPersistence:
