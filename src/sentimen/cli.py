@@ -194,25 +194,14 @@ def _load_corpus(path: str, strict: bool = True) -> ingest.Dataset:
         raise CliError(str(exc)) from None
 
 
-def _tokens_column(path: Path) -> list[list[str]] | None:
-    """Use a precomputed ``tokens`` column when the CSV carries one."""
-    import csv as _csv
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = _csv.DictReader(fh)
-        if not reader.fieldnames or "tokens" not in reader.fieldnames:
-            return None
-        return [(row["tokens"] or "").split() for row in reader]
-
-
-def _tokenized(ds: ingest.Dataset, path: Path, pp: PreprocessConfig,
+def _tokenized(ds: ingest.Dataset, pp: PreprocessConfig,
                quiet: bool) -> list[list[str]]:
-    """Tokens of the labeled records of ``ds``, the full dataset loaded from
-    ``path``: its ``tokens`` column when it has one for every row."""
-    labeled = [r.label is not None for r in ds.records]
-    cached = _tokens_column(path)
-    if cached is not None and len(cached) == len(ds):
-        return [toks for toks, keep in zip(cached, labeled) if keep]
-    texts = [r.text for r, keep in zip(ds.records, labeled) if keep]
+    """Tokens of the labeled records of ``ds``: the corpus's ``tokens``
+    column when it has one, else the preprocessing pipeline's."""
+    labeled = [r for r in ds.records if r.label is not None]
+    if all(r.tokens is not None for r in labeled):
+        return [list(r.tokens) for r in labeled]
+    texts = [r.text for r in labeled]
     if not quiet:
         print(f"preprocessing {len(texts)} comments...", file=sys.stderr)
     return [run_pipeline(text, pp) for text in texts]
@@ -252,7 +241,7 @@ def _split_and_encode(args, cfg, pp):
     labels = [r.label for r in full.records if r.label is not None]
     if not labels:
         raise CliError("corpus has no labeled records")
-    docs = _tokenized(full, Path(args.corpus), pp, args.quiet)
+    docs = _tokenized(full, pp, args.quiet)
     return tuple(([docs[i] for i in part], [int(labels[i]) for i in part])
                  for part in ingest.stratified_indices(labels, cfg.split))
 
@@ -344,7 +333,7 @@ def cmd_evaluate(args, cfg) -> int:
     if len(ds) == 0:
         raise CliError("test file has no labeled records")
     pp = preprocess_config(args)
-    docs = _tokenized(full, Path(args.test_csv), pp, args.quiet)
+    docs = _tokenized(full, pp, args.quiet)
 
     preds = [int(p.label) for p in nn.predict_encoded(
         params, *encode(docs, vocab, max_len))]

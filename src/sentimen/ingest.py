@@ -3,7 +3,9 @@
 The canonical corpus format is a UTF-8 CSV with a header row and columns
 ``id,source,text,label`` (RFC 4180 quoting).  ``label`` is ``negative``,
 ``positive`` or empty; rows with an empty label are kept as unlabeled
-records so raw fetched comments and labeled corpora share one format.
+records so raw fetched comments and labeled corpora share one format.  A
+tokenized corpus, as the preprocess command writes it, adds a ``tokens``
+column of space-separated tokens.
 """
 
 from __future__ import annotations
@@ -33,12 +35,15 @@ class CorpusError(Exception):
 
 @dataclass(frozen=True)
 class LabeledComment:
-    """One comment.  ``label`` is None for records that were never labeled."""
+    """One comment.  ``label`` is None for records that were never labeled;
+    ``tokens`` is None unless the comment was read from a ``tokens`` column
+    (an empty cell there means no tokens)."""
 
     id: str
     source: str
     text: str
     label: Label | None
+    tokens: tuple[str, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -103,6 +108,7 @@ def load_csv(path: str | Path, strict: bool = True) -> Dataset:
                 if col not in reader.fieldnames:
                     raise CorpusError(f"{path}: missing column {col!r} "
                                       f"(header has {reader.fieldnames})")
+            has_tokens = "tokens" in reader.fieldnames
             row_no = 2
             for row in reader:
                 try:
@@ -115,6 +121,8 @@ def load_csv(path: str | Path, strict: bool = True) -> Dataset:
                         source=(row["source"] or "").strip(),
                         text=text,
                         label=label,
+                        tokens=tuple((row["tokens"] or "").split())
+                        if has_tokens else None,
                     ))
                 except CorpusError as exc:
                     if strict:

@@ -23,9 +23,7 @@ from .stemmer import IndonesianStemmer
 _URL_RE = re.compile(r"(?:\w+://|www\.)\S*")
 _MENTION_RE = re.compile(r"(?<!\S)@\S+")
 _HASHTAG_RE = re.compile(r"(?<!\S)#\S+")
-_DIGIT_RE = re.compile(r"[0-9]")
 _NON_LETTER_RE = re.compile(r"[^A-Za-z\s]")
-_WS_RE = re.compile(r"\s+")
 
 
 def _data_text(name: str) -> str:
@@ -74,6 +72,11 @@ def read_slang_tsv(path: str | Path) -> dict[str, str]:
     return pairs
 
 
+@lru_cache(maxsize=8)
+def _stemmer_for(roots: frozenset[str]) -> IndonesianStemmer:
+    return IndonesianStemmer(roots)
+
+
 @dataclass(frozen=True)
 class PreprocessConfig:
     case_fold: bool = True
@@ -84,6 +87,14 @@ class PreprocessConfig:
     slang: dict[str, str] = field(default_factory=dict)
     stopwords: frozenset[str] = frozenset()
     roots: frozenset[str] = frozenset()
+    # resolved once per config: equal root sets share one stemmer and its
+    # cache, and run_pipeline never compares root sets
+    stemmer: IndonesianStemmer | None = field(init=False, compare=False,
+                                              repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "stemmer", _stemmer_for(self.roots)
+                           if self.stem and self.roots else None)
 
     @classmethod
     def default(cls, **overrides) -> "PreprocessConfig":
@@ -102,14 +113,18 @@ def clean(text: str) -> str:
     """Strip URLs, @mentions, #hashtags, digits and non-letter characters.
 
     Digits are removed in place (``gr4tis`` -> ``grtis``), not as whole
-    words; mentions and hashtags drop the whole token.
+    words; mentions and hashtags drop the whole token.  Each of the three
+    token regexes runs only when the text holds the substring it needs to
+    match, and whitespace runs collapse through ``str.split``, whose
+    whitespace is the same 29 characters as ``re``'s ``\\s``.
     """
-    text = _URL_RE.sub(" ", text)
-    text = _MENTION_RE.sub(" ", text)
-    text = _HASHTAG_RE.sub(" ", text)
-    text = _DIGIT_RE.sub("", text)
-    text = _NON_LETTER_RE.sub("", text)
-    return _WS_RE.sub(" ", text).strip()
+    if "://" in text or "www." in text:
+        text = _URL_RE.sub(" ", text)
+    if "@" in text:
+        text = _MENTION_RE.sub(" ", text)
+    if "#" in text:
+        text = _HASHTAG_RE.sub(" ", text)
+    return " ".join(_NON_LETTER_RE.sub("", text).split())
 
 
 def normalize_slang(text: str, slang: dict[str, str]) -> str:
@@ -117,7 +132,7 @@ def normalize_slang(text: str, slang: dict[str, str]) -> str:
     if not slang:
         return text
     words = text.split(" ")
-    return " ".join(slang.get(w, w) for w in words)
+    return " ".join([slang.get(w, w) for w in words])
 
 
 def tokenize(text: str) -> list[str]:
@@ -132,11 +147,6 @@ def stem_tokens(tokens: list[str], stemmer: IndonesianStemmer) -> list[str]:
     return [stemmer.stem(t) for t in tokens]
 
 
-@lru_cache(maxsize=8)
-def _stemmer_for(roots: frozenset[str]) -> IndonesianStemmer:
-    return IndonesianStemmer(roots)
-
-
 def run_pipeline(text: str, cfg: PreprocessConfig) -> list[str]:
     """Apply the enabled steps in fixed order and return the token list."""
     if cfg.case_fold:
@@ -148,6 +158,6 @@ def run_pipeline(text: str, cfg: PreprocessConfig) -> list[str]:
     tokens = tokenize(text)
     if cfg.remove_stopwords:
         tokens = remove_stopwords(tokens, cfg.stopwords)
-    if cfg.stem and cfg.roots:
-        tokens = stem_tokens(tokens, _stemmer_for(cfg.roots))
+    if cfg.stemmer is not None:
+        tokens = stem_tokens(tokens, cfg.stemmer)
     return tokens

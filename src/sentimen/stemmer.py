@@ -35,6 +35,10 @@ from typing import Sequence
 
 VOWELS = "aiueo"
 
+# words each stemmer's result cache holds before it is cleared; the
+# 7,733-comment benchmark corpus has 26,316 distinct tokens
+CACHE_SIZE = 1 << 16
+
 # (prefix family, derivational suffix) pairs that never combine
 FORBIDDEN_PAIRS = {
     ("be", "i"), ("di", "an"), ("ke", "i"), ("ke", "kan"),
@@ -185,15 +189,38 @@ def _prefix_candidates(word: str) -> tuple[str, list[str]] | None:
 
 
 class IndonesianStemmer:
-    """Dictionary-gated affix stripper for Indonesian."""
+    """Dictionary-gated affix stripper for Indonesian.
+
+    ``stem`` memoises its results per stemmer: a stem is a pure function of
+    (roots, word), and ``roots`` is read-only, so a cached result never goes
+    stale.  The cache holds at most ``CACHE_SIZE`` words and is cleared when
+    full.  A full cache of 65,536 words of mean length 7.4 (the benchmark
+    corpus's tokens plus made-up words) holds 5.4 MiB by ``tracemalloc``:
+    the dict, its keys and the stems.  ``preprocess._stemmer_for`` keeps up
+    to 8 stemmers, so at most 8 full caches, about 43 MiB at that length.
+    """
 
     def __init__(self, roots: set[str] | frozenset[str]):
         if not roots:
             raise ValueError("empty root dictionary")
-        self.roots = frozenset(roots)
+        self._roots = frozenset(roots)
+        self._cache: dict[str, str] = {}
+
+    @property
+    def roots(self) -> frozenset[str]:
+        return self._roots
 
     def stem(self, word: str) -> str:
-        if len(word) <= 3 or word in self.roots:
+        cache = self._cache
+        result = cache.get(word)
+        if result is None:
+            if len(cache) >= CACHE_SIZE:
+                cache.clear()
+            result = cache[word] = self._stem(word)
+        return result
+
+    def _stem(self, word: str) -> str:
+        if len(word) <= 3 or word in self._roots:
             return word
 
         if any(p.match(word) for p in _PRECEDENCE_RES):
@@ -240,7 +267,7 @@ class IndonesianStemmer:
             result = current[:m.start(1)]
             removals.append(_Removal(current, result, m.group(1)))
             current = result
-            if current in self.roots:
+            if current in self._roots:
                 return current, removals, True
         return current, removals, False
 
@@ -252,7 +279,7 @@ class IndonesianStemmer:
         """
         current = word
         for iteration in range(3):
-            if current in self.roots:
+            if current in self._roots:
                 break
             matched = _prefix_candidates(current)
             if matched is None:
@@ -265,13 +292,13 @@ class IndonesianStemmer:
                 break
             chosen = candidates[-1]
             for cand in candidates:
-                if cand in self.roots:
+                if cand in self._roots:
                     chosen = cand
                     break
             if len(chosen) < 2:
                 break
             current = chosen
-        return current, current in self.roots
+        return current, current in self._roots
 
     def _restore_suffixes(self, removals: list[_Removal]) -> str | None:
         """Put removed suffixes back one at a time and retry the prefixes.

@@ -191,6 +191,24 @@ class TestPreprocessCommand:
                        "--lenient") == 0
 
 
+    def test_roots_override_after_default_run_stems_apart(self, tmp_path):
+        corpus = write_corpus_csv(tmp_path / "c.csv",
+                                  [("1", "c", "makanannya enak", "positive")])
+        roots = tmp_path / "roots.txt"
+        roots.write_text("enak\nbagus\n", "utf-8")
+
+        def tokens(*flags):
+            out = tmp_path / "tok.csv"
+            assert run_cli("--quiet", "preprocess", corpus, "--out", out,
+                           *flags) == 0
+            with open(out, newline="", encoding="utf-8") as fh:
+                return next(csv.DictReader(fh))["tokens"]
+
+        assert tokens() == "makan enak"
+        assert tokens("--roots", roots) == "makanannya enak"
+        assert tokens() == "makan enak"
+
+
 class TestTrainCommand:
     def test_artifacts_and_history_shape(self, tmp_path, separable_csv,
                                          small_config):

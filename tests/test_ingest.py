@@ -98,6 +98,29 @@ class TestLoadCsv:
         assert ds.n_unlabeled == 1
         assert sum(ds.counts.values()) == 1
 
+    def test_tokens_column_kept(self, tmp_path):
+        path = write_corpus_csv(tmp_path / "c.csv", [
+            ("1", "a", "x", "negative"), ("2", "a", "y", "positive")])
+        assert [r.tokens for r in load_csv(path).records] == [None, None]
+        (tmp_path / "t.csv").write_text(
+            "id,source,text,label,tokens\n1,a,x,negative,makan enak\n"
+            "2,a,y,positive,\n", "utf-8")
+        assert [r.tokens for r in load_csv(tmp_path / "t.csv").records] == [
+            ("makan", "enak"), ()]
+
+    def test_lenient_load_keeps_tokens_aligned(self, tmp_path):
+        (tmp_path / "t.csv").write_text(
+            "id,source,text,label,tokens\n"
+            "1,a,x,negative,satu\n"
+            "2,a,x,netral,dua\n"
+            "3,a,,positive,tiga\n"
+            "4,a,x,,empat\n"
+            "5,a,x,positive,lima enam\n", "utf-8")
+        ds = load_csv(tmp_path / "t.csv", strict=False)
+        assert [row for row, _ in ds.skipped] == [3, 4]
+        assert [(r.id, r.tokens) for r in ds.records] == [
+            ("1", ("satu",)), ("4", ("empat",)), ("5", ("lima", "enam"))]
+
     def test_round_trip(self, tmp_path):
         ds = make_dataset(3, 2, n_unlabeled=1)
         save_csv(ds, tmp_path / "out.csv")

@@ -1,10 +1,42 @@
+import dataclasses
+import re
+import sys
+
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sentimen import preprocess
 from sentimen.preprocess import (PreprocessConfig, case_fold, clean,
-                                 load_slang_map, load_stopwords,
-                                 normalize_slang, remove_stopwords,
-                                 run_pipeline, tokenize)
+                                 load_root_words, load_slang_map,
+                                 load_stopwords, normalize_slang,
+                                 remove_stopwords, run_pipeline, tokenize)
+
+# every code point, surrogates included, as one string
+ALL_CHARS = "".join(map(chr, range(sys.maxunicode + 1)))
+ISSPACE = "".join(c for c in ALL_CHARS if c.isspace())
+
+
+def clean_oracle(text: str) -> str:
+    """The six-step regex chain ``clean`` replaced, one substitution each."""
+    text = re.sub(r"(?:\w+://|www\.)\S*", " ", text)
+    text = re.sub(r"(?<!\S)@\S+", " ", text)
+    text = re.sub(r"(?<!\S)#\S+", " ", text)
+    text = re.sub(r"[0-9]", "", text)
+    text = re.sub(r"[^A-Za-z\s]", "", text)
+    return re.sub(r"\s+", " ", text).strip()
+
+
+CLEAN_CASES = [
+    "", "@http://x", "x#y", "a@b", "http://x.co#tag", "http://x.co #tag",
+    "lihat http://x.co/a?b=1 #mbg", "www.contoh.id", "kunjungi www.x.id ya",
+    "WWW.BESAR.ID", "a://b", "://", "@", "#", "@ #", "x @a@b #c#d y",
+    "kirim ke a@b.com @user", "#1 @2 3#", "gr4tis makan4n 2024", "a1b2c3",
+    "123", "4 sehat 5 sempurna", "\U0001f600 bagus\u00e9", "http://x@y #z",
+    "\u00a0@user", "\u3000#tag\u2028www.x.id\x1c:// b",
+    ISSPACE, "a" + ISSPACE + "b", "@u" + ISSPACE + "#t" + ISSPACE,
+    *(f"x{ws}@m{ws}#h{ws}1y{ws}" for ws in ISSPACE),
+]
 
 
 class TestCaseFold:
@@ -33,6 +65,20 @@ class TestClean:
 
     def test_whitespace_collapse(self):
         assert clean("  a   b\t c \n") == "a b c"
+
+    def test_re_whitespace_is_str_isspace(self):
+        assert set(re.findall(r"\s", ALL_CHARS)) == set(ISSPACE)
+
+    @pytest.mark.parametrize("text", CLEAN_CASES)
+    def test_matches_regex_chain_on_fixed_strings(self, text):
+        assert clean(text) == clean_oracle(text)
+
+    @given(st.lists(st.one_of(st.sampled_from(
+        list("aZ09 @#:/w.\t\n\x1c\x85\u00a0\u2028\u3000") + ["://", "www."]),
+        st.characters())).map("".join))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_regex_chain_property(self, text):
+        assert clean(text) == clean_oracle(text)
 
 
 class TestNormalizeSlang:
@@ -149,3 +195,26 @@ class TestDictionaryCache:
         run_pipeline("makanannya enak", a)
         run_pipeline("programnya bagus", b)
         assert _stemmer_for.cache_info().currsize == 1
+
+    def test_equal_root_sets_share_one_stemmer(self):
+        a = PreprocessConfig.default()
+        b = PreprocessConfig.default(roots=frozenset(list(load_root_words())))
+        assert a.roots is not b.roots and a.roots == b.roots
+        assert a.stemmer is b.stemmer is not None
+
+    def test_stemmer_resolved_once_per_config(self, monkeypatch):
+        cfg = PreprocessConfig.default(roots=frozenset(list(load_root_words())))
+
+        def unexpected(roots):
+            raise AssertionError("stemmer looked up on a run_pipeline call")
+
+        monkeypatch.setattr(preprocess, "_stemmer_for", unexpected)
+        assert run_pipeline("makanannya enak", cfg) == ["makan", "enak"]
+
+    def test_stemmer_follows_the_config(self):
+        cfg = PreprocessConfig.default()
+        assert dataclasses.replace(cfg, stem=False).stemmer is None
+        assert PreprocessConfig(roots=frozenset()).stemmer is None
+        other = dataclasses.replace(cfg, roots=frozenset({"enak"}))
+        assert other.stemmer.roots == {"enak"}
+        assert run_pipeline("makanannya enak", other) == ["makanannya", "enak"]

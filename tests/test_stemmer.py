@@ -1,9 +1,17 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sentimen.preprocess import _data_text, load_root_words
+from sentimen import stemmer as stemmer_module
+from sentimen.preprocess import (PreprocessConfig, _data_text,
+                                 load_root_words, run_pipeline)
 from sentimen.stemmer import IndonesianStemmer
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +36,58 @@ class TestGoldenFile:
         for word, want in golden_pairs():
             assert stemmer.stem(want) == want
             assert stemmer.stem(stemmer.stem(word)) == stemmer.stem(word)
+
+
+def benchmark_corpus_words() -> list[str]:
+    """Every unstemmed token, in order, of the benchmark's seed-1 corpus."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_corpus", REPO / "perfbench" / "corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = corpus  # dataclasses look the module up
+    try:
+        spec.loader.exec_module(corpus)
+        comments = corpus.generate(
+            corpus.Dictionaries.read(REPO / "src" / "sentimen" / "data"),
+            corpus.PAPER_SHAPE, 1)
+    finally:
+        del sys.modules[spec.name]
+    unstemmed = PreprocessConfig.default(stem=False)
+    return [w for c in comments for w in run_pipeline(c.text, unstemmed)]
+
+
+class TestCache:
+    @pytest.fixture(scope="class")
+    def words(self):
+        golden = [w for pair in golden_pairs() for w in pair]
+        return golden + benchmark_corpus_words()
+
+    @pytest.fixture(scope="class")
+    def uncached(self, words):
+        reference = IndonesianStemmer(load_root_words())
+        return [reference._stem(w) for w in words]
+
+    def test_cold_and_warm_match_uncached(self, words, uncached):
+        s = IndonesianStemmer(load_root_words())
+        assert [s.stem(w) for w in words] == uncached  # cold, then repeats
+        assert [s.stem(w) for w in words] == uncached  # every word warm
+        assert len(s._cache) == len(set(words))
+
+    def test_eviction_keeps_results_and_bound(self, words, uncached,
+                                              monkeypatch):
+        monkeypatch.setattr(stemmer_module, "CACHE_SIZE", 3)
+        s = IndonesianStemmer(load_root_words())
+        sizes = set()
+        for word, want in zip(words, uncached):
+            assert s.stem(word) == want
+            sizes.add(len(s._cache))
+        assert max(sizes) == 3
+
+    def test_roots_are_read_only(self):
+        s = IndonesianStemmer(load_root_words())
+        assert s.stem("makanan") == "makan"
+        with pytest.raises(AttributeError):
+            s.roots = frozenset({"enak"})
+        assert s.stem("makanan") == "makan"
 
 
 class TestSpecCases:
