@@ -144,7 +144,7 @@ def resolve_config(args: argparse.Namespace) -> Config:
     for key in ("seed", "epochs", "batch_size", "learning_rate", "max_len"):
         value = getattr(args, key, None)
         if value is not None:
-            text[key] = str(value)
+            text[key] = value
     values = {}
     for key, (_, parse) in SCHEMA.items():
         try:
@@ -226,6 +226,9 @@ def cmd_fetch(args, cfg) -> int:
 def cmd_preprocess(args, cfg) -> int:
     ds = _load_corpus(args.input, strict=not args.lenient)
     pp = preprocess_config(args)
+    for row, reason in ds.skipped:
+        print(f"warning: {args.input}: row {row} skipped: {reason}",
+              file=sys.stderr)
     tokens = [run_pipeline(r.text, pp) for r in ds.records]
     ingest.save_csv(ds, args.out,
                     extra_columns={"tokens": [" ".join(t) for t in tokens]})
@@ -413,7 +416,7 @@ def _global_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=argparse.SUPPRESS,
                         help="flat key = value config file")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--seed", default=argparse.SUPPRESS)
     common.add_argument("--out-dir", dest="out_dir",
                         default=argparse.SUPPRESS,
                         help="artifact directory for train/evaluate/compare")
@@ -454,11 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the LSTM classifier")
     p.add_argument("corpus")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float,
-                   default=None)
-    p.add_argument("--max-len", dest="max_len", type=int, default=None)
+    for flag in ("--epochs", "--batch-size", "--learning-rate", "--max-len"):
+        p.add_argument(flag)  # a string, parsed by SCHEMA like the file's
     add_dict_flags(p)
     p.set_defaults(func=cmd_train)
 
@@ -478,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="baseline/LSTM comparison table")
     p.add_argument("corpus")
-    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--epochs")
     add_dict_flags(p)
     p.set_defaults(func=cmd_compare)
     return parser

@@ -11,6 +11,7 @@ column of space-separated tokens.
 from __future__ import annotations
 
 import csv
+import io
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -89,8 +90,8 @@ def load_csv(path: str | Path, strict: bool = True) -> Dataset:
 
     In strict mode any bad row aborts with its row number; in lenient mode
     bad rows are skipped and tallied on ``Dataset.skipped``.  A row the csv
-    module cannot read, such as one with a field over its size limit,
-    aborts in either mode.
+    module cannot read, such as one with a field over its size limit, or
+    one that is not UTF-8 aborts in either mode.
     """
     path = Path(path)
     if not path.exists():
@@ -132,6 +133,14 @@ def load_csv(path: str | Path, strict: bool = True) -> Dataset:
                 row_no += 1
         except csv.Error as exc:
             raise CorpusError(f"{path}: row {row_no}: {exc}") from None
+        except UnicodeDecodeError:
+            # the reader decodes ahead of the csv module: count rows anew
+            try:
+                path.read_bytes().decode("utf-8")
+            except UnicodeDecodeError as exc:  # "x": the bad byte's row
+                head = exc.object[:exc.start].decode("utf-8") + "x"
+            row = sum(1 for r in csv.reader(io.StringIO(head, newline="")) if r)
+            raise CorpusError(f"{path}: row {row}: not UTF-8 text") from None
     return Dataset(tuple(records), tuple(skipped))
 
 

@@ -1,8 +1,7 @@
 """Six-step text cleaning chain for Indonesian comments.
 
 Fixed order: case-fold -> clean -> slang normalization -> tokenization ->
-stopword removal -> stemming.  Each step can be toggled off, except
-tokenization which always runs so the output is a token list.
+stopword removal -> stemming.
 
 Bundled dictionaries live in ``sentimen/data/``: a curated root-word list
 (one lowercase word per line), a stopword list of Indonesian function words
@@ -20,56 +19,65 @@ from pathlib import Path
 
 from .stemmer import IndonesianStemmer
 
-_URL_RE = re.compile(r"(?:\w+://|www\.)\S*")
+# (?<!\w): a long word run is scanned once, not once per character
+_URL_RE = re.compile(r"(?:(?<!\w)\w+://|www\.)\S*")
 _MENTION_RE = re.compile(r"(?<!\S)@\S+")
 _HASHTAG_RE = re.compile(r"(?<!\S)#\S+")
 _NON_LETTER_RE = re.compile(r"[^A-Za-z\s]")
+
+
+def _parse_wordlist(text: str) -> frozenset[str]:
+    """One word per line; entries are stripped and lowercased."""
+    return frozenset(w.strip().lower() for w in text.split("\n") if w.strip())
+
+
+def _parse_slang_tsv(text: str, source: str | Path) -> dict[str, str]:
+    """``slang<TAB>standard`` per line; ``source`` names the text in errors."""
+    pairs = {}
+    for ln, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            slang, standard = line.split("\t")
+        except ValueError:
+            raise ValueError(f"{source}:{ln}: expected 'slang<TAB>standard'") from None
+        pairs[slang.strip().lower()] = standard.strip().lower()
+    return pairs
 
 
 def _data_text(name: str) -> str:
     return resources.files("sentimen").joinpath("data", name).read_text("utf-8")
 
 
+def _file_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text("utf-8")
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not UTF-8 text") from None
+
+
 # cached: every default config then shares one roots set, which
 # _stemmer_for finds by identity instead of comparing it word by word
 @lru_cache(maxsize=1)
 def load_root_words() -> frozenset[str]:
-    return frozenset(w for w in _data_text("root_words.txt").split("\n") if w)
+    return _parse_wordlist(_data_text("root_words.txt"))
 
 
 @lru_cache(maxsize=1)
 def load_stopwords() -> frozenset[str]:
-    return frozenset(w for w in _data_text("stopwords.txt").split("\n") if w)
+    return _parse_wordlist(_data_text("stopwords.txt"))
 
 
 def load_slang_map() -> dict[str, str]:
-    pairs = {}
-    for line in _data_text("slang.tsv").split("\n"):
-        if not line:
-            continue
-        slang, standard = line.split("\t")
-        pairs[slang] = standard
-    return pairs
+    return _parse_slang_tsv(_data_text("slang.tsv"), "slang.tsv")
 
 
 def read_wordlist(path: str | Path) -> frozenset[str]:
-    """One word per line, UTF-8, LF endings; entries are lowercased."""
-    return frozenset(w.strip().lower()
-                     for w in Path(path).read_text("utf-8").split("\n")
-                     if w.strip())
+    return _parse_wordlist(_file_text(path))
 
 
 def read_slang_tsv(path: str | Path) -> dict[str, str]:
-    pairs = {}
-    for ln, line in enumerate(Path(path).read_text("utf-8").split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            slang, standard = line.split("\t")
-        except ValueError:
-            raise ValueError(f"{path}:{ln}: expected 'slang<TAB>standard'") from None
-        pairs[slang.strip().lower()] = standard.strip().lower()
-    return pairs
+    return _parse_slang_tsv(_file_text(path), path)
 
 
 @lru_cache(maxsize=8)
@@ -79,11 +87,8 @@ def _stemmer_for(roots: frozenset[str]) -> IndonesianStemmer:
 
 @dataclass(frozen=True)
 class PreprocessConfig:
-    case_fold: bool = True
-    clean: bool = True
-    normalize: bool = True
-    remove_stopwords: bool = True
-    stem: bool = True
+    """The three dictionaries; an empty one skips its step."""
+
     slang: dict[str, str] = field(default_factory=dict)
     stopwords: frozenset[str] = frozenset()
     roots: frozenset[str] = frozenset()
@@ -93,8 +98,8 @@ class PreprocessConfig:
                                               repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "stemmer", _stemmer_for(self.roots)
-                           if self.stem and self.roots else None)
+        object.__setattr__(self, "stemmer",
+                           _stemmer_for(self.roots) if self.roots else None)
 
     @classmethod
     def default(cls, **overrides) -> "PreprocessConfig":
@@ -129,8 +134,6 @@ def clean(text: str) -> str:
 
 def normalize_slang(text: str, slang: dict[str, str]) -> str:
     """Whole-word substitution, single pass (outputs are not re-normalized)."""
-    if not slang:
-        return text
     words = text.split(" ")
     return " ".join([slang.get(w, w) for w in words])
 
@@ -148,16 +151,9 @@ def stem_tokens(tokens: list[str], stemmer: IndonesianStemmer) -> list[str]:
 
 
 def run_pipeline(text: str, cfg: PreprocessConfig) -> list[str]:
-    """Apply the enabled steps in fixed order and return the token list."""
-    if cfg.case_fold:
-        text = case_fold(text)
-    if cfg.clean:
-        text = clean(text)
-    if cfg.normalize:
-        text = normalize_slang(text, cfg.slang)
-    tokens = tokenize(text)
-    if cfg.remove_stopwords:
-        tokens = remove_stopwords(tokens, cfg.stopwords)
+    """Apply the six steps in fixed order and return the token list."""
+    text = normalize_slang(clean(case_fold(text)), cfg.slang)
+    tokens = remove_stopwords(tokenize(text), cfg.stopwords)
     if cfg.stemmer is not None:
         tokens = stem_tokens(tokens, cfg.stemmer)
     return tokens

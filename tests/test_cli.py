@@ -97,7 +97,9 @@ def test_bad_config_value_exit_2_before_any_work(tmp_path, separable_csv,
 
 @pytest.mark.parametrize("flag,value", [
     ("--seed", "-1"), ("--epochs", "-1"), ("--batch-size", "0"),
-    ("--learning-rate", "nan"), ("--learning-rate", "-1"), ("--max-len", "0")])
+    ("--learning-rate", "nan"), ("--learning-rate", "-1"), ("--max-len", "0"),
+    ("--epochs", "1e3"), ("--seed", "x"), ("--learning-rate", "abc"),
+    ("--max-len", "2.5")])
 def test_bad_flag_value_exit_2_before_any_work(tmp_path, separable_csv,
                                                capsys, flag, value):
     out_dir = tmp_path / "run"
@@ -105,6 +107,14 @@ def test_bad_flag_value_exit_2_before_any_work(tmp_path, separable_csv,
                    flag, value) == 2
     assert_one_error_line(capsys, "error: config ")
     assert not out_dir.exists()
+
+
+def test_flag_values_echoed_as_given(tmp_path, separable_csv):
+    out_dir = tmp_path / "run"
+    assert run_cli("--quiet", "--out-dir", out_dir, "train", separable_csv,
+                   "--epochs", "0", "--learning-rate", "1e-3") == 0
+    echoed = (out_dir / "config.resolved.txt").read_text("utf-8")
+    assert "learning_rate = 1e-3\n" in echoed.splitlines(keepends=True)
 
 
 def test_split_fractions_not_summing_to_1_exit_2_before_any_work(tmp_path,
@@ -189,6 +199,21 @@ class TestPreprocessCommand:
         assert run_cli("preprocess", src, "--out", tmp_path / "o.csv") == 2
         assert run_cli("preprocess", src, "--out", tmp_path / "o.csv",
                        "--lenient") == 0
+
+    def test_lenient_warns_of_each_skipped_row(self, tmp_path, capsys):
+        src = write_corpus_csv(tmp_path / "bad.csv",
+                               [("1", "c", "ok", "positive"),
+                                ("2", "c", "ok", "netral"),
+                                ("3", "c", " ", "negative"),
+                                ("4", "c", "enak", "")])
+        out = tmp_path / "o.csv"
+        assert run_cli("--quiet", "preprocess", src, "--out", out,
+                       "--lenient") == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: {src}: row 3 skipped: unknown label 'netral' "
+            "(expected negative/positive/empty)",
+            f"warning: {src}: row 4 skipped: empty text on a labeled row"]
+        assert len(out.read_text("utf-8").splitlines()) == 3
 
 
     def test_roots_override_after_default_run_stems_apart(self, tmp_path):
@@ -382,6 +407,26 @@ def test_directory_or_file_in_wrong_place_exit_2(tmp_path, request,
     }[case]
     assert run_cli(*argv) == 2
     assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("kind", ["corpus", "roots", "stopwords", "slang"])
+def test_non_utf8_file_exit_2_naming_it(tmp_path, separable_csv, capsys,
+                                        kind):
+    rows = separable_rows()
+    rows[5] = rows[5][:2] + ("enak b\u00e9bas", rows[5][3])
+    utf8 = write_corpus_csv(tmp_path / "utf8.csv", rows).read_bytes()
+    bad = tmp_path / f"latin1_{kind}.txt"
+    bad.write_bytes(utf8.replace("\u00e9".encode("utf-8"), b"\xe9")
+                    if kind == "corpus" else
+                    "enak\tb\u00e9bas\n".encode("latin-1"))
+    corpus, flags = ((bad, []) if kind == "corpus"
+                     else (separable_csv, [f"--{kind}", bad]))
+    assert run_cli("preprocess", corpus, "--out", tmp_path / "t.csv",
+                   *flags) == 2
+    err = assert_one_error_line(capsys)
+    assert f"{bad}: " in err and "not UTF-8 text" in err
+    if kind == "corpus":
+        assert "row 7:" in err
 
 
 @pytest.mark.parametrize("command", ["preprocess", "preprocess_lenient",

@@ -88,6 +88,28 @@ class TestLoadCsv:
         with pytest.raises(CorpusError, match=r"c\.csv: row 1: field larger"):
             load_csv(tmp_path / "c.csv")
 
+    @pytest.mark.parametrize("field", [0, 2], ids=["row_start", "text"])
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_non_utf8_row_reported_by_its_number(self, tmp_path, strict,
+                                                 field):
+        # 30 kB before the bad byte, past the text reader's first chunk,
+        # with a quoted line break and a blank line on the way
+        rows = [[str(i), "a", "teks " * 50, "negative"] for i in range(120)]
+        rows[60][2] = "dua\nbaris"
+        rows[100][field] = "\u00e9" + rows[100][field]
+        path = write_corpus_csv(tmp_path / "c.csv", rows)
+        data = path.read_bytes().replace(b"\r\n", b"\r\n\r\n", 1)
+        path.write_bytes(data.replace("\u00e9".encode("utf-8"), b"\xe9"))
+        with pytest.raises(CorpusError,
+                           match=r"c\.csv: row 102: not UTF-8 text"):
+            load_csv(path, strict=strict)
+
+    def test_non_utf8_header_is_row_1(self, tmp_path):
+        (tmp_path / "c.csv").write_bytes(b"id,source,t\xe9xt,label\n")
+        with pytest.raises(CorpusError,
+                           match=r"c\.csv: row 1: not UTF-8 text"):
+            load_csv(tmp_path / "c.csv")
+
     def test_unlabeled_rows_kept_but_not_counted(self, tmp_path):
         path = write_corpus_csv(tmp_path / "c.csv", [
             ("1", "a", "apa saja", ""),

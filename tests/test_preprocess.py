@@ -1,15 +1,17 @@
 import dataclasses
 import re
 import sys
+import time
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sentimen import preprocess
-from sentimen.preprocess import (PreprocessConfig, case_fold, clean,
-                                 load_root_words, load_slang_map,
+from sentimen.preprocess import (PreprocessConfig, _data_text, case_fold,
+                                 clean, load_root_words, load_slang_map,
                                  load_stopwords, normalize_slang,
+                                 read_slang_tsv, read_wordlist,
                                  remove_stopwords, run_pipeline, tokenize)
 
 # every code point, surrogates included, as one string
@@ -80,6 +82,20 @@ class TestClean:
     def test_matches_regex_chain_property(self, text):
         assert clean(text) == clean_oracle(text)
 
+    @given(st.lists(st.sampled_from(
+        list("ab:/.w x#@1_\u00e9\u00a0") + ["://", "www."])).map("".join))
+    @settings(max_examples=500, deadline=None)
+    def test_url_regex_matches_unanchored_one(self, text):
+        unanchored = re.compile(r"(?:\w+://|www\.)\S*")
+        assert (preprocess._URL_RE.sub(" ", text)
+                == unanchored.sub(" ", text))
+
+    def test_long_word_run_before_url_is_linear(self):
+        # the unanchored scheme regex rescans the run from every character
+        start = time.perf_counter()
+        assert clean("a" * 100_000 + " x://y") == "a" * 100_000
+        assert time.perf_counter() - start < 2.0
+
 
 class TestNormalizeSlang:
     def test_bundled_gak(self):
@@ -142,11 +158,6 @@ class TestRunPipeline:
     def test_empty(self, pp_cfg):
         assert run_pipeline("", pp_cfg) == []
 
-    def test_all_disabled_tokenize_only(self):
-        cfg = PreprocessConfig(case_fold=False, clean=False, normalize=False,
-                               remove_stopwords=False, stem=False)
-        assert run_pipeline("A b", cfg) == ["A", "b"]
-
     def test_idempotent_on_fixture_corpus(self, pp_cfg):
         from conftest import NEGATIVE_TEXTS, POSITIVE_TEXTS
         for text in POSITIVE_TEXTS + NEGATIVE_TEXTS:
@@ -179,9 +190,36 @@ class TestRunPipeline:
     @settings(max_examples=60, deadline=None)
     def test_steps_never_grow_token_count(self, pp_cfg, text):
         full = run_pipeline(text, pp_cfg)
-        bare = PreprocessConfig(case_fold=True, clean=True, normalize=False,
-                                remove_stopwords=False, stem=False)
-        assert len(full) <= len(run_pipeline(text, bare))
+        assert len(full) <= len(tokenize(clean(case_fold(text))))
+
+
+class TestDictionaryFiles:
+    def test_file_readers_parse_the_bundled_files_alike(self, tmp_path):
+        for name, read, bundled, size in [
+                ("root_words.txt", read_wordlist, load_root_words(), 2788),
+                ("stopwords.txt", read_wordlist, load_stopwords(), 245),
+                ("slang.tsv", read_slang_tsv, load_slang_map(), 151)]:
+            path = tmp_path / name
+            path.write_text(_data_text(name), "utf-8")
+            assert read(path) == bundled and len(bundled) == size
+
+    def test_slang_line_without_tab_names_file_and_line(self, tmp_path):
+        path = tmp_path / "slang.tsv"
+        path.write_text("gak\ttidak\n\nbanget sangat\n", "utf-8")
+        with pytest.raises(ValueError, match=r"slang\.tsv:3: expected"):
+            read_slang_tsv(path)
+
+    def test_entries_stripped_and_lowercased(self, tmp_path):
+        path = tmp_path / "words.txt"
+        path.write_text(" Makan\r\n\nENAK \n", "utf-8")
+        assert read_wordlist(path) == {"makan", "enak"}
+
+    @pytest.mark.parametrize("read", [read_wordlist, read_slang_tsv])
+    def test_non_utf8_file_names_the_path(self, tmp_path, read):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("kata\tb\u00e9bas\n".encode("latin-1"))
+        with pytest.raises(ValueError, match="latin1.txt: not UTF-8 text"):
+            read(path)
 
 
 class TestDictionaryCache:
@@ -213,7 +251,7 @@ class TestDictionaryCache:
 
     def test_stemmer_follows_the_config(self):
         cfg = PreprocessConfig.default()
-        assert dataclasses.replace(cfg, stem=False).stemmer is None
+        assert dataclasses.replace(cfg, roots=frozenset()).stemmer is None
         assert PreprocessConfig(roots=frozenset()).stemmer is None
         other = dataclasses.replace(cfg, roots=frozenset({"enak"}))
         assert other.stemmer.roots == {"enak"}

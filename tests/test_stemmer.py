@@ -51,7 +51,7 @@ def benchmark_corpus_words() -> list[str]:
             corpus.PAPER_SHAPE, 1)
     finally:
         del sys.modules[spec.name]
-    unstemmed = PreprocessConfig.default(stem=False)
+    unstemmed = PreprocessConfig.default(roots=frozenset())
     return [w for c in comments for w in run_pipeline(c.text, unstemmed)]
 
 
