@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, evaluation, ingest, nn, svgplot, youtube
-from .preprocess import (PreprocessConfig, read_slang_tsv, read_wordlist,
-                         run_pipeline)
+from .preprocess import (PreprocessConfig, _file_text, read_slang_tsv,
+                         read_wordlist, run_pipeline)
 from .train import (EncodedDataset, TrainConfig, save_history_csv,
                     train as train_model)
 from .vocab import build_vocab, encode, load_vocab, save_vocab, suggest_max_len
@@ -118,7 +118,7 @@ class Config(dict):
 
 def parse_config_file(path: Path) -> dict[str, str]:
     values: dict[str, str] = {}
-    for ln, raw in enumerate(path.read_text("utf-8").splitlines(), start=1):
+    for ln, raw in enumerate(_file_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -239,14 +239,17 @@ def cmd_preprocess(args, cfg) -> int:
 
 def _split_and_encode(args, cfg, pp):
     """(docs, labels) of the train, validation and test splits of the
-    labeled records of the corpus."""
+    labeled records of the corpus.  The out-dir is made, and the resolved
+    config written to it, once the corpus has been read and split."""
     full = _load_corpus(args.corpus)
     labels = [r.label for r in full.records if r.label is not None]
     if not labels:
         raise CliError("corpus has no labeled records")
+    parts = ingest.stratified_indices(labels, cfg.split)
+    echo_config(cfg, Path(args.out_dir))
     docs = _tokenized(full, pp, args.quiet)
     return tuple(([docs[i] for i in part], [int(labels[i]) for i in part])
-                 for part in ingest.stratified_indices(labels, cfg.split))
+                 for part in parts)
 
 
 def _train_lstm(cfg, vocab, train_split, val_split, quiet):
@@ -278,7 +281,6 @@ def _train_lstm(cfg, vocab, train_split, val_split, quiet):
 
 def cmd_train(args, cfg) -> int:
     out_dir = Path(args.out_dir)
-    echo_config(cfg, out_dir)
     pp = preprocess_config(args)
     (train_docs, train_labels), (val_docs, val_labels), _ = \
         _split_and_encode(args, cfg, pp)
@@ -329,13 +331,13 @@ def _load_model(args):
 
 def cmd_evaluate(args, cfg) -> int:
     out_dir = Path(args.out_dir)
-    echo_config(cfg, out_dir)
     params, vocab, max_len = _load_model(args)
     full = _load_corpus(args.test_csv)
     ds = full.labeled_only()
     if len(ds) == 0:
         raise CliError("test file has no labeled records")
     pp = preprocess_config(args)
+    echo_config(cfg, out_dir)
     docs = _tokenized(full, pp, args.quiet)
 
     preds = [int(p.label) for p in nn.predict_encoded(
@@ -372,7 +374,6 @@ def cmd_predict(args, cfg) -> int:
 
 def cmd_compare(args, cfg) -> int:
     out_dir = Path(args.out_dir)
-    echo_config(cfg, out_dir)
     pp = preprocess_config(args)
     (train_docs, train_labels), (val_docs, val_labels), \
         (test_docs, test_labels) = _split_and_encode(args, cfg, pp)

@@ -292,11 +292,15 @@ def _lstm_backward_batch(params: ModelParams, cache: dict,
     d_w_hh = flat.T @ h_states[:-1].reshape(-1, h_dim)
     d_b = flat.sum(axis=0)
     # each touched row sums its positions in order, as a scatter into the
-    # dense table would
-    rows, slot = np.unique(cache["indices"].T.reshape(-1), return_inverse=True)
+    # dense table would; pad positions are left out, and the pad row, when
+    # the batch has one, is listed first with a zero (frozen) gradient
+    ids = cache["indices"].T.reshape(-1)
+    real = np.flatnonzero(ids)
+    touched, slot = np.unique(ids[real], return_inverse=True)
+    pad = int(len(real) < len(ids))
+    rows = np.concatenate((np.zeros(pad, dtype=touched.dtype), touched))
     d_rows = np.zeros((len(rows), x.shape[-1]), dtype=dtype)
-    np.add.at(d_rows, slot, flat @ params.w_ih)
-    d_rows[rows == 0] = 0.0  # pad row frozen
+    np.add.at(d_rows[pad:], slot, flat[real] @ params.w_ih)
     return {"embedding": RowGrad(rows, d_rows), "w_ih": d_w_ih, "w_hh": d_w_hh,
             "b_ih": d_b, "b_hh": d_b.copy()}
 

@@ -16,6 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .preprocess import _file_text
+
 PAD_INDEX = 0
 OOV_INDEX = 1
 OOV_TOKEN = "⟨unk⟩"  # decode-side sentinel only, never a real token
@@ -113,13 +115,13 @@ def load_vocab(path: str | Path) -> tuple[Vocabulary, int, int]:
     """(vocabulary, max_len, min_freq); ValueError when the ``.meta``
     sidecar is missing or records no max_len."""
     path = Path(path)
-    tokens = [t for t in path.read_text("utf-8").split("\n") if t]
+    tokens = [t for t in _file_text(path).split("\n") if t]
     token_to_index = {t: i + 2 for i, t in enumerate(tokens)}
     meta_path = Path(str(path) + ".meta")
     if not meta_path.exists():
         raise ValueError(f"vocabulary sidecar not found: {meta_path}")
     meta: dict[str, str] = {}
-    for line in meta_path.read_text("utf-8").splitlines():
+    for line in _file_text(meta_path).splitlines():
         if "=" in line:
             key, value = line.split("=", 1)
             meta[key.strip()] = value.strip()

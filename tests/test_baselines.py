@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sentimen import baselines
 from sentimen.baselines import (ComparisonRow, LinearModel, TfidfVectorizer,
                                 compare_models, count_vector, linear_fit,
                                 logistic_loss_and_grad, majority_class,
@@ -204,6 +205,30 @@ class TestComparison:
         for name in ("naive_bayes", "logistic_regression", "linear_svm"):
             assert named[name].accuracy >= floor
 
+    @pytest.mark.parametrize("include,objectives", [
+        (baselines.MODELS, ["logistic", "hinge"]),
+        (("linear_svm",), ["hinge"]),
+        (("logistic_regression",), ["logistic"]),
+        (("majority", "naive_bayes"), []),
+    ])
+    def test_fits_through_the_module_linear_fit(self, monkeypatch, include,
+                                                objectives):
+        # the benchmark swaps baselines.linear_fit to keep the fitted SVM
+        # and splits its timing by the objective keyword
+        docs = [["bagus", "enak"], ["buruk"], ["enak"], ["jelek", "buruk"]]
+        labels = [1, 0, 1, 0]
+        calls = []
+        fit = baselines.linear_fit
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs["objective"])
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(baselines, "linear_fit", spy)
+        run_comparison(docs, labels, docs, labels, build_vocab(docs),
+                       include=include)
+        assert calls == objectives
+
 
 # --- oracle: the per-document SparseVec implementation the matrix code replaced
 
@@ -349,12 +374,29 @@ class TestMatrixAgainstPerDocumentOracle:
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= self.TOL
 
-    @pytest.mark.parametrize("objective,epochs", [("logistic", 200), ("hinge", 4)])
+    @pytest.mark.parametrize("objective,epochs",
+                             [("logistic", 200), ("hinge", 4), ("hinge", 30)])
     def test_linear_weights(self, random_corpus, objective, epochs):
         train_docs, labels, _, vocab = random_corpus
         x = TfidfVectorizer.fit(train_docs, vocab).transform(train_docs)
         model = linear_fit(x, labels, objective=objective, epochs=epochs, seed=5)
         w, b = _oracle_linear_fit(_oracle_tfidf(train_docs, train_docs, vocab),
                                   labels, objective, epochs, seed=5)
+        assert np.max(np.abs(model.w - w)) <= self.TOL
+        assert abs(model.b - b) <= self.TOL
+
+    @pytest.mark.parametrize("docs,labels,epochs", [
+        ([["bagus", "enak"]], [1], 1),            # the t = 1 step alone
+        ([["buruk"]], [0], 3),
+        ([[], ["bagus", "enak"], [], ["buruk", "jelek", "buruk"], [],
+          ["enak"]], [0, 1, 1, 0, 1, 1], 7),     # empty rows take steps too
+        ([[], []], [1, 0], 2),                   # every row empty
+    ])
+    def test_hinge_small_corpora(self, docs, labels, epochs):
+        vocab = build_vocab([["bagus", "enak", "buruk", "jelek"]])
+        x = TfidfVectorizer.fit(docs, vocab).transform(docs)
+        model = linear_fit(x, labels, objective="hinge", epochs=epochs, seed=2)
+        w, b = _oracle_linear_fit(_oracle_tfidf(docs, docs, vocab), labels,
+                                  "hinge", epochs, seed=2)
         assert np.max(np.abs(model.w - w)) <= self.TOL
         assert abs(model.b - b) <= self.TOL

@@ -429,6 +429,48 @@ def test_non_utf8_file_exit_2_naming_it(tmp_path, separable_csv, capsys,
         assert "row 7:" in err
 
 
+@pytest.mark.parametrize("command,bad", [
+    ("train", "roots"), ("evaluate", "roots"), ("compare", "roots"),
+    ("train", "unsplittable"), ("compare", "unsplittable")])
+def test_bad_input_leaves_no_out_dir(tmp_path, request, separable_csv, capsys,
+                                     command, bad):
+    roots = tmp_path / "latin1_roots.txt"
+    roots.write_bytes("bébas\n".encode("latin-1"))
+    # one negative record cannot fill three nonzero splits
+    tiny = write_corpus_csv(tmp_path / "tiny.csv", separable_rows(1))
+    out_dir = tmp_path / "o"
+    ckpt = (request.getfixturevalue("trained_run") / "checkpoint.bin"
+            if command == "evaluate" else None)
+    corpus = separable_csv if bad == "roots" else tiny
+    inputs = {"train": [corpus], "evaluate": [ckpt, corpus],
+              "compare": [corpus]}[command]
+    flags = ["--roots", roots] if bad == "roots" else []
+    assert run_cli("--out-dir", out_dir, command, *inputs, *flags) == 2
+    err = assert_one_error_line(capsys)
+    assert (f"{roots}: not UTF-8 text" if bad == "roots"
+            else "1 records for 3 nonzero splits") in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("kind", ["config", "vocab", "vocab_meta"])
+def test_non_utf8_config_or_vocab_exit_2_naming_it(tmp_path, request,
+                                                   separable_csv, capsys,
+                                                   kind):
+    if kind == "config":
+        bad = tmp_path / "latin1.cfg"
+        bad.write_bytes("# réglages\nepochs = 1\n".encode("latin-1"))
+        argv = ["--out-dir", tmp_path / "o", "train", separable_csv,
+                "--config", bad]
+    else:
+        trained = request.getfixturevalue("trained_run")
+        bad = trained / ("vocab.txt" if kind == "vocab" else "vocab.txt.meta")
+        bad.write_bytes(bad.read_bytes() + b"\xff\n")
+        argv = ["predict", trained / "checkpoint.bin", "bagus"]
+    assert run_cli(*argv) == 2
+    err = assert_one_error_line(capsys)
+    assert f"{bad}: not UTF-8 text" in err
+
+
 @pytest.mark.parametrize("command", ["preprocess", "preprocess_lenient",
                                      "train", "evaluate", "compare"])
 def test_csv_field_over_size_limit_exit_2(tmp_path, request, capsys,
