@@ -237,15 +237,18 @@ def cmd_preprocess(args, cfg) -> int:
     return EXIT_OK
 
 
-def _split_and_encode(args, cfg, pp):
+def _split_and_encode(args, cfg, pp, needed: str):
     """(docs, labels) of the train, validation and test splits of the
-    labeled records of the corpus.  The out-dir is made, and the resolved
-    config written to it, once the corpus has been read and split."""
+    labeled records of the corpus; the ``needed`` split ("train" or "test")
+    must not be empty.  The out-dir is made, and the resolved config
+    written to it, once the corpus has been read and split."""
     full = _load_corpus(args.corpus)
     labels = [r.label for r in full.records if r.label is not None]
     if not labels:
         raise CliError("corpus has no labeled records")
     parts = ingest.stratified_indices(labels, cfg.split)
+    if not parts[("train", "val", "test").index(needed)]:
+        raise CliError(f"{needed} split is empty; adjust split fractions")
     echo_config(cfg, Path(args.out_dir))
     docs = _tokenized(full, pp, args.quiet)
     return tuple(([docs[i] for i in part], [int(labels[i]) for i in part])
@@ -283,9 +286,7 @@ def cmd_train(args, cfg) -> int:
     out_dir = Path(args.out_dir)
     pp = preprocess_config(args)
     (train_docs, train_labels), (val_docs, val_labels), _ = \
-        _split_and_encode(args, cfg, pp)
-    if not train_docs:
-        raise CliError("train split is empty")
+        _split_and_encode(args, cfg, pp, "train")
 
     vocab = build_vocab(train_docs, min_freq=cfg["min_freq"])
     result, max_len = _train_lstm(cfg, vocab, (train_docs, train_labels),
@@ -376,9 +377,7 @@ def cmd_compare(args, cfg) -> int:
     out_dir = Path(args.out_dir)
     pp = preprocess_config(args)
     (train_docs, train_labels), (val_docs, val_labels), \
-        (test_docs, test_labels) = _split_and_encode(args, cfg, pp)
-    if not test_docs:
-        raise CliError("test split is empty; adjust split fractions")
+        (test_docs, test_labels) = _split_and_encode(args, cfg, pp, "test")
 
     vocab = build_vocab(train_docs, min_freq=cfg["min_freq"])
     rows = baselines.run_comparison(train_docs, train_labels, test_docs,

@@ -27,6 +27,7 @@ import math
 import struct
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterator
 
@@ -187,14 +188,18 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator,
     return keep / (1.0 - rate)
 
 
+@lru_cache(maxsize=8)
 def _gate_affine(h_dim: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     """(scale, shift) over the 4H gate axis: ``scale*tanh(scale*a) + shift``
-    is the sigmoid on the i, f, o blocks and tanh on the g block."""
+    is the sigmoid on the i, f, o blocks and tanh on the g block.  Cached
+    per (h_dim, dtype), so both arrays are read-only."""
     scale = np.full((4, h_dim), 0.5, dtype=dtype)
     shift = np.full((4, h_dim), 0.5, dtype=dtype)
     scale[2] = 1.0
     shift[2] = 0.0
-    return scale.reshape(-1), shift.reshape(-1)
+    scale, shift = scale.reshape(-1), shift.reshape(-1)
+    scale.flags.writeable = shift.flags.writeable = False
+    return scale, shift
 
 
 def _lstm_forward_batch(params: ModelParams, indices: np.ndarray,
@@ -210,7 +215,7 @@ def _lstm_forward_batch(params: ModelParams, indices: np.ndarray,
     h_dim = params.w_hh.shape[1]
     dtype = params.w_ih.dtype
     batch = indices.shape[0]
-    lengths = np.clip(lengths, 0, indices.shape[1])
+    lengths = np.minimum(np.maximum(lengths, 0), indices.shape[1])
     steps = int(lengths.max(initial=0))
     indices = indices[:, :steps]
     x = params.embedding[indices.T]          # (T', B, E)

@@ -3,6 +3,14 @@
 Fixed order: case-fold -> clean -> slang normalization -> tokenization ->
 stopword removal -> stemming.
 
+``run_pipeline`` runs the chain once per distinct whitespace-delimited raw
+token and keeps each token's output in a memo, which configs with equal
+dictionaries share.  A memo holds at most ``stemmer.CACHE_SIZE`` (65,536)
+tokens and is cleared when full; the benchmark corpus fills it with 36,961
+tokens, about 4.3 MiB, and at most 8 memos are kept, so the worst case is
+8 full memos, about 61 MiB.  The stemmer keeps its own cache for the
+chain's misses: a new raw token often reaches a word stemmed before.
+
 Bundled dictionaries live in ``sentimen/data/``: a curated root-word list
 (one lowercase word per line), a stopword list of Indonesian function words
 (negations deliberately retained so "tidak bagus" keeps its polarity), and
@@ -12,11 +20,14 @@ a slang map (``slang<TAB>standard``, standard side may be multi-word).
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 
+from . import stemmer as _stemmer
 from .stemmer import IndonesianStemmer
 
 # (?<!\w): a long word run is scanned once, not once per character
@@ -85,21 +96,39 @@ def _stemmer_for(roots: frozenset[str]) -> IndonesianStemmer:
     return IndonesianStemmer(roots)
 
 
+@lru_cache(maxsize=8)
+def _memo_for(slang: frozenset[tuple[str, str]], stopwords: frozenset[str],
+              roots: frozenset[str]) -> dict[str, tuple[str, ...]]:
+    return {}
+
+
 @dataclass(frozen=True)
 class PreprocessConfig:
-    """The three dictionaries; an empty one skips its step."""
+    """The three dictionaries, read-only; an empty one skips its step."""
 
-    slang: dict[str, str] = field(default_factory=dict)
+    slang: Mapping[str, str] = field(default_factory=dict)
     stopwords: frozenset[str] = frozenset()
     roots: frozenset[str] = frozenset()
-    # resolved once per config: equal root sets share one stemmer and its
-    # cache, and run_pipeline never compares root sets
+    # resolved once per config: equal dictionaries share one stemmer and one
+    # token memo, and run_pipeline never compares dictionaries
     stemmer: IndonesianStemmer | None = field(init=False, compare=False,
                                               repr=False)
+    _memo: dict[str, tuple[str, ...]] | None = field(init=False, compare=False,
+                                                     repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "stemmer",
-                           _stemmer_for(self.roots) if self.roots else None)
+        # private copies: a memo shared by equal configs cannot go stale
+        slang = MappingProxyType(dict(self.slang))
+        stopwords, roots = frozenset(self.stopwords), frozenset(self.roots)
+        object.__setattr__(self, "slang", slang)
+        object.__setattr__(self, "stopwords", stopwords)
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "stemmer", _stemmer_for(roots) if roots else None)
+        # a slang entry for the empty word rewrites a text that cleans to
+        # nothing, which no single token decides: such a config runs the
+        # chain on whole texts
+        object.__setattr__(self, "_memo", None if "" in slang else _memo_for(
+            frozenset(slang.items()), stopwords, roots))
 
     @classmethod
     def default(cls, **overrides) -> "PreprocessConfig":
@@ -132,7 +161,7 @@ def clean(text: str) -> str:
     return " ".join(_NON_LETTER_RE.sub("", text).split())
 
 
-def normalize_slang(text: str, slang: dict[str, str]) -> str:
+def normalize_slang(text: str, slang: Mapping[str, str]) -> str:
     """Whole-word substitution, single pass (outputs are not re-normalized)."""
     words = text.split(" ")
     return " ".join([slang.get(w, w) for w in words])
@@ -150,10 +179,35 @@ def stem_tokens(tokens: list[str], stemmer: IndonesianStemmer) -> list[str]:
     return [stemmer.stem(t) for t in tokens]
 
 
-def run_pipeline(text: str, cfg: PreprocessConfig) -> list[str]:
-    """Apply the six steps in fixed order and return the token list."""
+def _chain(text: str, cfg: PreprocessConfig) -> list[str]:
+    """The six steps in fixed order."""
     text = normalize_slang(clean(case_fold(text)), cfg.slang)
     tokens = remove_stopwords(tokenize(text), cfg.stopwords)
     if cfg.stemmer is not None:
         tokens = stem_tokens(tokens, cfg.stemmer)
+    return tokens
+
+
+def run_pipeline(text: str, cfg: PreprocessConfig) -> list[str]:
+    """Apply the six steps in fixed order and return a new token list.
+
+    No step looks across whitespace: every ``clean`` match lies inside one
+    whitespace-delimited run, ``str.split`` and ``re``'s ``\\s`` split on the
+    same 29 characters, and the later steps map word by word.  So the
+    result is the concatenation of the chain's output on each raw token of
+    ``text.split()``, and the chain runs only on a token the config's memo
+    has not seen.  The memo is shared by configs with equal dictionaries,
+    holds at most ``stemmer.CACHE_SIZE`` tokens and is cleared when full.
+    """
+    memo = cfg._memo
+    if memo is None:
+        return _chain(text, cfg)
+    tokens = []
+    for raw in text.split():
+        out = memo.get(raw)
+        if out is None:
+            if len(memo) >= _stemmer.CACHE_SIZE:
+                memo.clear()
+            out = memo[raw] = tuple(_chain(raw, cfg))
+        tokens += out
     return tokens

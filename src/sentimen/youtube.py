@@ -9,10 +9,12 @@ not passed explicitly and is never logged or echoed.
 from __future__ import annotations
 
 import os
-
-import requests
+from typing import TYPE_CHECKING
 
 from .ingest import LabeledComment
+
+if TYPE_CHECKING:
+    import requests
 
 DEFAULT_BASE_URL = "https://www.googleapis.com/youtube/v3/commentThreads"
 API_KEY_ENV = "SENTIMEN_API_KEY"
@@ -42,12 +44,6 @@ class TransientFetchError(FetchError):
 
 class InvalidUrlError(FetchError):
     """A base URL that ``requests`` rejects before connecting."""
-
-
-# requests raises these before any connection is made
-_URL_ERRORS = (requests.exceptions.MissingSchema,
-               requests.exceptions.InvalidSchema,
-               requests.exceptions.InvalidURL)
 
 
 def _error_for(status: int, payload: dict) -> FetchError:
@@ -89,6 +85,13 @@ def fetch_comments(video_id: str, api_key: str | None = None,
     if max_pages == 0:
         return []
 
+    # imported here: it costs every other command about 0.1 s and 12 MB
+    import requests
+
+    # requests raises these before any connection is made
+    url_errors = (requests.exceptions.MissingSchema,
+                  requests.exceptions.InvalidSchema,
+                  requests.exceptions.InvalidURL)
     sess = session or requests.Session()
     comments: list[LabeledComment] = []
     page_token: str | None = None
@@ -100,7 +103,7 @@ def fetch_comments(video_id: str, api_key: str | None = None,
         try:
             resp = sess.get(base_url, params=params, timeout=timeout)
         # the exceptions' text holds the request URL, key included
-        except _URL_ERRORS as exc:
+        except url_errors as exc:
             raise InvalidUrlError(
                 f"bad base URL {base_url}: {type(exc).__name__}") from None
         except requests.RequestException as exc:

@@ -6,7 +6,7 @@ from urllib.parse import parse_qs, urlparse
 
 import pytest
 
-from sentimen import nn
+from sentimen import nn, preprocess
 from sentimen.preprocess import PreprocessConfig
 
 # small labeled corpus in the canonical CSV shape; texts only use words the
@@ -36,6 +36,14 @@ NEGATIVE_TEXTS = [
 @pytest.fixture(scope="session")
 def pp_cfg() -> PreprocessConfig:
     return PreprocessConfig.default()
+
+
+@pytest.fixture(autouse=True)
+def fresh_preprocess_tables():
+    """Each test resolves new configs to a new stemmer and token memo, so
+    none sees the caches an earlier test warmed."""
+    preprocess._memo_for.cache_clear()
+    preprocess._stemmer_for.cache_clear()
 
 
 def dense_grads(params, grads):

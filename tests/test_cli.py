@@ -431,24 +431,34 @@ def test_non_utf8_file_exit_2_naming_it(tmp_path, separable_csv, capsys,
 
 @pytest.mark.parametrize("command,bad", [
     ("train", "roots"), ("evaluate", "roots"), ("compare", "roots"),
-    ("train", "unsplittable"), ("compare", "unsplittable")])
+    ("train", "unsplittable"), ("compare", "unsplittable"),
+    ("train", "empty_split"), ("compare", "empty_split")])
 def test_bad_input_leaves_no_out_dir(tmp_path, request, separable_csv, capsys,
                                      command, bad):
     roots = tmp_path / "latin1_roots.txt"
     roots.write_bytes("bébas\n".encode("latin-1"))
     # one negative record cannot fill three nonzero splits
     tiny = write_corpus_csv(tmp_path / "tiny.csv", separable_rows(1))
+    # train gets no train split, compare no test split
+    empty = tmp_path / "empty_split.cfg"
+    empty.write_text("train_fraction = 0\nval_fraction = 0.5\n"
+                     "test_fraction = 0.5\n" if command == "train" else
+                     "train_fraction = 0.85\nval_fraction = 0.15\n"
+                     "test_fraction = 0\n", "utf-8")
     out_dir = tmp_path / "o"
     ckpt = (request.getfixturevalue("trained_run") / "checkpoint.bin"
             if command == "evaluate" else None)
-    corpus = separable_csv if bad == "roots" else tiny
+    corpus = tiny if bad == "unsplittable" else separable_csv
     inputs = {"train": [corpus], "evaluate": [ckpt, corpus],
               "compare": [corpus]}[command]
-    flags = ["--roots", roots] if bad == "roots" else []
+    flags = {"roots": ["--roots", roots], "unsplittable": [],
+             "empty_split": ["--config", empty]}[bad]
     assert run_cli("--out-dir", out_dir, command, *inputs, *flags) == 2
     err = assert_one_error_line(capsys)
-    assert (f"{roots}: not UTF-8 text" if bad == "roots"
-            else "1 records for 3 nonzero splits") in err
+    assert {"roots": f"{roots}: not UTF-8 text",
+            "unsplittable": "1 records for 3 nonzero splits",
+            "empty_split": f"{'test' if command == 'compare' else 'train'} "
+                           "split is empty"}[bad] in err
     assert not out_dir.exists()
 
 

@@ -273,6 +273,23 @@ class TestLstmForward:
         assert np.array_equal(a["c_states"][lengths, rows],
                               b["c_states"][lengths, rows])
 
+    def test_lengths_clamped_to_the_batch(self):
+        cfg = tiny_config(E=3, H=2, T=4)
+        params = random_params(cfg, seed=5, bias_scale=1.0)
+        idx = np.array([[1, 2, 3, 4], [4, 3, 0, 0]])
+        a = nn._lstm_forward_batch(params, idx, np.array([9, -2]))
+        b = nn._lstm_forward_batch(params, idx, np.array([4, 0]))
+        assert a["lengths"].tolist() == [4, 0]
+        assert np.array_equal(a["h_final"], b["h_final"])
+
+    def test_gate_affine_cached_read_only(self):
+        scale, shift = nn._gate_affine(2, np.dtype(np.float32))
+        again = nn._gate_affine(2, np.dtype(np.float32))
+        assert again[0] is scale and again[1] is shift
+        assert not (scale.flags.writeable or shift.flags.writeable)
+        assert scale.tolist() == [0.5, 0.5, 0.5, 0.5, 1.0, 1.0, 0.5, 0.5]
+        assert shift.tolist() == [0.5, 0.5, 0.5, 0.5, 0.0, 0.0, 0.5, 0.5]
+
 
 class TestEmbedForward:
     """The batched path's embedding lookup, cached time-major as ``x``."""

@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import sys
+import threading
 import time
 
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sentimen import preprocess
-from sentimen.preprocess import (PreprocessConfig, _data_text, case_fold,
-                                 clean, load_root_words, load_slang_map,
+from sentimen import stemmer as stemmer_module
+from sentimen.preprocess import (PreprocessConfig, _chain, _data_text,
+                                 case_fold, clean, load_root_words,
+                                 load_slang_map,
                                  load_stopwords, normalize_slang,
                                  read_slang_tsv, read_wordlist,
                                  remove_stopwords, run_pipeline, tokenize)
@@ -229,7 +232,7 @@ class TestDictionaryCache:
         _stemmer_for.cache_clear()
         a, b = PreprocessConfig.default(), PreprocessConfig.default()
         assert a.roots is b.roots and a.stopwords is b.stopwords
-        assert a.slang is not b.slang  # the mutable map is not shared
+        assert a.slang is not b.slang  # each config has its own read-only copy
         run_pipeline("makanannya enak", a)
         run_pipeline("programnya bagus", b)
         assert _stemmer_for.cache_info().currsize == 1
@@ -256,3 +259,132 @@ class TestDictionaryCache:
         other = dataclasses.replace(cfg, roots=frozenset({"enak"}))
         assert other.stemmer.roots == {"enak"}
         assert run_pipeline("makanannya enak", other) == ["makanannya", "enak"]
+
+
+# slang whose standard side is several words, one of them a stopword
+MULTIWORD_SLANG = {"gpp": "tidak apa apa", "yg": "yang", "bgt": "sangat",
+                   "sbg": "sebagai\tcontoh", "mkn": "makanan  enak"}
+# fragments that stress every step, and every whitespace character, to be
+# concatenated in any order with no separator at all
+PIPELINE_PIECES = [
+    "http://a.co/x", "https://b.id?q=1", "www.x.id", "WWW.BESAR.ID", "a://b",
+    "://", "@user", "@", "#tag", "#", "x@y", "a#b", "gr4tis", "123", "0",
+    "MAKANAN", "Programnya", "\u0130", "\u03a3", "\u0391\u03a3", "\u00df",
+    "\u00e9", "!", ".", "?", "gak", "gpp", "yg", "bgt", "sbg", "mkn", "yang",
+    "dan", "tidak", "makanan", "diberikan", "bagus", "enak", "pemerintah",
+    *ISSPACE]
+PIPELINE_TEXTS = st.lists(st.sampled_from(PIPELINE_PIECES),
+                          max_size=24).map("".join)
+PIPELINE_SLANGS = st.sampled_from([None, MULTIWORD_SLANG])
+
+
+def slang_config(slang) -> PreprocessConfig:
+    return PreprocessConfig.default(**({} if slang is None else {"slang": slang}))
+
+
+class TestTokenMemo:
+    @given(PIPELINE_TEXTS, PIPELINE_SLANGS)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_chain_cold_and_warm(self, text, slang):
+        preprocess._memo_for.cache_clear()
+        cfg = slang_config(slang)
+        want = _chain(text, cfg)
+        cold = run_pipeline(text, cfg)
+        assert cold == want
+        cold.append("changed")  # the caller owns the list it gets
+        assert run_pipeline(text, cfg) == want
+
+    @given(st.lists(PIPELINE_TEXTS, max_size=6), PIPELINE_SLANGS)
+    @settings(max_examples=100, deadline=None)
+    def test_texts_sharing_tokens_match_chain(self, texts, slang):
+        cfg = slang_config(slang)  # warm from earlier examples
+        for text in texts:
+            assert run_pipeline(text, cfg) == _chain(text, cfg)
+
+    def test_eviction_keeps_results_and_bound(self, monkeypatch):
+        from conftest import NEGATIVE_TEXTS, POSITIVE_TEXTS
+
+        texts = POSITIVE_TEXTS + NEGATIVE_TEXTS
+        want = [_chain(t, PreprocessConfig.default()) for t in texts]
+        monkeypatch.setattr(stemmer_module, "CACHE_SIZE", 3)
+        preprocess._memo_for.cache_clear()
+        cfg = PreprocessConfig.default()
+        sizes = set()
+        for _ in range(2):
+            for text, tokens in zip(texts, want):
+                assert run_pipeline(text, cfg) == tokens
+                sizes.add(len(cfg._memo))
+                for word in text.split():
+                    run_pipeline(word, cfg)
+                    sizes.add(len(cfg._memo))
+        assert max(sizes) == 3
+
+    def test_threads_sharing_a_memo_get_exact_results(self, monkeypatch):
+        from conftest import NEGATIVE_TEXTS, POSITIVE_TEXTS
+
+        texts = POSITIVE_TEXTS + NEGATIVE_TEXTS
+        cfg = PreprocessConfig.default()
+        want = [_chain(t, cfg) for t in texts]
+        monkeypatch.setattr(stemmer_module, "CACHE_SIZE", 5)  # clear often
+        wrong = []
+
+        def work(offset):
+            for i in range(20 * len(texts)):
+                j = (i + offset) % len(texts)
+                if run_pipeline(texts[j], cfg) != want[j]:
+                    wrong.append(j)
+
+        threads = [threading.Thread(target=work, args=(3 * k,))
+                   for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_equal_dictionaries_share_one_memo(self):
+        a = PreprocessConfig.default()
+        b = PreprocessConfig.default(slang=dict(load_slang_map()),
+                                     roots=frozenset(list(load_root_words())))
+        assert a._memo is b._memo is not None
+        run_pipeline("makanannya enak", a)
+        assert set(b._memo) == {"makanannya", "enak"}
+
+    @pytest.mark.parametrize("name,value,tokens", [
+        ("slang", {"enak": "lezat"}, ["makan", "lezat", "gak"]),
+        ("stopwords", frozenset({"enak"}), ["makan", "tidak"]),
+        ("roots", frozenset({"enak"}), ["makanannya", "enak", "tidak"])])
+    def test_other_dictionaries_never_share_entries(self, name, value, tokens):
+        text = "makanannya enak gak"
+        a = PreprocessConfig.default()
+        assert run_pipeline(text, a) == ["makan", "enak", "tidak"]
+        b = dataclasses.replace(a, **{name: value})
+        assert b._memo is not a._memo and not b._memo
+        assert run_pipeline(text, b) == tokens == _chain(text, b)
+
+    def test_empty_slang_word_runs_whole_texts(self):
+        # the empty word is what a text that cleans to nothing becomes
+        cfg = PreprocessConfig.default(slang={"": "kosong"})
+        assert cfg._memo is None
+        assert run_pipeline("123 !!", cfg) == ["kosong"] == _chain("123 !!", cfg)
+        assert run_pipeline("enak 123", cfg) == ["enak"]
+
+    def test_dictionaries_are_read_only_copies(self):
+        slang, stopwords = {"gak": "tidak"}, {"yang"}
+        cfg = PreprocessConfig(slang=slang, stopwords=stopwords)
+        with pytest.raises(TypeError):
+            cfg.slang["gak"] = "ya"
+        slang["gak"] = "ya"
+        stopwords.add("tidak")
+        assert run_pipeline("gak yang", cfg) == ["tidak"]
+        assert cfg == PreprocessConfig(slang={"gak": "tidak"},
+                                       stopwords=frozenset({"yang"}))
+        other = dataclasses.replace(cfg, slang={"gak": "bukan"})
+        assert other._memo is not cfg._memo
+        assert run_pipeline("gak yang", other) == ["bukan"]

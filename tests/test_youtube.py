@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 import requests
 
@@ -141,3 +146,14 @@ class TestErrors:
         assert not info.value.retryable
         assert base_url in str(info.value) and kind in str(info.value)
         assert "secret-key" not in str(info.value)
+
+
+def test_cli_import_leaves_requests_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sentimen.cli; print('requests' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "False"
