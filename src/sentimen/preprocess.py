@@ -3,13 +3,12 @@
 Fixed order: case-fold -> clean -> slang normalization -> tokenization ->
 stopword removal -> stemming.
 
-``run_pipeline`` runs the chain once per distinct whitespace-delimited raw
-token and keeps each token's output in a memo, which configs with equal
+``run_pipeline`` case-folds and cleans each text, then maps each cleaned
+word through a memo of the last four steps, which configs with equal
 dictionaries share.  A memo holds at most ``stemmer.CACHE_SIZE`` (65,536)
-tokens and is cleared when full; the benchmark corpus fills it with 36,961
-tokens, about 4.3 MiB, and at most 8 memos are kept, so the worst case is
-8 full memos, about 61 MiB.  The stemmer keeps its own cache for the
-chain's misses: a new raw token often reaches a word stemmed before.
+words and is cleared when full; the benchmark corpus fills it with 26,773
+words, about 3.5 MiB, and at most 8 memos are kept, so the worst case is
+8 full memos, about 68 MiB.
 
 Bundled dictionaries live in ``sentimen/data/``: a curated root-word list
 (one lowercase word per line), a stopword list of Indonesian function words
@@ -35,6 +34,9 @@ _URL_RE = re.compile(r"(?:(?<!\w)\w+://|www\.)\S*")
 _MENTION_RE = re.compile(r"(?<!\S)@\S+")
 _HASHTAG_RE = re.compile(r"(?<!\S)#\S+")
 _NON_LETTER_RE = re.compile(r"[^A-Za-z\s]")
+# the ASCII characters _NON_LETTER_RE removes: an ASCII text (95% of the
+# benchmark corpus) drops them in one bytes.translate, 4 times faster
+_ASCII_NON_LETTERS = bytes(c for c in range(128) if _NON_LETTER_RE.match(chr(c)))
 
 
 def _parse_wordlist(text: str) -> frozenset[str]:
@@ -52,6 +54,8 @@ def _parse_slang_tsv(text: str, source: str | Path) -> dict[str, str]:
             slang, standard = line.split("\t")
         except ValueError:
             raise ValueError(f"{source}:{ln}: expected 'slang<TAB>standard'") from None
+        if not slang.strip():
+            raise ValueError(f"{source}:{ln}: empty slang word")
         pairs[slang.strip().lower()] = standard.strip().lower()
     return pairs
 
@@ -110,13 +114,16 @@ class PreprocessConfig:
     stopwords: frozenset[str] = frozenset()
     roots: frozenset[str] = frozenset()
     # resolved once per config: equal dictionaries share one stemmer and one
-    # token memo, and run_pipeline never compares dictionaries
+    # word memo, and run_pipeline never compares dictionaries
     stemmer: IndonesianStemmer | None = field(init=False, compare=False,
                                               repr=False)
-    _memo: dict[str, tuple[str, ...]] | None = field(init=False, compare=False,
-                                                     repr=False)
+    _memo: dict[str, tuple[str, ...]] = field(init=False, compare=False,
+                                              repr=False)
 
     def __post_init__(self):
+        if "" in self.slang:
+            # no cleaned word is empty, so such an entry could never apply
+            raise ValueError("slang map has an entry for the empty word")
         # private copies: a memo shared by equal configs cannot go stale
         slang = MappingProxyType(dict(self.slang))
         stopwords, roots = frozenset(self.stopwords), frozenset(self.roots)
@@ -124,10 +131,7 @@ class PreprocessConfig:
         object.__setattr__(self, "stopwords", stopwords)
         object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "stemmer", _stemmer_for(roots) if roots else None)
-        # a slang entry for the empty word rewrites a text that cleans to
-        # nothing, which no single token decides: such a config runs the
-        # chain on whole texts
-        object.__setattr__(self, "_memo", None if "" in slang else _memo_for(
+        object.__setattr__(self, "_memo", _memo_for(
             frozenset(slang.items()), stopwords, roots))
 
     @classmethod
@@ -143,22 +147,32 @@ def case_fold(text: str) -> str:
     return text.lower()
 
 
-def clean(text: str) -> str:
-    """Strip URLs, @mentions, #hashtags, digits and non-letter characters.
-
-    Digits are removed in place (``gr4tis`` -> ``grtis``), not as whole
-    words; mentions and hashtags drop the whole token.  Each of the three
-    token regexes runs only when the text holds the substring it needs to
-    match, and whitespace runs collapse through ``str.split``, whose
-    whitespace is the same 29 characters as ``re``'s ``\\s``.
-    """
+def _clean_words(text: str) -> list[str]:
+    """The words of ``clean(text)``."""
     if "://" in text or "www." in text:
         text = _URL_RE.sub(" ", text)
     if "@" in text:
         text = _MENTION_RE.sub(" ", text)
     if "#" in text:
         text = _HASHTAG_RE.sub(" ", text)
-    return " ".join(_NON_LETTER_RE.sub("", text).split())
+    if text.isascii():
+        text = text.encode("ascii").translate(None, _ASCII_NON_LETTERS).decode("ascii")
+    else:
+        text = _NON_LETTER_RE.sub("", text)
+    return text.split()
+
+
+def clean(text: str) -> str:
+    """Strip URLs, @mentions, #hashtags, digits and non-letter characters.
+
+    Digits are removed in place (``gr4tis`` -> ``grtis``), not as whole
+    words; mentions and hashtags drop the whole token.  Each of the three
+    token regexes runs only when the text holds the substring it needs to
+    match, an ASCII text drops non-letters through ``bytes.translate``,
+    and whitespace runs collapse through ``str.split``, whose whitespace
+    is the same 29 characters as ``re``'s ``\\s``.
+    """
+    return " ".join(_clean_words(text))
 
 
 def normalize_slang(text: str, slang: Mapping[str, str]) -> str:
@@ -179,35 +193,32 @@ def stem_tokens(tokens: list[str], stemmer: IndonesianStemmer) -> list[str]:
     return [stemmer.stem(t) for t in tokens]
 
 
-def _chain(text: str, cfg: PreprocessConfig) -> list[str]:
-    """The six steps in fixed order."""
-    text = normalize_slang(clean(case_fold(text)), cfg.slang)
-    tokens = remove_stopwords(tokenize(text), cfg.stopwords)
-    if cfg.stemmer is not None:
-        tokens = stem_tokens(tokens, cfg.stemmer)
-    return tokens
-
-
 def run_pipeline(text: str, cfg: PreprocessConfig) -> list[str]:
     """Apply the six steps in fixed order and return a new token list.
 
-    No step looks across whitespace: every ``clean`` match lies inside one
-    whitespace-delimited run, ``str.split`` and ``re``'s ``\\s`` split on the
-    same 29 characters, and the later steps map word by word.  So the
-    result is the concatenation of the chain's output on each raw token of
-    ``text.split()``, and the chain runs only on a token the config's memo
-    has not seen.  The memo is shared by configs with equal dictionaries,
-    holds at most ``stemmer.CACHE_SIZE`` tokens and is cleared when full.
+    Case folding and cleaning run on the whole text.  The last four steps
+    go word by word, so the text's tokens are those of each of its cleaned
+    words, joined, and they run only on a word the config's memo has not
+    seen.  The memo is shared by configs with equal dictionaries, holds at
+    most ``stemmer.CACHE_SIZE`` words and is cleared when full.
     """
-    memo = cfg._memo
-    if memo is None:
-        return _chain(text, cfg)
+    memo, slang, stopwords, stemmer = cfg._memo, cfg.slang, cfg.stopwords, cfg.stemmer
     tokens = []
-    for raw in text.split():
-        out = memo.get(raw)
+    for word in _clean_words(case_fold(text)):
+        out = memo.get(word)
         if out is None:
+            # the last four steps on this word, inline, and with no split
+            # for a word without a slang entry: a miss costs about what the
+            # step functions spend on the word in a whole text
+            standard = slang.get(word)
+            if standard is None:
+                out = () if word in stopwords else (
+                    word if stemmer is None else stemmer.stem(word),)
+            else:
+                out = tuple([t if stemmer is None else stemmer.stem(t)
+                             for t in standard.split() if t not in stopwords])
             if len(memo) >= _stemmer.CACHE_SIZE:
                 memo.clear()
-            out = memo[raw] = tuple(_chain(raw, cfg))
+            memo[word] = out
         tokens += out
     return tokens

@@ -40,7 +40,7 @@ def pp_cfg() -> PreprocessConfig:
 
 @pytest.fixture(autouse=True)
 def fresh_preprocess_tables():
-    """Each test resolves new configs to a new stemmer and token memo, so
+    """Each test resolves new configs to a new stemmer and word memo, so
     none sees the caches an earlier test warmed."""
     preprocess._memo_for.cache_clear()
     preprocess._stemmer_for.cache_clear()

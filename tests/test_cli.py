@@ -192,6 +192,14 @@ class TestPreprocessCommand:
                        tmp_path / "x.csv", "--stopwords", empty,
                        "--slang", empty) == 0
 
+    def test_empty_slang_word_exit_2_with_path(self, tmp_path, toy_corpus_csv,
+                                               capsys):
+        slang = tmp_path / "slang.tsv"
+        slang.write_text("gak\ttidak\n\tkata\n", "utf-8")
+        assert run_cli("preprocess", toy_corpus_csv, "--out",
+                       tmp_path / "x.csv", "--slang", slang) == 2
+        assert f"{slang}:2: empty slang word" in assert_one_error_line(capsys)
+
     def test_bad_row_strict_vs_lenient(self, tmp_path):
         src = write_corpus_csv(tmp_path / "bad.csv",
                                [("1", "c", "ok", "positive"),

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from sentimen import preprocess
 from sentimen import stemmer as stemmer_module
-from sentimen.preprocess import (PreprocessConfig, _chain, _data_text,
-                                 case_fold, clean, load_root_words,
-                                 load_slang_map,
+from sentimen.preprocess import (PreprocessConfig, _data_text, case_fold,
+                                 clean, load_root_words, load_slang_map,
                                  load_stopwords, normalize_slang,
                                  read_slang_tsv, read_wordlist,
-                                 remove_stopwords, run_pipeline, tokenize)
+                                 remove_stopwords, run_pipeline, stem_tokens,
+                                 tokenize)
 
 # every code point, surrogates included, as one string
 ALL_CHARS = "".join(map(chr, range(sys.maxunicode + 1)))
@@ -30,6 +30,15 @@ def clean_oracle(text: str) -> str:
     text = re.sub(r"[0-9]", "", text)
     text = re.sub(r"[^A-Za-z\s]", "", text)
     return re.sub(r"\s+", " ", text).strip()
+
+
+def chain_oracle(text: str, cfg: PreprocessConfig) -> list[str]:
+    """The six step functions run on the whole text, no memo."""
+    text = normalize_slang(clean(case_fold(text)), cfg.slang)
+    tokens = remove_stopwords(tokenize(text), cfg.stopwords)
+    if cfg.stemmer is not None:
+        tokens = stem_tokens(tokens, cfg.stemmer)
+    return tokens
 
 
 CLEAN_CASES = [
@@ -73,6 +82,14 @@ class TestClean:
 
     def test_re_whitespace_is_str_isspace(self):
         assert set(re.findall(r"\s", ALL_CHARS)) == set(ISSPACE)
+
+    def test_ascii_translate_matches_regex_per_character(self):
+        # an ASCII text skips the non-letter regex for bytes.translate
+        for c in map(chr, range(128)):
+            assert clean(f"a{c}b {c}") == clean_oracle(f"a{c}b {c}")
+        ascii_chars = "".join(map(chr, range(128)))
+        assert clean(ascii_chars) == clean_oracle(ascii_chars) == (
+            "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 
     @pytest.mark.parametrize("text", CLEAN_CASES)
     def test_matches_regex_chain_on_fixed_strings(self, text):
@@ -206,6 +223,13 @@ class TestDictionaryFiles:
             path.write_text(_data_text(name), "utf-8")
             assert read(path) == bundled and len(bundled) == size
 
+    def test_empty_slang_word_names_file_and_line(self, tmp_path):
+        # a cleaned word is never empty, so the entry could never apply
+        path = tmp_path / "slang.tsv"
+        path.write_text("gak\ttidak\n \tkata\n", "utf-8")
+        with pytest.raises(ValueError, match=r"slang\.tsv:2: empty slang word"):
+            read_slang_tsv(path)
+
     def test_slang_line_without_tab_names_file_and_line(self, tmp_path):
         path = tmp_path / "slang.tsv"
         path.write_text("gak\ttidak\n\nbanget sangat\n", "utf-8")
@@ -282,13 +306,13 @@ def slang_config(slang) -> PreprocessConfig:
     return PreprocessConfig.default(**({} if slang is None else {"slang": slang}))
 
 
-class TestTokenMemo:
+class TestWordMemo:
     @given(PIPELINE_TEXTS, PIPELINE_SLANGS)
     @settings(max_examples=300, deadline=None)
     def test_matches_chain_cold_and_warm(self, text, slang):
         preprocess._memo_for.cache_clear()
         cfg = slang_config(slang)
-        want = _chain(text, cfg)
+        want = chain_oracle(text, cfg)
         cold = run_pipeline(text, cfg)
         assert cold == want
         cold.append("changed")  # the caller owns the list it gets
@@ -299,13 +323,13 @@ class TestTokenMemo:
     def test_texts_sharing_tokens_match_chain(self, texts, slang):
         cfg = slang_config(slang)  # warm from earlier examples
         for text in texts:
-            assert run_pipeline(text, cfg) == _chain(text, cfg)
+            assert run_pipeline(text, cfg) == chain_oracle(text, cfg)
 
     def test_eviction_keeps_results_and_bound(self, monkeypatch):
         from conftest import NEGATIVE_TEXTS, POSITIVE_TEXTS
 
         texts = POSITIVE_TEXTS + NEGATIVE_TEXTS
-        want = [_chain(t, PreprocessConfig.default()) for t in texts]
+        want = [chain_oracle(t, PreprocessConfig.default()) for t in texts]
         monkeypatch.setattr(stemmer_module, "CACHE_SIZE", 3)
         preprocess._memo_for.cache_clear()
         cfg = PreprocessConfig.default()
@@ -324,7 +348,7 @@ class TestTokenMemo:
 
         texts = POSITIVE_TEXTS + NEGATIVE_TEXTS
         cfg = PreprocessConfig.default()
-        want = [_chain(t, cfg) for t in texts]
+        want = [chain_oracle(t, cfg) for t in texts]
         monkeypatch.setattr(stemmer_module, "CACHE_SIZE", 5)  # clear often
         wrong = []
 
@@ -366,14 +390,11 @@ class TestTokenMemo:
         assert run_pipeline(text, a) == ["makan", "enak", "tidak"]
         b = dataclasses.replace(a, **{name: value})
         assert b._memo is not a._memo and not b._memo
-        assert run_pipeline(text, b) == tokens == _chain(text, b)
+        assert run_pipeline(text, b) == tokens == chain_oracle(text, b)
 
-    def test_empty_slang_word_runs_whole_texts(self):
-        # the empty word is what a text that cleans to nothing becomes
-        cfg = PreprocessConfig.default(slang={"": "kosong"})
-        assert cfg._memo is None
-        assert run_pipeline("123 !!", cfg) == ["kosong"] == _chain("123 !!", cfg)
-        assert run_pipeline("enak 123", cfg) == ["enak"]
+    def test_empty_slang_word_is_rejected(self):
+        with pytest.raises(ValueError, match="empty word"):
+            PreprocessConfig.default(slang={"": "kosong"})
 
     def test_dictionaries_are_read_only_copies(self):
         slang, stopwords = {"gak": "tidak"}, {"yang"}
