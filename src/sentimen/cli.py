@@ -9,6 +9,7 @@ echoed into the output directory before any long-running work.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -327,6 +328,9 @@ def _load_model(args):
     if vocab.size != params.config.vocab_size:
         raise CliError(f"vocabulary size {vocab.size} does not match "
                        f"checkpoint ({params.config.vocab_size})")
+    if max_len != params.config.max_len:
+        raise CliError(f"{vocab_path}.meta: max_len {max_len} does not match "
+                       f"checkpoint ({params.config.max_len})")
     return params, vocab, max_len
 
 
@@ -360,16 +364,20 @@ def cmd_evaluate(args, cfg) -> int:
 def cmd_predict(args, cfg) -> int:
     params, vocab, max_len = _load_model(args)
     pp = preprocess_config(args)
-    lines = args.text if args.text else [l.rstrip("\n") for l in sys.stdin]
-    for line in lines:
-        pred = nn.predict(line, params, vocab, pp, max_len=max_len)
-        name = ingest.LABEL_NAMES[pred.label]
-        prob = float(pred.probabilities[int(pred.label)])
-        if pred.low_confidence:
-            print(f"{name} (low-confidence: empty after preprocessing)"
-                  f"\t{prob:.4f}")
-        else:
-            print(f"{name}\t{prob:.4f}")
+    # a chunk of lines is one encoded corpus, printed before the next is
+    # read, so stdin streams
+    lines = iter(args.text) if args.text else (l.rstrip("\n") for l in sys.stdin)
+    while chunk := list(itertools.islice(lines, nn._PREDICT_BATCH)):
+        docs = [run_pipeline(line, pp) for line in chunk]
+        for pred in nn.predict_encoded(params, *encode(docs, vocab, max_len)):
+            name = ingest.LABEL_NAMES[pred.label]
+            prob = float(pred.probabilities[int(pred.label)])
+            if pred.low_confidence:
+                print(f"{name} (low-confidence: empty after preprocessing)"
+                      f"\t{prob:.4f}")
+            else:
+                print(f"{name}\t{prob:.4f}")
+        sys.stdout.flush()
     return EXIT_OK
 
 

@@ -159,7 +159,7 @@ def render_text(rep: ClassificationReport) -> str:
 
 
 def report_to_csv(rep: ClassificationReport) -> str:
-    """Full-precision CSV; parses back with report_from_csv."""
+    """Full-precision CSV: ``repr`` of each float, so it parses back exactly."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["row", "precision", "recall", "f1", "support"])
@@ -175,15 +175,6 @@ def report_to_csv(rep: ClassificationReport) -> str:
                      repr(rep.weighted_recall), repr(rep.weighted_f1),
                      rep.total_support])
     return buf.getvalue()
-
-
-def report_from_csv(text: str) -> dict[str, dict[str, float]]:
-    """Parse the CSV back into row -> column -> value."""
-    out: dict[str, dict[str, float]] = {}
-    for row in csv.DictReader(io.StringIO(text)):
-        name = row.pop("row")
-        out[name] = {k: float(v) for k, v in row.items() if v != ""}
-    return out
 
 
 def confusion_to_csv(cm: ConfusionMatrix) -> str:

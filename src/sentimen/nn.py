@@ -36,9 +36,6 @@ import numpy as np
 from .ingest import Label
 from .vocab import Vocabulary, encode
 
-GATE_ORDER = "ifgo"
-
-
 class CheckpointError(Exception):
     pass
 
@@ -49,19 +46,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def cross_entropy(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
-    """Fused -log softmax(logits)[label]; also returns d(loss)/d(logits)."""
-    z = np.asarray(logits, dtype=np.float64)
-    if not 0 <= label < z.shape[-1]:
-        raise ValueError(f"label {label} out of range for {z.shape[-1]} classes")
-    z = z - z.max()
-    lse = np.log(np.exp(z).sum())
-    loss = float(lse - z[label])
-    grad = np.exp(z - lse)
-    grad[label] -= 1.0
-    return loss, grad
 
 
 def row_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ stopword removal -> stemming.
 
 ``run_pipeline`` case-folds and cleans each text, then maps each cleaned
 word through a memo of the last four steps, which configs with equal
-dictionaries share.  A memo holds at most ``stemmer.CACHE_SIZE`` (65,536)
+dictionaries share.  A memo holds at most ``CACHE_SIZE`` (65,536)
 words and is cleared when full; the benchmark corpus fills it with 26,773
 words, about 3.5 MiB, and at most 8 memos are kept, so the worst case is
 8 full memos, about 68 MiB.
@@ -26,7 +26,6 @@ from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
 
-from . import stemmer as _stemmer
 from .stemmer import IndonesianStemmer
 
 # (?<!\w): a long word run is scanned once, not once per character
@@ -72,7 +71,7 @@ def _file_text(path: str | Path) -> str:
 
 
 # cached: every default config then shares one roots set, which
-# _stemmer_for finds by identity instead of comparing it word by word
+# _memo_for finds by identity instead of comparing it word by word
 @lru_cache(maxsize=1)
 def load_root_words() -> frozenset[str]:
     return _parse_wordlist(_data_text("root_words.txt"))
@@ -95,9 +94,8 @@ def read_slang_tsv(path: str | Path) -> dict[str, str]:
     return _parse_slang_tsv(_file_text(path), path)
 
 
-@lru_cache(maxsize=8)
-def _stemmer_for(roots: frozenset[str]) -> IndonesianStemmer:
-    return IndonesianStemmer(roots)
+# words a memo holds before it is cleared
+CACHE_SIZE = 1 << 16
 
 
 @lru_cache(maxsize=8)
@@ -113,8 +111,8 @@ class PreprocessConfig:
     slang: Mapping[str, str] = field(default_factory=dict)
     stopwords: frozenset[str] = frozenset()
     roots: frozenset[str] = frozenset()
-    # resolved once per config: equal dictionaries share one stemmer and one
-    # word memo, and run_pipeline never compares dictionaries
+    # resolved once per config: equal dictionaries share one word memo, and
+    # run_pipeline never compares dictionaries
     stemmer: IndonesianStemmer | None = field(init=False, compare=False,
                                               repr=False)
     _memo: dict[str, tuple[str, ...]] = field(init=False, compare=False,
@@ -130,7 +128,8 @@ class PreprocessConfig:
         object.__setattr__(self, "slang", slang)
         object.__setattr__(self, "stopwords", stopwords)
         object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "stemmer", _stemmer_for(roots) if roots else None)
+        object.__setattr__(self, "stemmer",
+                           IndonesianStemmer(roots) if roots else None)
         object.__setattr__(self, "_memo", _memo_for(
             frozenset(slang.items()), stopwords, roots))
 
@@ -200,7 +199,7 @@ def run_pipeline(text: str, cfg: PreprocessConfig) -> list[str]:
     go word by word, so the text's tokens are those of each of its cleaned
     words, joined, and they run only on a word the config's memo has not
     seen.  The memo is shared by configs with equal dictionaries, holds at
-    most ``stemmer.CACHE_SIZE`` words and is cleared when full.
+    most ``CACHE_SIZE`` words and is cleared when full.
     """
     memo, slang, stopwords, stemmer = cfg._memo, cfg.slang, cfg.stopwords, cfg.stemmer
     tokens = []
@@ -217,7 +216,7 @@ def run_pipeline(text: str, cfg: PreprocessConfig) -> list[str]:
             else:
                 out = tuple([t if stemmer is None else stemmer.stem(t)
                              for t in standard.split() if t not in stopwords])
-            if len(memo) >= _stemmer.CACHE_SIZE:
+            if len(memo) >= CACHE_SIZE:
                 memo.clear()
             memo[word] = out
         tokens += out

@@ -35,10 +35,6 @@ from typing import Sequence
 
 VOWELS = "aiueo"
 
-# words each stemmer's result cache holds before it is cleared; the
-# 7,733-comment benchmark corpus has 26,316 distinct tokens
-CACHE_SIZE = 1 << 16
-
 # (prefix family, derivational suffix) pairs that never combine
 FORBIDDEN_PAIRS = {
     ("be", "i"), ("di", "an"), ("ke", "i"), ("ke", "kan"),
@@ -189,37 +185,18 @@ def _prefix_candidates(word: str) -> tuple[str, list[str]] | None:
 
 
 class IndonesianStemmer:
-    """Dictionary-gated affix stripper for Indonesian.
-
-    ``stem`` memoises its results per stemmer: a stem is a pure function of
-    (roots, word), and ``roots`` is read-only, so a cached result never goes
-    stale.  The cache holds at most ``CACHE_SIZE`` words and is cleared when
-    full.  A full cache of 65,536 words of mean length 7.4 (the benchmark
-    corpus's tokens plus made-up words) holds 5.4 MiB by ``tracemalloc``:
-    the dict, its keys and the stems.  ``preprocess._stemmer_for`` keeps up
-    to 8 stemmers, so at most 8 full caches, about 43 MiB at that length.
-    """
+    """Dictionary-gated affix stripper for Indonesian."""
 
     def __init__(self, roots: set[str] | frozenset[str]):
         if not roots:
             raise ValueError("empty root dictionary")
         self._roots = frozenset(roots)
-        self._cache: dict[str, str] = {}
 
     @property
     def roots(self) -> frozenset[str]:
         return self._roots
 
     def stem(self, word: str) -> str:
-        cache = self._cache
-        result = cache.get(word)
-        if result is None:
-            if len(cache) >= CACHE_SIZE:
-                cache.clear()
-            result = cache[word] = self._stem(word)
-        return result
-
-    def _stem(self, word: str) -> str:
         if len(word) <= 3 or word in self._roots:
             return word
 

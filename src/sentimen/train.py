@@ -178,13 +178,3 @@ def save_history_csv(history: Sequence[EpochStats], path: str | Path) -> None:
         for s in history:
             writer.writerow([s.epoch, repr(s.train_loss), repr(s.train_accuracy),
                              repr(s.val_loss), repr(s.val_accuracy)])
-
-
-def load_history_csv(path: str | Path) -> list[EpochStats]:
-    out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            out.append(EpochStats(int(row["epoch"]), float(row["train_loss"]),
-                                  float(row["train_acc"]), float(row["val_loss"]),
-                                  float(row["val_acc"])))
-    return out

@@ -112,8 +112,9 @@ def save_vocab(vocab: Vocabulary, path: str | Path, max_len: int,
 
 
 def load_vocab(path: str | Path) -> tuple[Vocabulary, int, int]:
-    """(vocabulary, max_len, min_freq); ValueError when the ``.meta``
-    sidecar is missing or records no max_len."""
+    """(vocabulary, max_len, min_freq); ValueError, naming the ``.meta``
+    sidecar, when it is missing, records no max_len, or records a max_len
+    or min_freq that is not an integer >= 1."""
     path = Path(path)
     tokens = [t for t in _file_text(path).split("\n") if t]
     token_to_index = {t: i + 2 for i, t in enumerate(tokens)}
@@ -127,5 +128,10 @@ def load_vocab(path: str | Path) -> tuple[Vocabulary, int, int]:
             meta[key.strip()] = value.strip()
     if "max_len" not in meta:
         raise ValueError(f"{meta_path}: no max_len")
+    meta.setdefault("min_freq", "1")
+    for key in ("max_len", "min_freq"):
+        if not (meta[key].isdecimal() and int(meta[key]) >= 1):
+            raise ValueError(f"{meta_path}: {key} = '{meta[key]}': "
+                             "expected an integer >= 1")
     vocab = Vocabulary(token_to_index, {i: t for t, i in token_to_index.items()})
-    return vocab, int(meta["max_len"]), int(meta.get("min_freq", "1"))
+    return vocab, int(meta["max_len"]), int(meta["min_freq"])

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -8,6 +9,7 @@ import pytest
 
 from sentimen import nn, preprocess
 from sentimen.preprocess import PreprocessConfig
+from sentimen.train import EpochStats
 
 # small labeled corpus in the canonical CSV shape; texts only use words the
 # bundled dictionaries know so pipeline output is predictable
@@ -40,10 +42,9 @@ def pp_cfg() -> PreprocessConfig:
 
 @pytest.fixture(autouse=True)
 def fresh_preprocess_tables():
-    """Each test resolves new configs to a new stemmer and word memo, so
-    none sees the caches an earlier test warmed."""
+    """Each test resolves new configs to a new word memo, so none sees the
+    memo an earlier test warmed."""
     preprocess._memo_for.cache_clear()
-    preprocess._stemmer_for.cache_clear()
 
 
 def dense_grads(params, grads):
@@ -51,6 +52,24 @@ def dense_grads(params, grads):
     arrays = params.arrays()
     return {name: g.dense(arrays[name].shape, arrays[name].dtype)
             if isinstance(g, nn.RowGrad) else g for name, g in grads.items()}
+
+
+def read_history_csv(path) -> list[EpochStats]:
+    """The epochs ``train.save_history_csv`` wrote to ``path``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [EpochStats(int(row["epoch"]), float(row["train_loss"]),
+                           float(row["train_acc"]), float(row["val_loss"]),
+                           float(row["val_acc"]))
+                for row in csv.DictReader(fh)]
+
+
+def read_report_csv(text: str) -> dict[str, dict[str, float]]:
+    """``evaluation.report_to_csv``'s text as row -> column -> value."""
+    out = {}
+    for row in csv.DictReader(io.StringIO(text)):
+        name = row.pop("row")
+        out[name] = {k: float(v) for k, v in row.items() if v != ""}
+    return out
 
 
 def write_corpus_csv(path, rows):

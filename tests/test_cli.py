@@ -3,14 +3,16 @@ import csv
 import functools
 import io
 
+import numpy as np
 import pytest
 import requests
 
-from sentimen import cli, youtube
-from sentimen.preprocess import run_pipeline
-from sentimen.train import load_history_csv
+from sentimen import cli, nn, youtube
+from sentimen.ingest import LABEL_NAMES, Label
+from sentimen.preprocess import PreprocessConfig, run_pipeline
+from sentimen.vocab import load_vocab
 
-from conftest import write_corpus_csv
+from conftest import read_history_csv, read_report_csv, write_corpus_csv
 
 
 def separable_rows(n_per_class=20):
@@ -254,7 +256,7 @@ class TestTrainCommand:
         assert (out_dir / "checkpoint.bin").exists()
         assert (out_dir / "loss.svg").exists()
         assert (out_dir / "accuracy.svg").exists()
-        history = load_history_csv(out_dir / "history.csv")
+        history = read_history_csv(out_dir / "history.csv")
         assert len(history) == 5
         assert [h.epoch for h in history] == list(range(5))
 
@@ -276,7 +278,7 @@ class TestTrainCommand:
                        "--epochs", "0")
         assert code == 0
         assert "epochs = 0" in capsys.readouterr().err
-        assert load_history_csv(out_dir / "history.csv") == []
+        assert read_history_csv(out_dir / "history.csv") == []
 
     def test_seeded_reruns_byte_identical(self, tmp_path, separable_csv,
                                           small_config):
@@ -356,8 +358,7 @@ class TestEvaluateCommand:
                      "confusion.svg"):
             assert (out_dir / name).exists(), name
 
-        from sentimen.evaluation import report_from_csv
-        parsed = report_from_csv((out_dir / "report.csv").read_text())
+        parsed = read_report_csv((out_dir / "report.csv").read_text())
         # memorized separable training data: near-perfect accuracy
         assert parsed["accuracy"]["f1"] >= 0.9
 
@@ -489,6 +490,20 @@ def test_non_utf8_config_or_vocab_exit_2_naming_it(tmp_path, request,
     assert f"{bad}: not UTF-8 text" in err
 
 
+@pytest.mark.parametrize("meta,shown", [
+    ("max_len=abc\nmin_freq=1\n", ": max_len = 'abc': expected an integer"),
+    ("max_len=0\nmin_freq=1\n", ": max_len = '0': expected an integer"),
+    ("max_len=8\nmin_freq=x\n", ": min_freq = 'x': expected an integer"),
+    ("max_len=9\nmin_freq=1\n", ": max_len 9 does not match checkpoint (8)")],
+    ids=["abc", "0", "min_freq", "mismatch"])
+def test_bad_vocab_meta_exit_2_naming_it(trained_run, capsys, meta, shown):
+    bad = trained_run / "vocab.txt.meta"
+    bad.write_text(meta, "utf-8")
+    assert run_cli("predict", trained_run / "checkpoint.bin", "bagus") == 2
+    err = assert_one_error_line(capsys)
+    assert f"{bad}{shown}" in err
+
+
 @pytest.mark.parametrize("command", ["preprocess", "preprocess_lenient",
                                      "train", "evaluate", "compare"])
 def test_csv_field_over_size_limit_exit_2(tmp_path, request, capsys,
@@ -544,6 +559,45 @@ class TestPredictCommand:
         run_cli("predict", trained_run / "checkpoint.bin", "bagus")
         label, prob = capsys.readouterr().out.strip().split("\t")
         assert 0.0 <= float(prob) <= 1.0
+
+    def test_chunks_match_per_line_predict(self, trained_run, capsys,
+                                           monkeypatch):
+        lines = ["bagus enak mantap", "buruk jelek gagal", "",
+                 "enak sekali mantap", "gagal basi"]
+        params, _ = nn.load_checkpoint(trained_run / "checkpoint.bin")
+        vocab, max_len, _ = load_vocab(trained_run / "vocab.txt")
+        pp = PreprocessConfig.default()
+        want = [nn.predict(line, params, vocab, pp, max_len=max_len)
+                for line in lines]
+        chunks = []
+        predict_encoded = nn.predict_encoded
+
+        def recording(*args):
+            chunks.append(predict_encoded(*args))
+            return chunks[-1]
+
+        monkeypatch.setattr(nn, "predict_encoded", recording)
+        monkeypatch.setattr(nn, "_PREDICT_BATCH", 2)
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            "".join(line + "\n" for line in lines)))
+        assert run_cli("predict", trained_run / "checkpoint.bin") == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [len(c) for c in chunks] == [2, 2, 1]
+        got = [pred for chunk in chunks for pred in chunk]
+        assert len(out) == len(got) == 5
+        assert [p.label for p in want] == [Label.POSITIVE, Label.NEGATIVE,
+                                           Label.NEGATIVE, Label.POSITIVE,
+                                           Label.NEGATIVE]
+        for shown, pred, ref in zip(out, got, want):
+            name, prob = shown.split("\t")
+            assert name == LABEL_NAMES[ref.label] + (
+                " (low-confidence: empty after preprocessing)"
+                if ref.low_confidence else "")
+            assert pred.label == ref.label
+            assert pred.low_confidence == ref.low_confidence
+            assert np.allclose(pred.probabilities, ref.probabilities,
+                               rtol=0, atol=1e-6)
+            assert prob == f"{pred.probabilities[int(pred.label)]:.4f}"
 
 
 class TestCompareCommand:

@@ -1,11 +1,15 @@
-"""Every script in demos/ runs to completion against the package in src/."""
+"""Every script in demos/, and the README's quick start, runs to completion
+against the package in src/."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import NEGATIVE_TEXTS, POSITIVE_TEXTS
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ROOT / "demos"
@@ -35,3 +39,16 @@ def test_cli_workflow_demo(tmp_path):
                     "utf-8")
     shim.chmod(0o755)
     run_demo(["sh", str(DEMOS / "06_cli_workflow.sh")], tmp_path, [bin_dir])
+
+
+def test_readme_quick_start(tmp_path):
+    readme = (ROOT / "README.md").read_text("utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.S | re.M)
+    assert len(blocks) == 1
+    script = tmp_path / "quick_start.py"
+    # the block reads ``texts`` and ``labels``: a toy corpus
+    script.write_text(
+        f"texts = {POSITIVE_TEXTS + NEGATIVE_TEXTS!r}\n"
+        f"labels = {[1] * len(POSITIVE_TEXTS) + [0] * len(NEGATIVE_TEXTS)!r}\n"
+        + blocks[0], "utf-8")
+    run_demo([sys.executable, str(script)], tmp_path)

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from sentimen.evaluation import (ConfusionMatrix, confusion, confusion_svg,
                                  confusion_to_csv, metrics_for_class,
                                  render_text, report, report_from_confusion,
-                                 report_from_csv, report_to_csv, round2)
+                                 report_to_csv, round2)
 from sentimen.ingest import Label
+
+from conftest import read_report_csv
 
 REFERENCE_CM = ConfusionMatrix(tp=67, fn=51, fp=58, tn=787)
 
@@ -171,7 +173,7 @@ class TestRendering:
 
     def test_csv_round_trip(self):
         rep = report_from_confusion(REFERENCE_CM)
-        parsed = report_from_csv(report_to_csv(rep))
+        parsed = read_report_csv(report_to_csv(rep))
         assert parsed["positive"]["precision"] == rep.per_class[Label.POSITIVE].precision
         assert parsed["accuracy"]["f1"] == rep.accuracy
         assert parsed["weighted_avg"]["recall"] == rep.weighted_recall

@@ -89,55 +89,67 @@ class TestSoftmax:
         assert np.all(out > 0) and np.all(out < 1)
 
 
+def row_loss(logits, label):
+    """``nn.row_cross_entropy`` of one float64 row."""
+    return float(nn.row_cross_entropy(np.array([logits], dtype=np.float64),
+                                      np.array([label]))[0])
+
+
 class TestCrossEntropy:
     def test_confident_correct(self):
-        loss, _ = nn.cross_entropy(np.array([1000.0, 0.0]), 0)
-        assert loss == pytest.approx(0.0, abs=1e-12)
+        assert row_loss([1000.0, 0.0], 0) == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_equals_ln2(self):
         for label in (0, 1):
-            loss, _ = nn.cross_entropy(np.array([0.0, 0.0]), label)
-            assert loss == pytest.approx(math.log(2), abs=1e-12)
+            assert row_loss([0.0, 0.0], label) == pytest.approx(math.log(2),
+                                                                abs=1e-12)
 
     def test_uniform_logits_give_ln_num_classes(self):
         for n_classes in (2, 3, 5):
-            loss, _ = nn.cross_entropy(np.full(n_classes, 1.7), 0)
-            assert loss == pytest.approx(math.log(n_classes), abs=1e-12)
+            assert row_loss([1.7] * n_classes, 0) == pytest.approx(
+                math.log(n_classes), abs=1e-12)
 
     def test_hand_evaluated(self):
-        loss, _ = nn.cross_entropy(np.array([1.0, -1.0]), 1)
-        assert loss == pytest.approx(math.log(1 + math.e ** 2), rel=1e-12)
+        assert row_loss([1.0, -1.0], 1) == pytest.approx(
+            math.log(1 + math.e ** 2), rel=1e-12)
+
+    def test_rows_are_independent(self):
+        logits = np.array([[1000.0, 0.0], [0.0, 0.0], [1.0, -1.0]])
+        losses = nn.row_cross_entropy(logits, np.array([0, 1, 1]))
+        assert losses.tolist() == [row_loss(z, y) for z, y in
+                                   zip(logits.tolist(), (0, 1, 1))]
 
     def test_gradient_is_softmax_minus_onehot(self):
-        logits = np.array([0.3, -0.7, 1.1])
-        _, grad = nn.cross_entropy(logits, 2)
+        # backward's gradient of the head bias on one row, no dropout, is
+        # d(loss)/d(logits)
+        params = random_params(tiny_config(C=3), seed=4)
+        idx, lengths = np.array([[3, 1, 5, 0, 0]]), np.array([3])
+        logits = nn.forward_logits(params, idx, lengths)[0]
+        grads, _ = nn.backward(params, idx, lengths, np.array([2]),
+                               training=False)
         expected = nn.softmax(logits)
         expected[2] -= 1.0
-        assert np.allclose(grad, expected, atol=1e-12)
+        assert np.allclose(grads["b_out"], expected, atol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         logits = np.array([0.25, -1.5])
-        _, grad = nn.cross_entropy(logits, 0)
+        grad = nn.softmax(logits)
+        grad[0] -= 1.0
         eps = 1e-6
         for j in range(2):
             bumped = logits.copy()
             bumped[j] += eps
-            up, _ = nn.cross_entropy(bumped, 0)
+            up = row_loss(bumped, 0)
             bumped[j] -= 2 * eps
-            down, _ = nn.cross_entropy(bumped, 0)
+            down = row_loss(bumped, 0)
             assert grad[j] == pytest.approx((up - down) / (2 * eps), abs=1e-8)
-
-    def test_invalid_label(self):
-        with pytest.raises(ValueError):
-            nn.cross_entropy(np.array([0.0, 0.0]), 2)
 
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=5),
            st.data())
     @settings(max_examples=60)
     def test_nonnegative(self, logits, data):
         label = data.draw(st.integers(0, len(logits) - 1))
-        loss, _ = nn.cross_entropy(np.array(logits), label)
-        assert loss >= 0
+        assert row_loss(logits, label) >= 0
 
 
 def scalar_lstm_step(x, h, c, params):
@@ -370,8 +382,7 @@ class TestDropout:
                                             batch=4)
         _, loss = nn.backward(params, idx, lengths, labels, training=False)
         logits = nn.forward_logits(params, idx, lengths)
-        want = np.mean([nn.cross_entropy(z, y)[0]
-                        for z, y in zip(logits, labels)])
+        want = np.mean(nn.row_cross_entropy(logits, labels))
         assert loss == pytest.approx(want, rel=1e-12)
 
     def test_rate_zero_identity(self):

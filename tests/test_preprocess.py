@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sentimen import preprocess
-from sentimen import stemmer as stemmer_module
 from sentimen.preprocess import (PreprocessConfig, _data_text, case_fold,
                                  clean, load_root_words, load_slang_map,
                                  load_stopwords, normalize_slang,
@@ -250,30 +249,13 @@ class TestDictionaryFiles:
 
 
 class TestDictionaryCache:
-    def test_default_configs_share_one_stemmer(self):
-        from sentimen.preprocess import _stemmer_for
-
-        _stemmer_for.cache_clear()
-        a, b = PreprocessConfig.default(), PreprocessConfig.default()
-        assert a.roots is b.roots and a.stopwords is b.stopwords
-        assert a.slang is not b.slang  # each config has its own read-only copy
-        run_pipeline("makanannya enak", a)
-        run_pipeline("programnya bagus", b)
-        assert _stemmer_for.cache_info().currsize == 1
-
-    def test_equal_root_sets_share_one_stemmer(self):
-        a = PreprocessConfig.default()
-        b = PreprocessConfig.default(roots=frozenset(list(load_root_words())))
-        assert a.roots is not b.roots and a.roots == b.roots
-        assert a.stemmer is b.stemmer is not None
-
     def test_stemmer_resolved_once_per_config(self, monkeypatch):
         cfg = PreprocessConfig.default(roots=frozenset(list(load_root_words())))
 
         def unexpected(roots):
-            raise AssertionError("stemmer looked up on a run_pipeline call")
+            raise AssertionError("stemmer built on a run_pipeline call")
 
-        monkeypatch.setattr(preprocess, "_stemmer_for", unexpected)
+        monkeypatch.setattr(preprocess, "IndonesianStemmer", unexpected)
         assert run_pipeline("makanannya enak", cfg) == ["makan", "enak"]
 
     def test_stemmer_follows_the_config(self):
@@ -330,7 +312,7 @@ class TestWordMemo:
 
         texts = POSITIVE_TEXTS + NEGATIVE_TEXTS
         want = [chain_oracle(t, PreprocessConfig.default()) for t in texts]
-        monkeypatch.setattr(stemmer_module, "CACHE_SIZE", 3)
+        monkeypatch.setattr(preprocess, "CACHE_SIZE", 3)
         preprocess._memo_for.cache_clear()
         cfg = PreprocessConfig.default()
         sizes = set()
@@ -349,7 +331,7 @@ class TestWordMemo:
         texts = POSITIVE_TEXTS + NEGATIVE_TEXTS
         cfg = PreprocessConfig.default()
         want = [chain_oracle(t, cfg) for t in texts]
-        monkeypatch.setattr(stemmer_module, "CACHE_SIZE", 5)  # clear often
+        monkeypatch.setattr(preprocess, "CACHE_SIZE", 5)  # clear often
         wrong = []
 
         def work(offset):
@@ -374,6 +356,9 @@ class TestWordMemo:
 
     def test_equal_dictionaries_share_one_memo(self):
         a = PreprocessConfig.default()
+        c = PreprocessConfig.default()
+        assert a.roots is c.roots and a.stopwords is c.stopwords
+        assert a.slang is not c.slang  # each config has its own read-only copy
         b = PreprocessConfig.default(slang=dict(load_slang_map()),
                                      roots=frozenset(list(load_root_words())))
         assert a._memo is b._memo is not None

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +10,9 @@ import pytest
 from sentimen import nn
 from sentimen.train import (EncodedDataset, TrainConfig, batch_iter,
                             evaluate_split, inverse_frequency_weights,
-                            load_history_csv, save_history_csv, train)
+                            save_history_csv, train)
 
-from conftest import dense_grads
+from conftest import dense_grads, read_history_csv
 
 
 def make_encoded(n, T=4, V=10, seed=0, balanced=True):
@@ -234,7 +238,8 @@ class TestEvaluateSplit:
         for i in range(len(ds)):
             logits = nn.forward_logits(params, ds.indices[i:i + 1],
                                        ds.lengths[i:i + 1])[0]
-            losses.append(nn.cross_entropy(logits, int(ds.labels[i]))[0])
+            losses.append(float(nn.row_cross_entropy(
+                logits[None], ds.labels[i:i + 1])[0]))
             correct += int(np.argmax(logits) == ds.labels[i])
 
         seen = []
@@ -261,8 +266,8 @@ class TestWeightedLoss:
                              max_len=2, fc_dropout=0.0)
         params = nn.init_params(cfg, seed=1)
         idx, lengths, labels = np.array([[3, 1]]), np.array([2]), np.array([1])
-        plain, _ = nn.cross_entropy(nn.forward_logits(params, idx, lengths)[0],
-                                    1)
+        plain = nn.row_cross_entropy(nn.forward_logits(params, idx, lengths),
+                                     labels)[0]
         g_plain, _ = nn.backward(params, idx, lengths, labels, training=False)
         grads, loss = nn.backward(params, idx, lengths, labels, training=False,
                                   class_weights=np.array([1.0, 1.0]))
@@ -315,4 +320,17 @@ class TestHistoryCsv:
         history = [EpochStats(0, 0.69, 0.5, 0.7, 0.45),
                    EpochStats(1, 0.42, 0.81, 0.5, 0.78)]
         save_history_csv(history, tmp_path / "h.csv")
-        assert load_history_csv(tmp_path / "h.csv") == history
+        assert read_history_csv(tmp_path / "h.csv") == history
+
+
+def test_import_binds_the_train_module():
+    # the package does not re-export train(), which would shadow the module
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import types, sentimen.train as m; "
+         "print(isinstance(m, types.ModuleType), callable(m.train))"],
+        capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.split() == ["True", "True"]
