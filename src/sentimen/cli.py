@@ -79,7 +79,6 @@ SCHEMA = {
     "learning_rate": ("0.0005", _positive),
     "embed_dim": ("128", _integer(1)),
     "hidden_dim": ("128", _integer(1)),
-    "lstm_dropout": ("0.0", _rate),
     "fc_dropout": ("0.5", _rate),
     "min_freq": ("1", _integer(1)),
     # empty -> 95th percentile of train lengths
@@ -238,9 +237,9 @@ def cmd_preprocess(args, cfg) -> int:
     return EXIT_OK
 
 
-def _split_and_encode(args, cfg, pp, needed: str):
+def _split_and_encode(args, cfg, pp, needed: tuple[str, ...]):
     """(docs, labels) of the train, validation and test splits of the
-    labeled records of the corpus; the ``needed`` split ("train" or "test")
+    labeled records of the corpus; the ``needed`` splits ("train", "test")
     must not be empty.  The out-dir is made, and the resolved config
     written to it, once the corpus has been read and split."""
     full = _load_corpus(args.corpus)
@@ -248,8 +247,9 @@ def _split_and_encode(args, cfg, pp, needed: str):
     if not labels:
         raise CliError("corpus has no labeled records")
     parts = ingest.stratified_indices(labels, cfg.split)
-    if not parts[("train", "val", "test").index(needed)]:
-        raise CliError(f"{needed} split is empty; adjust split fractions")
+    for name, part in zip(("train", "val", "test"), parts):
+        if name in needed and not part:
+            raise CliError(f"{name} split is empty; adjust split fractions")
     echo_config(cfg, Path(args.out_dir))
     docs = _tokenized(full, pp, args.quiet)
     return tuple(([docs[i] for i in part], [int(labels[i]) for i in part])
@@ -264,7 +264,7 @@ def _train_lstm(cfg, vocab, train_split, val_split, quiet):
     model_cfg = nn.ModelConfig(
         vocab_size=vocab.size, embed_dim=cfg["embed_dim"],
         hidden_dim=cfg["hidden_dim"], max_len=max_len,
-        lstm_dropout=cfg["lstm_dropout"], fc_dropout=cfg["fc_dropout"])
+        fc_dropout=cfg["fc_dropout"])
     params = nn.init_params(model_cfg, seed=cfg["seed"], dtype=cfg["dtype"])
     train_cfg = TrainConfig(
         batch_size=cfg["batch_size"], learning_rate=cfg["learning_rate"],
@@ -287,7 +287,7 @@ def cmd_train(args, cfg) -> int:
     out_dir = Path(args.out_dir)
     pp = preprocess_config(args)
     (train_docs, train_labels), (val_docs, val_labels), _ = \
-        _split_and_encode(args, cfg, pp, "train")
+        _split_and_encode(args, cfg, pp, ("train",))
 
     vocab = build_vocab(train_docs, min_freq=cfg["min_freq"])
     result, max_len = _train_lstm(cfg, vocab, (train_docs, train_labels),
@@ -385,7 +385,8 @@ def cmd_compare(args, cfg) -> int:
     out_dir = Path(args.out_dir)
     pp = preprocess_config(args)
     (train_docs, train_labels), (val_docs, val_labels), \
-        (test_docs, test_labels) = _split_and_encode(args, cfg, pp, "test")
+        (test_docs, test_labels) = _split_and_encode(args, cfg, pp,
+                                                     ("train", "test"))
 
     vocab = build_vocab(train_docs, min_freq=cfg["min_freq"])
     rows = baselines.run_comparison(train_docs, train_labels, test_docs,

@@ -135,26 +135,34 @@ def round2(x: float) -> float:
     return math.copysign(math.floor(abs(x) * 100 + 0.5) / 100, x)
 
 
+def _rows(rep: ClassificationReport) -> list[tuple]:
+    """The report's five rows as (name, precision, recall, f1, support,
+    zero denominator); the accuracy row has no precision or recall."""
+    rows = [(name, m.precision, m.recall, m.f1, m.support, m.zero_denominator)
+            for name, m in (("negative", rep.per_class[Label.NEGATIVE]),
+                            ("positive", rep.per_class[Label.POSITIVE]))]
+    n = rep.total_support
+    return rows + [
+        ("accuracy", None, None, rep.accuracy, n, False),
+        ("macro avg", rep.macro_precision, rep.macro_recall, rep.macro_f1,
+         n, False),
+        ("weighted avg", rep.weighted_precision, rep.weighted_recall,
+         rep.weighted_f1, n, False)]
+
+
 def render_text(rep: ClassificationReport) -> str:
     """Aligned table in the conventional classification-report layout."""
-    def fmt(x: float) -> str:
-        return f"{round2(x):.2f}"
+    def fmt(x: float | None) -> str:
+        return "" if x is None else f"{round2(x):.2f}"
 
     lines = [f"{'':12s}  precision  recall  f1-score  support"]
-    for label, name in ((Label.NEGATIVE, "negative"), (Label.POSITIVE, "positive")):
-        m = rep.per_class[label]
-        flag = "  (zero denominator)" if m.zero_denominator else ""
-        lines.append(f"{name:12s}  {fmt(m.precision):>9s}  {fmt(m.recall):>6s}"
-                     f"  {fmt(m.f1):>8s}  {m.support:7d}{flag}")
-    lines.append("")
-    lines.append(f"{'accuracy':12s}  {'':9s}  {'':6s}  {fmt(rep.accuracy):>8s}"
-                 f"  {rep.total_support:7d}")
-    lines.append(f"{'macro avg':12s}  {fmt(rep.macro_precision):>9s}"
-                 f"  {fmt(rep.macro_recall):>6s}  {fmt(rep.macro_f1):>8s}"
-                 f"  {rep.total_support:7d}")
-    lines.append(f"{'weighted avg':12s}  {fmt(rep.weighted_precision):>9s}"
-                 f"  {fmt(rep.weighted_recall):>6s}  {fmt(rep.weighted_f1):>8s}"
-                 f"  {rep.total_support:7d}")
+    for name, *values, support, zero in _rows(rep):
+        if name == "accuracy":
+            lines.append("")
+        cells = "".join(f"  {fmt(x):>{width}s}"
+                        for x, width in zip(values, (9, 6, 8)))
+        flag = "  (zero denominator)" if zero else ""
+        lines.append(f"{name:12s}{cells}  {support:7d}{flag}")
     return "\n".join(lines)
 
 
@@ -163,17 +171,10 @@ def report_to_csv(rep: ClassificationReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["row", "precision", "recall", "f1", "support"])
-    for label, name in ((Label.NEGATIVE, "negative"), (Label.POSITIVE, "positive")):
-        m = rep.per_class[label]
-        writer.writerow([name, repr(m.precision), repr(m.recall), repr(m.f1),
-                         m.support])
-    writer.writerow(["accuracy", "", "", repr(rep.accuracy), rep.total_support])
-    writer.writerow(["macro_avg", repr(rep.macro_precision),
-                     repr(rep.macro_recall), repr(rep.macro_f1),
-                     rep.total_support])
-    writer.writerow(["weighted_avg", repr(rep.weighted_precision),
-                     repr(rep.weighted_recall), repr(rep.weighted_f1),
-                     rep.total_support])
+    for name, *values, support, _ in _rows(rep):
+        writer.writerow([name.replace(" ", "_")]
+                        + ["" if x is None else repr(x) for x in values]
+                        + [support])
     return buf.getvalue()
 
 

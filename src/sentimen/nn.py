@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import struct
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -59,8 +58,8 @@ def count_parameters(vocab_size: int, embed_dim: int, hidden_dim: int,
                      num_classes: int) -> int:
     if min(vocab_size, embed_dim, hidden_dim, num_classes) < 1:
         raise ValueError("all dimensions must be >= 1")
-    v, e, h, c = vocab_size, embed_dim, hidden_dim, num_classes
-    return v * e + 4 * (e * h + h * h + 2 * h) + (h * c + c)
+    cfg = ModelConfig(vocab_size, embed_dim, hidden_dim, num_classes)
+    return sum(math.prod(shape) for shape in _expected_shapes(cfg).values())
 
 
 # --- parameters --------------------------------------------------------------
@@ -72,10 +71,15 @@ class ModelConfig:
     hidden_dim: int = 128
     num_classes: int = 2
     max_len: int = 100
-    # the stated per-LSTM-layer rate is inert in a single-layer stack, so it
-    # defaults to off; enabling it applies dropout to the final hidden state
-    lstm_dropout: float = 0.0
     fc_dropout: float = 0.5
+
+
+def _expected_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Each parameter array's shape, in the fixed serialization order."""
+    v, e = cfg.vocab_size, cfg.embed_dim
+    h, c = cfg.hidden_dim, cfg.num_classes
+    return {"embedding": (v, e), "w_ih": (4 * h, e), "w_hh": (4 * h, h),
+            "b_ih": (4 * h,), "b_hh": (4 * h,), "w_out": (c, h), "b_out": (c,)}
 
 
 @dataclass
@@ -104,27 +108,19 @@ def init_params(config: ModelConfig, seed: int = 0,
     """Uniform +-1/sqrt(H) weights (+-1/sqrt(E) embedding), zero biases,
     pad embedding row zeroed."""
     rng = np.random.default_rng((seed, 0))
-    v, e = config.vocab_size, config.embed_dim
-    h, c = config.hidden_dim, config.num_classes
-    lim_e, lim_h = 1.0 / np.sqrt(e), 1.0 / np.sqrt(h)
-    emb = rng.uniform(-lim_e, lim_e, size=(v, e)).astype(dtype)
-    emb[0] = 0.0
-    # arguments evaluate in order, so the draws stay emb, w_ih, w_hh, w_out
-    params = ModelParams(
-        config=config,
-        embedding=emb,
-        w_ih=rng.uniform(-lim_h, lim_h, size=(4 * h, e)).astype(dtype),
-        w_hh=rng.uniform(-lim_h, lim_h, size=(4 * h, h)).astype(dtype),
-        b_ih=np.zeros(4 * h, dtype=dtype),
-        b_hh=np.zeros(4 * h, dtype=dtype),
-        w_out=rng.uniform(-lim_h, lim_h, size=(c, h)).astype(dtype),
-        b_out=np.zeros(c, dtype=dtype),
-    )
-    if config.lstm_dropout > 0:
-        warnings.warn("lstm_dropout > 0: the reference single-layer setup "
-                      "leaves this rate inert; enabling it changes behavior",
-                      stacklevel=2)
-    return params
+
+    def draw(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        if name.startswith("b_"):
+            return np.zeros(shape, dtype=dtype)
+        fan = config.embed_dim if name == "embedding" else config.hidden_dim
+        lim = 1.0 / np.sqrt(fan)
+        return rng.uniform(-lim, lim, size=shape).astype(dtype)
+
+    # in the table's order, so the draws stay emb, w_ih, w_hh, w_out
+    arrays = {name: draw(name, shape)
+              for name, shape in _expected_shapes(config).items()}
+    arrays["embedding"][0] = 0.0
+    return ModelParams(config, **arrays)
 
 
 # --- batched forward/backward ----------------------------------------------
@@ -327,15 +323,12 @@ def backward(params: ModelParams, indices: np.ndarray, lengths: np.ndarray,
     if logits_out is not None:
         logits_out[...] = h_final @ params.w_out.T + params.b_out
 
-    lstm_mult = np.ones_like(h_final)
     fc_mult = np.ones_like(h_final)
-    if training and (cfg.lstm_dropout > 0 or cfg.fc_dropout > 0) and rng is None:
-        raise ValueError("training with dropout needs an rng")
-    if training and cfg.lstm_dropout > 0:
-        lstm_mult = dropout_mask(h_final.shape, cfg.lstm_dropout, rng, dtype)
     if training and cfg.fc_dropout > 0:
+        if rng is None:
+            raise ValueError("training with dropout needs an rng")
         fc_mult = dropout_mask(h_final.shape, cfg.fc_dropout, rng, dtype)
-    h_drop = h_final * lstm_mult * fc_mult
+    h_drop = h_final * fc_mult
 
     logits = h_drop @ params.w_out.T + params.b_out
     losses = row_cross_entropy(logits, labels)
@@ -354,7 +347,7 @@ def backward(params: ModelParams, indices: np.ndarray, lengths: np.ndarray,
 
     d_w_out = d_logits.T @ h_drop
     d_b_out = d_logits.sum(axis=0)
-    d_h = (d_logits @ params.w_out) * fc_mult * lstm_mult
+    d_h = (d_logits @ params.w_out) * fc_mult
 
     grads = _lstm_backward_batch(params, cache, d_h)
     grads["w_out"] = d_w_out
@@ -569,7 +562,8 @@ def save_checkpoint(path: str | Path, params: ModelParams,
         fh.write(struct.pack("<IB", _VERSION, code))
         fh.write(struct.pack("<5Q", cfg.vocab_size, cfg.embed_dim,
                              cfg.hidden_dim, cfg.num_classes, cfg.max_len))
-        fh.write(struct.pack("<2d", cfg.lstm_dropout, cfg.fc_dropout))
+        # the first rate is a retired second dropout on h_final; always 0.0
+        fh.write(struct.pack("<2d", 0.0, cfg.fc_dropout))
         for arr in params.arrays().values():
             _write_array(fh, arr)
         if adam is None:
@@ -582,18 +576,10 @@ def save_checkpoint(path: str | Path, params: ModelParams,
                 _write_array(fh, adam.v[key])
 
 
-def _expected_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
-    v, e = cfg.vocab_size, cfg.embed_dim
-    h, c = cfg.hidden_dim, cfg.num_classes
-    return {"embedding": (v, e), "w_ih": (4 * h, e), "w_hh": (4 * h, h),
-            "b_ih": (4 * h,), "b_hh": (4 * h,), "w_out": (c, h), "b_out": (c,)}
-
-
-def load_checkpoint(path: str | Path,
-                    expect: ModelConfig | None = None,
-                    ) -> tuple[ModelParams, AdamState | None]:
+def load_checkpoint(path: str | Path) -> tuple[ModelParams, AdamState | None]:
     """Read a version-1 checkpoint; any deviation from the layout
-    ``save_checkpoint`` writes raises ``CheckpointError``."""
+    ``save_checkpoint`` writes raises ``CheckpointError``.  The retired
+    first dropout rate is read and ignored."""
     blob = Path(path).read_bytes()
     if not blob.startswith(_MAGIC):
         raise CheckpointError(f"{path}: not a model checkpoint")
@@ -605,18 +591,8 @@ def load_checkpoint(path: str | Path,
         raise CheckpointError(f"unknown dtype code {code}")
     dtype = _DTYPE_CODES[code]
     dims = reader.unpack("<5Q", "dimensions")
-    drops = reader.unpack("<2d", "dropout rates")
-    cfg = ModelConfig(vocab_size=dims[0], embed_dim=dims[1],
-                      hidden_dim=dims[2], num_classes=dims[3],
-                      max_len=dims[4], lstm_dropout=drops[0],
-                      fc_dropout=drops[1])
-    if expect is not None:
-        for attr in ("vocab_size", "embed_dim", "hidden_dim",
-                     "num_classes", "max_len"):
-            if getattr(expect, attr) != getattr(cfg, attr):
-                raise CheckpointError(
-                    f"dimension mismatch: checkpoint {attr}="
-                    f"{getattr(cfg, attr)}, expected {getattr(expect, attr)}")
+    _, fc_dropout = reader.unpack("<2d", "dropout rates")
+    cfg = ModelConfig(*dims, fc_dropout=fc_dropout)
     shapes = _expected_shapes(cfg)
     params = ModelParams(cfg, **{name: reader.array(shape, dtype)
                                  for name, shape in shapes.items()})

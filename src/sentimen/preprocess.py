@@ -106,15 +106,14 @@ def _memo_for(slang: frozenset[tuple[str, str]], stopwords: frozenset[str],
 
 @dataclass(frozen=True)
 class PreprocessConfig:
-    """The three dictionaries, read-only; an empty one skips its step."""
+    """The three dictionaries, read-only; an empty one changes nothing."""
 
     slang: Mapping[str, str] = field(default_factory=dict)
     stopwords: frozenset[str] = frozenset()
     roots: frozenset[str] = frozenset()
     # resolved once per config: equal dictionaries share one word memo, and
     # run_pipeline never compares dictionaries
-    stemmer: IndonesianStemmer | None = field(init=False, compare=False,
-                                              repr=False)
+    stemmer: IndonesianStemmer = field(init=False, compare=False, repr=False)
     _memo: dict[str, tuple[str, ...]] = field(init=False, compare=False,
                                               repr=False)
 
@@ -128,8 +127,7 @@ class PreprocessConfig:
         object.__setattr__(self, "slang", slang)
         object.__setattr__(self, "stopwords", stopwords)
         object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "stemmer",
-                           IndonesianStemmer(roots) if roots else None)
+        object.__setattr__(self, "stemmer", IndonesianStemmer(roots))
         object.__setattr__(self, "_memo", _memo_for(
             frozenset(slang.items()), stopwords, roots))
 
@@ -211,11 +209,10 @@ def run_pipeline(text: str, cfg: PreprocessConfig) -> list[str]:
             # step functions spend on the word in a whole text
             standard = slang.get(word)
             if standard is None:
-                out = () if word in stopwords else (
-                    word if stemmer is None else stemmer.stem(word),)
+                out = () if word in stopwords else (stemmer.stem(word),)
             else:
-                out = tuple([t if stemmer is None else stemmer.stem(t)
-                             for t in standard.split() if t not in stopwords])
+                out = tuple([stemmer.stem(t) for t in standard.split()
+                             if t not in stopwords])
             if len(memo) >= CACHE_SIZE:
                 memo.clear()
             memo[word] = out

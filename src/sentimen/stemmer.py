@@ -2,7 +2,8 @@
 
 Every affix removal is gated by a root-word dictionary lookup: an affix is
 only considered stripped when some removal sequence reaches a known root,
-otherwise the original word is returned unchanged.
+otherwise the original word is returned unchanged.  So an empty root set
+stems nothing.
 
 Order of operations per word:
 
@@ -188,8 +189,6 @@ class IndonesianStemmer:
     """Dictionary-gated affix stripper for Indonesian."""
 
     def __init__(self, roots: set[str] | frozenset[str]):
-        if not roots:
-            raise ValueError("empty root dictionary")
         self._roots = frozenset(roots)
 
     @property

@@ -68,7 +68,6 @@ BAD_CONFIG = {
     "learning_rate": ["nan", "inf", "0", "-0.1", "fast"],
     "embed_dim": ["0", "-3"],
     "hidden_dim": ["0", "2.5"],
-    "lstm_dropout": ["nan", "-0.5", "1"],
     "fc_dropout": ["nan", "1.0", "inf"],
     "min_freq": ["0", "one"],
     "max_len": ["0", "-2", "6.5"],
@@ -95,6 +94,20 @@ def test_bad_config_value_exit_2_before_any_work(tmp_path, separable_csv,
         err = assert_one_error_line(capsys, f"error: config {key} = ")
         assert f"'{value}'" in err
         assert not out_dir.exists()
+
+
+def test_unknown_config_key_exit_2_before_any_work(tmp_path, separable_csv,
+                                                  capsys):
+    # a second dropout on h_final equals a larger fc_dropout, so the
+    # former lstm_dropout key is unknown like any other
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("fc_dropout = 0.5\nlstm_dropout = 0.0\n", "utf-8")
+    out_dir = tmp_path / "run"
+    assert run_cli("--out-dir", out_dir, "train", separable_csv,
+                   "--config", cfg) == 2
+    err = assert_one_error_line(capsys, "error: unknown config keys")
+    assert "'lstm_dropout'" in err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("flag,value", [
@@ -441,19 +454,22 @@ def test_non_utf8_file_exit_2_naming_it(tmp_path, separable_csv, capsys,
 @pytest.mark.parametrize("command,bad", [
     ("train", "roots"), ("evaluate", "roots"), ("compare", "roots"),
     ("train", "unsplittable"), ("compare", "unsplittable"),
-    ("train", "empty_split"), ("compare", "empty_split")])
+    ("train", "empty_split"), ("compare", "empty_split"),
+    ("compare", "empty_train")])
 def test_bad_input_leaves_no_out_dir(tmp_path, request, separable_csv, capsys,
                                      command, bad):
     roots = tmp_path / "latin1_roots.txt"
     roots.write_bytes("bébas\n".encode("latin-1"))
     # one negative record cannot fill three nonzero splits
     tiny = write_corpus_csv(tmp_path / "tiny.csv", separable_rows(1))
-    # train gets no train split, compare no test split
+    # empty_split: train gets no train split, compare no test split;
+    # empty_train: compare gets no train split
+    no_test = (command, bad) == ("compare", "empty_split")
     empty = tmp_path / "empty_split.cfg"
-    empty.write_text("train_fraction = 0\nval_fraction = 0.5\n"
-                     "test_fraction = 0.5\n" if command == "train" else
-                     "train_fraction = 0.85\nval_fraction = 0.15\n"
-                     "test_fraction = 0\n", "utf-8")
+    empty.write_text("train_fraction = 0.85\nval_fraction = 0.15\n"
+                     "test_fraction = 0\n" if no_test else
+                     "train_fraction = 0\nval_fraction = 0.5\n"
+                     "test_fraction = 0.5\n", "utf-8")
     out_dir = tmp_path / "o"
     ckpt = (request.getfixturevalue("trained_run") / "checkpoint.bin"
             if command == "evaluate" else None)
@@ -461,13 +477,14 @@ def test_bad_input_leaves_no_out_dir(tmp_path, request, separable_csv, capsys,
     inputs = {"train": [corpus], "evaluate": [ckpt, corpus],
               "compare": [corpus]}[command]
     flags = {"roots": ["--roots", roots], "unsplittable": [],
-             "empty_split": ["--config", empty]}[bad]
+             "empty_split": ["--config", empty],
+             "empty_train": ["--config", empty]}[bad]
     assert run_cli("--out-dir", out_dir, command, *inputs, *flags) == 2
     err = assert_one_error_line(capsys)
     assert {"roots": f"{roots}: not UTF-8 text",
             "unsplittable": "1 records for 3 nonzero splits",
-            "empty_split": f"{'test' if command == 'compare' else 'train'} "
-                           "split is empty"}[bad] in err
+            "empty_split": f"{'test' if no_test else 'train'} split is empty",
+            "empty_train": "train split is empty"}[bad] in err
     assert not out_dir.exists()
 
 

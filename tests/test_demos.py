@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from sentimen import cli
+
 from conftest import NEGATIVE_TEXTS, POSITIVE_TEXTS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -52,3 +54,13 @@ def test_readme_quick_start(tmp_path):
         f"labels = {[1] * len(POSITIVE_TEXTS) + [0] * len(NEGATIVE_TEXTS)!r}\n"
         + blocks[0], "utf-8")
     run_demo([sys.executable, str(script)], tmp_path)
+
+
+def test_readme_config_table_matches_the_schema():
+    readme = (ROOT / "README.md").read_text("utf-8")
+    table = re.search(r"^\| key \| default \| accepted values \|\n"
+                      r"\|---\|---\|---\|\n((?:\|.*\n)+)", readme, re.M)
+    assert table is not None
+    keys = {key for row in table.group(1).splitlines()
+            for key in re.findall(r"`(\w+)`", row.split("|")[1])}
+    assert keys == set(cli.SCHEMA)

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from sentimen.ingest import Label
 from conftest import dense_grads
 
 
-def tiny_config(V=6, E=3, H=4, C=2, T=5, fc_dropout=0.0, **kw):
+def tiny_config(V=6, E=3, H=4, C=2, T=5, fc_dropout=0.0):
     return nn.ModelConfig(vocab_size=V, embed_dim=E, hidden_dim=H,
-                          num_classes=C, max_len=T, fc_dropout=fc_dropout, **kw)
+                          num_classes=C, max_len=T, fc_dropout=fc_dropout)
 
 
 def random_params(cfg, seed=0, bias_scale=0.3):
@@ -628,11 +629,27 @@ class TestCheckpoint:
         assert np.array_equal(adam.m["w_ih"], state.m["w_ih"])
         assert loaded.config == cfg
 
-    def test_dimension_mismatch(self, tmp_path):
-        params = nn.init_params(tiny_config(H=4))
+    def test_retired_dropout_slot_written_as_zero(self, tmp_path):
+        # the 16 bytes of rates follow the magic, the version and dtype
+        # code, and five u64 dimensions
+        params = random_params(tiny_config(fc_dropout=0.25), seed=1)
+        for adam in (None, nn.AdamState.for_params(params)):
+            nn.save_checkpoint(tmp_path / "m.bin", params, adam)
+            blob = (tmp_path / "m.bin").read_bytes()
+            assert struct.unpack_from("<2d", blob, 8 + 5 + 40) == (0.0, 0.25)
+
+    def test_retired_dropout_slot_read_and_ignored(self, tmp_path):
+        # a file from a run that set the retired second rate still loads
+        params = random_params(tiny_config(fc_dropout=0.25), seed=3)
         nn.save_checkpoint(tmp_path / "m.bin", params)
-        with pytest.raises(nn.CheckpointError, match="hidden_dim"):
-            nn.load_checkpoint(tmp_path / "m.bin", expect=tiny_config(H=8))
+        blob = bytearray((tmp_path / "m.bin").read_bytes())
+        struct.pack_into("<d", blob, 8 + 5 + 40, 0.3)
+        (tmp_path / "old.bin").write_bytes(bytes(blob))
+        loaded, adam = nn.load_checkpoint(tmp_path / "old.bin")
+        assert adam is None
+        assert loaded.config == params.config
+        for name, arr in params.arrays().items():
+            assert np.array_equal(arr, loaded.arrays()[name])
 
     def test_truncated_file(self, tmp_path):
         params = nn.init_params(tiny_config())

@@ -34,10 +34,8 @@ def clean_oracle(text: str) -> str:
 def chain_oracle(text: str, cfg: PreprocessConfig) -> list[str]:
     """The six step functions run on the whole text, no memo."""
     text = normalize_slang(clean(case_fold(text)), cfg.slang)
-    tokens = remove_stopwords(tokenize(text), cfg.stopwords)
-    if cfg.stemmer is not None:
-        tokens = stem_tokens(tokens, cfg.stemmer)
-    return tokens
+    return stem_tokens(remove_stopwords(tokenize(text), cfg.stopwords),
+                       cfg.stemmer)
 
 
 CLEAN_CASES = [
@@ -260,8 +258,12 @@ class TestDictionaryCache:
 
     def test_stemmer_follows_the_config(self):
         cfg = PreprocessConfig.default()
-        assert dataclasses.replace(cfg, roots=frozenset()).stemmer is None
-        assert PreprocessConfig(roots=frozenset()).stemmer is None
+        # an empty root set stems nothing
+        for bare in (dataclasses.replace(cfg, roots=frozenset()),
+                     PreprocessConfig(roots=frozenset())):
+            assert bare.stemmer.roots == frozenset()
+            assert run_pipeline("makanannya enak", bare) == ["makanannya",
+                                                             "enak"]
         other = dataclasses.replace(cfg, roots=frozenset({"enak"}))
         assert other.stemmer.roots == {"enak"}
         assert run_pipeline("makanannya enak", other) == ["makanannya", "enak"]

@@ -83,6 +83,8 @@ class TestTotality:
     def test_idempotent_everywhere(self, stemmer, word):
         assert stemmer.stem(stemmer.stem(word)) == stemmer.stem(word)
 
-    def test_empty_root_dictionary_rejected(self):
-        with pytest.raises(ValueError):
-            IndonesianStemmer(set())
+    @given(st.from_regex(r"[a-z]{1,20}", fullmatch=True))
+    @settings(max_examples=300, deadline=None)
+    def test_empty_root_dictionary_is_the_identity(self, word):
+        # every affix removal is gated by a root lookup
+        assert IndonesianStemmer(frozenset()).stem(word) == word
