@@ -8,17 +8,20 @@ parameter count matches the double-bias convention:
     V*E + 4*(E*H + H*H + 2H) + (H*C + C)
 
 There is one LSTM implementation, over (B, T) batches; a single sequence
-is a batch of one.  A batch runs only to its longest sequence and each
-row's final state is read at its own length, so forward and backward
-results on a padded sequence are bit-identical to the unpadded run and the
-pad embedding row stays frozen at zero.
+is a batch of one.  It runs on the packed form of the batch, as
+``pack_padded_sequence`` lays it out: the rows go longest first, and step
+t runs over the prefix of rows still inside their sequence.  Only the P
+real positions are gathered, projected, stepped and differentiated, so a
+padded row does the same arithmetic as its unpadded self, and the pad
+embedding row stays frozen at zero.  Final states, logits and gradients
+come back in the caller's row order.
 
-A batch touches at most B*T' of the embedding table's V rows, so
-``backward`` returns the embedding gradient as a ``RowGrad``: the sorted,
-unique touched rows and their summed gradients, with no dense (V, E)
-array built or scanned.  ``adam_step`` takes a ``RowGrad`` for any array
-and applies dense Adam to it exactly: every row's moments decay and every
-row steps, and only the touched rows add their gradient terms.
+A batch's P real positions touch at most P of the embedding table's V
+rows, so ``backward`` returns the embedding gradient as a ``RowGrad``: the
+sorted, unique touched rows and their summed gradients, with no dense
+(V, E) array built or scanned.  ``adam_step`` takes a ``RowGrad`` for any
+array and applies dense Adam to it exactly: every row's moments decay and
+every row steps, and only the touched rows add their gradient terms.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterator
 
@@ -182,110 +186,189 @@ def _gate_affine(h_dim: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     return scale, shift
 
 
+def _packing(lengths: np.ndarray) -> tuple[np.ndarray | slice, list, list]:
+    """The packed layout of a batch of (clamped) lengths.
+
+    ``order`` lists the rows longest first, ties in the caller's order (a
+    plain slice when that is the caller's order); step t runs over the
+    first ``sizes[t]`` of them, the rows still inside their sequence, and
+    its positions start at ``offsets[t]``.  ``offsets`` ends with P, the
+    number of real positions.  Plain Python, with no numpy call per step.
+    """
+    lens = lengths.tolist()
+    order = sorted(range(len(lens)), key=lens.__getitem__, reverse=True)
+    sizes = []
+    live = len(order)
+    for t in range(lens[order[0]] if order else 0):
+        while lens[order[live - 1]] <= t:
+            live -= 1
+        sizes.append(live)
+    offsets = [0, *accumulate(sizes)]
+    if order == list(range(len(lens))):
+        return slice(None), sizes, offsets
+    return np.array(order), sizes, offsets
+
+
 def _lstm_forward_batch(params: ModelParams, indices: np.ndarray,
                         lengths: np.ndarray, for_backward: bool = True) -> dict:
-    """Forward over a (B, T) batch trimmed to its longest sequence; caches,
-    time-major, what the backward pass reuses.
+    """Forward over the packed form of a (B, T) batch; caches what the
+    backward pass reuses.
 
-    Every row runs all T' steps and its final state is read at its own
-    length, so the positions past it reach neither output nor gradients.
-    Without ``for_backward`` the cell state and its tanh are kept for the
-    current step only, updated in place.
+    The rows run longest first, and step t runs over the first
+    ``sizes[t]`` of them: the rows still inside their sequence.  The P real
+    positions are stored time-major, step after step, so no pad position is
+    gathered, multiplied or stored.  ``h_final`` and ``c_final`` are each
+    row's state after its last real token (zero for an empty row), in the
+    caller's row order.
+
+    With ``for_backward`` every position's h, c and tanh(c) is kept;
+    without it each is one (B, H) buffer, the current step only, whose
+    prefix of live rows each step updates in place.  The recurrent product
+    reads ``w_hh`` transposed; a batch of more than two rows copies that
+    transpose to contiguous memory once, which more than pays for itself
+    over the steps, while one or two rows run the view as a GEMV.
     """
     h_dim = params.w_hh.shape[1]
     dtype = params.w_ih.dtype
     batch = indices.shape[0]
     lengths = np.minimum(np.maximum(lengths, 0), indices.shape[1])
-    steps = int(lengths.max(initial=0))
-    indices = indices[:, :steps]
-    x = params.embedding[indices.T]          # (T', B, E)
+    order, sizes, offsets = _packing(lengths)
+    steps, n_pos = len(sizes), offsets[-1]
+    sorted_lengths = lengths[order]
+    ids = indices[order, :steps].T[np.arange(steps)[:, None] < sorted_lengths]
+    x = params.embedding[ids]                # (P, E)
 
-    # input projection and bias of every step in one GEMM
-    gates = np.empty((steps, batch, 4 * h_dim), dtype=dtype)
-    np.matmul(x.reshape(-1, x.shape[-1]), params.w_ih.T,
-              out=gates.reshape(-1, 4 * h_dim))
+    # input projection and bias of every real position in one GEMM
+    gates = x @ params.w_ih.T                # (P, 4H)
     gates += params.b_ih + params.b_hh
-    gate4 = gates.reshape(steps, batch, 4, h_dim)
+    gate4 = gates.reshape(n_pos, 4, h_dim)
     scale, shift = _gate_affine(h_dim, dtype)
+    w_hh_t = params.w_hh.T
+    if batch > 2:
+        w_hh_t = np.ascontiguousarray(w_hh_t)
 
-    slots = steps if for_backward else 0
-    h_states = np.zeros((steps + 1, batch, h_dim), dtype=dtype)
-    c_states = np.zeros((slots + 1, batch, h_dim), dtype=dtype)
-    tanh_c = np.empty((max(slots, 1), batch, h_dim), dtype=dtype)
-    for t in range(steps):
-        a = gates[t]
-        a += h_states[t] @ params.w_hh.T
+    # state rows: position p when kept for backward, else the live prefix
+    # of one (B, H) buffer
+    slots = n_pos if for_backward else batch
+    h_buf = np.zeros((slots, h_dim), dtype=dtype)
+    c_buf = np.zeros((slots, h_dim), dtype=dtype)
+    tanh_c = np.empty((slots, h_dim), dtype=dtype)
+    cur = prev = 0
+    for t, (n, off) in enumerate(zip(sizes, offsets)):
+        a = gates[off:off + n]
+        if t:
+            a += h_buf[prev:prev + n] @ w_hh_t
         a *= scale
         np.tanh(a, out=a)
         a *= scale
         a += shift
-        i, f, g, o = gate4[t].swapaxes(0, 1)  # (B, H) views
-        prev, cur = (t, t + 1) if for_backward else (0, 0)
-        c = c_states[cur]
-        np.multiply(f, c_states[prev], out=c)
-        c += i * g
-        np.tanh(c, out=tanh_c[prev])
-        np.multiply(o, tanh_c[prev], out=h_states[t + 1])
+        i, f, g, o = gate4[off:off + n].swapaxes(0, 1)  # (n, H) views
+        if for_backward:
+            cur = off
+        c = c_buf[cur:cur + n]
+        if t:
+            np.multiply(f, c_buf[prev:prev + n], out=c)
+            c += i * g
+        else:
+            np.multiply(i, g, out=c)
+        tc = tanh_c[cur:cur + n]
+        np.tanh(c, out=tc)
+        np.multiply(o, tc, out=h_buf[cur:cur + n])
+        prev = cur
 
-    return {"x": x, "lengths": lengths, "indices": indices,
-            "h_states": h_states, "c_states": c_states, "gates": gates,
-            "tanh_c": tanh_c, "h_final": h_states[lengths, np.arange(batch)]}
+    if for_backward:
+        # row r of the sorted batch ends at position offsets[len - 1] + r
+        live = sizes[0] if steps else 0
+        last = [offsets[n - 1] + r
+                for r, n in enumerate(sorted_lengths[:live].tolist())]
+        h_end = np.zeros((batch, h_dim), dtype=dtype)
+        c_end = np.zeros((batch, h_dim), dtype=dtype)
+        h_end[:live] = h_buf[last]
+        c_end[:live] = c_buf[last]
+    else:
+        h_end, c_end = h_buf, c_buf
+    h_final, c_final = np.empty_like(h_end), np.empty_like(c_end)
+    h_final[order] = h_end
+    c_final[order] = c_end
+    return {"x": x, "ids": ids, "lengths": lengths, "order": order,
+            "sizes": sizes, "offsets": offsets, "gates": gates,
+            "h": h_buf, "c": c_buf, "tanh_c": tanh_c,
+            "h_final": h_final, "c_final": c_final}
 
 
 def _lstm_backward_batch(params: ModelParams, cache: dict,
                          d_h_final: np.ndarray,
                          ) -> dict[str, np.ndarray | RowGrad]:
-    h_dim = params.w_hh.shape[1]
-    x, lengths = cache["x"], cache["lengths"]
-    h_states, c_states, tanh_c = (cache["h_states"], cache["c_states"],
-                                  cache["tanh_c"])
-    steps, batch, _ = x.shape
-    dtype = params.w_ih.dtype
-    gate4 = cache["gates"].reshape(steps, batch, 4, h_dim)
-    i, f, g, o = gate4.transpose(2, 0, 1, 3)  # (T', B, H) views
+    """Gradients of the forward pass in ``cache``, given dL/d h_final in
+    the caller's row order.
 
-    # Gate gradients, shaped (T', B, 4H).  The factors that do not depend on
+    Runs backward over the same packed layout: a row's output gradient
+    enters at its last real step, the recurrent gradient of step t + 1
+    flows into the first ``sizes[t + 1]`` rows of step t, and ``w_ih``,
+    ``w_hh`` and the biases reduce over the P real positions.  The
+    embedding gradient is a ``RowGrad`` summed in time-major, caller-row
+    order.
+    """
+    h_dim = params.w_hh.shape[1]
+    x, ids, lengths = cache["x"], cache["ids"], cache["lengths"]
+    order, sizes, offsets = cache["order"], cache["sizes"], cache["offsets"]
+    h_buf, c_buf, tanh_c = cache["h"], cache["c"], cache["tanh_c"]
+    steps, n_pos = len(sizes), len(x)
+    batch = len(lengths)
+    first = sizes[0] if steps else 0
+    gate4 = cache["gates"].reshape(n_pos, 4, h_dim)
+    i, f, g, o = gate4.transpose(1, 0, 2)  # (P, H) views
+    # position p of step t >= 1 follows position p - sizes[t - 1]
+    prev = np.arange(first, n_pos) - np.repeat(
+        np.array(sizes[:-1], dtype=np.intp), sizes[1:])
+    h_prev, c_prev = h_buf[prev], c_buf[prev]
+
+    # Gate gradients, shaped (P, 4H).  The factors that do not depend on
     # the recurrence go in first: d a_{i,f,g} / d c and d a_o / d h.  The
     # loop then multiplies in each step's dc (i, f, g) and dh (o).
     d_gates = np.empty_like(cache["gates"])
-    d4 = d_gates.reshape(steps, batch, 4, h_dim)
-    np.multiply(g, i * (1.0 - i), out=d4[:, :, 0])
-    np.multiply(c_states[:-1], f * (1.0 - f), out=d4[:, :, 1])
-    np.multiply(i, 1.0 - g * g, out=d4[:, :, 2])
-    np.multiply(tanh_c, o * (1.0 - o), out=d4[:, :, 3])
+    d4 = d_gates.reshape(n_pos, 4, h_dim)
+    np.multiply(g, i * (1.0 - i), out=d4[:, 0])
+    d4[:first, 1] = 0.0
+    np.multiply(c_prev, f[first:] * (1.0 - f[first:]), out=d4[first:, 1])
+    np.multiply(i, 1.0 - g * g, out=d4[:, 2])
+    np.multiply(tanh_c, o * (1.0 - o), out=d4[:, 3])
     dc_dh = o * (1.0 - tanh_c * tanh_c)
 
-    # a row's output gradient enters at its last real step; before it
-    # (in reverse time) the row's dh and dc stay zero
-    d_h_in = np.zeros((steps, batch, h_dim), dtype=dtype)
-    live = np.flatnonzero(lengths)
-    d_h_in[lengths[live] - 1, live] = d_h_final[live]
-
-    dc = np.zeros((batch, h_dim), dtype=dtype)
+    # over the sorted rows: a row's dh holds its output gradient at its
+    # last step, and step t writes the recurrent gradient of step t - 1
+    # over the first sizes[t] rows; a row's dc is zero at its last step
+    dh = d_h_final[order].astype(x.dtype)
+    dc = np.zeros((first, h_dim), dtype=x.dtype)
     for t in range(steps - 1, -1, -1):
-        dh = d_h_in[t]
-        dc_total = dh * dc_dh[t]
-        dc_total += dc
-        d4[t, :, :3] *= dc_total[:, None, :]
-        d4[t, :, 3] *= dh
+        n, off = sizes[t], offsets[t]
+        dc_total = dh[:n] * dc_dh[off:off + n]
+        dc_total += dc[:n]
+        d4[off:off + n, :3] *= dc_total[:, None, :]
+        d4[off:off + n, 3] *= dh[:n]
         if t:
-            d_h_in[t - 1] += d_gates[t] @ params.w_hh
-            dc = dc_total * f[t]
+            np.matmul(d_gates[off:off + n], params.w_hh, out=dh[:n])
+            np.multiply(dc_total, f[off:off + n], out=dc[:n])
 
-    flat = d_gates.reshape(-1, 4 * h_dim)
-    d_w_ih = flat.T @ x.reshape(-1, x.shape[-1])
-    d_w_hh = flat.T @ h_states[:-1].reshape(-1, h_dim)
-    d_b = flat.sum(axis=0)
-    # each touched row sums its positions in order, as a scatter into the
-    # dense table would; pad positions are left out, and the pad row, when
-    # the batch has one, is listed first with a zero (frozen) gradient
-    ids = cache["indices"].T.reshape(-1)
+    d_w_ih = d_gates.T @ x
+    d_w_hh = d_gates[first:].T @ h_prev
+    d_b = d_gates.sum(axis=0)
+    # each touched row sums its positions in time-major, caller-row order,
+    # as a scatter into the dense table would; the pad row, when the batch
+    # has a pad position, is listed first with a zero (frozen) gradient.
+    # pos lists the packed positions in that order: step t of caller row b
+    # is at offsets[t] + (b's place in the sorted order).
+    rank = np.empty(batch, dtype=np.intp)
+    rank[order] = np.arange(batch)
+    pos = np.array(offsets[:steps], dtype=np.intp)[:, None] + rank
+    pos = pos[np.arange(steps)[:, None] < lengths]
+    ids = ids[pos]
     real = np.flatnonzero(ids)
     touched, slot = np.unique(ids[real], return_inverse=True)
-    pad = int(len(real) < len(ids))
+    pad = int(len(real) < batch * steps)
     rows = np.concatenate((np.zeros(pad, dtype=touched.dtype), touched))
-    d_rows = np.zeros((len(rows), x.shape[-1]), dtype=dtype)
-    np.add.at(d_rows[pad:], slot, flat[real] @ params.w_ih)
+    d_rows = np.zeros((len(rows), x.shape[-1]), dtype=x.dtype)
+    np.add.at(d_rows[pad:], slot, d_gates[pos[real]] @ params.w_ih)
     return {"embedding": RowGrad(rows, d_rows), "w_ih": d_w_ih, "w_hh": d_w_hh,
             "b_ih": d_b, "b_hh": d_b.copy()}
 
@@ -468,8 +551,8 @@ _PREDICT_BATCH = 256
 
 def length_sorted_batches(lengths: np.ndarray) -> Iterator[np.ndarray]:
     """Row indices in batches of ``_PREDICT_BATCH``, ordered by length
-    (stable), so ``forward_logits`` trims each batch to little more than
-    its rows."""
+    (stable), so the rows of a batch have similar lengths and its packed
+    forward pass runs few steps, each over most of the batch."""
     order = np.argsort(lengths, kind="stable")
     for start in range(0, len(order), _PREDICT_BATCH):
         yield order[start:start + _PREDICT_BATCH]
@@ -479,11 +562,10 @@ def predict_encoded(params: ModelParams, indices: np.ndarray,
                     lengths: np.ndarray) -> list[Prediction]:
     """Predictions for the rows of an encoded corpus, in their order.
 
-    ``forward_logits`` runs over batches sorted by length, so each batch is
-    trimmed to little more than its own rows.  The label is the argmax of
-    the float64 softmax, ties to Negative; a row left empty by
-    preprocessing is Negative off the zero-state pass, flagged
-    low-confidence.
+    ``forward_logits`` runs over batches sorted by length, so each batch
+    runs few steps.  The label is the argmax of the float64 softmax, ties
+    to Negative; a row left empty by preprocessing is Negative off the
+    zero-state pass, flagged low-confidence.
     """
     probs = np.empty((len(lengths), params.b_out.shape[0]))
     for sel in length_sorted_batches(lengths):
@@ -516,9 +598,11 @@ def _dtype_code(dtype) -> int:
 
 
 def _write_array(fh, arr: np.ndarray) -> None:
-    raw = np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes()
-    fh.write(struct.pack("<Q", len(raw)))
-    fh.write(raw)
+    """The array's byte count, then its little-endian C-order bytes, written
+    from the array itself when it is already laid out that way."""
+    arr = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
+    fh.write(struct.pack("<Q", arr.nbytes))
+    fh.write(memoryview(arr).cast("B"))
 
 
 class _Reader:

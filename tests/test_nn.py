@@ -200,7 +200,7 @@ class TestLstmStep:
                 arr[:] = 0.0
         cache = nn._lstm_forward_batch(params, np.array([[1, 2, 0]]),
                                        np.array([2]))
-        assert np.all(cache["c_states"] == 0.0)
+        assert np.all(cache["c"] == 0.0) and np.all(cache["c_final"] == 0.0)
         assert np.all(cache["h_final"] == 0.0)
 
     def test_scalar_saturated_gates(self):
@@ -210,7 +210,7 @@ class TestLstmStep:
             arr[:] = 0.0
         params.b_ih[:] = [100.0, 0.0, 100.0, 100.0]  # [i, f, g, o]
         cache = nn._lstm_forward_batch(params, np.array([[1]]), np.array([1]))
-        assert cache["c_states"][1, 0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert cache["c_final"][0, 0] == pytest.approx(1.0, abs=1e-12)
         assert cache["h_final"][0, 0] == pytest.approx(0.7616, abs=5e-5)
 
     def test_matches_scalar_oracle(self):
@@ -224,7 +224,7 @@ class TestLstmStep:
             params = random_params(cfg, seed=trial, bias_scale=0.7)
             idx, lengths = batch_with_gaps(cfg, rng, int(rng.integers(1, 5)))
             cache = nn._lstm_forward_batch(params, idx, lengths)
-            c_final = cache["c_states"][lengths, np.arange(len(idx))]
+            c_final = cache["c_final"]
             logits = nn.forward_logits(params, idx, lengths)
             w, b = params.w_out, params.b_out
             for row in range(len(idx)):
@@ -255,7 +255,7 @@ class TestLstmForward:
         cache = nn._lstm_forward_batch(params, np.array([[0, 0, 0, 0],
                                                          [1, 2, 3, 0]]),
                                        lengths)
-        c_final = cache["c_states"][lengths, np.arange(2)]
+        c_final = cache["c_final"]
         assert np.all(cache["h_final"][0] == 0) and np.all(c_final[0] == 0)
         assert np.all(cache["h_final"][1] != 0)
 
@@ -267,7 +267,7 @@ class TestLstmForward:
         h, c = scalar_lstm_step(params.embedding[idx[0, 0]],
                                 [0.0, 0.0], [0.0, 0.0], params)
         assert np.max(np.abs(cache["h_final"][0] - h)) <= 1e-12
-        assert np.max(np.abs(cache["c_states"][1, 0] - c)) <= 1e-12
+        assert np.max(np.abs(cache["c_final"][0] - c)) <= 1e-12
 
     def test_padding_ignored(self):
         # tokens past a row's length change neither its h nor its c
@@ -281,10 +281,8 @@ class TestLstmForward:
             padded[b, lengths[b]:] = 0
         a = nn._lstm_forward_batch(params, padded, lengths)
         b = nn._lstm_forward_batch(params, junk, lengths)
-        rows = np.arange(3)
         assert np.array_equal(a["h_final"], b["h_final"])
-        assert np.array_equal(a["c_states"][lengths, rows],
-                              b["c_states"][lengths, rows])
+        assert np.array_equal(a["c_final"], b["c_final"])
 
     def test_lengths_clamped_to_the_batch(self):
         cfg = tiny_config(E=3, H=2, T=4)
@@ -305,7 +303,8 @@ class TestLstmForward:
 
 
 class TestEmbedForward:
-    """The batched path's embedding lookup, cached time-major as ``x``."""
+    """The batched path's embedding lookup, cached as ``x``: the real
+    positions only, step by step, longest row first within a step."""
 
     weights = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 3.0]])
 
@@ -319,24 +318,28 @@ class TestEmbedForward:
         assert np.array_equal(params.embedding[0], [0.0, 0.0])
         cache = nn._lstm_forward_batch(params, np.array([[0, 0], [1, 0]]),
                                        np.array([0, 1]))
-        assert np.array_equal(cache["x"][:, 0], [[0.0, 0.0]])
+        # the empty row gathers nothing
+        assert np.array_equal(cache["x"], [params.embedding[1]])
 
     def test_row_lookup(self):
         cache = nn._lstm_forward_batch(self.params(), np.array([[2, 1]]),
                                        np.array([2]))
-        assert np.array_equal(cache["x"][:, 0], [[2.0, 3.0], [1.0, 1.0]])
+        assert np.array_equal(cache["x"], [[2.0, 3.0], [1.0, 1.0]])
 
     def test_pad_tail(self):
-        # alone, the row is trimmed to its length; beside a longer row, its
-        # tail reads the zero pad row
-        alone = nn._lstm_forward_batch(self.params(), np.array([[2, 0, 0]]),
+        # alone or beside a longer row, a row's pad tail is never gathered
+        params = self.params()
+        alone = nn._lstm_forward_batch(params, np.array([[2, 0, 0]]),
                                        np.array([1]))
-        assert np.array_equal(alone["x"][:, 0], [[2.0, 3.0]])
-        mixed = nn._lstm_forward_batch(self.params(),
+        assert np.array_equal(alone["x"], [[2.0, 3.0]])
+        mixed = nn._lstm_forward_batch(params,
                                        np.array([[2, 0, 0], [1, 2, 1]]),
                                        np.array([1, 3]))
-        assert np.array_equal(mixed["x"][:, 0],
-                              [[2.0, 3.0], [0.0, 0.0], [0.0, 0.0]])
+        # step 0 holds the longer row first, then the shorter one
+        assert mixed["ids"].tolist() == [1, 2, 2, 1]
+        assert np.array_equal(mixed["x"],
+                              [[1.0, 1.0], [2.0, 3.0], [2.0, 3.0], [1.0, 1.0]])
+        assert np.array_equal(params.embedding[0], [0.0, 0.0])
 
 
 class TestDenseForward:
@@ -691,6 +694,50 @@ class TestCheckpoint:
         with pytest.raises(nn.CheckpointError, match="Adam flag 7"):
             nn.load_checkpoint(tmp_path / "t.bin")
 
+    @staticmethod
+    def copying_write_array(fh, arr):
+        """The writer that converts through ``astype`` and ``tobytes``."""
+        raw = np.ascontiguousarray(arr).astype(
+            arr.dtype.newbyteorder("<")).tobytes()
+        fh.write(struct.pack("<Q", len(raw)))
+        fh.write(raw)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("with_adam", [False, True])
+    def test_bytes_match_the_copying_writer(self, tmp_path, monkeypatch,
+                                            dtype, with_adam):
+        params = nn.init_params(tiny_config(V=9), seed=3, dtype=dtype)
+        # a big-endian and a non-contiguous array are converted on the way
+        params.w_ih = params.w_ih.astype(params.w_ih.dtype.newbyteorder(">"))
+        params.w_hh = np.asfortranarray(params.w_hh)
+        adam = None
+        if with_adam:
+            adam = nn.AdamState.for_params(params)
+            adam.t = 3
+            for k, a in params.arrays().items():
+                adam.m[k] = a * 0.5
+                adam.v[k] = (a * a).astype(a.dtype.newbyteorder(">"))
+        nn.save_checkpoint(tmp_path / "new.bin", params, adam)
+        monkeypatch.setattr(nn, "_write_array", self.copying_write_array)
+        nn.save_checkpoint(tmp_path / "old.bin", params, adam)
+        assert ((tmp_path / "new.bin").read_bytes()
+                == (tmp_path / "old.bin").read_bytes())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_save_makes_no_full_size_copy(self, tmp_path, dtype):
+        import tracemalloc
+        cfg = nn.ModelConfig(vocab_size=20_000, embed_dim=16, hidden_dim=4,
+                             max_len=8)
+        params = nn.init_params(cfg, seed=0, dtype=dtype)
+        adam = nn.AdamState.for_params(params)
+        tracemalloc.start()
+        try:
+            nn.save_checkpoint(tmp_path / "m.bin", params, adam)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < params.embedding.nbytes // 2
+
     def test_float32_round_trip(self, tmp_path):
         params = nn.init_params(tiny_config(), dtype=np.float32)
         nn.save_checkpoint(tmp_path / "m.bin", params)
@@ -701,7 +748,7 @@ class TestCheckpoint:
 
 
 # --- the per-step loop LSTM as the batched path's oracle ----------------------
-# The batched forward/backward before its length trimming, hoisted input
+# The batched forward/backward before its packing, hoisted input
 # projection and post-loop weight GEMMs: one masked step at a time over the
 # full padded width, with the exp-based sigmoid.
 
@@ -776,7 +823,7 @@ def loop_backward(params, cache, d_h_final):
 
 
 class TestBatchedPathMatchesLoop:
-    """Trimmed, fused batched path against the loop oracle, float64."""
+    """Packed, fused batched path against the loop oracle, float64."""
 
     def test_forward_and_backward_agree_to_1e12(self):
         rng = np.random.default_rng(31)
@@ -824,6 +871,82 @@ class TestBatchedPathMatchesLoop:
         nn.backward(params, idx, lengths, labels,
                     rng=np.random.default_rng(0), logits_out=logits)
         assert np.array_equal(logits, nn.forward_logits(params, idx, lengths))
+
+
+class TestPackedLayout:
+    """The packed batch: only real positions, longest rows first."""
+
+    def test_gate_buffer_holds_the_real_positions(self):
+        cfg = tiny_config(T=6)
+        params = random_params(cfg, seed=2)
+        rng = np.random.default_rng(5)
+        for batch in (1, 3, 7):
+            idx = rng.integers(1, cfg.vocab_size, size=(batch, cfg.max_len))
+            lengths = rng.integers(-2, cfg.max_len + 3, size=batch)
+            real = int(np.clip(lengths, 0, cfg.max_len).sum())
+            for for_backward in (True, False):
+                cache = nn._lstm_forward_batch(params, idx, lengths,
+                                               for_backward=for_backward)
+                assert cache["gates"].shape == (real, 4 * cfg.hidden_dim)
+                assert cache["x"].shape == (real, cfg.embed_dim)
+
+    def test_row_permutation_permutes_the_outputs(self):
+        # ties and empty rows: the stable sort puts them in another order
+        rng = np.random.default_rng(23)
+        cfg = tiny_config(V=9, E=3, H=4, T=6)
+        params = random_params(cfg, seed=7)
+        lengths = np.array([3, 0, 5, 3, 6, 0, 3, 1])
+        idx = rng.integers(1, cfg.vocab_size, size=(8, cfg.max_len))
+        for b in range(8):
+            idx[b, lengths[b]:] = 0
+        labels = rng.integers(0, 2, size=8)
+        grads, loss = nn.backward(params, idx, lengths, labels,
+                                  training=False)
+        logits = nn.forward_logits(params, idx, lengths)
+        h_final = nn._lstm_forward_batch(params, idx, lengths)["h_final"]
+        for trial in range(5):
+            perm = rng.permutation(8)
+            p_grads, p_loss = nn.backward(params, idx[perm], lengths[perm],
+                                          labels[perm], training=False)
+            got = nn._lstm_forward_batch(params, idx[perm], lengths[perm])
+            assert np.max(np.abs(got["h_final"] - h_final[perm])) <= 1e-12
+            assert np.max(np.abs(nn.forward_logits(
+                params, idx[perm], lengths[perm]) - logits[perm])) <= 1e-12
+            assert abs(p_loss - loss) <= 1e-12
+            assert np.array_equal(p_grads["embedding"].rows,
+                                  grads["embedding"].rows)
+            want, have = dense_grads(params, grads), dense_grads(params,
+                                                                 p_grads)
+            for name in want:
+                assert np.max(np.abs(have[name] - want[name])) <= 1e-12, name
+
+    @pytest.mark.parametrize("batch", [1, 2, 3, 16])
+    @pytest.mark.parametrize("equal", [True, False])
+    def test_batch_sizes_match_the_loop(self, batch, equal):
+        # one or two rows read w_hh through its transposed view, more rows
+        # through a contiguous copy; equal lengths keep the caller's order
+        rng = np.random.default_rng(batch + 100 * equal)
+        cfg = tiny_config(V=10, E=4, H=5, T=7)
+        params = random_params(cfg, seed=batch)
+        if equal:
+            lengths = np.full(batch, 5)
+        else:
+            lengths = rng.integers(0, cfg.max_len + 1, size=batch)
+        idx = rng.integers(1, cfg.vocab_size, size=(batch, cfg.max_len))
+        for b in range(batch):
+            idx[b, lengths[b]:] = 0
+        new = nn._lstm_forward_batch(params, idx, lengths)
+        old = loop_forward(params, idx, lengths)
+        assert np.max(np.abs(new["h_final"] - old["h_states"][-1])) <= 1e-12
+        assert np.max(np.abs(new["c_final"] - old["c_states"][-1])) <= 1e-12
+        inference = nn._lstm_forward_batch(params, idx, lengths,
+                                           for_backward=False)
+        assert np.array_equal(inference["h_final"], new["h_final"])
+        assert np.array_equal(inference["c_final"], new["c_final"])
+        d_h = rng.normal(size=(batch, cfg.hidden_dim))
+        g_new = dense_grads(params, nn._lstm_backward_batch(params, new, d_h))
+        for name, want in loop_backward(params, old, d_h).items():
+            assert np.max(np.abs(g_new[name] - want)) <= 1e-12, name
 
 
 def unblocked_adam_step(p, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
