@@ -24,16 +24,18 @@ labels = [1] * len(pos_docs) + [0] * len(neg_docs)
 vocab = build_vocab(docs)
 print(f"vocabulary size (incl. PAD/OOV): {vocab.size}")
 
-# TF-IDF features: tf * (ln((1+N)/(1+df)) + 1), rows L2-normalized; the
-# corpus is one CSR matrix, a row per document
-x = TfidfVectorizer.fit(docs, vocab).transform(docs)
+# the corpus is counted once into one CSR matrix, a row per document;
+# TF-IDF reweights those counts: tf * (ln((1+N)/(1+df)) + 1), rows
+# L2-normalized
+counts = count_vector(docs, vocab)
+x = TfidfVectorizer.fit(counts).transform(counts)
 print(f"tf-idf matrix: {x.n_rows} x {x.n_cols}, {len(x.data)} stored entries")
 first = slice(x.indptr[0], x.indptr[1])
 print("tf-idf of first doc:", dict(zip(x.indices[first].tolist(),
                                        np.round(x.data[first], 3).tolist())))
 
-# Naive Bayes posteriors, one row per document
-model = nb_fit(docs, labels, vocab)
+# Naive Bayes reads the same counts; posteriors come one row per document
+model = nb_fit(counts, labels)
 posterior = np.exp(model.log_posteriors(count_vector([["bagus"], ["basi"]], vocab)))
 for word, (neg, pos) in zip(("bagus", "basi"), posterior):
     print(f"NB posterior for ['{word}']: negative {neg:.3f}, positive {pos:.3f}")

@@ -320,7 +320,7 @@ def _load_model(args):
     try:
         params, _ = nn.load_checkpoint(ckpt)
     except nn.CheckpointError as exc:
-        raise CliError(f"bad checkpoint: {exc}") from None
+        raise CliError(f"{ckpt}: bad checkpoint: {exc}") from None
     vocab_path = Path(args.vocab) if args.vocab else ckpt.parent / "vocab.txt"
     if not vocab_path.exists():
         raise CliError(f"vocabulary file not found: {vocab_path}")

@@ -666,7 +666,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, AdamState | None]:
     first dropout rate is read and ignored."""
     blob = Path(path).read_bytes()
     if not blob.startswith(_MAGIC):
-        raise CheckpointError(f"{path}: not a model checkpoint")
+        raise CheckpointError("not a model checkpoint")
     reader = _Reader(memoryview(blob)[len(_MAGIC):])
     version, code = reader.unpack("<IB", "header")
     if version != _VERSION:

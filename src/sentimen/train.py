@@ -93,14 +93,6 @@ def evaluate_split(params: nn.ModelParams,
     return total_loss / len(ds), correct / len(ds)
 
 
-def inverse_frequency_weights(counts: Sequence[int]) -> np.ndarray:
-    """w_k = N / (C * n_k); the usual balanced-class weighting."""
-    counts = np.asarray(counts, dtype=np.float64)
-    if np.any(counts <= 0):
-        raise ValueError("every class needs at least one example")
-    return counts.sum() / (len(counts) * counts)
-
-
 @dataclass
 class TrainResult:
     history: list[EpochStats]

@@ -29,32 +29,36 @@ def small_vocab():
 
 class TestTfidf:
     def test_single_doc_single_token(self):
-        vocab = build_vocab([["bagus"]])
-        vec = TfidfVectorizer.fit([["bagus"]], vocab)
+        counts = count_vector([["bagus"]], build_vocab([["bagus"]]))
+        vec = TfidfVectorizer.fit(counts)
         # idf = ln(2/2) + 1 = 1; single-component vector normalizes to 1.0
         assert vec.idf.tolist() == [1.0]
-        out = vec.transform([["bagus"]])
+        out = vec.transform(counts)
         assert out.data.tolist() == [1.0]
 
     def test_empty_doc_zero_vector(self, small_vocab):
-        vec = TfidfVectorizer.fit([["bagus"]], small_vocab)
-        out = vec.transform([[]])
+        vec = TfidfVectorizer.fit(count_vector([["bagus"]], small_vocab))
+        out = vec.transform(count_vector([[]], small_vocab))
         assert out.n_rows == 1 and out.indices.size == 0
         assert np.all(_dense(out) == 0.0)
 
     def test_oov_token_ignored(self, small_vocab):
-        vec = TfidfVectorizer.fit([["bagus"]], small_vocab)
-        assert vec.transform([["zzz"]]).indices.size == 0
+        vec = TfidfVectorizer.fit(count_vector([["bagus"]], small_vocab))
+        assert vec.transform(count_vector([["zzz"]], small_vocab)).indices.size == 0
 
     def test_doubled_document_same_direction(self, small_vocab):
-        vec = TfidfVectorizer.fit([["bagus", "enak"], ["buruk"]], small_vocab)
+        vec = TfidfVectorizer.fit(count_vector([["bagus", "enak"], ["buruk"]],
+                                               small_vocab))
         doc = ["bagus", "enak", "enak"]
-        once, twice = _dense(vec.transform([doc, doc + doc]))
+        once, twice = _dense(vec.transform(count_vector([doc, doc + doc],
+                                                        small_vocab)))
         assert np.allclose(once, twice, atol=1e-12)
 
     def test_l2_normalized(self, small_vocab):
-        vec = TfidfVectorizer.fit([["bagus", "enak"], ["jelek"]], small_vocab)
-        out = vec.transform([["bagus", "jelek", "jelek"]])
+        vec = TfidfVectorizer.fit(count_vector([["bagus", "enak"], ["jelek"]],
+                                               small_vocab))
+        out = vec.transform(count_vector([["bagus", "jelek", "jelek"]],
+                                         small_vocab))
         assert np.linalg.norm(out.data) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -62,8 +66,8 @@ class TestNaiveBayes:
     def test_hand_computed_posterior(self):
         # V=2, alpha=1: P(pos|bagus) = (0.5 * 2/3) / (0.5 * 2/3 + 0.5 * 1/3)
         vocab = build_vocab([["bagus"], ["buruk"]])
-        model = nb_fit([["bagus"], ["buruk"]], [Label.POSITIVE, Label.NEGATIVE],
-                       vocab)
+        model = nb_fit(count_vector([["bagus"], ["buruk"]], vocab),
+                       [Label.POSITIVE, Label.NEGATIVE])
         counts = count_vector([["bagus"]], vocab)
         assert model.predict(counts).tolist() == [Label.POSITIVE]
         (posterior,) = np.exp(model.log_posteriors(counts))
@@ -71,28 +75,29 @@ class TestNaiveBayes:
 
     def test_single_class_always_predicted(self):
         vocab = build_vocab([["bagus"], ["enak"]])
-        model = nb_fit([["bagus"], ["enak"]],
-                       [Label.POSITIVE, Label.POSITIVE], vocab)
+        model = nb_fit(count_vector([["bagus"], ["enak"]], vocab),
+                       [Label.POSITIVE, Label.POSITIVE])
         docs = [["bagus"], ["enak"], ["zzz"], []]
         assert model.predict(count_vector(docs, vocab)).tolist() == [Label.POSITIVE] * 4
 
     def test_empty_doc_falls_back_to_priors(self):
         vocab = build_vocab([["bagus"], ["buruk"]])
-        model = nb_fit([["buruk"], ["buruk"], ["bagus"]],
-                       [0, 0, 1], vocab)
+        model = nb_fit(count_vector([["buruk"], ["buruk"], ["bagus"]], vocab),
+                       [0, 0, 1])
         assert model.predict(count_vector([[]], vocab)).tolist() == [Label.NEGATIVE]
 
     def test_no_documents_rejected(self):
         vocab = build_vocab([["a"]])
         with pytest.raises(ValueError):
-            nb_fit([], [], vocab)
+            nb_fit(count_vector([], vocab), [])
 
     @given(st.lists(st.sampled_from(["bagus", "buruk", "enak", "jelek"]),
                     max_size=8))
     @settings(max_examples=50)
     def test_posteriors_sum_to_one(self, doc):
         vocab = build_vocab([["bagus", "buruk", "enak", "jelek"]])
-        model = nb_fit([["bagus", "enak"], ["buruk", "jelek"]], [1, 0], vocab)
+        model = nb_fit(count_vector([["bagus", "enak"], ["buruk", "jelek"]],
+                                    vocab), [1, 0])
         (posterior,) = np.exp(model.log_posteriors(count_vector([doc], vocab)))
         assert abs(posterior.sum() - 1.0) <= 1e-12
 
@@ -101,8 +106,9 @@ def separable_toy():
     docs = [["bagus"], ["enak"], ["buruk"], ["jelek"]]
     labels = [Label.POSITIVE, Label.POSITIVE, Label.NEGATIVE, Label.NEGATIVE]
     vocab = build_vocab(docs)
-    vec = TfidfVectorizer.fit(docs, vocab)
-    return vec.transform(docs), labels, vocab, vec
+    counts = count_vector(docs, vocab)
+    vec = TfidfVectorizer.fit(counts)
+    return vec.transform(counts), labels, vocab, vec
 
 
 class TestLinearModels:
@@ -123,7 +129,7 @@ class TestLinearModels:
 
     def test_exact_zero_score_ties_to_negative(self):
         x, _, _, _ = separable_toy()
-        model = LinearModel(w=np.zeros(x.n_cols), b=0.0, objective="logistic")
+        model = LinearModel(w=np.zeros(x.n_cols), b=0.0)
         assert model.predict(x)[0] == Label.NEGATIVE
 
     def test_logistic_gradient_matches_finite_differences(self):
@@ -213,21 +219,47 @@ class TestComparison:
     ])
     def test_fits_through_the_module_linear_fit(self, monkeypatch, include,
                                                 objectives):
-        # the benchmark swaps baselines.linear_fit to keep the fitted SVM
-        # and splits its timing by the objective keyword
+        # the benchmark swaps baselines.linear_fit to keep the fitted SVM,
+        # scores that model, and splits its timing by the objective keyword
         docs = [["bagus", "enak"], ["buruk"], ["enak"], ["jelek", "buruk"]]
         labels = [1, 0, 1, 0]
         calls = []
         fit = baselines.linear_fit
 
-        def spy(*args, **kwargs):
+        def spy(x, labels, **kwargs):
             calls.append(kwargs["objective"])
-            return fit(*args, **kwargs)
+            fit(x, labels, **kwargs)
+            # the real fits separate these documents; this model calls
+            # every document Positive, so its rows read accuracy 0.5
+            return LinearModel(w=np.zeros(x.n_cols), b=1.0)
 
         monkeypatch.setattr(baselines, "linear_fit", spy)
-        run_comparison(docs, labels, docs, labels, build_vocab(docs),
-                       include=include)
+        rows = run_comparison(docs, labels, docs, labels, build_vocab(docs),
+                              include=include)
         assert calls == objectives
+        linear = [r.accuracy for r in rows
+                  if r.model in ("logistic_regression", "linear_svm")]
+        assert linear == [0.5] * len(objectives)
+
+    @pytest.mark.parametrize("include", [
+        baselines.MODELS, ("majority",), ("naive_bayes",),
+        ("logistic_regression",), ("linear_svm",), ("majority", "linear_svm"),
+    ])
+    def test_counts_each_split_once(self, monkeypatch, include):
+        docs = [["bagus", "enak"], ["buruk"], ["enak"], ["jelek", "buruk"]]
+        labels = [1, 0, 1, 0]
+        counted = []
+        count = baselines.count_vector
+
+        def spy(split, vocab):
+            counted.append(split)
+            return count(split, vocab)
+
+        monkeypatch.setattr(baselines, "count_vector", spy)
+        train, test = docs, docs[:3]
+        run_comparison(train, labels, test, labels[:3], build_vocab(docs),
+                       include=include)
+        assert counted == ([] if include == ("majority",) else [train, test])
 
 
 # --- oracle: the per-document SparseVec implementation the matrix code replaced
@@ -361,14 +393,15 @@ class TestMatrixAgainstPerDocumentOracle:
 
     def test_tfidf_values(self, random_corpus):
         train_docs, _, test_docs, vocab = random_corpus
-        vec = TfidfVectorizer.fit(train_docs, vocab)
+        vec = TfidfVectorizer.fit(count_vector(train_docs, vocab))
         for docs in (train_docs, test_docs):
             want = _oracle_dense(_oracle_tfidf(train_docs, docs, vocab))
-            assert np.max(np.abs(_dense(vec.transform(docs)) - want)) <= self.TOL
+            got = _dense(vec.transform(count_vector(docs, vocab)))
+            assert np.max(np.abs(got - want)) <= self.TOL
 
     def test_naive_bayes_log_posteriors(self, random_corpus):
         train_docs, labels, test_docs, vocab = random_corpus
-        model = nb_fit(train_docs, labels, vocab)
+        model = nb_fit(count_vector(train_docs, vocab), labels)
         got = model.log_posteriors(count_vector(test_docs, vocab))
         want = _oracle_nb_log_posteriors(train_docs, labels, test_docs, vocab)
         assert got.shape == want.shape
@@ -378,7 +411,8 @@ class TestMatrixAgainstPerDocumentOracle:
                              [("logistic", 200), ("hinge", 4), ("hinge", 30)])
     def test_linear_weights(self, random_corpus, objective, epochs):
         train_docs, labels, _, vocab = random_corpus
-        x = TfidfVectorizer.fit(train_docs, vocab).transform(train_docs)
+        counts = count_vector(train_docs, vocab)
+        x = TfidfVectorizer.fit(counts).transform(counts)
         model = linear_fit(x, labels, objective=objective, epochs=epochs, seed=5)
         w, b = _oracle_linear_fit(_oracle_tfidf(train_docs, train_docs, vocab),
                                   labels, objective, epochs, seed=5)
@@ -394,7 +428,8 @@ class TestMatrixAgainstPerDocumentOracle:
     ])
     def test_hinge_small_corpora(self, docs, labels, epochs):
         vocab = build_vocab([["bagus", "enak", "buruk", "jelek"]])
-        x = TfidfVectorizer.fit(docs, vocab).transform(docs)
+        counts = count_vector(docs, vocab)
+        x = TfidfVectorizer.fit(counts).transform(counts)
         model = linear_fit(x, labels, objective="hinge", epochs=epochs, seed=2)
         w, b = _oracle_linear_fit(_oracle_tfidf(docs, docs, vocab), labels,
                                   "hinge", epochs, seed=2)

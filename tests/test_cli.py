@@ -521,6 +521,40 @@ def test_bad_vocab_meta_exit_2_naming_it(trained_run, capsys, meta, shown):
     assert f"{bad}{shown}" in err
 
 
+# byte offsets in a version-1 checkpoint: 8 magic bytes, the uint32
+# version, then the one-byte dtype code
+BAD_MODEL_FILES = {
+    "truncated": ("checkpoint.bin", lambda b: b[:20], "truncated checkpoint"),
+    "trailing": ("checkpoint.bin", lambda b: b + b"\0\0",
+                 "2 bytes after the checkpoint payload"),
+    "version": ("checkpoint.bin", lambda b: b[:8] + b"\x09\0\0\0" + b[12:],
+                "unsupported checkpoint version 9"),
+    "dtype": ("checkpoint.bin", lambda b: b[:12] + b"\x07" + b[13:],
+              "unknown dtype code 7"),
+    "no_meta": ("vocab.txt.meta", None, "vocabulary sidecar not found"),
+}
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+@pytest.mark.parametrize("case", list(BAD_MODEL_FILES))
+def test_bad_model_file_exit_2_naming_it(tmp_path, trained_run, separable_csv,
+                                         capsys, command, case):
+    name, corrupt, shown = BAD_MODEL_FILES[case]
+    bad = trained_run / name
+    if corrupt is None:
+        bad.unlink()
+    else:
+        bad.write_bytes(corrupt(bad.read_bytes()))
+    out_dir = tmp_path / "e"
+    ckpt = trained_run / "checkpoint.bin"
+    argv = {"evaluate": ["--out-dir", out_dir, "evaluate", ckpt, separable_csv],
+            "predict": ["predict", ckpt, "bagus"]}[command]
+    assert run_cli(*argv) == 2
+    err = assert_one_error_line(capsys)
+    assert err.count(str(bad)) == 1 and shown in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("command", ["preprocess", "preprocess_lenient",
                                      "train", "evaluate", "compare"])
 def test_csv_field_over_size_limit_exit_2(tmp_path, request, capsys,

@@ -28,7 +28,8 @@ PACKAGE, TARGETS = load_targets()
 @pytest.mark.parametrize("module_name,attr", TARGETS,
                          ids=[f"{m}.{a}" for m, a in TARGETS])
 def test_target_resolves(module_name, attr):
-    # by path: the package's ``train`` attribute is the function
+    # by path, as the tracer does: ``import sentimen`` does not load every
+    # submodule (``sentimen.train``, once loaded, is the module itself)
     module = importlib.import_module(f"{PACKAGE}.{module_name}")
     if "." in attr:
         cls_name, meth = attr.split(".")

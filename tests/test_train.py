@@ -9,8 +9,7 @@ import pytest
 
 from sentimen import nn
 from sentimen.train import (EncodedDataset, TrainConfig, batch_iter,
-                            evaluate_split, inverse_frequency_weights,
-                            save_history_csv, train)
+                            evaluate_split, save_history_csv, train)
 
 from conftest import dense_grads, read_history_csv
 
@@ -294,11 +293,6 @@ class TestWeightedLoss:
         # (p - onehot) * w / sum(w): [-1/9, 1/9] + [4/9, -4/9]
         assert np.allclose(grads["b_out"], [1 / 3, -1 / 3], rtol=0,
                            atol=1e-12)
-
-    def test_inverse_frequency_from_reference_distribution(self):
-        w = inverse_frequency_weights([5629, 790])
-        assert w[0] == pytest.approx(0.570, abs=5e-4)
-        assert w[1] == pytest.approx(4.063, abs=5e-4)
 
     def test_weighted_batch_reduction(self):
         # weight-normalized mean: weights [1,1] reproduce the unweighted loss
