@@ -277,6 +277,10 @@ def run_comparison(train_docs: Sequence[Sequence[str]],
                    include: Sequence[str] = MODELS,
                    ) -> list[ComparisonRow]:
     """Fit each classical model on identical features and score the test set."""
+    unknown = sorted(set(include) - set(MODELS))
+    if unknown:
+        raise ValueError(f"unknown baseline models {unknown}; "
+                         f"choose from {list(MODELS)}")
     rows = []
     if "majority" in include:
         major = majority_class(train_labels)

@@ -30,8 +30,6 @@ are out of scope because pipeline input is single lowercase [a-z]+ tokens.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
 from typing import Sequence
 
 VOWELS = "aiueo"
@@ -42,24 +40,10 @@ FORBIDDEN_PAIRS = {
     ("me", "an"), ("se", "i"), ("se", "kan"), ("te", "an"),
 }
 
-_PARTICLE_RE = re.compile(r"(lah|kah|tah|pun)$")
-_POSSESSIVE_RE = re.compile(r"(ku|mu|nya)$")
-_DERIVATIONAL_RE = re.compile(r"(kan|an|i)$")
-
-_PRECEDENCE_RES = [re.compile(p) for p in (
-    r"^be.*lah$", r"^be.*an$", r"^me.*i$", r"^di.*i$", r"^pe.*i$", r"^ter.*i$",
-)]
-
-
-@dataclass(frozen=True)
-class _Removal:
-    subject: str   # word before this removal
-    result: str    # word after this removal
-    removed: str   # the affix text
-
-
-def _is_vowel(ch: str) -> bool:
-    return ch in VOWELS
+# particle, possessive and derivational suffixes, each longest first: the
+# first one a word ends with is the one removed (-kan before -an)
+_SUFFIX_GROUPS = (("lah", "kah", "tah", "pun"), ("nya", "ku", "mu"),
+                  ("kan", "an", "i"))
 
 
 def _prefix_candidates(word: str) -> tuple[str, list[str]] | None:
@@ -69,41 +53,40 @@ def _prefix_candidates(word: str) -> tuple[str, list[str]] | None:
     rule whose surface pattern matches, or None.  Multiple candidates encode
     the recoding ambiguities (e.g. menV -> me-nV | me-tV).
     """
+    head, rest2 = word[:2], word[2:]
     # plain prefixes
-    for plain in ("di", "ke", "se"):
-        if word.startswith(plain) and len(word) > len(plain):
-            return plain, [word[len(plain):]]
+    if head in ("di", "ke", "se") and rest2:
+        return head, [rest2]
 
     # be- family
     if word in ("belajar", "belunjur"):
         return "be", [word[3:]]                               # bel-ajar
     if word.startswith("ber") and len(word) > 3:
         rest = word[3:]
-        if _is_vowel(rest[0]):
+        if rest[0] in VOWELS:
             return "be", [rest, "r" + rest]                   # ber-V | be-rV
         if rest[0] != "r":
             return "be", [rest]                               # ber-CAP / ber-CAerV
-    if (word.startswith("be") and len(word) > 5
+    if (head == "be" and len(word) > 5
             and word[2] not in VOWELS + "rl" and word[3:5] == "er"
             and word[5] not in VOWELS):
-        return "be", [word[2:]]                               # be-C1erC2
+        return "be", [rest2]                                  # be-C1erC2
 
     # te- family
     if word.startswith("ter") and len(word) > 3:
         rest = word[3:]
-        if _is_vowel(rest[0]):
+        if rest[0] in VOWELS:
             return "te", [rest, "r" + rest]                   # ter-V | te-rV
         if rest[0] != "r":
             return "te", [rest]                               # ter-CP / ter-CerV
-    if (word.startswith("te") and len(word) > 5
+    if (head == "te" and len(word) > 5
             and word[2] not in VOWELS + "r" and word[3:5] == "er"
             and word[5] not in VOWELS):
-        return "te", [word[2:]]                               # te-C1erC2
+        return "te", [rest2]                                  # te-C1erC2
 
     # me- family
-    if word.startswith("me") and len(word) > 3:
-        rest2 = word[2:]
-        if rest2[0] in "lrwy" and _is_vowel(rest2[1]):
+    if head == "me" and len(word) > 3:
+        if rest2[0] in "lrwy" and rest2[1] in VOWELS:
             return "me", [rest2]                              # me-{l|r|w|y}V
         if word.startswith("mempe"):
             return "me", [word[3:]]                           # mempe -> mem-pe
@@ -113,74 +96,73 @@ def _prefix_candidates(word: str) -> tuple[str, list[str]] | None:
             r = word[4:]
             if r[0] in "ghqk":
                 return "me", [r]                              # meng-{g|h|q|k}
-            if _is_vowel(r[0]):
+            if r[0] in VOWELS:
                 cands = [r, "k" + r]                          # meng-V | meng-kV
                 if r[0] == "e" and len(r) > 1:
                     cands.append(r[1:])                       # menge-
                 cands.append("ng" + r)                        # me-ngV
                 return "me", cands
-        if word.startswith("meny") and len(word) > 4 and _is_vowel(word[4]):
+        if word.startswith("meny") and len(word) > 4 and word[4] in VOWELS:
             r = word[4:]
             return "me", ["ny" + r, "s" + r]                  # me-nyV | meny-sV
-        if word.startswith("mem") and len(word) > 3:
+        if word.startswith("mem"):
             r = word[3:]
             if r[0] in "bfv":
                 return "me", [r]                              # mem-{b|f|v}
-            if _is_vowel(r[0]):
+            if r[0] in VOWELS:
                 return "me", ["m" + r, "p" + r]               # me-mV | me-pV
-        if word.startswith("men") and len(word) > 3:
+        if word.startswith("men"):
             r = word[3:]
             if r[0] in "cdjstz":
                 return "me", [r]                              # men-{c|d|j|s|t|z}
-            if _is_vowel(r[0]):
+            if r[0] in VOWELS:
                 return "me", ["n" + r, "t" + r]               # me-nV | me-tV
 
     # pe- family
     if word == "pelajar":
         return "pe", ["ajar"]
-    if word.startswith("pe") and len(word) > 3:
-        rest2 = word[2:]
-        if rest2[0] in "wy" and _is_vowel(rest2[1]):
+    if head == "pe" and len(word) > 3:
+        if rest2[0] in "wy" and rest2[1] in VOWELS:
             return "pe", [rest2]                              # pe-{w|y}V
-        if word.startswith("per") and len(word) > 3:
+        if word.startswith("per"):
             r = word[3:]
-            if _is_vowel(r[0]):
+            if r[0] in VOWELS:
                 return "pe", [r, "r" + r]                     # per-V | pe-rV
             if r[0] != "r":
                 return "pe", [r]                              # per-CAP / per-CAerV
         if word.startswith("peng") and len(word) > 4:
             r = word[4:]
-            if _is_vowel(r[0]):
+            if r[0] in VOWELS:
                 cands = [r, "k" + r]                          # peng-V | peng-kV
                 if r[0] == "e" and len(r) > 1:
                     cands.append(r[1:])                       # penge-
                 return "pe", cands
             return "pe", [r]                                  # peng-C
-        if word.startswith("peny") and len(word) > 4 and _is_vowel(word[4]):
+        if word.startswith("peny") and len(word) > 4 and word[4] in VOWELS:
             r = word[4:]
             return "pe", ["ny" + r, "s" + r]                  # pe-nyV | peny-sV
-        if word.startswith("pem") and len(word) > 3:
+        if word.startswith("pem"):
             r = word[3:]
             if r[0] in "bfv":
                 return "pe", [r]                              # pem-{b|f|v}
-            if _is_vowel(r[0]):
+            if r[0] in VOWELS:
                 return "pe", ["m" + r, "p" + r]               # pe-mV | pe-pV
-        if word.startswith("pen") and len(word) > 3:
+        if word.startswith("pen"):
             r = word[3:]
             if r[0] in "cdjz":
                 return "pe", [r]                              # pen-{c|d|j|z}
-            if _is_vowel(r[0]):
+            if r[0] in VOWELS:
                 return "pe", ["n" + r, "t" + r]               # pe-nV | pe-tV
-        if word.startswith("pel") and len(word) > 3 and _is_vowel(word[3]):
-            return "pe", [word[2:]]                           # pe-lV
+        if word.startswith("pel") and word[3] in VOWELS:
+            return "pe", [rest2]                              # pe-lV
         if rest2[0] not in VOWELS + "rwylmn":
             return "pe", [rest2]                              # pe-CP / pe-C1erC2
 
     # clitic subject pronouns
     if word.startswith("kau") and len(word) > 3:
         return "kau", [word[3:]]
-    if word.startswith("ku") and len(word) > 2:
-        return "ku", [word[2:]]
+    if head == "ku" and rest2:
+        return "ku", [rest2]
 
     return None
 
@@ -199,7 +181,10 @@ class IndonesianStemmer:
         if len(word) <= 3 or word in self._roots:
             return word
 
-        if any(p.match(word) for p in _PRECEDENCE_RES):
+        # confixes be-..-lah, be-..-an, me-..-i, di-..-i, pe-..-i, ter-..-i;
+        # in a word of 4 or more letters prefix and suffix cannot overlap
+        if (word.startswith("be") and word.endswith(("lah", "an"))
+                or word.endswith("i") and word.startswith(("me", "di", "pe", "ter"))):
             result = self._prefix_first(word)
             if result is not None:
                 return result
@@ -216,7 +201,7 @@ class IndonesianStemmer:
         if hit:
             return current
         reached, is_root = self._walk_prefixes(
-            current, [r.removed for r in removals])
+            current, [suffix for _, suffix in removals])
         if is_root:
             return reached
         return self._restore_suffixes(removals)
@@ -232,17 +217,16 @@ class IndonesianStemmer:
                 return current
         return None
 
-    def _remove_suffixes(self, word: str) -> tuple[str, list[_Removal], bool]:
+    def _remove_suffixes(self, word: str) -> tuple[str, list[tuple[str, str]], bool]:
         """Particle, possessive, derivational; dict check after each."""
-        removals: list[_Removal] = []
+        removals = []
         current = word
-        for pattern in (_PARTICLE_RE, _POSSESSIVE_RE, _DERIVATIONAL_RE):
-            m = pattern.search(current)
-            if not m or len(current) - len(m.group(1)) < 2:
+        for group in _SUFFIX_GROUPS:
+            suffix = next(filter(current.endswith, group), None)
+            if suffix is None or len(current) - len(suffix) < 2:
                 continue
-            result = current[:m.start(1)]
-            removals.append(_Removal(current, result, m.group(1)))
-            current = result
+            removals.append((current, suffix))               # (word before, suffix)
+            current = current[:-len(suffix)]
             if current in self._roots:
                 return current, removals, True
         return current, removals, False
@@ -276,18 +260,15 @@ class IndonesianStemmer:
             current = chosen
         return current, current in self._roots
 
-    def _restore_suffixes(self, removals: list[_Removal]) -> str | None:
+    def _restore_suffixes(self, removals: list[tuple[str, str]]) -> str | None:
         """Put removed suffixes back one at a time and retry the prefixes.
 
-        The -kan removal is retried as root+k first: the derivational regex
-        eats 'kan' even when the root itself ends in k (gerakan -> gera,
-        restored to gerak).
+        A -kan removal is first retried as -an, leaving root+k: -kan is
+        tried before -an, so it is removed even when the root itself ends
+        in k (gerakan -> gera, restored to gerak).
         """
-        for removal in reversed(removals):
-            candidates = []
-            if removal.removed == "kan":
-                candidates.append(removal.result + "k")
-            candidates.append(removal.subject)
+        for subject, suffix in reversed(removals):
+            candidates = [subject[:-2], subject] if suffix == "kan" else [subject]
             for cand in candidates:
                 reached, is_root = self._walk_prefixes(cand)
                 if is_root:

@@ -21,6 +21,9 @@ from .preprocess import _file_text
 PAD_INDEX = 0
 OOV_INDEX = 1
 OOV_TOKEN = "⟨unk⟩"  # decode-side sentinel only, never a real token
+# suggest_max_len: this percentile of the token counts, at most MAX_LEN_CAP
+MAX_LEN_PERCENTILE = 95.0
+MAX_LEN_CAP = 100
 
 
 @dataclass(frozen=True)
@@ -91,13 +94,13 @@ def decode(row: np.ndarray, vocab: Vocabulary) -> list[str]:
     return out
 
 
-def suggest_max_len(corpus: Iterable[Sequence[str]], percentile: float = 95.0,
-                    cap: int = 100) -> int:
-    """95th percentile of token counts, capped; sequence length default."""
+def suggest_max_len(corpus: Iterable[Sequence[str]]) -> int:
+    """95th percentile of token counts, capped at 100; sequence length default."""
     lengths = [len(t) for t in corpus]
     if not lengths:
         raise ValueError("empty corpus")
-    return max(1, min(cap, int(np.ceil(np.percentile(lengths, percentile)))))
+    return max(1, min(MAX_LEN_CAP,
+                      int(np.ceil(np.percentile(lengths, MAX_LEN_PERCENTILE)))))
 
 
 def save_vocab(vocab: Vocabulary, path: str | Path, max_len: int,

@@ -261,6 +261,16 @@ class TestComparison:
                        include=include)
         assert counted == ([] if include == ("majority",) else [train, test])
 
+    def test_unknown_model_rejected_before_counting(self, monkeypatch):
+        docs = [["bagus"], ["buruk"]]
+        counted = []
+        monkeypatch.setattr(baselines, "count_vector",
+                            lambda split, vocab: counted.append(split))
+        with pytest.raises(ValueError, match="naive_bayse"):
+            run_comparison(docs, [1, 0], docs, [1, 0], build_vocab(docs),
+                           include=("naive_bayes", "naive_bayse"))
+        assert counted == []
+
 
 # --- oracle: the per-document SparseVec implementation the matrix code replaced
 
