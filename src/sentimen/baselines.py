@@ -102,7 +102,7 @@ class TfidfVectorizer:
 @dataclass
 class NaiveBayesModel:
     log_priors: np.ndarray       # (C,)
-    log_likelihoods: np.ndarray  # (C, n_features), Laplace alpha=1
+    log_likelihoods: np.ndarray  # (C, n_features), add-one smoothed
 
     def _scores(self, counts: CsrMatrix) -> np.ndarray:
         return self.log_priors + np.stack(
@@ -119,8 +119,7 @@ class NaiveBayesModel:
         return np.argmax(self._scores(counts), axis=1)
 
 
-def nb_fit(counts: CsrMatrix, labels: Sequence[int | Label],
-           alpha: float = 1.0) -> NaiveBayesModel:
+def nb_fit(counts: CsrMatrix, labels: Sequence[int | Label]) -> NaiveBayesModel:
     n_classes = 2
     if counts.n_rows == 0:
         raise ValueError("no training documents")
@@ -133,7 +132,7 @@ def nb_fit(counts: CsrMatrix, labels: Sequence[int | Label],
     with np.errstate(divide="ignore"):
         # a class with no documents gets a -inf prior: never predicted
         log_priors = np.log(class_counts / class_counts.sum())
-    smoothed = word_counts + alpha
+    smoothed = word_counts + 1.0
     log_likelihoods = np.log(smoothed / smoothed.sum(axis=1, keepdims=True))
     return NaiveBayesModel(log_priors, log_likelihoods)
 

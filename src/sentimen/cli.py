@@ -64,8 +64,6 @@ def _real(accepts, expected: str):
                     lambda x: math.isfinite(x) and accepts(x))
 
 
-_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
-          "0": False, "false": False, "no": False, "off": False}
 _positive = _real(lambda x: x > 0, "> 0")
 _rate = _real(lambda x: 0 <= x < 1, "in [0, 1)")
 _fraction = _real(lambda x: 0 <= x <= 1, "in [0, 1]")
@@ -92,8 +90,6 @@ SCHEMA = {
         lambda raw: tuple(map(_positive, raw.split(","))),
         "two comma-separated finite numbers > 0", lambda ws: len(ws) == 2,
         optional=True)),
-    "shuffle": ("true", _checked(lambda raw: _BOOLS[raw.lower()],
-                                 f"one of {sorted(_BOOLS)}")),
     "dtype": ("float32", _checked(
         {"float32": np.float32, "float64": np.float64}.__getitem__,
         "one of ['float32', 'float64']")),
@@ -258,8 +254,8 @@ def _split_and_encode(args, cfg, pp, needed: tuple[str, ...]):
 
 def _train_lstm(cfg, vocab, train_split, val_split, quiet):
     """Build the LSTM and the TrainConfig the resolved config asks for and
-    train on the (docs, labels) splits.  Returns the TrainResult and
-    max_len, which defaults to the 95th percentile of training lengths."""
+    train on the (docs, labels) splits.  The model's max_len defaults to
+    the 95th percentile of training lengths."""
     max_len = cfg["max_len"] or suggest_max_len(train_split[0])
     model_cfg = nn.ModelConfig(
         vocab_size=vocab.size, embed_dim=cfg["embed_dim"],
@@ -269,7 +265,7 @@ def _train_lstm(cfg, vocab, train_split, val_split, quiet):
     train_cfg = TrainConfig(
         batch_size=cfg["batch_size"], learning_rate=cfg["learning_rate"],
         epochs=cfg["epochs"], seed=cfg["seed"],
-        class_weights=cfg["class_weights"], shuffle=cfg["shuffle"])
+        class_weights=cfg["class_weights"])
     if train_cfg.epochs == 0:
         print("warning: epochs = 0, nothing to train", file=sys.stderr)
 
@@ -277,10 +273,9 @@ def _train_lstm(cfg, vocab, train_split, val_split, quiet):
         return EncodedDataset(*encode(docs, vocab, max_len),
                               np.array(labels, dtype=np.int64))
 
-    result = train_model(params, enc(*train_split),
-                         enc(*val_split) if val_split[0] else None,
-                         train_cfg, log=None if quiet else sys.stderr)
-    return result, max_len
+    return train_model(params, enc(*train_split),
+                       enc(*val_split) if val_split[0] else None,
+                       train_cfg, log=None if quiet else sys.stderr)
 
 
 def cmd_train(args, cfg) -> int:
@@ -290,10 +285,10 @@ def cmd_train(args, cfg) -> int:
         _split_and_encode(args, cfg, pp, ("train",))
 
     vocab = build_vocab(train_docs, min_freq=cfg["min_freq"])
-    result, max_len = _train_lstm(cfg, vocab, (train_docs, train_labels),
-                                  (val_docs, val_labels), args.quiet)
-    save_vocab(vocab, out_dir / "vocab.txt", max_len,
-               min_freq=cfg["min_freq"])
+    result = _train_lstm(cfg, vocab, (train_docs, train_labels),
+                         (val_docs, val_labels), args.quiet)
+    save_vocab(vocab, out_dir / "vocab.txt",
+               result.final_params.config.max_len, min_freq=cfg["min_freq"])
 
     save_history_csv(result.history, out_dir / "history.csv")
     nn.save_checkpoint(out_dir / "checkpoint.bin", result.final_params)
@@ -331,12 +326,12 @@ def _load_model(args):
     if max_len != params.config.max_len:
         raise CliError(f"{vocab_path}.meta: max_len {max_len} does not match "
                        f"checkpoint ({params.config.max_len})")
-    return params, vocab, max_len
+    return params, vocab
 
 
 def cmd_evaluate(args, cfg) -> int:
     out_dir = Path(args.out_dir)
-    params, vocab, max_len = _load_model(args)
+    params, vocab = _load_model(args)
     full = _load_corpus(args.test_csv)
     ds = full.labeled_only()
     if len(ds) == 0:
@@ -346,7 +341,7 @@ def cmd_evaluate(args, cfg) -> int:
     docs = _tokenized(full, pp, args.quiet)
 
     preds = [int(p.label) for p in nn.predict_encoded(
-        params, *encode(docs, vocab, max_len))]
+        params, *encode(docs, vocab, params.config.max_len))]
     truth = [int(r.label) for r in ds.records]
 
     cm = evaluation.confusion(preds, truth)
@@ -362,14 +357,15 @@ def cmd_evaluate(args, cfg) -> int:
 
 
 def cmd_predict(args, cfg) -> int:
-    params, vocab, max_len = _load_model(args)
+    params, vocab = _load_model(args)
     pp = preprocess_config(args)
     # a chunk of lines is one encoded corpus, printed before the next is
     # read, so stdin streams
     lines = iter(args.text) if args.text else (l.rstrip("\n") for l in sys.stdin)
     while chunk := list(itertools.islice(lines, nn._PREDICT_BATCH)):
         docs = [run_pipeline(line, pp) for line in chunk]
-        for pred in nn.predict_encoded(params, *encode(docs, vocab, max_len)):
+        encoded = encode(docs, vocab, params.config.max_len)
+        for pred in nn.predict_encoded(params, *encoded):
             name = ingest.LABEL_NAMES[pred.label]
             prob = float(pred.probabilities[int(pred.label)])
             if pred.low_confidence:
@@ -394,11 +390,10 @@ def cmd_compare(args, cfg) -> int:
                                     include=cfg["baselines"])
 
     # the LSTM row is always present, baselines config notwithstanding
-    result, max_len = _train_lstm(cfg, vocab, (train_docs, train_labels),
-                                  (val_docs, val_labels), args.quiet)
-    model = result.final_params
+    model = _train_lstm(cfg, vocab, (train_docs, train_labels),
+                        (val_docs, val_labels), args.quiet).final_params
     lstm_preds = [int(p.label) for p in nn.predict_encoded(
-        model, *encode(test_docs, vocab, max_len))]
+        model, *encode(test_docs, vocab, model.config.max_len))]
     lstm_rep = evaluation.report(lstm_preds, test_labels)
     rows.append(baselines.ComparisonRow("lstm", lstm_rep.accuracy,
                                         lstm_rep.macro_f1))

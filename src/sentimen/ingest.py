@@ -151,7 +151,7 @@ def save_csv(ds: Dataset | Iterable[LabeledComment], path: str | Path,
     ``extra_columns`` maps column name -> per-record values (e.g. the
     ``tokens`` column emitted by the preprocess command).
     """
-    records = list(ds.records if isinstance(ds, Dataset) else ds)
+    records = list(ds)
     extra = extra_columns or {}
     for name, values in extra.items():
         if len(values) != len(records):

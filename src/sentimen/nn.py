@@ -186,14 +186,14 @@ def _gate_affine(h_dim: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     return scale, shift
 
 
-def _packing(lengths: np.ndarray) -> tuple[np.ndarray | slice, list, list]:
+def _packing(lengths: np.ndarray) -> tuple[np.ndarray, list, list]:
     """The packed layout of a batch of (clamped) lengths.
 
-    ``order`` lists the rows longest first, ties in the caller's order (a
-    plain slice when that is the caller's order); step t runs over the
-    first ``sizes[t]`` of them, the rows still inside their sequence, and
-    its positions start at ``offsets[t]``.  ``offsets`` ends with P, the
-    number of real positions.  Plain Python, with no numpy call per step.
+    ``order`` lists the rows longest first, ties in the caller's order;
+    step t runs over the first ``sizes[t]`` of them, the rows still inside
+    their sequence, and its positions start at ``offsets[t]``.  ``offsets``
+    ends with P, the number of real positions.  Plain Python, with no numpy
+    call per step.
     """
     lens = lengths.tolist()
     order = sorted(range(len(lens)), key=lens.__getitem__, reverse=True)
@@ -204,9 +204,7 @@ def _packing(lengths: np.ndarray) -> tuple[np.ndarray | slice, list, list]:
             live -= 1
         sizes.append(live)
     offsets = [0, *accumulate(sizes)]
-    if order == list(range(len(lens))):
-        return slice(None), sizes, offsets
-    return np.array(order), sizes, offsets
+    return np.array(order, dtype=np.intp), sizes, offsets
 
 
 def _lstm_forward_batch(params: ModelParams, indices: np.ndarray,
@@ -415,17 +413,15 @@ def backward(params: ModelParams, indices: np.ndarray, lengths: np.ndarray,
 
     logits = h_drop @ params.w_out.T + params.b_out
     losses = row_cross_entropy(logits, labels)
-    batch = indices.shape[0]
     d_logits = softmax(logits)
-    d_logits[np.arange(batch), labels] -= 1.0
-    if class_weights is None:
-        loss = float(losses.mean(dtype=np.float64))
-        d_logits /= batch
-    else:
-        w = np.asarray(class_weights, dtype=np.float64)[labels]
-        total = w.sum()
-        loss = float((w * losses).sum(dtype=np.float64) / total)
-        d_logits *= (w / total)[:, None]
+    d_logits[np.arange(len(labels)), labels] -= 1.0
+    # unweighted is weights of one: the weighted mean is then the plain mean
+    w = (np.ones(len(labels)) if class_weights is None
+         else np.asarray(class_weights, dtype=np.float64)[labels])
+    total = w.sum()
+    loss = float((w * losses).sum(dtype=np.float64) / total)
+    d_logits *= w[:, None]
+    d_logits /= total
     d_logits = d_logits.astype(dtype)
 
     d_w_out = d_logits.T @ h_drop
@@ -580,7 +576,8 @@ def predict(text: str, params: ModelParams, vocab: Vocabulary,
     from .preprocess import run_pipeline
     tokens = run_pipeline(text, preprocess_cfg)
     return predict_encoded(params, *encode(
-        [tokens], vocab, max_len or params.config.max_len))[0]
+        [tokens], vocab,
+        params.config.max_len if max_len is None else max_len))[0]
 
 
 # --- checkpoints ---------------------------------------------------------------

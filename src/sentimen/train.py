@@ -28,7 +28,6 @@ class TrainConfig:
     epochs: int = 20
     seed: int = 0
     class_weights: tuple[float, ...] | None = None
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -61,17 +60,15 @@ class EncodedDataset:
         return self.indices.shape[0]
 
 
-def batch_iter(ds: EncodedDataset, batch_size: int, shuffle: bool,
-               seed: int, epoch_index: int) -> Iterator[EncodedDataset]:
-    """Deterministic batches; the final short batch is kept."""
+def batch_iter(ds: EncodedDataset, batch_size: int, seed: int,
+               epoch_index: int) -> Iterator[EncodedDataset]:
+    """Batches in a seeded shuffle of each epoch; the final short batch is
+    kept."""
     n = len(ds)
     if n == 0:
         raise ValueError("empty dataset")
-    if shuffle:
-        order = np.random.default_rng((seed, _STREAM_SHUFFLE,
-                                       epoch_index)).permutation(n)
-    else:
-        order = np.arange(n)
+    order = np.random.default_rng((seed, _STREAM_SHUFFLE,
+                                   epoch_index)).permutation(n)
     for start in range(0, n, batch_size):
         sel = order[start:start + batch_size]
         yield EncodedDataset(ds.indices[sel], ds.lengths[sel], ds.labels[sel])
@@ -124,8 +121,7 @@ def train(params: nn.ModelParams, train_set: EncodedDataset,
         epoch_loss = 0.0
         correct = 0
         for batch_no, batch in enumerate(batch_iter(train_set, cfg.batch_size,
-                                                    cfg.shuffle, cfg.seed,
-                                                    epoch)):
+                                                    cfg.seed, epoch)):
             # train accuracy comes from the no-dropout logits of the
             # forward pass the loss is taken on, before the update
             logits = np.empty((len(batch), n_classes))

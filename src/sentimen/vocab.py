@@ -87,7 +87,7 @@ def decode(row: np.ndarray, vocab: Vocabulary) -> list[str]:
         if idx == OOV_INDEX:
             out.append(OOV_TOKEN)
             continue
-        if idx >= vocab.size:
+        if not 0 <= idx < vocab.size:
             raise IndexError(f"index {idx} out of range for vocabulary "
                              f"of size {vocab.size}")
         out.append(vocab.index_to_token[idx])

@@ -19,10 +19,11 @@ if TYPE_CHECKING:
 DEFAULT_BASE_URL = "https://www.googleapis.com/youtube/v3/commentThreads"
 API_KEY_ENV = "SENTIMEN_API_KEY"
 PAGE_SIZE = 100  # API maximum
+TIMEOUT_S = 30.0  # per request
 
 
 class FetchError(Exception):
-    retryable = False
+    """A failed fetch; only ``TransientFetchError`` is worth retrying."""
 
 
 class AuthError(FetchError):
@@ -39,7 +40,6 @@ class VideoNotFoundError(FetchError):
 
 class TransientFetchError(FetchError):
     """Server-side or rate-limit failure worth retrying (429/5xx)."""
-    retryable = True
 
 
 class InvalidUrlError(FetchError):
@@ -68,7 +68,6 @@ def _json_object(value, what: str) -> dict:
 
 def fetch_comments(video_id: str, api_key: str | None = None,
                    max_pages: int = 1, base_url: str = DEFAULT_BASE_URL,
-                   page_size: int = PAGE_SIZE, timeout: float = 30.0,
                    session: requests.Session | None = None,
                    ) -> list[LabeledComment]:
     """Fetch up to ``max_pages`` pages of top-level comments, page order
@@ -97,11 +96,11 @@ def fetch_comments(video_id: str, api_key: str | None = None,
     page_token: str | None = None
     for _ in range(max_pages):
         params = {"part": "snippet", "videoId": video_id, "key": key,
-                  "maxResults": page_size, "textFormat": "plainText"}
+                  "maxResults": PAGE_SIZE, "textFormat": "plainText"}
         if page_token:
             params["pageToken"] = page_token
         try:
-            resp = sess.get(base_url, params=params, timeout=timeout)
+            resp = sess.get(base_url, params=params, timeout=TIMEOUT_S)
         # the exceptions' text holds the request URL, key included
         except url_errors as exc:
             raise InvalidUrlError(

@@ -615,6 +615,15 @@ class TestPredict:
         assert pred.label == Label.NEGATIVE
         assert pred.low_confidence
 
+    @pytest.mark.parametrize("max_len", [0, -3])
+    def test_non_positive_max_len_rejected(self, pp_cfg, max_len):
+        # 0 must not fall back to the model's max_len
+        from sentimen.vocab import build_vocab
+        vocab = build_vocab([["bagus"]])
+        params = nn.init_params(tiny_config(V=vocab.size))
+        with pytest.raises(ValueError, match="max_len"):
+            nn.predict("bagus", params, vocab, pp_cfg, max_len=max_len)
+
 
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
@@ -1198,8 +1207,7 @@ class TestRowGrad:
         drop_rng = np.random.default_rng((tcfg.seed, 2))
         t = 0
         for epoch in range(tcfg.epochs):
-            for batch in batch_iter(ds, tcfg.batch_size, True, tcfg.seed,
-                                    epoch):
+            for batch in batch_iter(ds, tcfg.batch_size, tcfg.seed, epoch):
                 grads, _ = nn.backward(want, batch.indices, batch.lengths,
                                        batch.labels, rng=drop_rng)
                 t += 1

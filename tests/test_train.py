@@ -44,30 +44,24 @@ def separable_dataset(n=32, T=4):
 class TestBatchIter:
     def test_sizes(self):
         ds = make_encoded(10)
-        sizes = [len(b) for b in batch_iter(ds, 4, False, 0, 0)]
+        sizes = [len(b) for b in batch_iter(ds, 4, 0, 0)]
         assert sizes == [4, 4, 2]
-
-    def test_no_shuffle_keeps_order(self):
-        ds = make_encoded(6)
-        batches = list(batch_iter(ds, 3, False, 0, 0))
-        joined = np.concatenate([b.indices for b in batches])
-        assert np.array_equal(joined, ds.indices)
 
     def test_same_seed_epoch_identical(self):
         ds = make_encoded(10)
-        a = [b.labels.tolist() for b in batch_iter(ds, 4, True, 7, 3)]
-        b = [b.labels.tolist() for b in batch_iter(ds, 4, True, 7, 3)]
+        a = [b.labels.tolist() for b in batch_iter(ds, 4, 7, 3)]
+        b = [b.labels.tolist() for b in batch_iter(ds, 4, 7, 3)]
         assert a == b
 
     def test_different_epoch_differs(self):
         ds = make_encoded(50)
-        a = np.concatenate([b.indices for b in batch_iter(ds, 8, True, 7, 0)])
-        b = np.concatenate([b.indices for b in batch_iter(ds, 8, True, 7, 1)])
+        a = np.concatenate([b.indices for b in batch_iter(ds, 8, 7, 0)])
+        b = np.concatenate([b.indices for b in batch_iter(ds, 8, 7, 1)])
         assert not np.array_equal(a, b)
 
     def test_no_example_dropped_or_duplicated(self):
         ds = make_encoded(13)
-        batches = list(batch_iter(ds, 5, True, 1, 0))
+        batches = list(batch_iter(ds, 5, 1, 0))
         rows = sorted(tuple(r) for b in batches for r in b.indices)
         assert rows == sorted(tuple(r) for r in ds.indices)
 
@@ -119,24 +113,23 @@ class TestTrain:
         result = train(params, ds, ds, TrainConfig(epochs=4, seed=0))
         assert [s.epoch for s in result.history] == [0, 1, 2, 3]
 
-    def test_reduction_consistency_shuffle_off_batch_one(self):
+    def test_reduction_consistency_batch_one(self):
         # epoch loss must equal the mean of per-example losses seen by the
-        # optimizer, recomputed here with a hand-rolled loop
+        # optimizer, recomputed here with a hand-rolled loop over the
+        # seeded order
         ds = make_encoded(6, seed=5)
         cfg = nn.ModelConfig(vocab_size=10, embed_dim=4, hidden_dim=4,
                              max_len=4, fc_dropout=0.0)
         params = nn.init_params(cfg, seed=7)
         manual = nn.init_params(cfg, seed=7)
         result = train(params, ds, None,
-                       TrainConfig(batch_size=1, epochs=1, seed=7,
-                                   shuffle=False))
+                       TrainConfig(batch_size=1, epochs=1, seed=7))
 
         state = nn.AdamState.for_params(manual)
         losses = []
-        for i in range(len(ds)):
-            grads, loss = nn.backward(manual, ds.indices[i:i + 1],
-                                      ds.lengths[i:i + 1], ds.labels[i:i + 1],
-                                      training=True,
+        for batch in batch_iter(ds, 1, 7, 0):
+            grads, loss = nn.backward(manual, batch.indices, batch.lengths,
+                                      batch.labels, training=True,
                                       rng=np.random.default_rng((7, 2)))
             losses.append(loss)
             nn.adam_step(manual, grads, state, 5e-4)
@@ -153,17 +146,16 @@ class TestTrain:
         manual = nn.init_params(cfg, seed=7)
         result = train(params, ds, None,
                        TrainConfig(batch_size=3, epochs=1, seed=7,
-                                   learning_rate=0.05, shuffle=False))
+                                   learning_rate=0.05))
 
         state = nn.AdamState.for_params(manual)
         drop_rng = np.random.default_rng((7, 2))
         correct = 0
-        for start in range(0, len(ds), 3):
-            sl = slice(start, start + 3)
-            logits = nn.forward_logits(manual, ds.indices[sl], ds.lengths[sl])
-            correct += int((logits.argmax(axis=1) == ds.labels[sl]).sum())
-            grads, _ = nn.backward(manual, ds.indices[sl], ds.lengths[sl],
-                                   ds.labels[sl], rng=drop_rng, training=True)
+        for b in batch_iter(ds, 3, 7, 0):
+            logits = nn.forward_logits(manual, b.indices, b.lengths)
+            correct += int((logits.argmax(axis=1) == b.labels).sum())
+            grads, _ = nn.backward(manual, b.indices, b.lengths, b.labels,
+                                   rng=drop_rng, training=True)
             nn.adam_step(manual, grads, state, 0.05)
         assert result.history[0].train_accuracy == correct / len(ds)
         for name, arr in params.arrays().items():

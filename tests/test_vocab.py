@@ -116,8 +116,9 @@ class TestDecode:
 
     def test_out_of_range_rejected(self):
         v = build_vocab([["a"]])
-        with pytest.raises(IndexError):
-            decode(np.array([9]), v)
+        for idx in (9, -1):
+            with pytest.raises(IndexError):
+                decode(np.array([idx]), v)
 
     @given(st.lists(st.sampled_from(["a", "b", "c"]), max_size=6))
     @settings(max_examples=40)

@@ -55,6 +55,7 @@ class TestPagination:
         server = comments_server(n_pages=2, page_size=1)
         fetch_comments("vid", api_key="k", max_pages=2, base_url=server.url)
         assert "pageToken" not in server.requests[0]
+        assert server.requests[0]["maxResults"] == ["100"]
         assert server.requests[1]["pageToken"] == ["page-1"]
 
 
@@ -79,7 +80,7 @@ class TestErrors:
         with pytest.raises(AuthError) as info:
             fetch_comments("vid", api_key="bad", max_pages=3,
                            base_url=server.url)
-        assert not info.value.retryable
+        assert not isinstance(info.value, TransientFetchError)
 
     def test_quota_exhaustion_distinguished(self, comments_server):
         server = comments_server(fail_status=403, fail_body={
@@ -96,7 +97,7 @@ class TestErrors:
         server = comments_server(fail_status=500)
         with pytest.raises(TransientFetchError) as info:
             fetch_comments("vid", api_key="k", base_url=server.url)
-        assert info.value.retryable
+        assert "HTTP 500" in str(info.value)
 
     def test_negative_max_pages(self, comments_server):
         server = comments_server()
@@ -108,7 +109,6 @@ class TestErrors:
         session = FakeSession(requests.ConnectionError("url?key=secret-key"))
         with pytest.raises(TransientFetchError) as info:
             fetch_comments("vid", api_key="secret-key", session=session)
-        assert info.value.retryable
         assert "secret-key" not in str(info.value)
         assert info.value.__cause__ is None and info.value.__suppress_context__
 
@@ -116,7 +116,7 @@ class TestErrors:
     def test_200_body_not_a_json_object(self, body):
         with pytest.raises(FetchError) as info:
             fetch_comments("vid", api_key="k", session=FakeSession((200, body)))
-        assert not info.value.retryable
+        assert not isinstance(info.value, TransientFetchError)
 
     def test_error_body_not_a_json_object(self):
         with pytest.raises(TransientFetchError):
@@ -134,7 +134,7 @@ class TestErrors:
     def test_200_body_of_the_wrong_shape(self, body):
         with pytest.raises(FetchError) as info:
             fetch_comments("vid", api_key="k", session=FakeSession((200, body)))
-        assert not info.value.retryable
+        assert not isinstance(info.value, TransientFetchError)
 
     @pytest.mark.parametrize("base_url,kind", [
         ("notaurl", "MissingSchema"), ("ftp2://host/x", "InvalidSchema"),
@@ -143,7 +143,7 @@ class TestErrors:
         # requests rejects these URLs before it opens a connection
         with pytest.raises(InvalidUrlError) as info:
             fetch_comments("vid", api_key="secret-key", base_url=base_url)
-        assert not info.value.retryable
+        assert not isinstance(info.value, TransientFetchError)
         assert base_url in str(info.value) and kind in str(info.value)
         assert "secret-key" not in str(info.value)
 

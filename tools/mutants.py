@@ -1,0 +1,137 @@
+"""Committed mutation checks: each mutant is a small fault that named tests
+must catch.
+
+Each entry of ``MUTANTS`` names a file under the repository root, an old
+text that must occur in it exactly once, the new text that replaces it,
+and the pytest node ids that must fail once it is applied.  The runner
+copies ``src/``, ``tests/`` and ``pyproject.toml`` (whose pytest
+``pythonpath`` points at ``src/``) to a temporary directory, applies one
+mutant there, and runs the named tests against the copy.  A mutant is
+killed when every named test fails; an old text that does not occur
+exactly once is an error, never a pass.
+
+    python tools/mutants.py            # run every mutant
+    python tools/mutants.py NAME ...   # run the named ones
+
+Exit status 0 when every mutant run is killed, 1 otherwise.  Tier-1 only
+checks that every entry still applies (``tests/test_mutants.py``); the runs
+themselves, one pytest process per mutant, stay out of it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "pyproject.toml")
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str              # relative to the repository root
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids that must fail
+
+
+MUTANTS = (
+    Mutant("weighted_loss_divides_by_batch", "src/sentimen/nn.py",
+           "    d_logits /= total\n",
+           "    d_logits /= len(labels)\n",
+           ("tests/test_train.py::TestWeightedLoss::test_analytic_scaling",)),
+    Mutant("batches_in_corpus_order", "src/sentimen/train.py",
+           "    order = np.random.default_rng((seed, _STREAM_SHUFFLE,\n"
+           "                                   epoch_index)).permutation(n)\n",
+           "    order = np.arange(n)\n",
+           ("tests/test_train.py::TestBatchIter::test_different_epoch_differs",)),
+    Mutant("naive_bayes_half_smoothing", "src/sentimen/baselines.py",
+           "word_counts + 1.0", "word_counts + 0.5",
+           ("tests/test_baselines.py::TestNaiveBayes::"
+            "test_hand_computed_posterior",)),
+    Mutant("decode_without_lower_bound", "src/sentimen/vocab.py",
+           "if not 0 <= idx < vocab.size:", "if idx >= vocab.size:",
+           ("tests/test_vocab.py::TestDecode::test_out_of_range_rejected",)),
+    Mutant("predict_max_len_zero_falls_back", "src/sentimen/nn.py",
+           "params.config.max_len if max_len is None else max_len",
+           "max_len or params.config.max_len",
+           ("tests/test_nn.py::TestPredict::"
+            "test_non_positive_max_len_rejected[0]",)),
+)
+
+
+def apply(mutant: Mutant, root: Path) -> None:
+    """Replace the mutant's old text in its file under ``root``; raise
+    ``ValueError`` unless the old text occurs there exactly once."""
+    path = root / mutant.path
+    text = path.read_text("utf-8")
+    count = text.count(mutant.old)
+    if count != 1:
+        raise ValueError(f"{mutant.name}: old text occurs {count} times "
+                         f"in {mutant.path}, expected once")
+    path.write_text(text.replace(mutant.old, mutant.new), "utf-8")
+
+
+def failed_tests(output: str) -> set[str]:
+    """Node ids on the ``FAILED`` lines of a ``pytest -rf`` summary."""
+    return {line[len("FAILED "):].split(" - ", 1)[0]
+            for line in output.splitlines() if line.startswith("FAILED ")}
+
+
+def run(mutant: Mutant) -> tuple[bool, str]:
+    """(killed, what to report) for one mutant, run on a fresh copy."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp)
+        for name in COPIED:
+            src = ROOT / name
+            if src.is_dir():
+                shutil.copytree(src, copy / name, ignore=shutil.ignore_patterns(
+                    "__pycache__", ".hypothesis"))
+            else:
+                shutil.copy2(src, copy / name)
+        apply(mutant, copy)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rf", "-p",
+             "no:cacheprovider", *mutant.tests],
+            cwd=copy, env=env, capture_output=True, text=True, timeout=900)
+    # pytest exits 1 when tests ran and some failed; anything else (a
+    # collection error, no tests found) says nothing about the mutant
+    if proc.returncode not in (0, 1):
+        tail = "\n".join(proc.stdout.splitlines()[-5:])
+        return False, f"error: pytest exited {proc.returncode}\n{tail}"
+    missed = [t for t in mutant.tests if t not in failed_tests(proc.stdout)]
+    if missed:
+        return False, "survived: passed " + ", ".join(missed)
+    return True, "killed"
+
+
+def main(argv: list[str]) -> int:
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [name for name in argv if name not in by_name]
+    if unknown:
+        print(f"unknown mutants: {unknown}; known: {sorted(by_name)}",
+              file=sys.stderr)
+        return 2
+    chosen = [by_name[name] for name in argv] or list(MUTANTS)
+    killed = 0
+    for mutant in chosen:
+        try:
+            ok, what = run(mutant)
+        except ValueError as exc:
+            ok, what = False, f"error: {exc}"
+        killed += ok
+        print(f"{mutant.name}: {what}", flush=True)
+    print(f"{killed} of {len(chosen)} killed")
+    return 0 if killed == len(chosen) else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
