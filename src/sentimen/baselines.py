@@ -152,20 +152,28 @@ class LinearModel:
         return (self.score(x) > 0).astype(np.int64)
 
 
+def _logistic_grad(w: np.ndarray, b: float, x: CsrMatrix, ys: np.ndarray,
+                   l2: float) -> tuple[np.ndarray, float]:
+    """(grad_w, grad_b) of ``logistic_loss_and_grad``, without its loss."""
+    margin = ys * (x.matvec(w) + b)
+    # 1 / (1 + e^m), stable for both signs of m
+    e = np.exp(-np.abs(margin))
+    neg_sigmoid = np.where(margin >= 0, e / (1.0 + e), 1.0 / (1.0 + e))
+    s = -ys * neg_sigmoid / x.n_rows
+    return l2 * w + x.rmatvec(s), float(s.sum())
+
+
 def logistic_loss_and_grad(w: np.ndarray, b: float, x: CsrMatrix,
                            ys: np.ndarray, l2: float,
                            ) -> tuple[float, np.ndarray, float]:
     """L2-regularized mean log loss with y in {-1, +1}."""
-    n = x.n_rows
+    grad_w, grad_b = _logistic_grad(w, b, x, ys, l2)
     margin = ys * (x.matvec(w) + b)
-    # log(1 + e^-m) and 1 / (1 + e^m), stable for both signs of m
+    # log(1 + e^-m), stable for both signs of m
     e = np.exp(-np.abs(margin))
     data_loss = float(np.sum(np.log1p(e) + np.maximum(0.0, -margin)))
-    neg_sigmoid = np.where(margin >= 0, e / (1.0 + e), 1.0 / (1.0 + e))
-    s = -ys * neg_sigmoid / n
-    grad_w = l2 * w + x.rmatvec(s)
-    loss = data_loss / n + 0.5 * l2 * float(w @ w)
-    return loss, grad_w, float(s.sum())
+    loss = data_loss / x.n_rows + 0.5 * l2 * float(w @ w)
+    return loss, grad_w, grad_b
 
 
 def linear_fit(x: CsrMatrix, labels: Sequence[int | Label],
@@ -178,8 +186,9 @@ def linear_fit(x: CsrMatrix, labels: Sequence[int | Label],
     when the row's margin is below 1, w gains eta*y*x_j and the bias
     eta*y.  w is kept as ``scale * v``: the shrink multiplies ``scale``
     alone and the gain goes into v over the row's columns, so a step costs
-    O(row length).  The loop runs on Python floats, since a row has ~10
-    entries and a numpy call costs more than its arithmetic does.
+    O(row length).  The loop runs on Python floats, with v a list and each
+    row its own (columns, values) slices, since a row has ~10 entries and
+    a numpy call costs more than its arithmetic does.
 
     The bias step is deliberately left unregularised and unscaled: on some
     corpora the fit still ends above the hinge objective at w = 0.  Its fix
@@ -188,12 +197,14 @@ def linear_fit(x: CsrMatrix, labels: Sequence[int | Label],
     """
     if objective not in ("logistic", "hinge"):
         raise ValueError(f"unknown objective {objective!r}")
+    if x.n_rows == 0:
+        raise ValueError("no training documents")
     ys = np.where(np.asarray(labels, dtype=np.int64) == 1, 1.0, -1.0)
     b = 0.0
     if objective == "logistic":
         w = np.zeros(x.n_cols)
         for _ in range(epochs):
-            _, grad_w, grad_b = logistic_loss_and_grad(w, b, x, ys, l2)
+            grad_w, grad_b = _logistic_grad(w, b, x, ys, l2)
             w -= lr * grad_w
             b -= lr * grad_b
             if not np.all(np.isfinite(w)) or not math.isfinite(b):
@@ -204,19 +215,19 @@ def linear_fit(x: CsrMatrix, labels: Sequence[int | Label],
     indptr = x.indptr.tolist()
     indices = array("q", np.asarray(x.indices, dtype=np.int64).tobytes())
     data = array("d", np.asarray(x.data, dtype=np.float64).tobytes())
-    y_of = ys.tolist()
-    v = array("d", bytes(8 * x.n_cols))
+    rows = [(indices[lo:hi], data[lo:hi], y)
+            for lo, hi, y in zip(indptr, indptr[1:], ys.tolist())]
+    v = [0.0] * x.n_cols
     scale = 1.0
     t = 0
     for _ in range(epochs):
         for j in rng.permutation(x.n_rows).tolist():
+            cols, vals, y = rows[j]
             t += 1
             eta = 1.0 / (lam * t)
-            lo, hi = indptr[j], indptr[j + 1]
-            y = y_of[j]
             dot = 0.0
-            for k in range(lo, hi):
-                dot += v[indices[k]] * data[k]
+            for c, value in zip(cols, vals):
+                dot += v[c] * value
             margin = y * (scale * dot + b)
             # at t = 1 the shrink factor is 0 (up to rounding) and w is
             # still all zeros: skip it rather than zero the scale
@@ -224,12 +235,12 @@ def linear_fit(x: CsrMatrix, labels: Sequence[int | Label],
                 scale *= 1.0 - eta * lam
             if margin < 1.0:
                 gain = eta * y / scale
-                for k in range(lo, hi):
-                    v[indices[k]] += gain * data[k]
+                for c, value in zip(cols, vals):
+                    v[c] += gain * value
                 b += eta * y
-        if not np.all(np.isfinite(np.frombuffer(v))):
+        if not np.all(np.isfinite(v)):
             raise FloatingPointError("SVM training diverged")
-    return LinearModel(w=np.frombuffer(v) * scale, b=b)
+    return LinearModel(w=np.array(v) * scale, b=b)
 
 
 # --- model comparison ---------------------------------------------------------

@@ -101,29 +101,38 @@ def load_csv(path: str | Path, strict: bool = True) -> Dataset:
     skipped: list[tuple[int, str]] = []
     row_no = 1  # the row being read; 1 is the header
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         try:
-            if reader.fieldnames is None:
+            header = next(reader, None)
+            if header is None:
                 raise CorpusError(f"{path}: empty file, expected a header row")
             for col in COLUMNS:
-                if col not in reader.fieldnames:
+                if col not in header:
                     raise CorpusError(f"{path}: missing column {col!r} "
-                                      f"(header has {reader.fieldnames})")
-            has_tokens = "tokens" in reader.fieldnames
+                                      f"(header has {header})")
+            # a repeated name reads its last column, as csv.DictReader does
+            at = {name: i for i, name in enumerate(header)}
+            i_id, i_source, i_text, i_label = (at[col] for col in COLUMNS)
+            i_tokens = at.get("tokens")
+            width = len(header)
             row_no = 2
             for row in reader:
+                if not row:  # blank rows are skipped and not counted
+                    continue
+                if len(row) < width:  # missing cells read as empty
+                    row += [""] * (width - len(row))
                 try:
-                    label = _parse_label(row["label"] or "")
-                    text = row["text"] or ""
+                    label = _parse_label(row[i_label])
+                    text = row[i_text]
                     if label is not None and not text.strip():
                         raise CorpusError("empty text on a labeled row")
                     records.append(LabeledComment(
-                        id=(row["id"] or "").strip(),
-                        source=(row["source"] or "").strip(),
+                        id=row[i_id].strip(),
+                        source=row[i_source].strip(),
                         text=text,
                         label=label,
-                        tokens=tuple((row["tokens"] or "").split())
-                        if has_tokens else None,
+                        tokens=tuple(row[i_tokens].split())
+                        if i_tokens is not None else None,
                     ))
                 except CorpusError as exc:
                     if strict:

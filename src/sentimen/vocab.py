@@ -54,8 +54,9 @@ def build_vocab(corpus: Iterable[Sequence[str]], min_freq: int = 1) -> Vocabular
         freq.update(tokens)
     if n_docs == 0:
         raise ValueError("empty corpus")
-    kept = sorted((t for t, n in freq.items() if n >= min_freq),
-                  key=lambda t: (-freq[t], t))
+    # by token, then (stable) by descending frequency: (-frequency, token)
+    kept = sorted(t for t, n in freq.items() if n >= min_freq)
+    kept.sort(key=freq.__getitem__, reverse=True)
     token_to_index = {t: i + 2 for i, t in enumerate(kept)}
     index_to_token = {i: t for t, i in token_to_index.items()}
     return Vocabulary(token_to_index, index_to_token)

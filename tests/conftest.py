@@ -5,11 +5,13 @@ import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from urllib.parse import parse_qs, urlparse
 
+import numpy as np
 import pytest
 
 from sentimen import nn, preprocess
 from sentimen.preprocess import PreprocessConfig
 from sentimen.train import EpochStats
+from sentimen.vocab import build_vocab
 
 # small labeled corpus in the canonical CSV shape; texts only use words the
 # bundled dictionaries know so pipeline output is predictable
@@ -38,6 +40,29 @@ NEGATIVE_TEXTS = [
 @pytest.fixture(scope="session")
 def pp_cfg() -> PreprocessConfig:
     return PreprocessConfig.default()
+
+
+@pytest.fixture(scope="module")
+def random_corpus():
+    """Seeded corpus with empty documents, tokens too rare for the vocabulary
+    (min_freq 2) in training, and tokens never seen in training in the test
+    documents."""
+    rng = np.random.default_rng(20240601)
+    words = [f"w{k}" for k in range(120)]
+
+    def docs(n, pool):
+        zipf = 1.0 / np.arange(1, len(pool) + 1)
+        return [[str(t) for t in rng.choice(pool, size=rng.geometric(0.12) - 1,
+                                            p=zipf / zipf.sum())]
+                if rng.random() > 0.08 else [] for _ in range(n)]
+
+    train_docs = docs(150, words[:100])
+    test_docs = docs(60, words) + [[], ["zzz", "w119"]]
+    labels = [int(l) for l in (rng.random(len(train_docs)) < 0.3)]
+    vocab = build_vocab(train_docs, min_freq=2)
+    assert any(not d for d in train_docs) and any(not d for d in test_docs)
+    assert any(t not in vocab for d in train_docs for t in d)
+    return train_docs, labels, test_docs, vocab
 
 
 @pytest.fixture(autouse=True)

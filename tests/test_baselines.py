@@ -173,6 +173,12 @@ class TestLinearModels:
         with pytest.raises(ValueError, match="objective"):
             linear_fit(x, labels, objective="quadratic")
 
+    @pytest.mark.parametrize("objective", ["logistic", "hinge"])
+    def test_no_documents_rejected(self, small_vocab, objective):
+        x = count_vector([], small_vocab)
+        with pytest.raises(ValueError, match="no training documents"):
+            linear_fit(x, [], objective=objective)
+
 
 class TestComparison:
     def test_majority_class(self):
@@ -373,29 +379,6 @@ def _oracle_dense(xs):
     for i, x in enumerate(xs):
         out[i, x.cols] = x.vals
     return out
-
-
-@pytest.fixture(scope="module")
-def random_corpus():
-    """Seeded corpus with empty documents, tokens too rare for the vocabulary
-    (min_freq 2) in training, and tokens never seen in training in the test
-    documents."""
-    rng = np.random.default_rng(20240601)
-    words = [f"w{k}" for k in range(120)]
-
-    def docs(n, pool):
-        zipf = 1.0 / np.arange(1, len(pool) + 1)
-        return [[str(t) for t in rng.choice(pool, size=rng.geometric(0.12) - 1,
-                                            p=zipf / zipf.sum())]
-                if rng.random() > 0.08 else [] for _ in range(n)]
-
-    train_docs = docs(150, words[:100])
-    test_docs = docs(60, words) + [[], ["zzz", "w119"]]
-    labels = [int(l) for l in (rng.random(len(train_docs)) < 0.3)]
-    vocab = build_vocab(train_docs, min_freq=2)
-    assert any(not d for d in train_docs) and any(not d for d in test_docs)
-    assert any(t not in vocab for d in train_docs for t in d)
-    return train_docs, labels, test_docs, vocab
 
 
 class TestMatrixAgainstPerDocumentOracle:

@@ -4,11 +4,12 @@ must catch.
 Each entry of ``MUTANTS`` names a file under the repository root, an old
 text that must occur in it exactly once, the new text that replaces it,
 and the pytest node ids that must fail once it is applied.  The runner
-copies ``src/``, ``tests/`` and ``pyproject.toml`` (whose pytest
-``pythonpath`` points at ``src/``) to a temporary directory, applies one
-mutant there, and runs the named tests against the copy.  A mutant is
-killed when every named test fails; an old text that does not occur
-exactly once is an error, never a pass.
+copies ``src/``, ``tests/``, ``perfbench/`` (some tests load its corpus
+generator) and ``pyproject.toml`` (whose pytest ``pythonpath`` points at
+``src/``) to a temporary directory, applies one mutant there, and runs the
+named tests against the copy.  A mutant is killed when every named test
+fails; an old text that does not occur exactly once is an error, never a
+pass.
 
     python tools/mutants.py            # run every mutant
     python tools/mutants.py NAME ...   # run the named ones
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "pyproject.toml")
+COPIED = ("src", "tests", "perfbench", "pyproject.toml")
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,30 @@ MUTANTS = (
            "max_len or params.config.max_len",
            ("tests/test_nn.py::TestPredict::"
             "test_non_positive_max_len_rejected[0]",)),
+    Mutant("svm_step_without_t1_guard", "src/sentimen/baselines.py",
+           "            if t > 1:\n"
+           "                scale *= 1.0 - eta * lam\n",
+           "            scale *= 1.0 - eta * lam\n",
+           ("tests/test_baselines.py::TestMatrixAgainstPerDocumentOracle::"
+            "test_hinge_small_corpora[docs0-labels0-1]",
+            "tests/test_text_oracle.py::test_fits_on_random_corpus[hinge-1-0]")),
+    Mutant("vocab_frequency_ascending", "src/sentimen/vocab.py",
+           "kept.sort(key=freq.__getitem__, reverse=True)",
+           "kept.sort(key=freq.__getitem__)",
+           ("tests/test_vocab.py::TestBuildVocab::test_hand_enumeration",
+            "tests/test_text_oracle.py::test_seed3_build_vocab[1]")),
+    Mutant("load_csv_without_short_row_padding", "src/sentimen/ingest.py",
+           "                if len(row) < width:  # missing cells read as empty\n"
+           "                    row += [\"\"] * (width - len(row))\n",
+           "",
+           ("tests/test_text_oracle.py::test_load_csv_edge_cases[short_rows]",
+            "tests/test_text_oracle.py::test_load_csv_edge_cases[duplicate_name]")),
+    Mutant("logistic_gradient_without_l2", "src/sentimen/baselines.py",
+           "    return l2 * w + x.rmatvec(s), float(s.sum())",
+           "    return x.rmatvec(s), float(s.sum())",
+           ("tests/test_baselines.py::TestLinearModels::"
+            "test_logistic_gradient_matches_finite_differences",
+            "tests/test_text_oracle.py::test_logistic_loss_and_grad")),
 )
 
 
