@@ -30,9 +30,7 @@ EXIT_EXTERNAL = 3
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_BAD_INPUT):
-        super().__init__(message)
-        self.code = code
+    """A bad input or config; ``main`` prints it and exits 2."""
 
 
 # --- configuration -----------------------------------------------------------
@@ -183,13 +181,6 @@ def preprocess_config(args: argparse.Namespace) -> PreprocessConfig:
 
 # --- shared pipeline pieces ----------------------------------------------------
 
-def _load_corpus(path: str, strict: bool = True) -> ingest.Dataset:
-    try:
-        return ingest.load_csv(path, strict=strict)
-    except ingest.CorpusError as exc:
-        raise CliError(str(exc)) from None
-
-
 def _tokenized(ds: ingest.Dataset, pp: PreprocessConfig,
                quiet: bool) -> list[list[str]]:
     """Tokens of the labeled records of ``ds``: the corpus's ``tokens``
@@ -206,13 +197,8 @@ def _tokenized(ds: ingest.Dataset, pp: PreprocessConfig,
 # --- commands ------------------------------------------------------------------
 
 def cmd_fetch(args, cfg) -> int:
-    try:
-        comments = youtube.fetch_comments(
-            args.video_id, max_pages=args.max_pages, base_url=args.base_url)
-    except youtube.InvalidUrlError as exc:
-        raise CliError(f"fetch failed: {exc}") from None
-    except youtube.FetchError as exc:
-        raise CliError(f"fetch failed: {exc}", code=EXIT_EXTERNAL) from None
+    comments = youtube.fetch_comments(
+        args.video_id, max_pages=args.max_pages, base_url=args.base_url)
     ingest.save_csv(comments, args.out)
     if not args.quiet:
         print(f"wrote {len(comments)} comments to {args.out}")
@@ -220,7 +206,7 @@ def cmd_fetch(args, cfg) -> int:
 
 
 def cmd_preprocess(args, cfg) -> int:
-    ds = _load_corpus(args.input, strict=not args.lenient)
+    ds = ingest.load_csv(args.input, strict=not args.lenient)
     pp = preprocess_config(args)
     for row, reason in ds.skipped:
         print(f"warning: {args.input}: row {row} skipped: {reason}",
@@ -238,7 +224,7 @@ def _split_and_encode(args, cfg, pp, needed: tuple[str, ...]):
     labeled records of the corpus; the ``needed`` splits ("train", "test")
     must not be empty.  The out-dir is made, and the resolved config
     written to it, once the corpus has been read and split."""
-    full = _load_corpus(args.corpus)
+    full = ingest.load_csv(args.corpus)
     labels = [r.label for r in full.records if r.label is not None]
     if not labels:
         raise CliError("corpus has no labeled records")
@@ -316,13 +302,16 @@ def _load_model(args):
         params, _ = nn.load_checkpoint(ckpt)
     except nn.CheckpointError as exc:
         raise CliError(f"{ckpt}: bad checkpoint: {exc}") from None
+    if params.config.num_classes != len(ingest.Label):
+        raise CliError(f"{ckpt}: bad checkpoint: {params.config.num_classes} "
+                       f"classes, expected {len(ingest.Label)}")
     vocab_path = Path(args.vocab) if args.vocab else ckpt.parent / "vocab.txt"
     if not vocab_path.exists():
         raise CliError(f"vocabulary file not found: {vocab_path}")
     vocab, max_len, _ = load_vocab(vocab_path)
     if vocab.size != params.config.vocab_size:
-        raise CliError(f"vocabulary size {vocab.size} does not match "
-                       f"checkpoint ({params.config.vocab_size})")
+        raise CliError(f"{vocab_path}: vocabulary size {vocab.size} does not "
+                       f"match checkpoint ({params.config.vocab_size})")
     if max_len != params.config.max_len:
         raise CliError(f"{vocab_path}.meta: max_len {max_len} does not match "
                        f"checkpoint ({params.config.max_len})")
@@ -332,7 +321,7 @@ def _load_model(args):
 def cmd_evaluate(args, cfg) -> int:
     out_dir = Path(args.out_dir)
     params, vocab = _load_model(args)
-    full = _load_corpus(args.test_csv)
+    full = ingest.load_csv(args.test_csv)
     ds = full.labeled_only()
     if len(ds) == 0:
         raise CliError("test file has no labeled records")
@@ -497,10 +486,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = resolve_config(args)
         return args.func(args, cfg)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (FloatingPointError, ValueError, OSError) as exc:
+    except youtube.FetchError as exc:
+        print(f"error: fetch failed: {exc}", file=sys.stderr)
+        return (EXIT_BAD_INPUT if isinstance(exc, youtube.InvalidUrlError)
+                else EXIT_EXTERNAL)
+    except (CliError, ingest.CorpusError, FloatingPointError, ValueError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except Exception as exc:  # pragma: no cover - defensive

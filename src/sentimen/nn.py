@@ -60,8 +60,6 @@ def row_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 def count_parameters(vocab_size: int, embed_dim: int, hidden_dim: int,
                      num_classes: int) -> int:
-    if min(vocab_size, embed_dim, hidden_dim, num_classes) < 1:
-        raise ValueError("all dimensions must be >= 1")
     cfg = ModelConfig(vocab_size, embed_dim, hidden_dim, num_classes)
     return sum(math.prod(shape) for shape in _expected_shapes(cfg).values())
 
@@ -76,6 +74,13 @@ class ModelConfig:
     num_classes: int = 2
     max_len: int = 100
     fc_dropout: float = 0.5
+
+    def __post_init__(self):
+        for name in ("vocab_size", "embed_dim", "hidden_dim", "num_classes",
+                     "max_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} {getattr(self, name)}, "
+                                 f"expected >= 1")
 
 
 def _expected_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -154,11 +159,6 @@ class RowGrad:
                           or np.any(rows[1:] <= rows[:-1])):
             raise ValueError(f"row gradient rows of {name} are not sorted, "
                              f"unique and in [0, {shape[0]})")
-
-    def dense(self, shape: tuple[int, ...], dtype) -> np.ndarray:
-        out = np.zeros(shape, dtype=dtype)
-        out[self.rows] = self.values
-        return out
 
 
 def dropout_mask(shape, rate: float, rng: np.random.Generator,
@@ -673,7 +673,10 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, AdamState | None]:
     dtype = _DTYPE_CODES[code]
     dims = reader.unpack("<5Q", "dimensions")
     _, fc_dropout = reader.unpack("<2d", "dropout rates")
-    cfg = ModelConfig(*dims, fc_dropout=fc_dropout)
+    try:
+        cfg = ModelConfig(*dims, fc_dropout=fc_dropout)
+    except ValueError as exc:
+        raise CheckpointError(str(exc)) from None
     shapes = _expected_shapes(cfg)
     params = ModelParams(cfg, **{name: reader.array(shape, dtype)
                                  for name, shape in shapes.items()})

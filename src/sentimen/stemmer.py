@@ -170,12 +170,10 @@ def _prefix_candidates(word: str) -> tuple[str, list[str]] | None:
 class IndonesianStemmer:
     """Dictionary-gated affix stripper for Indonesian."""
 
+    __slots__ = ("_roots",)  # a stemmer's roots are fixed at construction
+
     def __init__(self, roots: set[str] | frozenset[str]):
         self._roots = frozenset(roots)
-
-    @property
-    def roots(self) -> frozenset[str]:
-        return self._roots
 
     def stem(self, word: str) -> str:
         if len(word) <= 3 or word in self._roots:

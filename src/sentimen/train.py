@@ -16,7 +16,11 @@ import numpy as np
 
 from . import nn
 
-# rng stream ids, combined with (seed, ...) so streams never collide
+# rng stream ids, combined with (seed, ...): shuffling and dropout read
+# apart from each other.  They do not keep every stream apart:
+# nn.init_params draws from (seed, 0), and so does
+# ingest.stratified_indices for the negative class, so a CLI run's split
+# and initial weights read one stream.
 _STREAM_SHUFFLE = 1
 _STREAM_DROPOUT = 2
 

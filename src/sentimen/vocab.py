@@ -36,9 +36,6 @@ class Vocabulary:
         """Number of indices including the two reserved ones."""
         return len(self.token_to_index) + 2
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_index
-
     def index(self, token: str) -> int:
         return self.token_to_index.get(token, OOV_INDEX)
 

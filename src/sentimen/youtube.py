@@ -23,23 +23,9 @@ TIMEOUT_S = 30.0  # per request
 
 
 class FetchError(Exception):
-    """A failed fetch; only ``TransientFetchError`` is worth retrying."""
-
-
-class AuthError(FetchError):
-    """Bad or missing API key (HTTP 401/403)."""
-
-
-class QuotaExceededError(FetchError):
-    """Daily quota exhausted (403 with reason quotaExceeded)."""
-
-
-class VideoNotFoundError(FetchError):
-    """Unknown video id (HTTP 404)."""
-
-
-class TransientFetchError(FetchError):
-    """Server-side or rate-limit failure worth retrying (429/5xx)."""
+    """A failed fetch: no key, an HTTP error status, a request that did not
+    complete, or a 200 response that is not the API's shape.  The message
+    says which, and never holds the key."""
 
 
 class InvalidUrlError(FetchError):
@@ -50,13 +36,13 @@ def _error_for(status: int, payload: dict) -> FetchError:
     reasons = {e.get("reason") for e in
                payload.get("error", {}).get("errors", [])}
     if status == 403 and "quotaExceeded" in reasons:
-        return QuotaExceededError("API quota exceeded")
+        return FetchError("API quota exceeded")
     if status in (401, 403):
-        return AuthError(f"authentication failed (HTTP {status})")
+        return FetchError(f"authentication failed (HTTP {status})")
     if status == 404:
-        return VideoNotFoundError("video not found")
+        return FetchError("video not found")
     if status == 429 or status >= 500:
-        return TransientFetchError(f"transient API failure (HTTP {status})")
+        return FetchError(f"transient API failure (HTTP {status})")
     return FetchError(f"API request failed (HTTP {status})")
 
 
@@ -72,13 +58,13 @@ def fetch_comments(video_id: str, api_key: str | None = None,
                    ) -> list[LabeledComment]:
     """Fetch up to ``max_pages`` pages of top-level comments, page order
     preserved.  Raises before any network call on a missing key.  A base URL
-    that ``requests`` rejects raises ``InvalidUrlError``, another failed
-    request ``TransientFetchError``, and a 200 response whose body is not
-    the API's shape of JSON objects ``FetchError``; no message holds the
-    key."""
+    that ``requests`` rejects raises ``InvalidUrlError``; any other failure
+    (a rejected key, an HTTP error status, a request that did not complete,
+    a 200 response whose body is not the API's shape of JSON objects)
+    raises ``FetchError``.  No message holds the key."""
     key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
     if not key:
-        raise AuthError(f"no API key: pass api_key or set {API_KEY_ENV}")
+        raise FetchError(f"no API key: pass api_key or set {API_KEY_ENV}")
     if max_pages < 0:
         raise ValueError("max_pages must be >= 0")
     if max_pages == 0:
@@ -106,7 +92,7 @@ def fetch_comments(video_id: str, api_key: str | None = None,
             raise InvalidUrlError(
                 f"bad base URL {base_url}: {type(exc).__name__}") from None
         except requests.RequestException as exc:
-            raise TransientFetchError(
+            raise FetchError(
                 f"request to {base_url} failed: {type(exc).__name__}") from None
         try:
             body = resp.json()

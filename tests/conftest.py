@@ -61,7 +61,7 @@ def random_corpus():
     labels = [int(l) for l in (rng.random(len(train_docs)) < 0.3)]
     vocab = build_vocab(train_docs, min_freq=2)
     assert any(not d for d in train_docs) and any(not d for d in test_docs)
-    assert any(t not in vocab for d in train_docs for t in d)
+    assert any(t not in vocab.token_to_index for d in train_docs for t in d)
     return train_docs, labels, test_docs, vocab
 
 
@@ -72,10 +72,17 @@ def fresh_preprocess_tables():
     preprocess._memo_for.cache_clear()
 
 
+def dense(grad, shape, dtype) -> np.ndarray:
+    """The ``shape`` array that the ``nn.RowGrad`` ``grad`` is zero outside."""
+    out = np.zeros(shape, dtype=dtype)
+    out[grad.rows] = grad.values
+    return out
+
+
 def dense_grads(params, grads):
     """``nn.backward``'s gradients with each ``RowGrad`` made a dense array."""
     arrays = params.arrays()
-    return {name: g.dense(arrays[name].shape, arrays[name].dtype)
+    return {name: dense(g, arrays[name].shape, arrays[name].dtype)
             if isinstance(g, nn.RowGrad) else g for name, g in grads.items()}
 
 

@@ -2,6 +2,9 @@ import argparse
 import csv
 import functools
 import io
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -531,7 +534,37 @@ def test_bad_vocab_meta_exit_2_naming_it(trained_run, capsys, meta, shown):
 
 
 # byte offsets in a version-1 checkpoint: 8 magic bytes, the uint32
-# version, then the one-byte dtype code
+# version, the one-byte dtype code, then the five uint64 dimensions
+def _dims(blob):
+    """(vocab_size, embed_dim, hidden_dim, num_classes, max_len)."""
+    return struct.unpack_from("<5Q", blob, 13)
+
+
+def _three_classes(blob):
+    """The checkpoint ``nn.save_checkpoint`` writes for the model of
+    ``blob``'s dimensions with three classes."""
+    vocab_size, embed_dim, hidden_dim, _, max_len = _dims(blob)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "three.bin"
+        nn.save_checkpoint(path, nn.init_params(nn.ModelConfig(
+            vocab_size, embed_dim, hidden_dim, 3, max_len)))
+        return path.read_bytes()
+
+
+def _hidden_dim_zero(blob):
+    """A float64 version-1 file, written by hand, whose hidden_dim is 0:
+    every array's byte count fits its shape."""
+    vocab_size, embed_dim, _, classes, max_len = _dims(blob)
+    arrays = [np.zeros(vocab_size * embed_dim)] + [np.zeros(0)] * 5 + [
+        np.zeros(classes)]
+    return (blob[:12] + b"\x01"
+            + struct.pack("<5Q2d", vocab_size, embed_dim, 0, classes, max_len,
+                          0.0, 0.5)
+            + b"".join(struct.pack("<Q", a.nbytes) + a.astype("<f8").tobytes()
+                       for a in arrays)
+            + b"\0")
+
+
 BAD_MODEL_FILES = {
     "truncated": ("checkpoint.bin", lambda b: b[:20], "truncated checkpoint"),
     "trailing": ("checkpoint.bin", lambda b: b + b"\0\0",
@@ -541,6 +574,12 @@ BAD_MODEL_FILES = {
     "dtype": ("checkpoint.bin", lambda b: b[:12] + b"\x07" + b[13:],
               "unknown dtype code 7"),
     "no_meta": ("vocab.txt.meta", None, "vocabulary sidecar not found"),
+    "three_classes": ("checkpoint.bin", _three_classes,
+                      "bad checkpoint: 3 classes, expected 2"),
+    "hidden_dim_zero": ("checkpoint.bin", _hidden_dim_zero,
+                        "bad checkpoint: hidden_dim 0, expected >= 1"),
+    "extra_vocab_line": ("vocab.txt", lambda b: b + b"tambahan\n",
+                         "vocabulary size 11 does not match checkpoint (10)"),
 }
 
 

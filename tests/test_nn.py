@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from sentimen import nn
 from sentimen.ingest import Label
 
-from conftest import dense_grads
+from conftest import dense, dense_grads
 
 
 def tiny_config(V=6, E=3, H=4, C=2, T=5, fc_dropout=0.0):
@@ -1041,8 +1041,8 @@ def dense_embedding_grad(params, idx, lengths, labels):
     spread_idx[:, :steps] = own.reshape(steps, -1).T
     grads, _ = nn.backward(spread, spread_idx, lengths, labels,
                            training=False)
-    per_position = grads["embedding"].dense(spread.embedding.shape,
-                                            params.embedding.dtype)[own]
+    per_position = dense(grads["embedding"], spread.embedding.shape,
+                         params.embedding.dtype)[own]
     want = np.zeros_like(params.embedding)
     np.add.at(want, ids, per_position)
     want[0] = 0.0
@@ -1066,7 +1066,7 @@ class TestRowGrad:
         assert np.array_equal(g.rows, np.unique(idx[:, :steps]))
         assert g.values.dtype == dtype
         assert g.values.shape == (len(g.rows), cfg.embed_dim)
-        assert np.array_equal(g.dense(params.embedding.shape, dtype),
+        assert np.array_equal(dense(g, params.embedding.shape, dtype),
                               dense_embedding_grad(params, idx, lengths,
                                                    labels))
         assert np.all(g.values[g.rows == 0] == 0.0)
@@ -1078,7 +1078,7 @@ class TestRowGrad:
                                np.array([0, 1]), training=False)
         g = grads["embedding"]
         assert g.rows.shape == (0,) and g.values.shape == (0, 3)
-        assert np.array_equal(g.dense((6, 3), np.float64), np.zeros((6, 3)))
+        assert np.array_equal(dense(g, (6, 3), np.float64), np.zeros((6, 3)))
 
     def test_backward_allocates_nothing_table_sized(self):
         import tracemalloc
@@ -1121,10 +1121,10 @@ class TestRowGrad:
                          for k, a in want.items()}
                 grads["embedding"] = nn.RowGrad(rows, rng.normal(
                     size=(len(rows), 16)).astype(dtype))
-                dense = dense_grads(params, grads)
+                full = dense_grads(params, grads)
                 nn.adam_step(params, grads, state, lr=0.01)
                 for k in want:
-                    unblocked_adam_step(want[k], dense[k], m[k], v[k], t, 0.01)
+                    unblocked_adam_step(want[k], full[k], m[k], v[k], t, 0.01)
                 want["embedding"][0] = 0.0
                 for k, a in params.arrays().items():
                     assert np.array_equal(a, want[k]), (dtype, t, k)

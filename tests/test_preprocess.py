@@ -261,11 +261,9 @@ class TestDictionaryCache:
         # an empty root set stems nothing
         for bare in (dataclasses.replace(cfg, roots=frozenset()),
                      PreprocessConfig(roots=frozenset())):
-            assert bare.stemmer.roots == frozenset()
             assert run_pipeline("makanannya enak", bare) == ["makanannya",
                                                              "enak"]
         other = dataclasses.replace(cfg, roots=frozenset({"enak"}))
-        assert other.stemmer.roots == {"enak"}
         assert run_pipeline("makanannya enak", other) == ["makanannya", "enak"]
 
 

@@ -88,6 +88,68 @@ MUTANTS = (
            ("tests/test_baselines.py::TestLinearModels::"
             "test_logistic_gradient_matches_finite_differences",
             "tests/test_text_oracle.py::test_logistic_loss_and_grad")),
+    Mutant("corpus_error_not_bad_input", "src/sentimen/cli.py",
+           "    except (CliError, ingest.CorpusError, FloatingPointError, "
+           "ValueError,\n",
+           "    except (CliError, FloatingPointError, ValueError,\n",
+           ("tests/test_cli.py::TestPreprocessCommand::"
+            "test_bad_row_strict_vs_lenient",
+            "tests/test_cli.py::test_csv_field_over_size_limit_exit_2[train]")),
+    Mutant("every_fetch_error_exit_2", "src/sentimen/cli.py",
+           "        return (EXIT_BAD_INPUT if isinstance(exc, "
+           "youtube.InvalidUrlError)\n"
+           "                else EXIT_EXTERNAL)\n",
+           "        return EXIT_BAD_INPUT\n",
+           ("tests/test_cli.py::TestFetchCommand::test_bad_key_exit_3_no_file",
+            "tests/test_cli.py::TestFetchCommand::"
+            "test_malformed_body_exit_3[{\"items\": [\"x\"]}]")),
+    Mutant("model_config_allows_zero", "src/sentimen/nn.py",
+           "            if getattr(self, name) < 1:\n",
+           "            if getattr(self, name) < 0:\n",
+           ("tests/test_nn.py::TestCountParameters::test_rejects_zero_dims",
+            "tests/test_cli.py::test_bad_model_file_exit_2_naming_it["
+            "hidden_dim_zero-evaluate]")),
+    Mutant("load_model_without_class_check", "src/sentimen/cli.py",
+           "    if params.config.num_classes != len(ingest.Label):\n"
+           "        raise CliError(f\"{ckpt}: bad checkpoint: "
+           "{params.config.num_classes} \"\n"
+           "                       f\"classes, expected {len(ingest.Label)}\")\n",
+           "",
+           ("tests/test_cli.py::test_bad_model_file_exit_2_naming_it["
+            "three_classes-evaluate]",
+            "tests/test_cli.py::test_bad_model_file_exit_2_naming_it["
+            "three_classes-predict]")),
+    # the numeric gates: c04 gradients, c05 padding, c09 seeded streams,
+    # the embedding gradient's summation order and Adam's bias correction
+    Mutant("candidate_gate_derivative_sign", "src/sentimen/nn.py",
+           "    np.multiply(i, 1.0 - g * g, out=d4[:, 2])\n",
+           "    np.multiply(i, g * g - 1.0, out=d4[:, 2])\n",
+           ("tests/test_acceptance.py::"
+            "test_c04_gradient_correctness_20_random_models",)),
+    Mutant("pad_position_reaches_h_final", "src/sentimen/nn.py",
+           "    lengths = np.minimum(np.maximum(lengths, 0), indices.shape[1])\n",
+           "    lengths = np.minimum(np.maximum(lengths, 0) + 1, "
+           "indices.shape[1])\n",
+           ("tests/test_acceptance.py::test_c05_masking_equivalence_100_cases",)),
+    Mutant("shuffle_and_dropout_streams_swapped", "src/sentimen/train.py",
+           "_STREAM_SHUFFLE = 1\n_STREAM_DROPOUT = 2\n",
+           "_STREAM_SHUFFLE = 2\n_STREAM_DROPOUT = 1\n",
+           ("tests/test_train.py::TestTrain::"
+            "test_train_accuracy_is_pre_update_without_dropout",
+            "tests/test_nn.py::TestRowGrad::"
+            "test_seeded_training_matches_dense_adam")),
+    Mutant("row_grad_summed_in_reverse", "src/sentimen/nn.py",
+           "    np.add.at(d_rows[pad:], slot, d_gates[pos[real]] @ params.w_ih)\n",
+           "    np.add.at(d_rows[pad:], slot[::-1],\n"
+           "              (d_gates[pos[real]] @ params.w_ih)[::-1])\n",
+           ("tests/test_nn.py::TestRowGrad::"
+            "test_backward_densifies_to_the_dense_scatter[float32]",)),
+    Mutant("adam_without_bias_correction", "src/sentimen/nn.py",
+           "    bc1 = 1.0 - b1 ** state.t\n    bc2 = 1.0 - b2 ** state.t\n",
+           "    bc1 = bc2 = 1.0\n",
+           ("tests/test_nn.py::TestAdam::test_first_step_hand_value",
+            "tests/test_nn.py::TestBlockedAdam::"
+            "test_bit_identical_to_unblocked_formula")),
 )
 
 
