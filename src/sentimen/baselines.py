@@ -28,6 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .ingest import Label
+from .seeds import stream
 from .vocab import OOV_INDEX, Vocabulary
 
 
@@ -181,7 +182,7 @@ def linear_fit(x: CsrMatrix, labels: Sequence[int | Label],
                lr: float = 1.0, epochs: int = 200, seed: int = 0) -> LinearModel:
     """Logistic: full-batch gradient descent.  Hinge: Pegasos SGD.
 
-    Pegasos takes the step eta = 1/(l2*t) on row j of the ``(seed, 3)``
+    Pegasos takes the step eta = 1/(l2*t) on row j of the ``svm`` stream's
     permutation of each epoch: w shrinks by the factor 1 - eta*l2, then,
     when the row's margin is below 1, w gains eta*y*x_j and the bias
     eta*y.  w is kept as ``scale * v``: the shrink multiplies ``scale``
@@ -210,7 +211,7 @@ def linear_fit(x: CsrMatrix, labels: Sequence[int | Label],
             if not np.all(np.isfinite(w)) or not math.isfinite(b):
                 raise FloatingPointError("logistic regression diverged")
         return LinearModel(w=w, b=float(b))
-    rng = np.random.default_rng((seed, 3))
+    rng = stream(seed, "svm")
     lam = max(l2, 1e-12)
     indptr = x.indptr.tolist()
     indices = array("q", np.asarray(x.indices, dtype=np.int64).tobytes())

@@ -20,6 +20,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .seeds import stream
+
 
 class Label(IntEnum):
     NEGATIVE = 0
@@ -242,7 +244,7 @@ def stratified_indices(labels: Sequence[Label],
         if len(idx) < n_nonzero:
             raise ValueError(f"class {LABEL_NAMES[label]} has {len(idx)} records "
                              f"for {n_nonzero} nonzero splits")
-        rng = np.random.default_rng((spec.seed, int(label)))
+        rng = stream(spec.seed, f"split_{LABEL_NAMES[label]}")
         shuffled = [idx[j] for j in rng.permutation(len(idx))]
         sizes = largest_remainder(len(idx), spec.fractions)
         start = 0

@@ -37,6 +37,7 @@ from typing import Iterator
 import numpy as np
 
 from .ingest import Label
+from .seeds import stream
 from .vocab import Vocabulary, encode
 
 class CheckpointError(Exception):
@@ -116,7 +117,7 @@ def init_params(config: ModelConfig, seed: int = 0,
                 dtype=np.float64) -> ModelParams:
     """Uniform +-1/sqrt(H) weights (+-1/sqrt(E) embedding), zero biases,
     pad embedding row zeroed."""
-    rng = np.random.default_rng((seed, 0))
+    rng = stream(seed, "init")
 
     def draw(name: str, shape: tuple[int, ...]) -> np.ndarray:
         if name.startswith("b_"):
@@ -166,8 +167,6 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator,
     """Inverted-dropout multiplier: 0 with probability rate, else 1/(1-rate)."""
     if not 0 <= rate < 1:
         raise ValueError("dropout rate must be in [0, 1)")
-    if rate == 0:
-        return np.ones(shape, dtype=dtype)
     keep = (rng.random(shape) >= rate).astype(dtype)
     return keep / (1.0 - rate)
 
@@ -381,14 +380,14 @@ def forward_logits(params: ModelParams, indices: np.ndarray,
 
 def backward(params: ModelParams, indices: np.ndarray, lengths: np.ndarray,
              labels: np.ndarray, rng: np.random.Generator | None = None,
-             training: bool = True,
              class_weights: np.ndarray | None = None,
              logits_out: np.ndarray | None = None,
              ) -> tuple[dict[str, np.ndarray | RowGrad], float]:
     """Full reverse-mode pass; returns (gradients, batch loss).
 
     The embedding gradient is a ``RowGrad`` over the batch's token ids, the
-    pad row's values zero; the other gradients are dense arrays.
+    pad row's values zero; the other gradients are dense arrays.  ``rng``
+    draws the dropout mask, and a model with ``fc_dropout > 0`` needs it.
 
     Loss is the (optionally class-weight normalized) mean of per-example
     fused softmax cross-entropies; gradients match that reduction.  When
@@ -405,7 +404,7 @@ def backward(params: ModelParams, indices: np.ndarray, lengths: np.ndarray,
         logits_out[...] = h_final @ params.w_out.T + params.b_out
 
     fc_mult = np.ones_like(h_final)
-    if training and cfg.fc_dropout > 0:
+    if cfg.fc_dropout > 0:
         if rng is None:
             raise ValueError("training with dropout needs an rng")
         fc_mult = dropout_mask(h_final.shape, cfg.fc_dropout, rng, dtype)

@@ -15,14 +15,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import nn
-
-# rng stream ids, combined with (seed, ...): shuffling and dropout read
-# apart from each other.  They do not keep every stream apart:
-# nn.init_params draws from (seed, 0), and so does
-# ingest.stratified_indices for the negative class, so a CLI run's split
-# and initial weights read one stream.
-_STREAM_SHUFFLE = 1
-_STREAM_DROPOUT = 2
+from .seeds import stream
 
 
 @dataclass(frozen=True)
@@ -71,8 +64,7 @@ def batch_iter(ds: EncodedDataset, batch_size: int, seed: int,
     n = len(ds)
     if n == 0:
         raise ValueError("empty dataset")
-    order = np.random.default_rng((seed, _STREAM_SHUFFLE,
-                                   epoch_index)).permutation(n)
+    order = stream(seed, "shuffle", epoch_index).permutation(n)
     for start in range(0, n, batch_size):
         sel = order[start:start + batch_size]
         yield EncodedDataset(ds.indices[sel], ds.lengths[sel], ds.labels[sel])
@@ -111,7 +103,7 @@ def train(params: nn.ModelParams, train_set: EncodedDataset,
     validation set the training metrics stand in for the validation columns.
     """
     adam = nn.AdamState.for_params(params)
-    drop_rng = np.random.default_rng((cfg.seed, _STREAM_DROPOUT))
+    drop_rng = stream(cfg.seed, "dropout")
     weights = (np.asarray(cfg.class_weights, dtype=np.float64)
                if cfg.class_weights is not None else None)
     n_classes = params.b_out.shape[0]
@@ -131,7 +123,7 @@ def train(params: nn.ModelParams, train_set: EncodedDataset,
             logits = np.empty((len(batch), n_classes))
             grads, loss = nn.backward(params, batch.indices, batch.lengths,
                                       batch.labels, rng=drop_rng,
-                                      training=True, class_weights=weights,
+                                      class_weights=weights,
                                       logits_out=logits)
             if not np.isfinite(loss):
                 raise FloatingPointError(

@@ -87,7 +87,7 @@ def test_c04_gradient_correctness_20_random_models():
             idx[b, lengths[b]:] = 0
         labels = rng.integers(0, 2, size=batch)
 
-        grads, _ = nn.backward(params, idx, lengths, labels, training=False)
+        grads, _ = nn.backward(params, idx, lengths, labels)
         grads = dense_grads(params, grads)
         eps = 1e-5
         for name, p in params.arrays().items():
@@ -96,11 +96,9 @@ def test_c04_gradient_correctness_20_random_models():
                 k = it.multi_index
                 orig = p[k]
                 p[k] = orig + eps
-                _, up = nn.backward(params, idx, lengths, labels,
-                                    training=False)
+                _, up = nn.backward(params, idx, lengths, labels)
                 p[k] = orig - eps
-                _, down = nn.backward(params, idx, lengths, labels,
-                                      training=False)
+                _, down = nn.backward(params, idx, lengths, labels)
                 p[k] = orig
                 fd = (up - down) / (2 * eps)
                 analytic = grads[name][k]
@@ -138,10 +136,8 @@ def test_c05_masking_equivalence_100_cases():
         f_pad = nn.forward_logits(params, padded, lengths)
         worst = max(worst, float(np.max(np.abs(f_real - f_pad))))
 
-        g_real, l_real = nn.backward(params, real, lengths, label,
-                                     training=False)
-        g_pad, l_pad = nn.backward(params, padded, lengths, label,
-                                   training=False)
+        g_real, l_real = nn.backward(params, real, lengths, label)
+        g_pad, l_pad = nn.backward(params, padded, lengths, label)
         worst = max(worst, abs(l_real - l_pad))
         g_real, g_pad = dense_grads(params, g_real), dense_grads(params, g_pad)
         for name in g_real:

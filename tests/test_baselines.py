@@ -13,6 +13,7 @@ from sentimen.baselines import (ComparisonRow, LinearModel, TfidfVectorizer,
                                 logistic_loss_and_grad, majority_class,
                                 nb_fit, run_comparison)
 from sentimen.ingest import Label
+from sentimen.seeds import stream
 from sentimen.vocab import build_vocab
 
 
@@ -358,7 +359,7 @@ def _oracle_linear_fit(xs, labels, objective, epochs, seed=0, l2=1e-4, lr=1.0):
             w -= lr * grad_w
             b -= lr * grad_b
         return w, b
-    rng = np.random.default_rng((seed, 3))
+    rng = stream(seed, "svm")
     lam = l2
     t = 0
     for _ in range(epochs):

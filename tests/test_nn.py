@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sentimen import nn
 from sentimen.ingest import Label
+from sentimen.seeds import stream
 
 from conftest import dense, dense_grads
 
@@ -126,8 +127,7 @@ class TestCrossEntropy:
         params = random_params(tiny_config(C=3), seed=4)
         idx, lengths = np.array([[3, 1, 5, 0, 0]]), np.array([3])
         logits = nn.forward_logits(params, idx, lengths)[0]
-        grads, _ = nn.backward(params, idx, lengths, np.array([2]),
-                               training=False)
+        grads, _ = nn.backward(params, idx, lengths, np.array([2]))
         expected = nn.softmax(logits)
         expected[2] -= 1.0
         assert np.allclose(grads["b_out"], expected, atol=1e-12)
@@ -379,15 +379,22 @@ class TestDenseForward:
 
 class TestDropout:
     def test_inference_identity(self):
-        # training=False applies no dropout and needs no rng
-        cfg = tiny_config(fc_dropout=0.5)
+        # a model without dropout needs no rng, and its loss is that of
+        # the inference-mode logits
+        cfg = tiny_config()
         params = random_params(cfg, seed=7)
         idx, lengths, labels = random_batch(cfg, np.random.default_rng(5),
                                             batch=4)
-        _, loss = nn.backward(params, idx, lengths, labels, training=False)
+        _, loss = nn.backward(params, idx, lengths, labels)
         logits = nn.forward_logits(params, idx, lengths)
         want = np.mean(nn.row_cross_entropy(logits, labels))
         assert loss == pytest.approx(want, rel=1e-12)
+
+    def test_dropout_model_needs_rng(self):
+        cfg = tiny_config(fc_dropout=0.5)
+        idx, lengths, labels = random_batch(cfg, np.random.default_rng(5))
+        with pytest.raises(ValueError, match="needs an rng"):
+            nn.backward(random_params(cfg, seed=7), idx, lengths, labels)
 
     def test_rate_zero_identity(self):
         mask = nn.dropout_mask((3, 4), 0.0, np.random.default_rng(0),
@@ -417,8 +424,7 @@ class TestBackward:
                               T=int(rng.integers(1, 6)))
             params = random_params(cfg, seed=trial)
             idx, lengths, labels = random_batch(cfg, rng, batch=2)
-            grads, _ = nn.backward(params, idx, lengths, labels,
-                                   training=False)
+            grads, _ = nn.backward(params, idx, lengths, labels)
             grads = dense_grads(params, grads)
             assert gradcheck_max_rel_error(params, grads, idx, lengths,
                                            labels) < 1e-4
@@ -429,8 +435,7 @@ class TestBackward:
         for arr in params.arrays().values():
             arr[:] = 0.0
         idx = np.array([[1, 2, 0]])
-        grads, loss = nn.backward(params, idx, np.array([2]), np.array([0]),
-                                  training=False)
+        grads, loss = nn.backward(params, idx, np.array([2]), np.array([0]))
         grads = dense_grads(params, grads)
         assert loss == pytest.approx(math.log(2), abs=1e-12)
         assert np.allclose(grads["b_out"], [-0.5, 0.5], atol=1e-12)
@@ -442,11 +447,10 @@ class TestBackward:
         params = random_params(cfg, seed=5)
         rng = np.random.default_rng(8)
         idx, lengths, labels = random_batch(cfg, rng, batch=1)
-        single, loss1 = nn.backward(params, idx, lengths, labels,
-                                    training=False)
+        single, loss1 = nn.backward(params, idx, lengths, labels)
         doubled, loss2 = nn.backward(params, np.repeat(idx, 2, axis=0),
                                      np.repeat(lengths, 2),
-                                     np.repeat(labels, 2), training=False)
+                                     np.repeat(labels, 2))
         assert loss2 == pytest.approx(loss1, rel=1e-12)
         single, doubled = (dense_grads(params, single),
                            dense_grads(params, doubled))
@@ -457,8 +461,7 @@ class TestBackward:
         cfg = tiny_config()
         params = random_params(cfg, seed=2)
         idx = np.array([[1, 2, 3, 0, 0]])
-        grads, _ = nn.backward(params, idx, np.array([3]), np.array([1]),
-                               training=False)
+        grads, _ = nn.backward(params, idx, np.array([3]), np.array([1]))
         assert np.all(dense_grads(params, grads)["embedding"][0] == 0.0)
 
     def test_empty_batch_rejected(self):
@@ -477,9 +480,9 @@ def gradcheck_max_rel_error(params, grads, idx, lengths, labels, eps=1e-5):
             k = it.multi_index
             original = p[k]
             p[k] = original + eps
-            _, up = nn.backward(params, idx, lengths, labels, training=False)
+            _, up = nn.backward(params, idx, lengths, labels)
             p[k] = original - eps
-            _, down = nn.backward(params, idx, lengths, labels, training=False)
+            _, down = nn.backward(params, idx, lengths, labels)
             p[k] = original
             fd = (up - down) / (2 * eps)
             analytic = grads[name][k]
@@ -508,10 +511,8 @@ class TestMaskingEquivalence:
             assert np.array_equal(
                 nn.forward_logits(params, real, lengths),
                 nn.forward_logits(params, padded, lengths))
-            g_real, l_real = nn.backward(params, real, lengths, label,
-                                         training=False)
-            g_pad, l_pad = nn.backward(params, padded, lengths, label,
-                                       training=False)
+            g_real, l_real = nn.backward(params, real, lengths, label)
+            g_pad, l_pad = nn.backward(params, padded, lengths, label)
             assert l_real == l_pad
             g_real, g_pad = (dense_grads(params, g_real),
                              dense_grads(params, g_pad))
@@ -909,14 +910,13 @@ class TestPackedLayout:
         for b in range(8):
             idx[b, lengths[b]:] = 0
         labels = rng.integers(0, 2, size=8)
-        grads, loss = nn.backward(params, idx, lengths, labels,
-                                  training=False)
+        grads, loss = nn.backward(params, idx, lengths, labels)
         logits = nn.forward_logits(params, idx, lengths)
         h_final = nn._lstm_forward_batch(params, idx, lengths)["h_final"]
         for trial in range(5):
             perm = rng.permutation(8)
             p_grads, p_loss = nn.backward(params, idx[perm], lengths[perm],
-                                          labels[perm], training=False)
+                                          labels[perm])
             got = nn._lstm_forward_batch(params, idx[perm], lengths[perm])
             assert np.max(np.abs(got["h_final"] - h_final[perm])) <= 1e-12
             assert np.max(np.abs(nn.forward_logits(
@@ -1039,8 +1039,7 @@ def dense_embedding_grad(params, idx, lengths, labels):
             [params.embedding, params.embedding[ids]])})
     spread_idx = idx.copy()
     spread_idx[:, :steps] = own.reshape(steps, -1).T
-    grads, _ = nn.backward(spread, spread_idx, lengths, labels,
-                           training=False)
+    grads, _ = nn.backward(spread, spread_idx, lengths, labels)
     per_position = dense(grads["embedding"], spread.embedding.shape,
                          params.embedding.dtype)[own]
     want = np.zeros_like(params.embedding)
@@ -1060,7 +1059,7 @@ class TestRowGrad:
         idx[2, 1] = 0            # the pad id inside a sequence
         lengths[1:] = np.maximum(lengths[1:], 2)
         labels = rng.integers(0, 2, size=5)
-        grads, _ = nn.backward(params, idx, lengths, labels, training=False)
+        grads, _ = nn.backward(params, idx, lengths, labels)
         g = grads["embedding"]
         steps = lengths.max()
         assert np.array_equal(g.rows, np.unique(idx[:, :steps]))
@@ -1075,7 +1074,7 @@ class TestRowGrad:
         params = random_params(tiny_config(), seed=3)
         idx = np.zeros((2, 5), dtype=np.int64)
         grads, _ = nn.backward(params, idx, np.zeros(2, np.int64),
-                               np.array([0, 1]), training=False)
+                               np.array([0, 1]))
         g = grads["embedding"]
         assert g.rows.shape == (0,) and g.values.shape == (0, 3)
         assert np.array_equal(dense(g, (6, 3), np.float64), np.zeros((6, 3)))
@@ -1089,7 +1088,7 @@ class TestRowGrad:
                                             batch=4)
         tracemalloc.start()
         try:
-            nn.backward(params, idx, lengths, labels, training=False)
+            nn.backward(params, idx, lengths, labels)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1139,7 +1138,7 @@ class TestRowGrad:
         idx, lengths, labels = random_batch(cfg, np.random.default_rng(3))
         params.embedding[idx[0, 0]] = bad
         with pytest.raises(FloatingPointError, match="embedding"):
-            nn.backward(params, idx, lengths, labels, training=False)
+            nn.backward(params, idx, lengths, labels)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
@@ -1204,7 +1203,7 @@ class TestRowGrad:
         arrays = want.arrays()
         m = {k: np.zeros_like(a) for k, a in arrays.items()}
         v = {k: np.zeros_like(a) for k, a in arrays.items()}
-        drop_rng = np.random.default_rng((tcfg.seed, 2))
+        drop_rng = stream(tcfg.seed, "dropout")
         t = 0
         for epoch in range(tcfg.epochs):
             for batch in batch_iter(ds, tcfg.batch_size, tcfg.seed, epoch):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sentimen import nn
+from sentimen.seeds import stream
 from sentimen.train import (EncodedDataset, TrainConfig, batch_iter,
                             evaluate_split, save_history_csv, train)
 
@@ -129,8 +130,8 @@ class TestTrain:
         losses = []
         for batch in batch_iter(ds, 1, 7, 0):
             grads, loss = nn.backward(manual, batch.indices, batch.lengths,
-                                      batch.labels, training=True,
-                                      rng=np.random.default_rng((7, 2)))
+                                      batch.labels,
+                                      rng=stream(7, "dropout"))
             losses.append(loss)
             nn.adam_step(manual, grads, state, 5e-4)
         assert result.history[0].train_loss == pytest.approx(
@@ -149,13 +150,13 @@ class TestTrain:
                                    learning_rate=0.05))
 
         state = nn.AdamState.for_params(manual)
-        drop_rng = np.random.default_rng((7, 2))
+        drop_rng = stream(7, "dropout")
         correct = 0
         for b in batch_iter(ds, 3, 7, 0):
             logits = nn.forward_logits(manual, b.indices, b.lengths)
             correct += int((logits.argmax(axis=1) == b.labels).sum())
             grads, _ = nn.backward(manual, b.indices, b.lengths, b.labels,
-                                   rng=drop_rng, training=True)
+                                   rng=drop_rng)
             nn.adam_step(manual, grads, state, 0.05)
         assert result.history[0].train_accuracy == correct / len(ds)
         for name, arr in params.arrays().items():
@@ -259,8 +260,8 @@ class TestWeightedLoss:
         idx, lengths, labels = np.array([[3, 1]]), np.array([2]), np.array([1])
         plain = nn.row_cross_entropy(nn.forward_logits(params, idx, lengths),
                                      labels)[0]
-        g_plain, _ = nn.backward(params, idx, lengths, labels, training=False)
-        grads, loss = nn.backward(params, idx, lengths, labels, training=False,
+        g_plain, _ = nn.backward(params, idx, lengths, labels)
+        grads, loss = nn.backward(params, idx, lengths, labels,
                                   class_weights=np.array([1.0, 1.0]))
         assert loss == pytest.approx(plain)
         grads = dense_grads(params, grads)
@@ -277,7 +278,6 @@ class TestWeightedLoss:
         params.b_out[:] = [math.log(2), 0.0]
         grads, loss = nn.backward(params, np.array([[1, 2], [3, 0]]),
                                   np.array([2, 1]), np.array([0, 1]),
-                                  training=False,
                                   class_weights=np.array([1.0, 2.0]))
         # (1 * -ln(2/3) + 2 * -ln(1/3)) / (1 + 2)
         assert loss == pytest.approx((math.log(1.5) + 2 * math.log(3)) / 3,
@@ -292,10 +292,8 @@ class TestWeightedLoss:
         cfg = nn.ModelConfig(vocab_size=10, embed_dim=4, hidden_dim=4,
                              max_len=4, fc_dropout=0.0)
         params = nn.init_params(cfg, seed=3)
-        _, plain = nn.backward(params, ds.indices, ds.lengths, ds.labels,
-                               training=False)
+        _, plain = nn.backward(params, ds.indices, ds.lengths, ds.labels)
         _, weighted = nn.backward(params, ds.indices, ds.lengths, ds.labels,
-                                  training=False,
                                   class_weights=np.array([1.0, 1.0]))
         assert weighted == pytest.approx(plain, rel=1e-12)
 

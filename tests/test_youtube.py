@@ -91,7 +91,7 @@ class TestErrors:
         with pytest.raises(FetchError, match="^video not found$"):
             fetch_comments("vid", api_key="k", base_url=server.url)
 
-    def test_server_error_is_retryable(self, comments_server):
+    def test_server_error_is_transient_failure(self, comments_server):
         server = comments_server(fail_status=500)
         with pytest.raises(FetchError,
                            match=r"^transient API failure \(HTTP 500\)$"):
@@ -103,7 +103,7 @@ class TestErrors:
             fetch_comments("vid", api_key="k", max_pages=-1,
                            base_url=server.url)
 
-    def test_connection_failure_is_retryable_without_key(self):
+    def test_connection_failure_hides_key(self):
         session = FakeSession(requests.ConnectionError("url?key=secret-key"))
         with pytest.raises(FetchError, match="^request to .* failed: "
                                              "ConnectionError$") as info:
@@ -138,7 +138,7 @@ class TestErrors:
     @pytest.mark.parametrize("base_url,kind", [
         ("notaurl", "MissingSchema"), ("ftp2://host/x", "InvalidSchema"),
         ("http://", "InvalidURL")])
-    def test_bad_base_url_is_not_retryable(self, base_url, kind):
+    def test_bad_base_url_is_invalid_url(self, base_url, kind):
         # requests rejects these URLs before it opens a connection
         with pytest.raises(InvalidUrlError) as info:
             fetch_comments("vid", api_key="secret-key", base_url=base_url)

@@ -48,8 +48,7 @@ MUTANTS = (
            "    d_logits /= len(labels)\n",
            ("tests/test_train.py::TestWeightedLoss::test_analytic_scaling",)),
     Mutant("batches_in_corpus_order", "src/sentimen/train.py",
-           "    order = np.random.default_rng((seed, _STREAM_SHUFFLE,\n"
-           "                                   epoch_index)).permutation(n)\n",
+           '    order = stream(seed, "shuffle", epoch_index).permutation(n)\n',
            "    order = np.arange(n)\n",
            ("tests/test_train.py::TestBatchIter::test_different_epoch_differs",)),
     Mutant("naive_bayes_half_smoothing", "src/sentimen/baselines.py",
@@ -119,6 +118,23 @@ MUTANTS = (
             "three_classes-evaluate]",
             "tests/test_cli.py::test_bad_model_file_exit_2_naming_it["
             "three_classes-predict]")),
+    Mutant("memo_key_without_slang_map", "src/sentimen/preprocess.py",
+           "            frozenset(slang.items()), stopwords, roots))",
+           "            frozenset(), stopwords, roots))",
+           ("tests/test_preprocess.py::TestWordMemo::"
+            "test_other_dictionaries_never_share_entries[slang-value0-tokens0]",)),
+    Mutant("translate_table_keeps_digits", "src/sentimen/preprocess.py",
+           "if _NON_LETTER_RE.match(chr(c)))",
+           "if _NON_LETTER_RE.match(chr(c))\n"
+           "                           and not chr(c).isdigit())",
+           ("tests/test_preprocess.py::TestClean::test_digits_stripped_in_place",
+            "tests/test_preprocess.py::TestClean::"
+            "test_ascii_translate_matches_regex_per_character")),
+    Mutant("predict_chunk_printed_in_reverse", "src/sentimen/cli.py",
+           "        for pred in nn.predict_encoded(params, *encoded):\n",
+           "        for pred in reversed(nn.predict_encoded(params, *encoded)):\n",
+           ("tests/test_cli.py::TestPredictCommand::"
+            "test_chunks_match_per_line_predict",)),
     # the numeric gates: c04 gradients, c05 padding, c09 seeded streams,
     # the embedding gradient's summation order and Adam's bias correction
     Mutant("candidate_gate_derivative_sign", "src/sentimen/nn.py",
@@ -131,13 +147,19 @@ MUTANTS = (
            "    lengths = np.minimum(np.maximum(lengths, 0) + 1, "
            "indices.shape[1])\n",
            ("tests/test_acceptance.py::test_c05_masking_equivalence_100_cases",)),
-    Mutant("shuffle_and_dropout_streams_swapped", "src/sentimen/train.py",
-           "_STREAM_SHUFFLE = 1\n_STREAM_DROPOUT = 2\n",
-           "_STREAM_SHUFFLE = 2\n_STREAM_DROPOUT = 1\n",
-           ("tests/test_train.py::TestTrain::"
-            "test_train_accuracy_is_pre_update_without_dropout",
-            "tests/test_nn.py::TestRowGrad::"
-            "test_seeded_training_matches_dense_adam")),
+    Mutant("shuffle_and_dropout_streams_swapped", "src/sentimen/seeds.py",
+           '"dropout": 2, "svm": 3,\n           "init": 4, "shuffle": 5}',
+           '"dropout": 5, "svm": 3,\n           "init": 4, "shuffle": 2}',
+           ("tests/test_seeds.py::test_kept_ids_draw_as_two_word_keys[0]",
+            "tests/test_seeds.py::test_kept_ids_draw_as_two_word_keys[3]")),
+    Mutant("init_stream_shares_split", "src/sentimen/seeds.py",
+           '"init": 4,', '"init": 0,',
+           ("tests/test_seeds.py::test_every_stream_is_distinct[0]",
+            "tests/test_seeds.py::test_every_stream_is_distinct[4294967301]")),
+    Mutant("shuffle_stream_shares_split", "src/sentimen/seeds.py",
+           '"shuffle": 5}', '"shuffle": 1}',
+           ("tests/test_seeds.py::test_every_stream_is_distinct[0]",
+            "tests/test_seeds.py::test_every_stream_is_distinct[4294967301]")),
     Mutant("row_grad_summed_in_reverse", "src/sentimen/nn.py",
            "    np.add.at(d_rows[pad:], slot, d_gates[pos[real]] @ params.w_ih)\n",
            "    np.add.at(d_rows[pad:], slot[::-1],\n"
