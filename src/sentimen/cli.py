@@ -53,8 +53,12 @@ def _checked(convert, expected: str, accepts=lambda _: True,
     return parse
 
 
-def _integer(low: int, optional: bool = False):
-    return _checked(int, f"an integer >= {low}", lambda n: n >= low, optional)
+def _integer(low: int, optional: bool = False, high: int | None = None):
+    expected = (f"an integer >= {low}" if high is None
+                else f"an integer in [{low}, {high}]")
+    return _checked(int, expected,
+                    lambda n: n >= low and (high is None or n <= high),
+                    optional)
 
 
 def _real(accepts, expected: str):
@@ -69,7 +73,9 @@ _fraction = _real(lambda x: 0 <= x <= 1, "in [0, 1]")
 # key -> (default, parser).  resolve_config parses every key once, before
 # any command reads its inputs or creates its out-dir.
 SCHEMA = {
-    "seed": ("0", _integer(0)),
+    # one 32-bit word: seeds.stream keys a generator by (seed, id, index),
+    # and a larger seed's extra words would alias another seed's keys
+    "seed": ("0", _integer(0, high=2**32 - 1)),
     "epochs": ("20", _integer(0)),
     "batch_size": ("16", _integer(1)),
     "learning_rate": ("0.0005", _positive),

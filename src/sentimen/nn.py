@@ -19,16 +19,16 @@ come back in the caller's row order.
 A batch's P real positions touch at most P of the embedding table's V
 rows, so ``backward`` returns the embedding gradient as a ``RowGrad``: the
 sorted, unique touched rows and their summed gradients, with no dense
-(V, E) array built or scanned.  ``adam_step`` takes a ``RowGrad`` for any
-array and applies dense Adam to it exactly: every row's moments decay and
-every row steps, and only the touched rows add their gradient terms.
+(V, E) array built or scanned.  After its first steps ``adam_step`` moves
+only those rows, and ``adam_catch_up`` brings an idle row up to date in
+closed form before anything reads it.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 from pathlib import Path
@@ -365,7 +365,16 @@ def _lstm_backward_batch(params: ModelParams, cache: dict,
     pad = int(len(real) < batch * steps)
     rows = np.concatenate((np.zeros(pad, dtype=touched.dtype), touched))
     d_rows = np.zeros((len(rows), x.shape[-1]), dtype=x.dtype)
-    np.add.at(d_rows[pad:], slot, d_gates[pos[real]] @ params.w_ih)
+    d_pos = d_gates[pos[real]] @ params.w_ih
+    # np.add.at's sums, by rounds: round r adds the r-th position of every
+    # row that has one, so no row occurs twice in a round's += and each
+    # row adds its positions in order
+    by_row = np.argsort(slot, kind="stable")
+    counts = np.bincount(slot)
+    first = np.cumsum(counts) - counts
+    for r in range(counts.max(initial=0)):
+        have = np.flatnonzero(counts > r)
+        d_rows[pad + have] += d_pos[by_row[first[have] + r]]
     return {"embedding": RowGrad(rows, d_rows), "w_ih": d_w_ih, "w_hh": d_w_hh,
             "b_ih": d_b, "b_hh": d_b.copy()}
 
@@ -439,8 +448,8 @@ def backward(params: ModelParams, indices: np.ndarray, lengths: np.ndarray,
 
 # --- Adam --------------------------------------------------------------------
 
-# elements per slice of the blocked Adam update: the slice's parameters,
-# gradients, moments and scratch stay in cache between passes
+# elements per block of the row-wise Adam passes over the embedding: one
+# block's gathered rows, moments and scratch are all a pass holds at once
 _ADAM_BLOCK = 1 << 16
 
 # Adam's moment decay rates and denominator epsilon
@@ -448,87 +457,221 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# Catch-up, by parameter dtype: (T0, J).  For its first T0 steps Adam
+# steps every live embedding row, since the catch-up series converges
+# slowly over windows that start while bc2 still grows fast; after them,
+# only the rows it has a gradient for.  A window sum takes the J steps
+# after its start; later terms carry b1**j below 4.9e-8 (float32) or
+# 3.4e-17 (float64) and are dropped.
+_CATCH_UP = {np.dtype(np.float32): (50, 160), np.dtype(np.float64): (100, 360)}
+# terms of the catch-up series, and the steps its pivot is centred over
+_SERIES_TERMS = 24
+_PIVOT_STEPS = 160
+
 
 @dataclass
 class AdamState:
+    """Adam's moments and step count, plus what the embedding's catch-up
+    needs.
+
+    ``last[r]`` is the step embedding row r was last brought up to, and
+    ``live[r]`` is False while row r's moments are all zero: a g = 0 step
+    leaves such a row unchanged, so it is always current.  ``sums[s]``
+    holds the window sums of the steps after step s (``adam_catch_up``).
+    """
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
+    last: np.ndarray = field(init=False, repr=False)
+    live: np.ndarray = field(init=False, repr=False)
+    sums: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        m, v = self.m["embedding"], self.v["embedding"]
+        self.last = np.full(len(m), self.t)
+        self.live = np.any(m, axis=1) | np.any(v, axis=1)
+        self.sums = np.zeros((self.t + 1, _SERIES_TERMS))
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
         return cls(m={k: np.zeros_like(a) for k, a in params.arrays().items()},
                    v={k: np.zeros_like(a) for k, a in params.arrays().items()})
 
+    def behind(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """The embedding rows among ``rows`` (default: all) that are not
+        up to step ``t``."""
+        if rows is None:
+            return np.flatnonzero(self.live & (self.last < self.t))
+        return rows[self.live[rows] & (self.last[rows] < self.t)]
+
+
+def _row_blocks(rows: np.ndarray, width: int) -> Iterator[np.ndarray]:
+    """``rows`` in pieces of at most ``_ADAM_BLOCK`` elements of ``width``."""
+    n = max(1, _ADAM_BLOCK // width)
+    return (rows[lo:lo + n] for lo in range(0, len(rows), n))
+
+
+def _adam_update(p, m, v, g, lr: float, bc1: float, bc2: float,
+                 name: str) -> None:
+    """The plain Adam formula, in place on ``p``, ``m`` and ``v``; ``g``
+    None is the g = 0 step without its ``+ 0.0`` terms."""
+    m *= ADAM_BETA1
+    v *= ADAM_BETA2
+    if g is not None:
+        m += (1.0 - ADAM_BETA1) * g
+        v += (1.0 - ADAM_BETA2) * np.square(g)
+    den = np.sqrt(v / bc2)
+    den += ADAM_EPS
+    step = m / bc1
+    step *= lr
+    step /= den
+    if not np.isfinite(step).all():
+        raise FloatingPointError(f"non-finite Adam update for {name}")
+    p -= step
+
+
+def _step_rows(params: ModelParams, state: AdamState, rows: np.ndarray,
+               values: np.ndarray | None, lr: float, bc1: float,
+               bc2: float) -> None:
+    """``_adam_update`` on the embedding rows ``rows``, a block at a time."""
+    p, m, v = params.embedding, state.m["embedding"], state.v["embedding"]
+    n = 0
+    for r in _row_blocks(rows, p.shape[1]):
+        pb, mb, vb = p[r], m[r], v[r]
+        g = None if values is None else values[n:n + len(r)]
+        _adam_update(pb, mb, vb, g, lr, bc1, bc2, "embedding")
+        p[r], m[r], v[r] = pb, mb, vb
+        n += len(r)
+
+
+def _window_c(s, j):
+    """c of step s + j in the window after step s: sqrt(bc2) * b2**(-j/2)."""
+    return np.sqrt(1.0 - ADAM_BETA2 ** (s + j)) * ADAM_BETA2 ** (-j / 2)
+
+
+def _pivot(s):
+    """c* of the window after step s: c grows with j, so the midpoint of
+    its range over the first ``_PIVOT_STEPS`` steps is that of its ends."""
+    return (_window_c(s, 1) + _window_c(s, _PIVOT_STEPS)) / 2
+
 
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray | RowGrad],
               state: AdamState, lr: float) -> tuple[ModelParams, AdamState]:
     """Bias-corrected Adam update, in place on the parameters and moments.
 
-    Works through each array in row slices of about ``_ADAM_BLOCK``
-    elements.  The per-element arithmetic is the plain formula's,
-    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g**2``,
-    ``p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``, in the same order, so the
-    result is bit-identical to it when gradients share the parameter dtype.
+    Each array takes the plain formula, ``m = b1*m + (1-b1)*g``,
+    ``v = b2*v + (1-b2)*g**2``, ``p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``,
+    in that order, so the result is bit-identical to it when gradients
+    share the parameter dtype.  The dense arrays take it whole.
 
-    A gradient may be a dense array or a ``RowGrad``; a dense one is the
-    case where every row is touched.  Every row takes ``m *= b1``,
-    ``v *= b2`` and the parameter step, and only the touched rows add
-    ``(1-b1)*g`` and ``(1-b2)*g**2``.  For an untouched row that is the
-    plain formula with g = 0, where adding +0.0 changes no bit, with one
-    exception: a moment that underflows to -0.0 stays -0.0, where the dense
-    formula would make it +0.0.  The parameters are the same either way.
+    The embedding gradient may be a ``RowGrad`` or a dense array (every
+    row listed).  Its rows take the formula a block at a time.  For the
+    first T0 steps (``_CATCH_UP``) every other live row takes the g = 0
+    step too, as ``m *= b1``, ``v *= b2`` and the parameter step, so the
+    table is the dense formula's; the one exception is a moment that
+    underflows to -0.0, which keeps its sign.  After T0 only the listed
+    rows move; each step adds its terms to ``state.sums``, from which
+    ``adam_catch_up`` brings an idle row up to date when it is next read.
 
-    A gradient of the wrong shape, or a malformed ``RowGrad``, raises
+    A gradient of the wrong shape, a malformed ``RowGrad``, or one for a
+    row that ``adam_catch_up`` has not brought up to date raises
     ``ValueError`` before anything changes.  A non-finite update raises
-    ``FloatingPointError`` at the first slice that has one.  The update is
-    then partial: the arrays and slices before it, and that slice's
-    moments, are already updated; the rest are not.
+    ``FloatingPointError`` naming the array; the step is then partly
+    applied, and the state is not fit for further steps.
     """
-    arrays = params.arrays()
-    touched = {}
-    for name, p in arrays.items():
-        g = grads[name]
-        if not isinstance(g, RowGrad):
-            g = RowGrad(np.arange(len(p)), np.asarray(g))
-        g.check(p.shape, name)
-        touched[name] = g
+    emb = grads["embedding"]
+    if not isinstance(emb, RowGrad):
+        emb = RowGrad(np.arange(len(params.embedding)), np.asarray(emb))
+    emb.check(params.embedding.shape, "embedding")
+    for name, p in params.arrays().items():
+        if name != "embedding" and np.shape(grads[name]) != p.shape:
+            raise ValueError(f"gradient shape {np.shape(grads[name])} != "
+                             f"{p.shape} for {name}")
+    behind = state.behind(emb.rows)
+    if len(behind):
+        raise ValueError(f"embedding rows {behind[:5].tolist()} are behind "
+                         f"step {state.t}; adam_catch_up them first")
     state.t += 1
-    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-    bc1 = 1.0 - b1 ** state.t
-    bc2 = 1.0 - b2 ** state.t
-    for name, p in arrays.items():
-        g = touched[name]
-        m, v = state.m[name], state.v[name]
-        n = max(1, _ADAM_BLOCK // max(1, math.prod(p.shape[1:])))
-        step_buf, den_buf = np.empty((2,) + p[:n].shape, p.dtype)
-        finite_buf = np.empty(step_buf.shape, bool)
-        # slice [s, s + n) holds the touched rows g.rows[lo:hi]
-        cuts = np.searchsorted(g.rows, range(0, len(p) + n, n))
-        for s, lo, hi in zip(range(0, len(p), n), cuts, cuts[1:]):
-            pb, mb, vb = p[s:s + n], m[s:s + n], v[s:s + n]
-            step, den, finite = (b[:len(pb)] for b in
-                                 (step_buf, den_buf, finite_buf))
-            gb, g_term = g.values[lo:hi], step[:hi - lo]
-            at = slice(None) if hi - lo == len(pb) else g.rows[lo:hi] - s
-            mb *= b1
-            np.multiply(gb, 1.0 - b1, out=g_term)
-            mb[at] += g_term
-            vb *= b2
-            np.square(gb, out=g_term)
-            g_term *= 1.0 - b2
-            vb[at] += g_term
-            np.divide(vb, bc2, out=den)
-            np.sqrt(den, out=den)
-            den += eps
-            np.divide(mb, bc1, out=step)
-            step *= lr
-            step /= den
-            if not np.isfinite(step, out=finite).all():
-                raise FloatingPointError(f"non-finite Adam update for {name}")
-            pb -= step
+    t = state.t
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    bc1 = 1.0 - b1 ** t
+    bc2 = 1.0 - b2 ** t
+    for name, p in params.arrays().items():
+        if name != "embedding":
+            _adam_update(p, state.m[name], state.v[name], grads[name],
+                         lr, bc1, bc2, name)
+
+    t0, span = _CATCH_UP[params.embedding.dtype]
+    if t <= t0:
+        idle = np.setdiff1d(np.flatnonzero(state.live), emb.rows,
+                            assume_unique=True)
+        _step_rows(params, state, idle, None, lr, bc1, bc2)
+        state.last[:] = t
+    _step_rows(params, state, emb.rows, emb.values, lr, bc1, bc2)
+    state.live[emb.rows[np.any(emb.values != 0, axis=1)]] = True
+    state.last[emb.rows] = t
     params.embedding[0] = 0.0  # pad row frozen
+
+    if t > t0:
+        if t >= len(state.sums):
+            grown = np.zeros((2 * t, _SERIES_TERMS))
+            grown[:len(state.sums)] = state.sums
+            state.sums = grown
+        # step t is step j = t - s of each open window s
+        s = np.arange(max(t0, t - span), t)
+        c = _window_c(s, t - s)
+        a = lr * b1 ** (t - s) * c / bc1
+        state.sums[s] += (a[:, None] * (c - _pivot(s))[:, None]
+                          ** np.arange(_SERIES_TERMS))
     return params, state
+
+
+def adam_catch_up(params: ModelParams, state: AdamState,
+                  rows: np.ndarray | None = None) -> None:
+    """Bring the embedding rows ``rows`` (default: all) up to step
+    ``state.t``, in place.
+
+    A row last updated at step s missed k = t - s steps with g = 0.  Over
+    them m and v decay to b1**k * m and b2**k * v, and step s + j moves the
+    parameter by ``lr*a_j*m / (sqrt(v) + eps*c_j)``, with
+    ``c_j = sqrt(bc2) * b2**(-j/2)`` and ``a_j = b1**j * c_j / bc1`` at step
+    s + j.  Expanding each term around the window's pivot c* gives, with
+    ``D = sqrt(v) + eps*c*``,
+
+        delta = m/D * sum_n (-eps/D)**n * S[s, n],
+        S[s, n] = sum_j lr*a_j * (c_j - c*)**n,
+
+    which converges for every v >= 0, as |c_j - c*| < c*.  ``adam_step``
+    keeps the sums S.  The arithmetic is float64, a block of rows at a
+    time, so a float32 row is rounded once, not once per missed step as
+    dense Adam would.  A non-finite update raises ``FloatingPointError``
+    naming the array; the blocks before it are then caught up and the
+    rest are not.
+    """
+    p, m, v = params.embedding, state.m["embedding"], state.v["embedding"]
+    eps = ADAM_EPS
+    for r in _row_blocks(state.behind(rows), p.shape[1]):
+        s = state.last[r]
+        k = (state.t - s)[:, None]
+        sums = state.sums[s]
+        mb = m[r].astype(np.float64, copy=False)
+        vb = v[r].astype(np.float64, copy=False)
+        den = np.sqrt(vb)
+        den += eps * _pivot(s)[:, None]
+        ratio = -eps / den
+        series = np.zeros_like(den)
+        for n in range(_SERIES_TERMS - 1, -1, -1):
+            series *= ratio
+            series += sums[:, n, None]
+        series *= mb
+        series /= den
+        if not np.isfinite(series).all():
+            raise FloatingPointError("non-finite Adam catch-up for embedding")
+        p[r] -= series
+        m[r] = mb * ADAM_BETA1 ** k
+        v[r] = vb * ADAM_BETA2 ** k
+        state.last[r] = state.t
+    p[0] = 0.0  # pad row frozen
 
 
 # --- prediction ---------------------------------------------------------------
@@ -634,6 +777,11 @@ class _Reader:
 
 def save_checkpoint(path: str | Path, params: ModelParams,
                     adam: AdamState | None = None) -> None:
+    """Write ``params`` and, when given, ``adam``, whose embedding rows
+    must all be up to its step (``adam_catch_up``)."""
+    if adam is not None and len(adam.behind()):
+        raise ValueError("Adam state has embedding rows behind its step; "
+                         "adam_catch_up them first")
     cfg = params.config
     dtype = params.embedding.dtype
     code = _dtype_code(dtype)

@@ -118,6 +118,8 @@ def train(params: nn.ModelParams, train_set: EncodedDataset,
         correct = 0
         for batch_no, batch in enumerate(batch_iter(train_set, cfg.batch_size,
                                                     cfg.seed, epoch)):
+            # the rows the batch reads, brought up to the current step
+            nn.adam_catch_up(params, adam, np.unique(batch.indices))
             # train accuracy comes from the no-dropout logits of the
             # forward pass the loss is taken on, before the update
             logits = np.empty((len(batch), n_classes))
@@ -133,6 +135,8 @@ def train(params: nn.ModelParams, train_set: EncodedDataset,
             correct += int((logits.argmax(axis=1) == batch.labels).sum())
         train_loss = epoch_loss / len(train_set)
         train_acc = correct / len(train_set)
+        # every row current for validation, best_params and final_params
+        nn.adam_catch_up(params, adam)
 
         if val_set is not None and len(val_set):
             val_loss, val_acc = evaluate_split(params, val_set)

@@ -66,7 +66,7 @@ def assert_one_error_line(capsys, prefix="error: "):
 
 # at least one bad value for every key of cli.SCHEMA
 BAD_CONFIG = {
-    "seed": ["1.5", "-1", "x"],
+    "seed": ["1.5", "-1", "x", "4294967296"],
     "epochs": ["1e3", "-1", ""],
     "batch_size": ["x", "0"],
     "learning_rate": ["nan", "inf", "0", "-0.1", "fast"],

@@ -1001,24 +1001,12 @@ class TestBlockedAdam:
         with pytest.raises(FloatingPointError, match="w_hh"):
             nn.adam_step(params, grads, nn.AdamState.for_params(params), 0.1)
 
-    def test_non_finite_update_stops_at_its_slice(self):
-        # slices before the non-finite one are updated, it and the rest not
-        per_slice = nn._ADAM_BLOCK // 16
-        cfg = nn.ModelConfig(vocab_size=3 * per_slice, embed_dim=16,
-                             hidden_dim=3, num_classes=2, max_len=4)
-        params = nn.init_params(cfg, seed=1)
-        before = {k: a.copy() for k, a in params.arrays().items()}
-        grads = {k: np.ones_like(a) for k, a in params.arrays().items()}
-        grads["embedding"][per_slice + 5, 0] = np.nan
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_catch_up_rejected(self):
+        params, state = stale_state(np.float64)
+        state.m["embedding"][8, 1] = np.nan  # an even row, behind
         with pytest.raises(FloatingPointError, match="embedding"):
-            nn.adam_step(params, grads, nn.AdamState.for_params(params), 0.1)
-        emb = params.embedding
-        assert np.all(emb[1:per_slice] != before["embedding"][1:per_slice])
-        assert np.array_equal(emb[per_slice:],
-                              before["embedding"][per_slice:])
-        for k, a in params.arrays().items():
-            if k != "embedding":
-                assert np.array_equal(a, before[k]), k
+            nn.adam_catch_up(params, state)
 
 
 # --- the row-sparse embedding gradient ----------------------------------------
@@ -1142,23 +1130,15 @@ class TestRowGrad:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
-    def test_non_finite_touched_row_stops_adam_at_its_slice(self, bad):
-        per_slice = nn._ADAM_BLOCK // 16
-        cfg = nn.ModelConfig(vocab_size=3 * per_slice, embed_dim=16,
-                             hidden_dim=3, num_classes=2, max_len=4)
+    def test_non_finite_touched_row_rejected_by_adam(self, bad):
+        cfg = tiny_config()
         params = nn.init_params(cfg, seed=1)
-        before = params.embedding.copy()
         grads = {k: np.ones_like(a) for k, a in params.arrays().items()}
-        values = np.ones((3, 16))
-        values[1, 4] = bad
-        grads["embedding"] = nn.RowGrad(
-            np.array([3, per_slice + 5, 2 * per_slice]), values)
+        values = np.ones((3, 3))
+        values[1, 2] = bad
+        grads["embedding"] = nn.RowGrad(np.array([1, 3, 5]), values)
         with pytest.raises(FloatingPointError, match="embedding"):
             nn.adam_step(params, grads, nn.AdamState.for_params(params), 0.1)
-        # the first slice's touched row stepped; the slice it fails in and
-        # the next did not
-        assert np.all(params.embedding[3] != before[3])
-        assert np.array_equal(params.embedding[per_slice:], before[per_slice:])
 
     @pytest.mark.parametrize("rows,values_shape", [
         ([1, 2], (3, 3)),        # fewer rows than values
@@ -1216,6 +1196,183 @@ class TestRowGrad:
                 want.embedding[0] = 0.0
         for k, a in result.final_params.arrays().items():
             assert np.array_equal(a, arrays[k]), k
+
+
+# --- catch-up Adam --------------------------------------------------------------
+
+def stale_state(dtype, vocab=40, embed=4, idle_steps=30):
+    """A model and Adam state ``idle_steps`` steps past T0, in which every
+    row stepped up to T0 and then only the odd rows did."""
+    cfg = nn.ModelConfig(vocab_size=vocab, embed_dim=embed, hidden_dim=2,
+                         num_classes=2, max_len=3)
+    params = nn.init_params(cfg, seed=3, dtype=dtype)
+    state = nn.AdamState.for_params(params)
+    rng = np.random.default_rng(5)
+    t0, _ = nn._CATCH_UP[np.dtype(dtype)]
+    for t in range(t0 + idle_steps):
+        rows = np.arange(1, vocab, 1 if t < t0 else 2)
+        grads = {k: rng.normal(size=a.shape).astype(dtype)
+                 for k, a in params.arrays().items()}
+        grads["embedding"] = nn.RowGrad(rows, grads["embedding"][rows])
+        nn.adam_step(params, grads, state, 0.01)
+    return params, state
+
+
+class TestCatchUpAdam:
+    def test_matches_the_dense_formula(self):
+        # groups of 8 rows with gradient scales from 1 (u = eps/sqrt(v)
+        # about 3e-7) to 1e-10 (u about 3e3), and a group whose moments are
+        # set to m != 0, v = 0 at T0 and never touched again; every fourth
+        # row goes idle 20 steps after T0, for more than J steps
+        dtype = np.dtype(np.float64)
+        t0, span = nn._CATCH_UP[dtype]
+        scales = [1.0, 1e-3, 1e-6, 1e-8, 1e-10, 1.0]
+        per, e_dim = 8, 3
+        cfg = nn.ModelConfig(vocab_size=1 + per * len(scales),
+                             embed_dim=e_dim, hidden_dim=2, num_classes=2,
+                             max_len=3)
+        group = np.repeat(np.arange(len(scales)), per)
+        v_zero = 1 + np.flatnonzero(group == len(scales) - 1)
+        row_scale = np.concatenate(([1.0], np.array(scales)[group]))
+        rng = np.random.default_rng(21)
+        params = nn.init_params(cfg, seed=4, dtype=dtype)
+        state = nn.AdamState.for_params(params)
+        want = {k: a.copy() for k, a in params.arrays().items()}
+        m = {k: np.zeros_like(a) for k, a in want.items()}
+        v = {k: np.zeros_like(a) for k, a in want.items()}
+        rows_all = np.arange(1, cfg.vocab_size)
+        mid, steps = t0 + span + 30, t0 + span + 150
+
+        def check():
+            nn.adam_catch_up(params, state)
+            assert len(state.behind()) == 0
+            for g in range(len(scales)):
+                sel = 1 + np.flatnonzero(group == g)
+                for got, ref in ((params.embedding, want["embedding"]),
+                                 (state.m["embedding"], m["embedding"]),
+                                 (state.v["embedding"], v["embedding"])):
+                    tol = 1e-12 * np.abs(ref[sel]).max()
+                    assert np.abs(got[sel] - ref[sel]).max() <= tol, g
+
+        for t in range(1, steps + 1):
+            keep = rng.random(len(rows_all)) < (0.5 if t <= t0 + 20 else 0.1)
+            if t > t0:
+                keep &= ~np.isin(rows_all, v_zero)
+            if t > t0 + 20:
+                keep &= rows_all % 4 != 0
+            rows = rows_all[keep]
+            values = rng.normal(size=(len(rows), e_dim)) * row_scale[rows, None]
+            grads = {k: rng.normal(size=a.shape) for k, a in want.items()}
+            grads["embedding"] = nn.RowGrad(rows, values)
+            full = dense_grads(params, grads)
+            nn.adam_catch_up(params, state, rows)
+            nn.adam_step(params, grads, state, lr=0.01)
+            for k in want:
+                unblocked_adam_step(want[k], full[k], m[k], v[k], t, 0.01)
+            want["embedding"][0] = 0.0
+            if t == t0:
+                moment = rng.normal(size=(len(v_zero), e_dim)) * 1e-3
+                for ms, vs in ((state.m, state.v), (m, v)):
+                    ms["embedding"][v_zero] = moment
+                    vs["embedding"][v_zero] = 0.0
+            if t == mid:
+                assert np.all(state.t - state.last[4::4] > span)
+                check()
+        check()
+        for k, a in params.arrays().items():
+            tol = 1e-12 * np.abs(want[k]).max()
+            assert np.abs(a - want[k]).max() <= tol, k
+
+    def test_step_on_a_row_behind_rejected(self):
+        params, state = stale_state(np.float64)
+        before = [a.copy() for a in (*params.arrays().values(),
+                                     *state.m.values(), *state.v.values(),
+                                     state.last, state.live, state.sums)]
+        grads = {k: np.ones_like(a) for k, a in params.arrays().items()}
+        grads["embedding"] = nn.RowGrad(np.array([1, 2]), np.ones((2, 4)))
+        t = state.t
+        with pytest.raises(ValueError, match=r"embedding rows \[2\] are behind"):
+            nn.adam_step(params, grads, state, 0.01)
+        assert state.t == t
+        after = [*params.arrays().values(), *state.m.values(),
+                 *state.v.values(), state.last, state.live, state.sums]
+        for a, b in zip(before, after):
+            assert np.array_equal(a, b)
+
+    def test_train_matches_a_manual_catch_up_loop(self, monkeypatch):
+        from sentimen.train import (EncodedDataset, TrainConfig, batch_iter,
+                                    train)
+        cfg = nn.ModelConfig(vocab_size=300, embed_dim=8, hidden_dim=4,
+                             max_len=6, fc_dropout=0.5)
+        rng = np.random.default_rng(9)
+        idx = rng.integers(1, cfg.vocab_size, size=(40, 6))
+        lengths = rng.integers(1, 7, size=40)
+        for b in range(40):
+            idx[b, lengths[b]:] = 0
+        ds = EncodedDataset(idx, lengths, np.arange(40) % 2)
+        # 70 steps, past float32's T0
+        tcfg = TrainConfig(batch_size=4, epochs=7, seed=5, learning_rate=0.01)
+        states = []
+        for_params = nn.AdamState.for_params
+        monkeypatch.setattr(nn.AdamState, "for_params", staticmethod(
+            lambda p: states.append(for_params(p)) or states[-1]))
+        result = train(nn.init_params(cfg, seed=5, dtype=np.float32), ds,
+                       None, tcfg)
+        assert states[0].t == 70 and len(states[0].behind()) == 0
+
+        want = nn.init_params(cfg, seed=5, dtype=np.float32)
+        state = nn.AdamState.for_params(want)
+        drop_rng = stream(tcfg.seed, "dropout")
+        most_behind = 0
+        for epoch in range(tcfg.epochs):
+            for batch in batch_iter(ds, tcfg.batch_size, tcfg.seed, epoch):
+                most_behind = max(most_behind, len(state.behind()))
+                nn.adam_catch_up(want, state, np.unique(batch.indices))
+                grads, _ = nn.backward(want, batch.indices, batch.lengths,
+                                       batch.labels, rng=drop_rng)
+                nn.adam_step(want, grads, state, tcfg.learning_rate)
+            nn.adam_catch_up(want, state)
+        assert most_behind > 0
+        for k, a in result.final_params.arrays().items():
+            assert np.array_equal(a, want.arrays()[k]), k
+
+    def test_catch_up_memory_is_block_bounded(self):
+        import tracemalloc
+        peaks = []
+        for n_rows in (8 * nn._ADAM_BLOCK // 64, 32 * nn._ADAM_BLOCK // 64):
+            cfg = nn.ModelConfig(vocab_size=n_rows, embed_dim=64,
+                                 hidden_dim=2, max_len=3)
+            params = nn.init_params(cfg, seed=1)
+            rng = np.random.default_rng(2)
+            t0, _ = nn._CATCH_UP[params.embedding.dtype]
+            state = nn.AdamState(
+                m={k: rng.normal(size=a.shape)
+                   for k, a in params.arrays().items()},
+                v={k: rng.random(a.shape) for k, a in params.arrays().items()},
+                t=t0)
+            state.t += 10  # every row 10 steps behind
+            tracemalloc.start()
+            try:
+                nn.adam_catch_up(params, state)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(state.behind()) == 0
+            peaks.append(peak)
+        # a block's temporaries, not the table's: the 4V-row table's pass
+        # peaks where the V-row one does, below a quarter of its own size
+        assert peaks[1] < 1.1 * peaks[0]
+        assert peaks[1] < params.embedding.nbytes // 4
+
+    def test_checkpoint_of_a_state_behind_rejected(self, tmp_path):
+        params, state = stale_state(np.float32)
+        with pytest.raises(ValueError, match="behind"):
+            nn.save_checkpoint(tmp_path / "m.bin", params, state)
+        nn.adam_catch_up(params, state)
+        nn.save_checkpoint(tmp_path / "m.bin", params, state)
+        _, loaded = nn.load_checkpoint(tmp_path / "m.bin")
+        assert loaded.t == state.t and len(loaded.behind()) == 0
+        assert np.array_equal(loaded.live, state.live)
 
 
 class TestPredictBatch:

@@ -161,17 +161,43 @@ MUTANTS = (
            ("tests/test_seeds.py::test_every_stream_is_distinct[0]",
             "tests/test_seeds.py::test_every_stream_is_distinct[4294967301]")),
     Mutant("row_grad_summed_in_reverse", "src/sentimen/nn.py",
-           "    np.add.at(d_rows[pad:], slot, d_gates[pos[real]] @ params.w_ih)\n",
-           "    np.add.at(d_rows[pad:], slot[::-1],\n"
-           "              (d_gates[pos[real]] @ params.w_ih)[::-1])\n",
+           '    by_row = np.argsort(slot, kind="stable")\n',
+           '    by_row = len(slot) - 1 - np.argsort(slot[::-1], kind="stable")\n',
            ("tests/test_nn.py::TestRowGrad::"
             "test_backward_densifies_to_the_dense_scatter[float32]",)),
     Mutant("adam_without_bias_correction", "src/sentimen/nn.py",
-           "    bc1 = 1.0 - b1 ** state.t\n    bc2 = 1.0 - b2 ** state.t\n",
+           "    bc1 = 1.0 - b1 ** t\n    bc2 = 1.0 - b2 ** t\n",
            "    bc1 = bc2 = 1.0\n",
            ("tests/test_nn.py::TestAdam::test_first_step_hand_value",
             "tests/test_nn.py::TestBlockedAdam::"
             "test_bit_identical_to_unblocked_formula")),
+    # catch-up Adam: the moment decay, the window sums, the live-row phase
+    # before T0 and the series pivot
+    Mutant("catch_up_decays_m_one_step_short", "src/sentimen/nn.py",
+           "        m[r] = mb * ADAM_BETA1 ** k\n",
+           "        m[r] = mb * ADAM_BETA1 ** (k - 1)\n",
+           ("tests/test_nn.py::TestCatchUpAdam::"
+            "test_matches_the_dense_formula",)),
+    Mutant("window_terms_one_window_off", "src/sentimen/nn.py",
+           "        state.sums[s] += (a[:, None]",
+           "        state.sums[s - 1] += (a[:, None]",
+           ("tests/test_nn.py::TestCatchUpAdam::"
+            "test_matches_the_dense_formula",)),
+    Mutant("no_live_row_phase", "src/sentimen/nn.py",
+           "    if t <= t0:\n"
+           "        idle = np.setdiff1d(np.flatnonzero(state.live), emb.rows,\n"
+           "                            assume_unique=True)\n"
+           "        _step_rows(params, state, idle, None, lr, bc1, bc2)\n"
+           "        state.last[:] = t\n",
+           "",
+           ("tests/test_nn.py::TestCatchUpAdam::"
+            "test_matches_the_dense_formula",
+            "tests/test_nn.py::TestRowGrad::test_adam_matches_the_dense_formula")),
+    Mutant("pivot_at_window_start", "src/sentimen/nn.py",
+           "    return (_window_c(s, 1) + _window_c(s, _PIVOT_STEPS)) / 2\n",
+           "    return _window_c(s, 1)\n",
+           ("tests/test_nn.py::TestCatchUpAdam::"
+            "test_matches_the_dense_formula",)),
 )
 
 
