@@ -22,6 +22,12 @@ sorted, unique touched rows and their summed gradients, with no dense
 (V, E) array built or scanned.  After its first steps ``adam_step`` moves
 only those rows, and ``adam_catch_up`` brings an idle row up to date in
 closed form before anything reads it.
+
+A model from ``load_checkpoint`` is read-only and forward-ready: every
+parameter array is read-only, and ``ModelParams.forward_ready`` holds
+C-contiguous ``w_ih.T`` and ``w_hh.T`` and the fused bias, computed once,
+which the forward pass reads in place of deriving them per call as it
+does for a trainable model.  The Adam steps reject a read-only model.
 """
 
 from __future__ import annotations
@@ -29,13 +35,14 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
+from . import preprocess
 from .ingest import Label
 from .seeds import stream
 from .vocab import Vocabulary, encode
@@ -111,6 +118,24 @@ class ModelParams:
 
     def n_parameters(self) -> int:
         return sum(a.size for a in self.arrays().values())
+
+    def read_only(self) -> bool:
+        """True when no parameter array is writable, as after
+        ``load_checkpoint``."""
+        return not any([a.flags.writeable for a in self.arrays().values()])
+
+    @cached_property
+    def forward_ready(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """C-contiguous ``w_ih.T`` and ``w_hh.T``, and ``b_ih + b_hh``,
+        computed on first use; the forward pass reads them only while the
+        model is read-only, so while its weights do not change.  They do
+        not follow an array assigned to the model later: build a new
+        ``ModelParams`` instead."""
+        ready = (np.ascontiguousarray(self.w_ih.T),
+                 np.ascontiguousarray(self.w_hh.T), self.b_ih + self.b_hh)
+        for a in ready:
+            a.flags.writeable = False
+        return ready
 
 
 def init_params(config: ModelConfig, seed: int = 0,
@@ -206,6 +231,30 @@ def _packing(lengths: np.ndarray) -> tuple[np.ndarray, list, list]:
     return np.array(order, dtype=np.intp), sizes, offsets
 
 
+def _forward_weights(params: ModelParams, batch: int,
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``w_ih.T``, ``w_hh.T`` and ``b_ih + b_hh``, as a forward pass over
+    ``batch`` rows reads them.
+
+    A read-only model serves its ``forward_ready`` arrays, computed once.
+    A trainable model's weights change every step, so they are derived per
+    call: the ``w_ih.T`` view, and a contiguous copy of ``w_hh.T``, which
+    more than pays for itself over the steps.  One or two rows run the
+    ``w_hh.T`` view as a GEMV on either model, so a forward pass over one
+    comment steps as it would on a trainable model.
+    """
+    if params.read_only():
+        w_ih_t, w_hh_t, bias = params.forward_ready
+    else:
+        w_ih_t, w_hh_t = params.w_ih.T, params.w_hh.T
+        bias = params.b_ih + params.b_hh
+        if batch > 2:
+            w_hh_t = np.ascontiguousarray(w_hh_t)
+    if batch <= 2:
+        w_hh_t = params.w_hh.T
+    return w_ih_t, w_hh_t, bias
+
+
 def _lstm_forward_batch(params: ModelParams, indices: np.ndarray,
                         lengths: np.ndarray, for_backward: bool = True) -> dict:
     """Forward over the packed form of a (B, T) batch; caches what the
@@ -220,10 +269,8 @@ def _lstm_forward_batch(params: ModelParams, indices: np.ndarray,
 
     With ``for_backward`` every position's h, c and tanh(c) is kept;
     without it each is one (B, H) buffer, the current step only, whose
-    prefix of live rows each step updates in place.  The recurrent product
-    reads ``w_hh`` transposed; a batch of more than two rows copies that
-    transpose to contiguous memory once, which more than pays for itself
-    over the steps, while one or two rows run the view as a GEMV.
+    prefix of live rows each step updates in place.  The weights come
+    from ``_forward_weights``.
     """
     h_dim = params.w_hh.shape[1]
     dtype = params.w_ih.dtype
@@ -236,13 +283,11 @@ def _lstm_forward_batch(params: ModelParams, indices: np.ndarray,
     x = params.embedding[ids]                # (P, E)
 
     # input projection and bias of every real position in one GEMM
-    gates = x @ params.w_ih.T                # (P, 4H)
-    gates += params.b_ih + params.b_hh
+    w_ih_t, w_hh_t, bias = _forward_weights(params, batch)
+    gates = x @ w_ih_t                       # (P, 4H)
+    gates += bias
     gate4 = gates.reshape(n_pos, 4, h_dim)
     scale, shift = _gate_affine(h_dim, dtype)
-    w_hh_t = params.w_hh.T
-    if batch > 2:
-        w_hh_t = np.ascontiguousarray(w_hh_t)
 
     # state rows: position p when kept for backward, else the live prefix
     # of one (B, H) buffer
@@ -544,6 +589,16 @@ def _step_rows(params: ModelParams, state: AdamState, rows: np.ndarray,
         n += len(r)
 
 
+def _check_writable(params: ModelParams) -> None:
+    """Raise ``ValueError`` when a parameter array is read-only, as a
+    loaded model's are."""
+    frozen = [name for name, a in params.arrays().items()
+              if not a.flags.writeable]
+    if frozen:
+        raise ValueError(f"parameter arrays {frozen} are read-only; a loaded "
+                         f"model serves predictions, train a writable copy")
+
+
 def _window_c(s, j):
     """c of step s + j in the window after step s: sqrt(bc2) * b2**(-j/2)."""
     return np.sqrt(1.0 - ADAM_BETA2 ** (s + j)) * ADAM_BETA2 ** (-j / 2)
@@ -573,12 +628,14 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray | RowGrad],
     rows move; each step adds its terms to ``state.sums``, from which
     ``adam_catch_up`` brings an idle row up to date when it is next read.
 
-    A gradient of the wrong shape, a malformed ``RowGrad``, or one for a
-    row that ``adam_catch_up`` has not brought up to date raises
-    ``ValueError`` before anything changes.  A non-finite update raises
+    A read-only model (``load_checkpoint``), a gradient of the wrong
+    shape, a malformed ``RowGrad``, or one for a row that
+    ``adam_catch_up`` has not brought up to date raises ``ValueError``
+    before anything changes.  A non-finite update raises
     ``FloatingPointError`` naming the array; the step is then partly
     applied, and the state is not fit for further steps.
     """
+    _check_writable(params)
     emb = grads["embedding"]
     if not isinstance(emb, RowGrad):
         emb = RowGrad(np.arange(len(params.embedding)), np.asarray(emb))
@@ -644,10 +701,12 @@ def adam_catch_up(params: ModelParams, state: AdamState,
     which converges for every v >= 0, as |c_j - c*| < c*.  ``adam_step``
     keeps the sums S.  The arithmetic is float64, a block of rows at a
     time, so a float32 row is rounded once, not once per missed step as
-    dense Adam would.  A non-finite update raises ``FloatingPointError``
+    dense Adam would.  A read-only model raises ``ValueError`` before
+    anything changes.  A non-finite update raises ``FloatingPointError``
     naming the array; the blocks before it are then caught up and the
     rest are not.
     """
+    _check_writable(params)
     p, m, v = params.embedding, state.m["embedding"], state.v["embedding"]
     eps = ADAM_EPS
     for r in _row_blocks(state.behind(rows), p.shape[1]):
@@ -685,6 +744,8 @@ class Prediction:
 
 # sequences per forward pass of predict_encoded and train.evaluate_split
 _PREDICT_BATCH = 256
+# the labels by class index, as the softmax's argmax gives it
+_LABELS = tuple(Label)
 
 
 def length_sorted_batches(lengths: np.ndarray) -> Iterator[np.ndarray]:
@@ -701,22 +762,25 @@ def predict_encoded(params: ModelParams, indices: np.ndarray,
     """Predictions for the rows of an encoded corpus, in their order.
 
     ``forward_logits`` runs over batches sorted by length, so each batch
-    runs few steps.  The label is the argmax of the float64 softmax, ties
-    to Negative; a row left empty by preprocessing is Negative off the
-    zero-state pass, flagged low-confidence.
+    runs few steps, and one softmax then runs over all the logits.  The
+    label is the argmax of the float64 softmax, ties to Negative; a row
+    left empty by preprocessing is Negative off the zero-state pass,
+    flagged low-confidence.
     """
-    probs = np.empty((len(lengths), params.b_out.shape[0]))
+    logits = np.empty((len(lengths), params.b_out.shape[0]),
+                      dtype=params.b_out.dtype)
     for sel in length_sorted_batches(lengths):
-        probs[sel] = softmax(forward_logits(params, indices[sel], lengths[sel]))
-    return [Prediction(Label.NEGATIVE, p, low_confidence=True) if n == 0
-            else Prediction(Label(int(np.argmax(p))), p)
-            for p, n in zip(probs, lengths)]
+        logits[sel] = forward_logits(params, indices[sel], lengths[sel])
+    probs = softmax(logits)
+    return [Prediction(_LABELS[k], p) if n else
+            Prediction(Label.NEGATIVE, p, low_confidence=True)
+            for p, k, n in zip(probs, probs.argmax(axis=1).tolist(),
+                               lengths.tolist())]
 
 
 def predict(text: str, params: ModelParams, vocab: Vocabulary,
             preprocess_cfg, max_len: int | None = None) -> Prediction:
-    from .preprocess import run_pipeline
-    tokens = run_pipeline(text, preprocess_cfg)
+    tokens = preprocess.run_pipeline(text, preprocess_cfg)
     return predict_encoded(params, *encode(
         [tokens], vocab,
         params.config.max_len if max_len is None else max_len))[0]
@@ -807,7 +871,13 @@ def save_checkpoint(path: str | Path, params: ModelParams,
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, AdamState | None]:
     """Read a version-1 checkpoint; any deviation from the layout
     ``save_checkpoint`` writes raises ``CheckpointError``.  The retired
-    first dropout rate is read and ignored."""
+    first dropout rate is read and ignored.
+
+    The model comes back read-only and forward-ready: every parameter
+    array is read-only, and its ``forward_ready`` weights are computed
+    here, once, so no prediction pays for them.  To train it further,
+    copy its arrays.  The Adam state stays writable.
+    """
     blob = Path(path).read_bytes()
     if not blob.startswith(_MAGIC):
         raise CheckpointError("not a model checkpoint")
@@ -839,4 +909,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, AdamState | None]:
             v[name] = reader.array(shape, dtype)
         adam = AdamState(m=m, v=v, t=t)
     reader.end()
+    for arr in params.arrays().values():
+        arr.flags.writeable = False
+    params.forward_ready  # computed here, not by the first prediction
     return params, adam

@@ -1409,3 +1409,125 @@ class TestPredictBatch:
         params = nn.init_params(tiny_config())
         empty = np.zeros((0, params.config.max_len), dtype=np.int64)
         assert nn.predict_encoded(params, empty, np.zeros(0, np.int64)) == []
+
+
+# --- read-only, forward-ready loaded models --------------------------------------
+
+def loaded_model(tmp_path, dtype, adam=False):
+    """(loaded params, a writable copy of its arrays, the checkpoint path)
+    for a random model with non-zero biases."""
+    cfg = tiny_config(V=30, E=6, H=5, T=7)
+    params = random_params(cfg, seed=8)
+    params = nn.ModelParams(cfg, **{k: a.astype(dtype)
+                                    for k, a in params.arrays().items()})
+    state = None
+    if adam:
+        state = nn.AdamState.for_params(params)
+        state.t = 3
+        for k, a in params.arrays().items():
+            state.m[k][...] = a * 0.5
+            state.v[k][...] = a * a
+    path = tmp_path / "m.bin"
+    nn.save_checkpoint(path, params, state)
+    loaded, _ = nn.load_checkpoint(path)
+    copy = nn.ModelParams(loaded.config, **{k: a.copy() for k, a in
+                                            loaded.arrays().items()})
+    return loaded, copy, path
+
+
+class TestReadOnlyModel:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_array_read_only_and_writes_raise(self, tmp_path, dtype):
+        loaded, copy, _ = loaded_model(tmp_path, dtype)
+        assert loaded.read_only() and not copy.read_only()
+        for name, arr in [*loaded.arrays().items(),
+                          *enumerate(loaded.forward_ready)]:
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                arr += 1.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_ready_weights_exact_and_contiguous(self, tmp_path, dtype):
+        loaded, _, _ = loaded_model(tmp_path, dtype)
+        assert "forward_ready" in vars(loaded)  # computed by load_checkpoint
+        w_ih_t, w_hh_t, bias = loaded.forward_ready
+        for got, want in ((w_ih_t, loaded.w_ih.T), (w_hh_t, loaded.w_hh.T),
+                          (bias, loaded.b_ih + loaded.b_hh)):
+            assert got.dtype == want.dtype == dtype
+            assert np.array_equal(got, want)
+            assert got.flags.c_contiguous
+        assert not np.array_equal(bias, loaded.b_ih)
+
+    def test_trainable_model_never_gets_cached_weights(self):
+        from sentimen.train import EncodedDataset, TrainConfig, train
+        cfg = tiny_config(V=12, E=3, H=4, T=5)
+        params = random_params(cfg, seed=2)
+        rng = np.random.default_rng(4)
+        for batch in (1, 2, 3, 16):
+            idx, lengths, labels = random_batch(cfg, rng, batch)
+            nn.forward_logits(params, idx, lengths)
+            nn.predict_encoded(params, idx, lengths)
+            grads, _ = nn.backward(params, idx, lengths, labels)
+            nn.adam_step(params, grads, nn.AdamState.for_params(params), 0.01)
+        idx, lengths, labels = random_batch(cfg, rng, 12)
+        ds = EncodedDataset(idx, lengths, labels)
+        result = train(params, ds, ds, TrainConfig(batch_size=4, epochs=2))
+        for model in (params, result.final_params, result.best_params):
+            assert not model.read_only()
+            assert "forward_ready" not in vars(model)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 16, 256])
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6),
+                                           (np.float64, 1e-12)])
+    def test_loaded_model_agrees_with_a_writable_copy(self, tmp_path, rows,
+                                                      dtype, tol):
+        loaded, copy, _ = loaded_model(tmp_path, dtype)
+        rng = np.random.default_rng(rows)
+        idx, lengths, _ = random_batch(loaded.config, rng, rows)
+        lengths[4::5] = 0  # some rows empty after preprocessing
+        want = nn.forward_logits(copy, idx, lengths)
+        got = nn.forward_logits(loaded, idx, lengths)
+        assert got.dtype == want.dtype == dtype
+        assert np.allclose(got, want, rtol=0, atol=tol)
+        for a, b in zip(nn.predict_encoded(loaded, idx, lengths),
+                        nn.predict_encoded(copy, idx, lengths)):
+            assert a.label == b.label
+            assert a.low_confidence == b.low_confidence
+            assert np.max(np.abs(a.probabilities - b.probabilities)) <= tol
+
+    @pytest.mark.parametrize("with_adam", [False, True])
+    def test_checkpoint_saved_from_a_loaded_model_round_trips(self, tmp_path,
+                                                              with_adam):
+        loaded, _, path = loaded_model(tmp_path, np.float32, adam=with_adam)
+        _, adam = nn.load_checkpoint(path)
+        nn.save_checkpoint(tmp_path / "again.bin", loaded, adam)
+        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+    def test_adam_step_rejects_a_loaded_model_before_any_change(self,
+                                                                tmp_path):
+        loaded, _, path = loaded_model(tmp_path, np.float64, adam=True)
+        _, state = nn.load_checkpoint(path)
+        before = {k: (state.m[k].copy(), state.v[k].copy()) for k in state.m}
+        grads = {k: np.ones_like(a) for k, a in loaded.arrays().items()}
+        with pytest.raises(ValueError, match="read-only"):
+            nn.adam_step(loaded, grads, state, 0.01)
+        assert state.t == 3
+        for k, (m, v) in before.items():
+            assert np.array_equal(state.m[k], m) and np.array_equal(state.v[k], v)
+
+    def test_adam_catch_up_rejects_a_read_only_model_before_any_change(self):
+        params, state = stale_state(np.float64)
+        behind = state.behind()
+        assert len(behind)
+        for a in params.arrays().values():
+            a.flags.writeable = False
+        want = [a.copy() for a in (state.m["embedding"], state.v["embedding"],
+                                   state.last)]
+        with pytest.raises(ValueError, match="read-only"):
+            nn.adam_catch_up(params, state)
+        assert np.array_equal(state.behind(), behind)
+        for got, a in zip((state.m["embedding"], state.v["embedding"],
+                           state.last), want):
+            assert np.array_equal(got, a)

@@ -5,9 +5,10 @@ Each entry of ``MUTANTS`` names a file under the repository root, an old
 text that must occur in it exactly once, the new text that replaces it,
 and the pytest node ids that must fail once it is applied.  The runner
 copies ``src/``, ``tests/``, ``perfbench/`` (some tests load its corpus
-generator) and ``pyproject.toml`` (whose pytest ``pythonpath`` points at
-``src/``) to a temporary directory, applies one mutant there, and runs the
-named tests against the copy.  A mutant is killed when every named test
+generator, and a mutant may name its smoke test), ``BENCHMARK.json``
+(which that smoke test reads at import) and ``pyproject.toml`` (whose
+pytest ``pythonpath`` points at ``src/``) to a temporary directory,
+applies one mutant there, and runs the named tests against the copy.  A mutant is killed when every named test
 fails; an old text that does not occur exactly once is an error, never a
 pass.
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "perfbench", "pyproject.toml")
+COPIED = ("src", "tests", "perfbench", "BENCHMARK.json", "pyproject.toml")
 
 
 @dataclass(frozen=True)
@@ -171,6 +172,22 @@ MUTANTS = (
            ("tests/test_nn.py::TestAdam::test_first_step_hand_value",
             "tests/test_nn.py::TestBlockedAdam::"
             "test_bit_identical_to_unblocked_formula")),
+    # the forward-ready weights of a loaded model: its fused bias, checked
+    # against a writable copy, and its input weights, which the benchmark's
+    # own check must catch in the nn.predict calls it times
+    Mutant("forward_ready_bias_without_b_hh", "src/sentimen/nn.py",
+           "np.ascontiguousarray(self.w_hh.T), self.b_ih + self.b_hh)",
+           "np.ascontiguousarray(self.w_hh.T), self.b_ih)",
+           ("tests/test_nn.py::TestReadOnlyModel::"
+            "test_loaded_model_agrees_with_a_writable_copy[float32-1e-06-16]",
+            "tests/test_nn.py::TestReadOnlyModel::"
+            "test_loaded_model_agrees_with_a_writable_copy[float64-1e-12-256]")),
+    Mutant("forward_ready_w_ih_untransposed", "src/sentimen/nn.py",
+           "        ready = (np.ascontiguousarray(self.w_ih.T),\n",
+           "        ready = (np.ascontiguousarray(self.w_ih).reshape("
+           "self.w_ih.shape[::-1]),\n",
+           ("perfbench/test_smoke.py::test_quick_run_is_correct_and_well_formed"
+            "[infer_paper-0]",)),
     # catch-up Adam: the moment decay, the window sums, the live-row phase
     # before T0 and the series pivot
     Mutant("catch_up_decays_m_one_step_short", "src/sentimen/nn.py",
