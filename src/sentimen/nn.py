@@ -23,11 +23,14 @@ sorted, unique touched rows and their summed gradients, with no dense
 only those rows, and ``adam_catch_up`` brings an idle row up to date in
 closed form before anything reads it.
 
-A model from ``load_checkpoint`` is read-only and forward-ready: every
-parameter array is read-only, and ``ModelParams.forward_ready`` holds
-C-contiguous ``w_ih.T`` and ``w_hh.T`` and the fused bias, computed once,
-which the forward pass reads in place of deriving them per call as it
-does for a trainable model.  The Adam steps reject a read-only model.
+The forward pass reads its weights prescaled: each gate column of
+``w_ih.T``, ``w_hh.T`` and the fused bias is multiplied by that gate's
+pre-activation scale (``_gate_affine``), so the recurrence applies the
+nonlinearity to the sums as they come.  A model from ``load_checkpoint`` is
+read-only and forward-ready: every parameter array is read-only, and
+``ModelParams.forward_ready`` holds the prescaled weights, computed once,
+which a trainable model derives per call.  The Adam steps reject a
+read-only model.
 """
 
 from __future__ import annotations
@@ -122,18 +125,27 @@ class ModelParams:
     def read_only(self) -> bool:
         """True when no parameter array is writable, as after
         ``load_checkpoint``."""
-        return not any([a.flags.writeable for a in self.arrays().values()])
+        return not (self.embedding.flags.writeable or self.w_ih.flags.writeable
+                    or self.w_hh.flags.writeable or self.b_ih.flags.writeable
+                    or self.b_hh.flags.writeable or self.w_out.flags.writeable
+                    or self.b_out.flags.writeable)
 
     @cached_property
-    def forward_ready(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """C-contiguous ``w_ih.T`` and ``w_hh.T``, and ``b_ih + b_hh``,
-        computed on first use; the forward pass reads them only while the
-        model is read-only, so while its weights do not change.  They do
-        not follow an array assigned to the model later: build a new
-        ``ModelParams`` instead."""
-        ready = (np.ascontiguousarray(self.w_ih.T),
-                 np.ascontiguousarray(self.w_hh.T), self.b_ih + self.b_hh)
-        for a in ready:
+    def forward_ready(self) -> tuple[np.ndarray, ...]:
+        """``scale * w_ih.T``, ``scale * w_hh.T`` and ``scale * (b_ih +
+        b_hh)``, the first two C-contiguous, and ``scale * w_hh.T`` again in
+        the layout of the ``w_hh.T`` view, for one or two rows; ``scale``
+        is the gates' pre-activation scale (``_gate_affine``).  Computed on
+        first use; the forward pass reads them only while the model is
+        read-only, so while its weights do not change.  They do not follow
+        an array assigned to the model later: build a new ``ModelParams``
+        instead."""
+        scale = _gate_affine(self.config.hidden_dim, self.w_hh.dtype)[0]
+        w_hh = self.w_hh * scale[:, None]
+        ready = (np.multiply(self.w_ih.T, scale, order="C"),
+                 np.ascontiguousarray(w_hh.T), scale * (self.b_ih + self.b_hh),
+                 w_hh.T)
+        for a in (*ready, w_hh):
             a.flags.writeable = False
         return ready
 
@@ -233,25 +245,32 @@ def _packing(lengths: np.ndarray) -> tuple[np.ndarray, list, list]:
 
 def _forward_weights(params: ModelParams, batch: int,
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``w_ih.T``, ``w_hh.T`` and ``b_ih + b_hh``, as a forward pass over
+    """``w_ih.T``, ``w_hh.T`` and ``b_ih + b_hh``, each gate column times
+    its pre-activation scale (``_gate_affine``), as a forward pass over
     ``batch`` rows reads them.
 
+    Every scale is 0.5 or 1.0, a power of two, so it commutes with the
+    rounding of the GEMMs and the adds: the scaled sums are exactly the
+    sums times the scale, unless one turns subnormal.
     A read-only model serves its ``forward_ready`` arrays, computed once.
-    A trainable model's weights change every step, so they are derived per
-    call: the ``w_ih.T`` view, and a contiguous copy of ``w_hh.T``, which
-    more than pays for itself over the steps.  One or two rows run the
-    ``w_hh.T`` view as a GEMV on either model, so a forward pass over one
-    comment steps as it would on a trainable model.
+    A trainable model's weights change every step, so they are scaled per
+    call: ``w_ih`` read through its ``.T`` view, and a contiguous
+    ``w_hh.T``, which more than pays for itself over the steps.  One or
+    two rows run ``w_hh.T`` in the view's layout as a GEMV on either model,
+    so a forward pass over one comment steps as it would on a trainable
+    model.
     """
     if params.read_only():
-        w_ih_t, w_hh_t, bias = params.forward_ready
+        w_ih_t, w_hh_t, bias, w_hh_t_gemv = params.forward_ready
+        return w_ih_t, w_hh_t if batch > 2 else w_hh_t_gemv, bias
+    scale = _gate_affine(params.config.hidden_dim, params.w_hh.dtype)[0]
+    w_ih_t = (params.w_ih * scale[:, None]).T
+    bias = params.b_ih + params.b_hh
+    bias *= scale
+    if batch > 2:
+        w_hh_t = np.multiply(params.w_hh.T, scale, order="C")
     else:
-        w_ih_t, w_hh_t = params.w_ih.T, params.w_hh.T
-        bias = params.b_ih + params.b_hh
-        if batch > 2:
-            w_hh_t = np.ascontiguousarray(w_hh_t)
-    if batch <= 2:
-        w_hh_t = params.w_hh.T
+        w_hh_t = (params.w_hh * scale[:, None]).T
     return w_ih_t, w_hh_t, bias
 
 
@@ -282,11 +301,12 @@ def _lstm_forward_batch(params: ModelParams, indices: np.ndarray,
     ids = indices[order, :steps].T[np.arange(steps)[:, None] < sorted_lengths]
     x = params.embedding[ids]                # (P, E)
 
-    # input projection and bias of every real position in one GEMM
+    # input projection and bias of every real position in one GEMM, in
+    # the scaled pre-activations that the tanh reads
     w_ih_t, w_hh_t, bias = _forward_weights(params, batch)
     gates = x @ w_ih_t                       # (P, 4H)
     gates += bias
-    gate4 = gates.reshape(n_pos, 4, h_dim)
+    gi, gf, gg, go = gates.reshape(n_pos, 4, h_dim).transpose(1, 0, 2)
     scale, shift = _gate_affine(h_dim, dtype)
 
     # state rows: position p when kept for backward, else the live prefix
@@ -297,14 +317,14 @@ def _lstm_forward_batch(params: ModelParams, indices: np.ndarray,
     tanh_c = np.empty((slots, h_dim), dtype=dtype)
     cur = prev = 0
     for t, (n, off) in enumerate(zip(sizes, offsets)):
-        a = gates[off:off + n]
+        end = off + n
+        a = gates[off:end]
         if t:
             a += h_buf[prev:prev + n] @ w_hh_t
-        a *= scale
         np.tanh(a, out=a)
         a *= scale
         a += shift
-        i, f, g, o = gate4[off:off + n].swapaxes(0, 1)  # (n, H) views
+        i, f, g, o = gi[off:end], gf[off:end], gg[off:end], go[off:end]
         if for_backward:
             cur = off
         c = c_buf[cur:cur + n]
@@ -678,8 +698,13 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray | RowGrad],
         s = np.arange(max(t0, t - span), t)
         c = _window_c(s, t - s)
         a = lr * b1 ** (t - s) * c / bc1
-        state.sums[s] += (a[:, None] * (c - _pivot(s))[:, None]
-                          ** np.arange(_SERIES_TERMS))
+        # (c - c*)**n for every n, as a running product along the terms
+        terms = np.empty((len(s), _SERIES_TERMS))
+        terms[:, 0] = 1.0
+        terms[:, 1:] = (c - _pivot(s))[:, None]
+        np.cumprod(terms, axis=1, out=terms)
+        terms *= a[:, None]
+        state.sums[s] += terms
     return params, state
 
 
@@ -762,15 +787,21 @@ def predict_encoded(params: ModelParams, indices: np.ndarray,
     """Predictions for the rows of an encoded corpus, in their order.
 
     ``forward_logits`` runs over batches sorted by length, so each batch
-    runs few steps, and one softmax then runs over all the logits.  The
-    label is the argmax of the float64 softmax, ties to Negative; a row
-    left empty by preprocessing is Negative off the zero-state pass,
-    flagged low-confidence.
+    runs few steps, and one softmax then runs over all the logits.  One row
+    needs no sorting and runs as given.  (More rows keep the sort even when
+    they fit one batch: the head's GEMM gives a row that falls in the
+    remainder of OpenBLAS's row blocks other bits, so the row order is part
+    of the result.)  The label is the argmax of the float64 softmax, ties
+    to Negative; a row left empty by preprocessing is Negative off the
+    zero-state pass, flagged low-confidence.
     """
-    logits = np.empty((len(lengths), params.b_out.shape[0]),
-                      dtype=params.b_out.dtype)
-    for sel in length_sorted_batches(lengths):
-        logits[sel] = forward_logits(params, indices[sel], lengths[sel])
+    if len(lengths) == 1:
+        logits = forward_logits(params, indices, lengths)
+    else:
+        logits = np.empty((len(lengths), params.b_out.shape[0]),
+                          dtype=params.b_out.dtype)
+        for sel in length_sorted_batches(lengths):
+            logits[sel] = forward_logits(params, indices[sel], lengths[sel])
     probs = softmax(logits)
     return [Prediction(_LABELS[k], p) if n else
             Prediction(Label.NEGATIVE, p, low_confidence=True)

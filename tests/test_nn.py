@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sentimen import nn
 from sentimen.ingest import Label
+from sentimen.nn import ModelParams, _gate_affine, _packing
 from sentimen.seeds import stream
 
 from conftest import dense, dense_grads
@@ -1452,13 +1453,20 @@ class TestReadOnlyModel:
     def test_forward_ready_weights_exact_and_contiguous(self, tmp_path, dtype):
         loaded, _, _ = loaded_model(tmp_path, dtype)
         assert "forward_ready" in vars(loaded)  # computed by load_checkpoint
-        w_ih_t, w_hh_t, bias = loaded.forward_ready
-        for got, want in ((w_ih_t, loaded.w_ih.T), (w_hh_t, loaded.w_hh.T),
-                          (bias, loaded.b_ih + loaded.b_hh)):
+        scale = nn._gate_affine(loaded.config.hidden_dim, np.dtype(dtype))[0]
+        w_ih_t, w_hh_t, bias, w_hh_t_gemv = loaded.forward_ready
+        for got, want in ((w_ih_t, scale * loaded.w_ih.T),
+                          (w_hh_t, scale * loaded.w_hh.T),
+                          (bias, scale * (loaded.b_ih + loaded.b_hh)),
+                          (w_hh_t_gemv, scale * loaded.w_hh.T)):
             assert got.dtype == want.dtype == dtype
             assert np.array_equal(got, want)
+        for got in (w_ih_t, w_hh_t, bias):
             assert got.flags.c_contiguous
-        assert not np.array_equal(bias, loaded.b_ih)
+        # one or two rows step with the layout of the w_hh.T view
+        assert w_hh_t_gemv.strides == loaded.w_hh.T.strides
+        assert not np.array_equal(w_ih_t, loaded.w_ih.T)
+        assert not np.array_equal(bias, scale * loaded.b_ih)
 
     def test_trainable_model_never_gets_cached_weights(self):
         from sentimen.train import EncodedDataset, TrainConfig, train
@@ -1531,3 +1539,200 @@ class TestReadOnlyModel:
         for got, a in zip((state.m["embedding"], state.v["embedding"],
                            state.last), want):
             assert np.array_equal(got, a)
+
+
+# --- the unscaled forward pass, as the prescaled one's oracle -------------------
+
+def _unscaled_forward_ready(params):
+    """The forward-ready weights as they were before the gates'
+    pre-activation scale moved into them."""
+    return (np.ascontiguousarray(params.w_ih.T),
+            np.ascontiguousarray(params.w_hh.T), params.b_ih + params.b_hh)
+
+
+# _forward_weights and _lstm_forward_batch are verbatim copies of the forward
+# pass that scaled the pre-activations per step (``a *= scale``), save that a
+# read-only model's weights come from _unscaled_forward_ready.
+
+def _forward_weights(params: ModelParams, batch: int,
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``w_ih.T``, ``w_hh.T`` and ``b_ih + b_hh``, as a forward pass over
+    ``batch`` rows reads them.
+
+    A read-only model serves its ``forward_ready`` arrays, computed once.
+    A trainable model's weights change every step, so they are derived per
+    call: the ``w_ih.T`` view, and a contiguous copy of ``w_hh.T``, which
+    more than pays for itself over the steps.  One or two rows run the
+    ``w_hh.T`` view as a GEMV on either model, so a forward pass over one
+    comment steps as it would on a trainable model.
+    """
+    if params.read_only():
+        w_ih_t, w_hh_t, bias = _unscaled_forward_ready(params)
+    else:
+        w_ih_t, w_hh_t = params.w_ih.T, params.w_hh.T
+        bias = params.b_ih + params.b_hh
+        if batch > 2:
+            w_hh_t = np.ascontiguousarray(w_hh_t)
+    if batch <= 2:
+        w_hh_t = params.w_hh.T
+    return w_ih_t, w_hh_t, bias
+
+
+def _lstm_forward_batch(params: ModelParams, indices: np.ndarray,
+                        lengths: np.ndarray, for_backward: bool = True) -> dict:
+    """Forward over the packed form of a (B, T) batch; caches what the
+    backward pass reuses.
+
+    The rows run longest first, and step t runs over the first
+    ``sizes[t]`` of them: the rows still inside their sequence.  The P real
+    positions are stored time-major, step after step, so no pad position is
+    gathered, multiplied or stored.  ``h_final`` and ``c_final`` are each
+    row's state after its last real token (zero for an empty row), in the
+    caller's row order.
+
+    With ``for_backward`` every position's h, c and tanh(c) is kept;
+    without it each is one (B, H) buffer, the current step only, whose
+    prefix of live rows each step updates in place.  The weights come
+    from ``_forward_weights``.
+    """
+    h_dim = params.w_hh.shape[1]
+    dtype = params.w_ih.dtype
+    batch = indices.shape[0]
+    lengths = np.minimum(np.maximum(lengths, 0), indices.shape[1])
+    order, sizes, offsets = _packing(lengths)
+    steps, n_pos = len(sizes), offsets[-1]
+    sorted_lengths = lengths[order]
+    ids = indices[order, :steps].T[np.arange(steps)[:, None] < sorted_lengths]
+    x = params.embedding[ids]                # (P, E)
+
+    # input projection and bias of every real position in one GEMM
+    w_ih_t, w_hh_t, bias = _forward_weights(params, batch)
+    gates = x @ w_ih_t                       # (P, 4H)
+    gates += bias
+    gate4 = gates.reshape(n_pos, 4, h_dim)
+    scale, shift = _gate_affine(h_dim, dtype)
+
+    # state rows: position p when kept for backward, else the live prefix
+    # of one (B, H) buffer
+    slots = n_pos if for_backward else batch
+    h_buf = np.zeros((slots, h_dim), dtype=dtype)
+    c_buf = np.zeros((slots, h_dim), dtype=dtype)
+    tanh_c = np.empty((slots, h_dim), dtype=dtype)
+    cur = prev = 0
+    for t, (n, off) in enumerate(zip(sizes, offsets)):
+        a = gates[off:off + n]
+        if t:
+            a += h_buf[prev:prev + n] @ w_hh_t
+        a *= scale
+        np.tanh(a, out=a)
+        a *= scale
+        a += shift
+        i, f, g, o = gate4[off:off + n].swapaxes(0, 1)  # (n, H) views
+        if for_backward:
+            cur = off
+        c = c_buf[cur:cur + n]
+        if t:
+            np.multiply(f, c_buf[prev:prev + n], out=c)
+            c += i * g
+        else:
+            np.multiply(i, g, out=c)
+        tc = tanh_c[cur:cur + n]
+        np.tanh(c, out=tc)
+        np.multiply(o, tc, out=h_buf[cur:cur + n])
+        prev = cur
+
+    if for_backward:
+        # row r of the sorted batch ends at position offsets[len - 1] + r
+        live = sizes[0] if steps else 0
+        last = [offsets[n - 1] + r
+                for r, n in enumerate(sorted_lengths[:live].tolist())]
+        h_end = np.zeros((batch, h_dim), dtype=dtype)
+        c_end = np.zeros((batch, h_dim), dtype=dtype)
+        h_end[:live] = h_buf[last]
+        c_end[:live] = c_buf[last]
+    else:
+        h_end, c_end = h_buf, c_buf
+    h_final, c_final = np.empty_like(h_end), np.empty_like(c_end)
+    h_final[order] = h_end
+    c_final[order] = c_end
+    return {"x": x, "ids": ids, "lengths": lengths, "order": order,
+            "sizes": sizes, "offsets": offsets, "gates": gates,
+            "h": h_buf, "c": c_buf, "tanh_c": tanh_c,
+            "h_final": h_final, "c_final": c_final}
+
+
+def oracle_logits(params, idx, lengths):
+    h_final = _lstm_forward_batch(params, idx, lengths,
+                                  for_backward=False)["h_final"]
+    return h_final @ params.w_out.T + params.b_out
+
+
+def oracle_probabilities(params, idx, lengths):
+    """The softmax of the logits of length-sorted batches, as
+    ``predict_encoded`` computed them before it ran small inputs whole."""
+    logits = np.empty((len(lengths), params.b_out.shape[0]),
+                      dtype=params.b_out.dtype)
+    for sel in nn.length_sorted_batches(lengths):
+        logits[sel] = oracle_logits(params, idx[sel], lengths[sel])
+    return nn.softmax(logits)
+
+
+class TestPrescaledGatesExact:
+    """Scaling the gate weights by powers of two commutes with every
+    rounding of the forward pass, so its outputs equal the oracle's bit
+    for bit, on loaded and trainable models alike."""
+
+    @staticmethod
+    def models(tmp_path, dtype):
+        cfg = tiny_config(V=60, E=32, H=128, T=9)
+        params = random_params(cfg, seed=3, bias_scale=1.0)
+        params = nn.ModelParams(cfg, **{k: a.astype(dtype)
+                                        for k, a in params.arrays().items()})
+        nn.save_checkpoint(tmp_path / "m.bin", params)
+        loaded, _ = nn.load_checkpoint(tmp_path / "m.bin")
+        return {"loaded": loaded, "trainable": params}
+
+    # 5 and 255 rows leave a remainder that OpenBLAS's GEMM computes with
+    # another kernel, so a head over reordered rows would differ there
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 16, 255, 256])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_logits_and_predictions_equal_the_oracle(self, tmp_path, rows,
+                                                     dtype):
+        rng = np.random.default_rng(100 + rows)
+        for kind, params in self.models(tmp_path, dtype).items():
+            assert params.read_only() == (kind == "loaded")
+            idx, lengths, _ = random_batch(params.config, rng, rows)
+            lengths[1::3] = 0  # rows left empty by preprocessing
+            got = nn.forward_logits(params, idx, lengths)
+            assert got.dtype == dtype
+            assert np.array_equal(got, oracle_logits(params, idx, lengths)), kind
+            want = oracle_probabilities(params, idx, lengths)
+            preds = nn.predict_encoded(params, idx, lengths)
+            assert np.array_equal([p.probabilities for p in preds], want), kind
+            assert [int(p.label) for p in preds] == \
+                np.where(lengths > 0, want.argmax(axis=1), 0).tolist()
+            assert [p.low_confidence for p in preds] == (lengths == 0).tolist()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_training_forward_cache_equals_the_oracle(self, tmp_path, dtype):
+        params = self.models(tmp_path, dtype)["trainable"]
+        rng = np.random.default_rng(7)
+        for rows in (1, 2, 3, 16):
+            idx, lengths, _ = random_batch(params.config, rng, rows)
+            got = nn._lstm_forward_batch(params, idx, lengths)
+            want = _lstm_forward_batch(params, idx, lengths)
+            for key in ("gates", "h", "c", "tanh_c", "h_final", "c_final"):
+                assert np.array_equal(got[key], want[key]), (rows, key)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_all_rows_empty_and_no_rows(self, tmp_path, dtype):
+        for params in self.models(tmp_path, dtype).values():
+            T = params.config.max_len
+            for rows in (0, 1, 3):
+                idx = np.zeros((rows, T), dtype=np.int64)
+                lengths = np.zeros(rows, dtype=np.int64)
+                assert np.array_equal(nn.forward_logits(params, idx, lengths),
+                                      oracle_logits(params, idx, lengths))
+                preds = nn.predict_encoded(params, idx, lengths)
+                assert len(preds) == rows
+                assert all(p.low_confidence for p in preds)

@@ -176,18 +176,34 @@ MUTANTS = (
     # against a writable copy, and its input weights, which the benchmark's
     # own check must catch in the nn.predict calls it times
     Mutant("forward_ready_bias_without_b_hh", "src/sentimen/nn.py",
-           "np.ascontiguousarray(self.w_hh.T), self.b_ih + self.b_hh)",
-           "np.ascontiguousarray(self.w_hh.T), self.b_ih)",
+           "scale * (self.b_ih + self.b_hh),\n",
+           "scale * self.b_ih,\n",
            ("tests/test_nn.py::TestReadOnlyModel::"
             "test_loaded_model_agrees_with_a_writable_copy[float32-1e-06-16]",
             "tests/test_nn.py::TestReadOnlyModel::"
             "test_loaded_model_agrees_with_a_writable_copy[float64-1e-12-256]")),
     Mutant("forward_ready_w_ih_untransposed", "src/sentimen/nn.py",
-           "        ready = (np.ascontiguousarray(self.w_ih.T),\n",
-           "        ready = (np.ascontiguousarray(self.w_ih).reshape("
-           "self.w_ih.shape[::-1]),\n",
+           "        ready = (np.multiply(self.w_ih.T, scale, order=\"C\"),\n",
+           "        ready = (np.multiply(self.w_ih.reshape(self.w_ih.shape[::-1]),"
+           " scale, order=\"C\"),\n",
            ("perfbench/test_smoke.py::test_quick_run_is_correct_and_well_formed"
             "[infer_paper-0]",)),
+    # the gates' pre-activation scale, folded into the weights: a loaded
+    # model's recurrent weights and a trainable model's input weights
+    Mutant("forward_ready_w_hh_unscaled", "src/sentimen/nn.py",
+           "np.ascontiguousarray(w_hh.T), ",
+           "np.ascontiguousarray(self.w_hh.T), ",
+           ("tests/test_nn.py::TestPrescaledGatesExact::"
+            "test_logits_and_predictions_equal_the_oracle[float32-16]",
+            "tests/test_nn.py::TestPrescaledGatesExact::"
+            "test_logits_and_predictions_equal_the_oracle[float64-256]")),
+    Mutant("trainable_gates_unscaled", "src/sentimen/nn.py",
+           "    w_ih_t = (params.w_ih * scale[:, None]).T\n",
+           "    w_ih_t = params.w_ih.T\n",
+           ("tests/test_nn.py::TestPrescaledGatesExact::"
+            "test_logits_and_predictions_equal_the_oracle[float32-1]",
+            "tests/test_nn.py::TestPrescaledGatesExact::"
+            "test_training_forward_cache_equals_the_oracle[float64]")),
     # catch-up Adam: the moment decay, the window sums, the live-row phase
     # before T0 and the series pivot
     Mutant("catch_up_decays_m_one_step_short", "src/sentimen/nn.py",
@@ -196,8 +212,8 @@ MUTANTS = (
            ("tests/test_nn.py::TestCatchUpAdam::"
             "test_matches_the_dense_formula",)),
     Mutant("window_terms_one_window_off", "src/sentimen/nn.py",
-           "        state.sums[s] += (a[:, None]",
-           "        state.sums[s - 1] += (a[:, None]",
+           "        state.sums[s] += terms\n",
+           "        state.sums[s - 1] += terms\n",
            ("tests/test_nn.py::TestCatchUpAdam::"
             "test_matches_the_dense_formula",)),
     Mutant("no_live_row_phase", "src/sentimen/nn.py",
