@@ -125,10 +125,7 @@ class ModelParams:
     def read_only(self) -> bool:
         """True when no parameter array is writable, as after
         ``load_checkpoint``."""
-        return not (self.embedding.flags.writeable or self.w_ih.flags.writeable
-                    or self.w_hh.flags.writeable or self.b_ih.flags.writeable
-                    or self.b_hh.flags.writeable or self.w_out.flags.writeable
-                    or self.b_out.flags.writeable)
+        return not any(a.flags.writeable for a in self.arrays().values())
 
     @cached_property
     def forward_ready(self) -> tuple[np.ndarray, ...]:
