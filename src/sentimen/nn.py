@@ -13,8 +13,8 @@ is a batch of one.  It runs on the packed form of the batch, as
 t runs over the prefix of rows still inside their sequence.  Only the P
 real positions are gathered, projected, stepped and differentiated, so a
 padded row does the same arithmetic as its unpadded self, and the pad
-embedding row stays frozen at zero.  Final states, logits and gradients
-come back in the caller's row order.
+embedding row stays frozen at zero.  Final hidden states, logits and
+gradients come back in the caller's row order.
 
 A batch's P real positions touch at most P of the embedding table's V
 rows, so ``backward`` returns the embedding gradient as a ``RowGrad``: the
@@ -29,7 +29,9 @@ pre-activation scale (``_gate_affine``), so the recurrence applies the
 nonlinearity to the sums as they come.  A model from ``load_checkpoint`` is
 read-only and forward-ready: every parameter array is read-only, and
 ``ModelParams.forward_ready`` holds the prescaled weights, computed once,
-which a trainable model derives per call.  The Adam steps reject a
+which a trainable model derives per call.  Every batch size, one row
+included, steps on a C-contiguous ``w_hh.T``, so the recurrence of a loaded
+model and of its writable copy agree bit for bit.  The Adam steps reject a
 read-only model.
 """
 
@@ -55,11 +57,13 @@ class CheckpointError(Exception):
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Max-subtracted softmax along the last axis; safe for huge logits."""
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Max-subtracted float64 softmax along the last axis; safe for huge
+    logits.  Computed in place on one float64 copy of ``logits``."""
+    z = np.array(logits, dtype=np.float64)
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def row_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -128,21 +132,18 @@ class ModelParams:
         return not any(a.flags.writeable for a in self.arrays().values())
 
     @cached_property
-    def forward_ready(self) -> tuple[np.ndarray, ...]:
+    def forward_ready(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``scale * w_ih.T``, ``scale * w_hh.T`` and ``scale * (b_ih +
-        b_hh)``, the first two C-contiguous, and ``scale * w_hh.T`` again in
-        the layout of the ``w_hh.T`` view, for one or two rows; ``scale``
-        is the gates' pre-activation scale (``_gate_affine``).  Computed on
-        first use; the forward pass reads them only while the model is
-        read-only, so while its weights do not change.  They do not follow
-        an array assigned to the model later: build a new ``ModelParams``
-        instead."""
+        b_hh)``, all C-contiguous; ``scale`` is the gates' pre-activation
+        scale (``_gate_affine``).  Computed on first use; the forward pass
+        reads them only while the model is read-only, so while its weights
+        do not change.  They do not follow an array assigned to the model
+        later: build a new ``ModelParams`` instead."""
         scale = _gate_affine(self.config.hidden_dim, self.w_hh.dtype)[0]
-        w_hh = self.w_hh * scale[:, None]
         ready = (np.multiply(self.w_ih.T, scale, order="C"),
-                 np.ascontiguousarray(w_hh.T), scale * (self.b_ih + self.b_hh),
-                 w_hh.T)
-        for a in (*ready, w_hh):
+                 np.multiply(self.w_hh.T, scale, order="C"),
+                 scale * (self.b_ih + self.b_hh))
+        for a in ready:
             a.flags.writeable = False
         return ready
 
@@ -240,35 +241,27 @@ def _packing(lengths: np.ndarray) -> tuple[np.ndarray, list, list]:
     return np.array(order, dtype=np.intp), sizes, offsets
 
 
-def _forward_weights(params: ModelParams, batch: int,
+def _forward_weights(params: ModelParams,
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``w_ih.T``, ``w_hh.T`` and ``b_ih + b_hh``, each gate column times
-    its pre-activation scale (``_gate_affine``), as a forward pass over
-    ``batch`` rows reads them.
+    its pre-activation scale (``_gate_affine``), with ``w_hh.T``
+    C-contiguous, the one layout every batch size steps on.
 
     Every scale is 0.5 or 1.0, a power of two, so it commutes with the
     rounding of the GEMMs and the adds: the scaled sums are exactly the
     sums times the scale, unless one turns subnormal.
     A read-only model serves its ``forward_ready`` arrays, computed once.
     A trainable model's weights change every step, so they are scaled per
-    call: ``w_ih`` read through its ``.T`` view, and a contiguous
-    ``w_hh.T``, which more than pays for itself over the steps.  One or
-    two rows run ``w_hh.T`` in the view's layout as a GEMV on either model,
-    so a forward pass over one comment steps as it would on a trainable
-    model.
+    call: ``w_ih`` read through its ``.T`` view, and a contiguous copy of
+    ``w_hh.T``.
     """
     if params.read_only():
-        w_ih_t, w_hh_t, bias, w_hh_t_gemv = params.forward_ready
-        return w_ih_t, w_hh_t if batch > 2 else w_hh_t_gemv, bias
+        return params.forward_ready
     scale = _gate_affine(params.config.hidden_dim, params.w_hh.dtype)[0]
     w_ih_t = (params.w_ih * scale[:, None]).T
     bias = params.b_ih + params.b_hh
     bias *= scale
-    if batch > 2:
-        w_hh_t = np.multiply(params.w_hh.T, scale, order="C")
-    else:
-        w_hh_t = (params.w_hh * scale[:, None]).T
-    return w_ih_t, w_hh_t, bias
+    return w_ih_t, np.multiply(params.w_hh.T, scale, order="C"), bias
 
 
 def _lstm_forward_batch(params: ModelParams, indices: np.ndarray,
@@ -279,9 +272,9 @@ def _lstm_forward_batch(params: ModelParams, indices: np.ndarray,
     The rows run longest first, and step t runs over the first
     ``sizes[t]`` of them: the rows still inside their sequence.  The P real
     positions are stored time-major, step after step, so no pad position is
-    gathered, multiplied or stored.  ``h_final`` and ``c_final`` are each
-    row's state after its last real token (zero for an empty row), in the
-    caller's row order.
+    gathered, multiplied or stored.  ``h_final`` is each row's hidden
+    state after its last real token (zero for an empty row), in the
+    caller's row order; its cell state is ``c`` at that position.
 
     With ``for_backward`` every position's h, c and tanh(c) is kept;
     without it each is one (B, H) buffer, the current step only, whose
@@ -295,16 +288,22 @@ def _lstm_forward_batch(params: ModelParams, indices: np.ndarray,
     order, sizes, offsets = _packing(lengths)
     steps, n_pos = len(sizes), offsets[-1]
     sorted_lengths = lengths[order]
-    ids = indices[order, :steps].T[np.arange(steps)[:, None] < sorted_lengths]
+    ids = indices[order, :steps].T           # (steps, B)
+    if sizes[-1:] == [batch]:  # every row runs every step
+        ids = ids.ravel()
+    else:
+        ids = ids[np.arange(steps)[:, None] < sorted_lengths]
     x = params.embedding[ids]                # (P, E)
 
     # input projection and bias of every real position in one GEMM, in
     # the scaled pre-activations that the tanh reads
-    w_ih_t, w_hh_t, bias = _forward_weights(params, batch)
+    w_ih_t, w_hh_t, bias = _forward_weights(params)
     gates = x @ w_ih_t                       # (P, 4H)
     gates += bias
     gi, gf, gg, go = gates.reshape(n_pos, 4, h_dim).transpose(1, 0, 2)
-    scale, shift = _gate_affine(h_dim, dtype)
+    # as (1, 4H) rows: numpy runs a one-row step's in-place ops on arrays
+    # of one shape at about half the cost of broadcasting a (4H,) vector
+    scale, shift = (v.reshape(1, -1) for v in _gate_affine(h_dim, dtype))
 
     # state rows: position p when kept for backward, else the live prefix
     # of one (B, H) buffer
@@ -341,18 +340,14 @@ def _lstm_forward_batch(params: ModelParams, indices: np.ndarray,
         last = [offsets[n - 1] + r
                 for r, n in enumerate(sorted_lengths[:live].tolist())]
         h_end = np.zeros((batch, h_dim), dtype=dtype)
-        c_end = np.zeros((batch, h_dim), dtype=dtype)
         h_end[:live] = h_buf[last]
-        c_end[:live] = c_buf[last]
     else:
-        h_end, c_end = h_buf, c_buf
-    h_final, c_final = np.empty_like(h_end), np.empty_like(c_end)
+        h_end = h_buf
+    h_final = np.empty_like(h_end)
     h_final[order] = h_end
-    c_final[order] = c_end
     return {"x": x, "ids": ids, "lengths": lengths, "order": order,
             "sizes": sizes, "offsets": offsets, "gates": gates,
-            "h": h_buf, "c": c_buf, "tanh_c": tanh_c,
-            "h_final": h_final, "c_final": c_final}
+            "h": h_buf, "c": c_buf, "tanh_c": tanh_c, "h_final": h_final}
 
 
 def _lstm_backward_batch(params: ModelParams, cache: dict,

@@ -190,6 +190,19 @@ def batch_with_gaps(cfg, rng, batch):
     return idx, lengths
 
 
+def final_c(cache):
+    """Each row's cell state after its last real token (zero for an empty
+    row), in the caller's row order: ``c`` at the row's last packed
+    position, which for row r of the sorted batch is offsets[len - 1] + r."""
+    c = cache["c"]
+    out = np.zeros((len(cache["lengths"]), c.shape[1]), dtype=c.dtype)
+    for r, row in enumerate(cache["order"].tolist()):
+        n = cache["lengths"][row]
+        if n:
+            out[row] = c[cache["offsets"][n - 1] + r]
+    return out
+
+
 class TestLstmStep:
     """The gate equations, through the batched path."""
 
@@ -201,7 +214,7 @@ class TestLstmStep:
                 arr[:] = 0.0
         cache = nn._lstm_forward_batch(params, np.array([[1, 2, 0]]),
                                        np.array([2]))
-        assert np.all(cache["c"] == 0.0) and np.all(cache["c_final"] == 0.0)
+        assert np.all(cache["c"] == 0.0) and np.all(final_c(cache) == 0.0)
         assert np.all(cache["h_final"] == 0.0)
 
     def test_scalar_saturated_gates(self):
@@ -211,7 +224,7 @@ class TestLstmStep:
             arr[:] = 0.0
         params.b_ih[:] = [100.0, 0.0, 100.0, 100.0]  # [i, f, g, o]
         cache = nn._lstm_forward_batch(params, np.array([[1]]), np.array([1]))
-        assert cache["c_final"][0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert final_c(cache)[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert cache["h_final"][0, 0] == pytest.approx(0.7616, abs=5e-5)
 
     def test_matches_scalar_oracle(self):
@@ -225,7 +238,7 @@ class TestLstmStep:
             params = random_params(cfg, seed=trial, bias_scale=0.7)
             idx, lengths = batch_with_gaps(cfg, rng, int(rng.integers(1, 5)))
             cache = nn._lstm_forward_batch(params, idx, lengths)
-            c_final = cache["c_final"]
+            c_final = final_c(cache)
             logits = nn.forward_logits(params, idx, lengths)
             w, b = params.w_out, params.b_out
             for row in range(len(idx)):
@@ -256,7 +269,7 @@ class TestLstmForward:
         cache = nn._lstm_forward_batch(params, np.array([[0, 0, 0, 0],
                                                          [1, 2, 3, 0]]),
                                        lengths)
-        c_final = cache["c_final"]
+        c_final = final_c(cache)
         assert np.all(cache["h_final"][0] == 0) and np.all(c_final[0] == 0)
         assert np.all(cache["h_final"][1] != 0)
 
@@ -268,7 +281,7 @@ class TestLstmForward:
         h, c = scalar_lstm_step(params.embedding[idx[0, 0]],
                                 [0.0, 0.0], [0.0, 0.0], params)
         assert np.max(np.abs(cache["h_final"][0] - h)) <= 1e-12
-        assert np.max(np.abs(cache["c_final"][0] - c)) <= 1e-12
+        assert np.max(np.abs(final_c(cache)[0] - c)) <= 1e-12
 
     def test_padding_ignored(self):
         # tokens past a row's length change neither its h nor its c
@@ -283,7 +296,7 @@ class TestLstmForward:
         a = nn._lstm_forward_batch(params, padded, lengths)
         b = nn._lstm_forward_batch(params, junk, lengths)
         assert np.array_equal(a["h_final"], b["h_final"])
-        assert np.array_equal(a["c_final"], b["c_final"])
+        assert np.array_equal(final_c(a), final_c(b))
 
     def test_lengths_clamped_to_the_batch(self):
         cfg = tiny_config(E=3, H=2, T=4)
@@ -933,8 +946,7 @@ class TestPackedLayout:
     @pytest.mark.parametrize("batch", [1, 2, 3, 16])
     @pytest.mark.parametrize("equal", [True, False])
     def test_batch_sizes_match_the_loop(self, batch, equal):
-        # one or two rows read w_hh through its transposed view, more rows
-        # through a contiguous copy; equal lengths keep the caller's order
+        # equal lengths keep the caller's order and skip the packing mask
         rng = np.random.default_rng(batch + 100 * equal)
         cfg = tiny_config(V=10, E=4, H=5, T=7)
         params = random_params(cfg, seed=batch)
@@ -948,11 +960,10 @@ class TestPackedLayout:
         new = nn._lstm_forward_batch(params, idx, lengths)
         old = loop_forward(params, idx, lengths)
         assert np.max(np.abs(new["h_final"] - old["h_states"][-1])) <= 1e-12
-        assert np.max(np.abs(new["c_final"] - old["c_states"][-1])) <= 1e-12
+        assert np.max(np.abs(final_c(new) - old["c_states"][-1])) <= 1e-12
         inference = nn._lstm_forward_batch(params, idx, lengths,
                                            for_backward=False)
         assert np.array_equal(inference["h_final"], new["h_final"])
-        assert np.array_equal(inference["c_final"], new["c_final"])
         d_h = rng.normal(size=(batch, cfg.hidden_dim))
         g_new = dense_grads(params, nn._lstm_backward_batch(params, new, d_h))
         for name, want in loop_backward(params, old, d_h).items():
@@ -1414,10 +1425,10 @@ class TestPredictBatch:
 
 # --- read-only, forward-ready loaded models --------------------------------------
 
-def loaded_model(tmp_path, dtype, adam=False):
+def loaded_model(tmp_path, dtype, adam=False,
+                 cfg=tiny_config(V=30, E=6, H=5, T=7)):
     """(loaded params, a writable copy of its arrays, the checkpoint path)
     for a random model with non-zero biases."""
-    cfg = tiny_config(V=30, E=6, H=5, T=7)
     params = random_params(cfg, seed=8)
     params = nn.ModelParams(cfg, **{k: a.astype(dtype)
                                     for k, a in params.arrays().items()})
@@ -1454,17 +1465,13 @@ class TestReadOnlyModel:
         loaded, _, _ = loaded_model(tmp_path, dtype)
         assert "forward_ready" in vars(loaded)  # computed by load_checkpoint
         scale = nn._gate_affine(loaded.config.hidden_dim, np.dtype(dtype))[0]
-        w_ih_t, w_hh_t, bias, w_hh_t_gemv = loaded.forward_ready
+        w_ih_t, w_hh_t, bias = loaded.forward_ready
         for got, want in ((w_ih_t, scale * loaded.w_ih.T),
                           (w_hh_t, scale * loaded.w_hh.T),
-                          (bias, scale * (loaded.b_ih + loaded.b_hh)),
-                          (w_hh_t_gemv, scale * loaded.w_hh.T)):
+                          (bias, scale * (loaded.b_ih + loaded.b_hh))):
             assert got.dtype == want.dtype == dtype
             assert np.array_equal(got, want)
-        for got in (w_ih_t, w_hh_t, bias):
             assert got.flags.c_contiguous
-        # one or two rows step with the layout of the w_hh.T view
-        assert w_hh_t_gemv.strides == loaded.w_hh.T.strides
         assert not np.array_equal(w_ih_t, loaded.w_ih.T)
         assert not np.array_equal(bias, scale * loaded.b_ih)
 
@@ -1504,6 +1511,31 @@ class TestReadOnlyModel:
             assert a.label == b.label
             assert a.low_confidence == b.low_confidence
             assert np.max(np.abs(a.probabilities - b.probabilities)) <= tol
+
+    # both models step on one contiguous w_hh.T at every batch size.  The
+    # input projection of one or two positions is a GEMV whose bits depend
+    # on w_ih.T's layout, contiguous on a loaded model and the transposed
+    # view on a writable one (the tolerance test above covers it); from
+    # three positions up both models run the same arithmetic.
+    @pytest.mark.parametrize("lengths", [(3,), (9,), (4, 0), (1, 2), (5, 9),
+                                         (9, 9)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_and_two_rows_bit_identical_to_a_writable_copy(
+            self, tmp_path, lengths, dtype):
+        loaded, copy, _ = loaded_model(tmp_path, dtype,
+                                       cfg=tiny_config(V=60, E=32, H=128, T=9))
+        rng = np.random.default_rng(sum(lengths))
+        lengths = np.array(lengths)
+        idx = rng.integers(1, loaded.config.vocab_size,
+                           size=(len(lengths), loaded.config.max_len))
+        for b, n in enumerate(lengths):
+            idx[b, n:] = 0
+        assert np.array_equal(nn.forward_logits(loaded, idx, lengths),
+                              nn.forward_logits(copy, idx, lengths))
+        for a, b in zip(nn.predict_encoded(loaded, idx, lengths),
+                        nn.predict_encoded(copy, idx, lengths), strict=True):
+            assert np.array_equal(a.probabilities, b.probabilities)
+            assert (a.label, a.low_confidence) == (b.label, b.low_confidence)
 
     @pytest.mark.parametrize("with_adam", [False, True])
     def test_checkpoint_saved_from_a_loaded_model_round_trips(self, tmp_path,
@@ -1552,30 +1584,24 @@ def _unscaled_forward_ready(params):
 
 # _forward_weights and _lstm_forward_batch are verbatim copies of the forward
 # pass that scaled the pre-activations per step (``a *= scale``), save that a
-# read-only model's weights come from _unscaled_forward_ready.
+# read-only model's weights come from _unscaled_forward_ready and that every
+# batch size steps on the contiguous w_hh.T, where one or two rows once
+# stepped on the transposed view.
 
-def _forward_weights(params: ModelParams, batch: int,
+def _forward_weights(params: ModelParams,
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``w_ih.T``, ``w_hh.T`` and ``b_ih + b_hh``, as a forward pass over
-    ``batch`` rows reads them.
+    """``w_ih.T``, ``w_hh.T`` and ``b_ih + b_hh``, as the forward pass
+    reads them.
 
     A read-only model serves its ``forward_ready`` arrays, computed once.
     A trainable model's weights change every step, so they are derived per
     call: the ``w_ih.T`` view, and a contiguous copy of ``w_hh.T``, which
-    more than pays for itself over the steps.  One or two rows run the
-    ``w_hh.T`` view as a GEMV on either model, so a forward pass over one
-    comment steps as it would on a trainable model.
+    more than pays for itself over the steps.
     """
     if params.read_only():
-        w_ih_t, w_hh_t, bias = _unscaled_forward_ready(params)
-    else:
-        w_ih_t, w_hh_t = params.w_ih.T, params.w_hh.T
-        bias = params.b_ih + params.b_hh
-        if batch > 2:
-            w_hh_t = np.ascontiguousarray(w_hh_t)
-    if batch <= 2:
-        w_hh_t = params.w_hh.T
-    return w_ih_t, w_hh_t, bias
+        return _unscaled_forward_ready(params)
+    return (params.w_ih.T, np.ascontiguousarray(params.w_hh.T),
+            params.b_ih + params.b_hh)
 
 
 def _lstm_forward_batch(params: ModelParams, indices: np.ndarray,
@@ -1606,7 +1632,7 @@ def _lstm_forward_batch(params: ModelParams, indices: np.ndarray,
     x = params.embedding[ids]                # (P, E)
 
     # input projection and bias of every real position in one GEMM
-    w_ih_t, w_hh_t, bias = _forward_weights(params, batch)
+    w_ih_t, w_hh_t, bias = _forward_weights(params)
     gates = x @ w_ih_t                       # (P, 4H)
     gates += bias
     gate4 = gates.reshape(n_pos, 4, h_dim)
@@ -1721,8 +1747,9 @@ class TestPrescaledGatesExact:
             idx, lengths, _ = random_batch(params.config, rng, rows)
             got = nn._lstm_forward_batch(params, idx, lengths)
             want = _lstm_forward_batch(params, idx, lengths)
-            for key in ("gates", "h", "c", "tanh_c", "h_final", "c_final"):
+            for key in ("gates", "h", "c", "tanh_c", "h_final"):
                 assert np.array_equal(got[key], want[key]), (rows, key)
+            assert np.array_equal(final_c(got), want["c_final"]), rows
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_all_rows_empty_and_no_rows(self, tmp_path, dtype):

@@ -14,12 +14,14 @@ both revisions, each in fresh processes that import that revision's
 - ``sentimen evaluate`` of each checkpoint on the test split;
 - ``sentimen predict`` of each checkpoint on the unlabelled comments;
 - the float64 probability vectors behind those outputs, which the CLI
-  prints rounded: ``nn.predict`` on each unlabelled comment, one call each,
-  then ``nn.predict_encoded`` over the test split.
+  prints rounded, as ``.npy`` files: ``nn.predict`` on each unlabelled
+  comment, one call each, and ``nn.predict_encoded`` over the test split.
 
 Every artifact's sha256 is printed for both revisions, and the ones that
-differ are flagged.  Exit status 0 when every artifact is byte-identical,
-1 otherwise.  The artifacts are kept under ``--out`` when it is given.
+differ are flagged.  For a probability file that differs, the line after
+it says how many vectors differ, by how much at most, and in how many the
+argmax (the predicted label) differs.  Exit status 0 when every artifact
+is byte-identical, 1 otherwise.  The artifacts are kept under ``--out`` when it is given.
 BLAS runs one thread, as in the benchmark.
 """
 
@@ -35,12 +37,14 @@ import tarfile
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 3)
 DTYPES = ("float32", "float64")
 
 # run at each revision: argv is the model dir, the test CSV, the unlabelled
-# comments (one a line) and the output file
+# comments (one a line) and the output file's prefix
 _PROBABILITIES = """
 import sys
 from pathlib import Path
@@ -56,7 +60,8 @@ docs = [preprocess.run_pipeline(r.text, pp)
         for r in ingest.load_csv(test_csv).records]
 batch = [p.probabilities for p in
          nn.predict_encoded(params, *vocab.encode(docs, voc, max_len))]
-out.write_bytes(np.asarray(one + batch, dtype=np.float64).tobytes())
+for name, probs in (("predict", one), ("predict_encoded", batch)):
+    np.save(f"{out}-{name}.npy", np.asarray(probs, dtype=np.float64))
 """
 
 
@@ -111,7 +116,18 @@ def run_revision(src: Path, inputs: Path, out: Path) -> None:
                  stdin=inputs / "unlabeled.txt",
                  stdout=out / f"predict-{dtype}.txt")
         python("-c", _PROBABILITIES, str(model), str(inputs / "test.csv"),
-               str(inputs / "unlabeled.txt"), str(out / f"probabilities-{dtype}.bin"))
+               str(inputs / "unlabeled.txt"), str(out / f"probabilities-{dtype}"))
+
+
+def probability_change(base: Path, tree: Path) -> str:
+    """How two dumps of (N, C) probability vectors differ."""
+    a, b = np.load(base), np.load(tree)
+    if a.shape != b.shape:
+        return f"shape {a.shape} against {b.shape}"
+    moved = int(np.any(a != b, axis=1).sum())
+    return (f"{moved} of {len(a)} vectors differ, by at most "
+            f"{np.max(np.abs(a - b), initial=0.0):.2g}; argmax differs in "
+            f"{int(np.sum(a.argmax(axis=1) != b.argmax(axis=1)))}")
 
 
 def digests(out: Path) -> dict[str, str]:
@@ -158,6 +174,10 @@ def main(argv: list[str] | None = None) -> int:
                 else:
                     differing += 1
                     print(f"  DIFFERS  seed{seed}/{name}  base {a}  tree {b}")
+                    if name.startswith("probabilities-") and "-" not in (a, b):
+                        print("           " + probability_change(
+                            work / f"seed{seed}" / "base" / name,
+                            work / f"seed{seed}" / "tree" / name))
     print(f"{total - differing} of {total} artifacts byte-identical "
           f"(base {args.base}, working tree)")
     return 1 if differing else 0

@@ -173,11 +173,11 @@ MUTANTS = (
             "tests/test_nn.py::TestBlockedAdam::"
             "test_bit_identical_to_unblocked_formula")),
     # the forward-ready weights of a loaded model: its fused bias, checked
-    # against a writable copy, and its input weights, which the benchmark's
-    # own check must catch in the nn.predict calls it times
+    # against a writable copy, and its input and recurrent weights, which the
+    # benchmark's own check must catch in the nn.predict calls it times
     Mutant("forward_ready_bias_without_b_hh", "src/sentimen/nn.py",
-           "scale * (self.b_ih + self.b_hh),\n",
-           "scale * self.b_ih,\n",
+           "scale * (self.b_ih + self.b_hh))\n",
+           "scale * self.b_ih)\n",
            ("tests/test_nn.py::TestReadOnlyModel::"
             "test_loaded_model_agrees_with_a_writable_copy[float32-1e-06-16]",
             "tests/test_nn.py::TestReadOnlyModel::"
@@ -188,11 +188,20 @@ MUTANTS = (
            " scale, order=\"C\"),\n",
            ("perfbench/test_smoke.py::test_quick_run_is_correct_and_well_formed"
             "[infer_paper-0]",)),
+    Mutant("forward_ready_w_hh_reshaped", "src/sentimen/nn.py",
+           "np.multiply(self.w_hh.T, scale, order=\"C\"),\n",
+           "np.multiply(self.w_hh.reshape(self.w_hh.shape[::-1]), scale,\n"
+           "                             order=\"C\"),\n",
+           ("perfbench/test_smoke.py::test_quick_run_is_correct_and_well_formed"
+            "[infer_paper-0]",
+            "tests/test_nn.py::TestReadOnlyModel::"
+            "test_one_and_two_rows_bit_identical_to_a_writable_copy"
+            "[float32-lengths0]")),
     # the gates' pre-activation scale, folded into the weights: a loaded
     # model's recurrent weights and a trainable model's input weights
     Mutant("forward_ready_w_hh_unscaled", "src/sentimen/nn.py",
-           "np.ascontiguousarray(w_hh.T), ",
-           "np.ascontiguousarray(self.w_hh.T), ",
+           "np.multiply(self.w_hh.T, scale, order=\"C\"),\n",
+           "np.ascontiguousarray(self.w_hh.T),\n",
            ("tests/test_nn.py::TestPrescaledGatesExact::"
             "test_logits_and_predictions_equal_the_oracle[float32-16]",
             "tests/test_nn.py::TestPrescaledGatesExact::"
