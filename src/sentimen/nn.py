@@ -29,9 +29,8 @@ pre-activation scale (``_gate_affine``), so the recurrence applies the
 nonlinearity to the sums as they come.  A model from ``load_checkpoint`` is
 read-only and forward-ready: every parameter array is read-only, and
 ``ModelParams.forward_ready`` holds the prescaled weights, computed once,
-which a trainable model derives per call.  Every batch size, one row
-included, steps on a C-contiguous ``w_hh.T``, so the recurrence of a loaded
-model and of its writable copy agree bit for bit.  The Adam steps reject a
+which a trainable model derives per call by the same formula, so a loaded
+model and its writable copy agree bit for bit.  The Adam steps reject a
 read-only model.
 """
 
@@ -133,16 +132,11 @@ class ModelParams:
 
     @cached_property
     def forward_ready(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``scale * w_ih.T``, ``scale * w_hh.T`` and ``scale * (b_ih +
-        b_hh)``, all C-contiguous; ``scale`` is the gates' pre-activation
-        scale (``_gate_affine``).  Computed on first use; the forward pass
-        reads them only while the model is read-only, so while its weights
-        do not change.  They do not follow an array assigned to the model
-        later: build a new ``ModelParams`` instead."""
-        scale = _gate_affine(self.config.hidden_dim, self.w_hh.dtype)[0]
-        ready = (np.multiply(self.w_ih.T, scale, order="C"),
-                 np.multiply(self.w_hh.T, scale, order="C"),
-                 scale * (self.b_ih + self.b_hh))
+        """The ``_prescaled_weights``, read-only.  Computed on first use;
+        the forward pass reads them only while the model is read-only, so
+        while its weights do not change.  They do not follow an array
+        assigned to the model later: build a new ``ModelParams`` instead."""
+        ready = _prescaled_weights(self)
         for a in ready:
             a.flags.writeable = False
         return ready
@@ -241,27 +235,28 @@ def _packing(lengths: np.ndarray) -> tuple[np.ndarray, list, list]:
     return np.array(order, dtype=np.intp), sizes, offsets
 
 
-def _forward_weights(params: ModelParams,
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``w_ih.T``, ``w_hh.T`` and ``b_ih + b_hh``, each gate column times
-    its pre-activation scale (``_gate_affine``), with ``w_hh.T``
-    C-contiguous, the one layout every batch size steps on.
+def _prescaled_weights(params: ModelParams,
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``w_ih.T`` and ``w_hh.T``, C-contiguous, and ``b_ih + b_hh``, each
+    gate column times its pre-activation scale (``_gate_affine``).
 
     Every scale is 0.5 or 1.0, a power of two, so it commutes with the
     rounding of the GEMMs and the adds: the scaled sums are exactly the
     sums times the scale, unless one turns subnormal.
-    A read-only model serves its ``forward_ready`` arrays, computed once.
-    A trainable model's weights change every step, so they are scaled per
-    call: ``w_ih`` read through its ``.T`` view, and a contiguous copy of
-    ``w_hh.T``.
     """
+    scale = _gate_affine(params.config.hidden_dim, params.w_hh.dtype)[0]
+    return (np.multiply(params.w_ih.T, scale, order="C"),
+            np.multiply(params.w_hh.T, scale, order="C"),
+            scale * (params.b_ih + params.b_hh))
+
+
+def _forward_weights(params: ModelParams,
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_prescaled_weights``: a read-only model's cached, a trainable
+    model's computed per call, since they change every step."""
     if params.read_only():
         return params.forward_ready
-    scale = _gate_affine(params.config.hidden_dim, params.w_hh.dtype)[0]
-    w_ih_t = (params.w_ih * scale[:, None]).T
-    bias = params.b_ih + params.b_hh
-    bias *= scale
-    return w_ih_t, np.multiply(params.w_hh.T, scale, order="C"), bias
+    return _prescaled_weights(params)
 
 
 def _lstm_forward_batch(params: ModelParams, indices: np.ndarray,

@@ -101,12 +101,16 @@ def train(params: nn.ModelParams, train_set: EncodedDataset,
 
     Best = highest validation accuracy, ties to the earlier epoch.  With no
     validation set the training metrics stand in for the validation columns.
+    Class weights that are not one per class raise ``ValueError`` first.
     """
+    n_classes = params.b_out.shape[0]
+    if cfg.class_weights is not None and len(cfg.class_weights) != n_classes:
+        raise ValueError(f"{len(cfg.class_weights)} class weights for a model "
+                         f"of {n_classes} classes")
     adam = nn.AdamState.for_params(params)
     drop_rng = stream(cfg.seed, "dropout")
     weights = (np.asarray(cfg.class_weights, dtype=np.float64)
                if cfg.class_weights is not None else None)
-    n_classes = params.b_out.shape[0]
 
     history: list[EpochStats] = []
     best_epoch: int | None = None

@@ -1,9 +1,13 @@
 """Every committed mutant of ``tools/mutants.py`` still applies exactly
-once, so a refactor that moves the code a mutant targets must carry the
-mutant forward.  Running the mutants is ``python tools/mutants.py``."""
+once, and every test it names is still collected, so a refactor that moves
+the code a mutant targets, or merges or renames a test a mutant names,
+must carry the mutant forward.  Running the mutants is
+``python tools/mutants.py``."""
 
 import importlib.util
+import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -24,5 +28,18 @@ def test_mutant_applies_exactly_once(tmp_path, mutant):
     shutil.copy(ROOT / mutant.path, target)
     mutants.apply(mutant, tmp_path)
     assert target.read_text("utf-8") != (ROOT / mutant.path).read_text("utf-8")
-    for node in mutant.tests:
-        assert (ROOT / node.split("::")[0]).is_file(), node
+
+
+def test_every_named_test_is_collected():
+    # one collection of every named file, in the environment the runner
+    # gives its pytest: no PYTHONPATH, so pyproject.toml's pythonpath holds
+    named = {node for m in mutants.MUTANTS for node in m.tests}
+    files = sorted({node.split("::")[0] for node in named})
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p",
+         "no:cacheprovider", *files],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    missing = sorted(named - set(proc.stdout.splitlines()))
+    assert not missing, f"named by a mutant but not collected: {missing}"

@@ -1462,7 +1462,7 @@ class TestReadOnlyModel:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_forward_ready_weights_exact_and_contiguous(self, tmp_path, dtype):
-        loaded, _, _ = loaded_model(tmp_path, dtype)
+        loaded, copy, _ = loaded_model(tmp_path, dtype)
         assert "forward_ready" in vars(loaded)  # computed by load_checkpoint
         scale = nn._gate_affine(loaded.config.hidden_dim, np.dtype(dtype))[0]
         w_ih_t, w_hh_t, bias = loaded.forward_ready
@@ -1474,6 +1474,11 @@ class TestReadOnlyModel:
             assert got.flags.c_contiguous
         assert not np.array_equal(w_ih_t, loaded.w_ih.T)
         assert not np.array_equal(bias, scale * loaded.b_ih)
+        # a writable copy computes the same arrays, in the same layout
+        for got, want in zip(nn._forward_weights(copy), loaded.forward_ready,
+                             strict=True):
+            assert got.flags.c_contiguous and got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
     def test_trainable_model_never_gets_cached_weights(self):
         from sentimen.train import EncodedDataset, TrainConfig, train
@@ -1493,49 +1498,37 @@ class TestReadOnlyModel:
             assert not model.read_only()
             assert "forward_ready" not in vars(model)
 
-    @pytest.mark.parametrize("rows", [1, 2, 3, 16, 256])
-    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6),
-                                           (np.float64, 1e-12)])
-    def test_loaded_model_agrees_with_a_writable_copy(self, tmp_path, rows,
-                                                      dtype, tol):
-        loaded, copy, _ = loaded_model(tmp_path, dtype)
-        rng = np.random.default_rng(rows)
-        idx, lengths, _ = random_batch(loaded.config, rng, rows)
-        lengths[4::5] = 0  # some rows empty after preprocessing
-        want = nn.forward_logits(copy, idx, lengths)
-        got = nn.forward_logits(loaded, idx, lengths)
-        assert got.dtype == want.dtype == dtype
-        assert np.allclose(got, want, rtol=0, atol=tol)
-        for a, b in zip(nn.predict_encoded(loaded, idx, lengths),
-                        nn.predict_encoded(copy, idx, lengths)):
-            assert a.label == b.label
-            assert a.low_confidence == b.low_confidence
-            assert np.max(np.abs(a.probabilities - b.probabilities)) <= tol
-
-    # both models step on one contiguous w_hh.T at every batch size.  The
-    # input projection of one or two positions is a GEMV whose bits depend
-    # on w_ih.T's layout, contiguous on a loaded model and the transposed
-    # view on a writable one (the tolerance test above covers it); from
-    # three positions up both models run the same arithmetic.
-    @pytest.mark.parametrize("lengths", [(3,), (9,), (4, 0), (1, 2), (5, 9),
-                                         (9, 9)])
+    # fixed lengths, then numbers of random rows with every fifth left empty
+    @pytest.mark.parametrize("case", [(1,), (2,), (1, 2), (3,), (9,), (4, 0),
+                                      (5, 9), (9, 9), 1, 2, 3, 16, 256],
+                             ids=lambda c: f"rows{c}" if isinstance(c, int)
+                             else "lengths" + "_".join(map(str, c)))
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_one_and_two_rows_bit_identical_to_a_writable_copy(
-            self, tmp_path, lengths, dtype):
+    def test_bit_identical_to_a_writable_copy(self, tmp_path, case, dtype):
         loaded, copy, _ = loaded_model(tmp_path, dtype,
                                        cfg=tiny_config(V=60, E=32, H=128, T=9))
-        rng = np.random.default_rng(sum(lengths))
-        lengths = np.array(lengths)
-        idx = rng.integers(1, loaded.config.vocab_size,
-                           size=(len(lengths), loaded.config.max_len))
-        for b, n in enumerate(lengths):
-            idx[b, n:] = 0
-        assert np.array_equal(nn.forward_logits(loaded, idx, lengths),
-                              nn.forward_logits(copy, idx, lengths))
-        for a, b in zip(nn.predict_encoded(loaded, idx, lengths),
-                        nn.predict_encoded(copy, idx, lengths), strict=True):
-            assert np.array_equal(a.probabilities, b.probabilities)
-            assert (a.label, a.low_confidence) == (b.label, b.low_confidence)
+        cfg = loaded.config
+        rng = np.random.default_rng(case if isinstance(case, int)
+                                    else 1000 + sum(case))
+        for _ in range(50):
+            if isinstance(case, int):
+                idx, lengths, _ = random_batch(cfg, rng, case)
+                lengths[4::5] = 0
+            else:
+                lengths = np.array(case)
+                idx = rng.integers(1, cfg.vocab_size,
+                                   size=(len(lengths), cfg.max_len))
+                for b, n in enumerate(lengths):
+                    idx[b, n:] = 0
+            got = nn.forward_logits(loaded, idx, lengths)
+            assert got.dtype == dtype
+            assert np.array_equal(got, nn.forward_logits(copy, idx, lengths))
+            for a, b in zip(nn.predict_encoded(loaded, idx, lengths),
+                            nn.predict_encoded(copy, idx, lengths),
+                            strict=True):
+                assert np.array_equal(a.probabilities, b.probabilities)
+                assert (a.label, a.low_confidence) == \
+                    (b.label, b.low_confidence)
 
     @pytest.mark.parametrize("with_adam", [False, True])
     def test_checkpoint_saved_from_a_loaded_model_round_trips(self, tmp_path,
@@ -1582,27 +1575,10 @@ def _unscaled_forward_ready(params):
             np.ascontiguousarray(params.w_hh.T), params.b_ih + params.b_hh)
 
 
-# _forward_weights and _lstm_forward_batch are verbatim copies of the forward
-# pass that scaled the pre-activations per step (``a *= scale``), save that a
-# read-only model's weights come from _unscaled_forward_ready and that every
-# batch size steps on the contiguous w_hh.T, where one or two rows once
-# stepped on the transposed view.
-
-def _forward_weights(params: ModelParams,
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``w_ih.T``, ``w_hh.T`` and ``b_ih + b_hh``, as the forward pass
-    reads them.
-
-    A read-only model serves its ``forward_ready`` arrays, computed once.
-    A trainable model's weights change every step, so they are derived per
-    call: the ``w_ih.T`` view, and a contiguous copy of ``w_hh.T``, which
-    more than pays for itself over the steps.
-    """
-    if params.read_only():
-        return _unscaled_forward_ready(params)
-    return (params.w_ih.T, np.ascontiguousarray(params.w_hh.T),
-            params.b_ih + params.b_hh)
-
+# _lstm_forward_batch is a verbatim copy of the forward pass that scaled the
+# pre-activations per step (``a *= scale``), save that its weights, on
+# loaded and trainable models alike, come from _unscaled_forward_ready, so
+# every batch size steps on contiguous copies of w_ih.T and w_hh.T.
 
 def _lstm_forward_batch(params: ModelParams, indices: np.ndarray,
                         lengths: np.ndarray, for_backward: bool = True) -> dict:
@@ -1619,7 +1595,7 @@ def _lstm_forward_batch(params: ModelParams, indices: np.ndarray,
     With ``for_backward`` every position's h, c and tanh(c) is kept;
     without it each is one (B, H) buffer, the current step only, whose
     prefix of live rows each step updates in place.  The weights come
-    from ``_forward_weights``.
+    from ``_unscaled_forward_ready``.
     """
     h_dim = params.w_hh.shape[1]
     dtype = params.w_ih.dtype
@@ -1632,7 +1608,7 @@ def _lstm_forward_batch(params: ModelParams, indices: np.ndarray,
     x = params.embedding[ids]                # (P, E)
 
     # input projection and bias of every real position in one GEMM
-    w_ih_t, w_hh_t, bias = _forward_weights(params)
+    w_ih_t, w_hh_t, bias = _unscaled_forward_ready(params)
     gates = x @ w_ih_t                       # (P, 4H)
     gates += bias
     gate4 = gates.reshape(n_pos, 4, h_dim)

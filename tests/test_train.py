@@ -297,6 +297,19 @@ class TestWeightedLoss:
                                   class_weights=np.array([1.0, 1.0]))
         assert weighted == pytest.approx(plain, rel=1e-12)
 
+    @pytest.mark.parametrize("weights", [(1.0,), (1.0, 2.0, 3.0)])
+    def test_train_rejects_weights_not_one_per_class(self, weights):
+        cfg = nn.ModelConfig(vocab_size=10, embed_dim=4, hidden_dim=4,
+                             max_len=4)
+        params = nn.init_params(cfg, seed=0)
+        before = {k: a.copy() for k, a in params.arrays().items()}
+        with pytest.raises(ValueError, match=f"^{len(weights)} class weights "
+                                             f"for a model of 2 classes$"):
+            train(params, make_encoded(8), None,
+                  TrainConfig(epochs=1, class_weights=weights))
+        for name, arr in params.arrays().items():
+            assert np.array_equal(arr, before[name]), name
+
 
 class TestHistoryCsv:
     def test_round_trip(self, tmp_path):

@@ -16,8 +16,9 @@ pass.
     python tools/mutants.py NAME ...   # run the named ones
 
 Exit status 0 when every mutant run is killed, 1 otherwise.  Tier-1 only
-checks that every entry still applies (``tests/test_mutants.py``); the runs
-themselves, one pytest process per mutant, stay out of it.
+checks that every entry still applies and that every test it names is
+collected (``tests/test_mutants.py``); the runs themselves, one pytest
+process per mutant, stay out of it.
 """
 
 from __future__ import annotations
@@ -172,47 +173,62 @@ MUTANTS = (
            ("tests/test_nn.py::TestAdam::test_first_step_hand_value",
             "tests/test_nn.py::TestBlockedAdam::"
             "test_bit_identical_to_unblocked_formula")),
-    # the forward-ready weights of a loaded model: its fused bias, checked
-    # against a writable copy, and its input and recurrent weights, which the
-    # benchmark's own check must catch in the nn.predict calls it times
+    # the prescaled weights, one formula for loaded and trainable models
+    # alike, so only the per-step oracle and the benchmark's own check of
+    # the nn.predict calls it times can catch a fault in them: the fused
+    # bias, the transposes and the gates' pre-activation scale
     Mutant("forward_ready_bias_without_b_hh", "src/sentimen/nn.py",
-           "scale * (self.b_ih + self.b_hh))\n",
-           "scale * self.b_ih)\n",
-           ("tests/test_nn.py::TestReadOnlyModel::"
-            "test_loaded_model_agrees_with_a_writable_copy[float32-1e-06-16]",
-            "tests/test_nn.py::TestReadOnlyModel::"
-            "test_loaded_model_agrees_with_a_writable_copy[float64-1e-12-256]")),
+           "            scale * (params.b_ih + params.b_hh))\n",
+           "            scale * params.b_ih)\n",
+           ("tests/test_nn.py::TestPrescaledGatesExact::"
+            "test_logits_and_predictions_equal_the_oracle[float32-16]",
+            "tests/test_nn.py::TestPrescaledGatesExact::"
+            "test_logits_and_predictions_equal_the_oracle[float64-256]")),
     Mutant("forward_ready_w_ih_untransposed", "src/sentimen/nn.py",
-           "        ready = (np.multiply(self.w_ih.T, scale, order=\"C\"),\n",
-           "        ready = (np.multiply(self.w_ih.reshape(self.w_ih.shape[::-1]),"
+           "    return (np.multiply(params.w_ih.T, scale, order=\"C\"),\n",
+           "    return (np.multiply(params.w_ih.reshape(params.w_ih.shape[::-1]),"
            " scale, order=\"C\"),\n",
            ("perfbench/test_smoke.py::test_quick_run_is_correct_and_well_formed"
-            "[infer_paper-0]",)),
+            "[infer_paper-0]",
+            "tests/test_nn.py::TestPrescaledGatesExact::"
+            "test_training_forward_cache_equals_the_oracle[float32]")),
     Mutant("forward_ready_w_hh_reshaped", "src/sentimen/nn.py",
-           "np.multiply(self.w_hh.T, scale, order=\"C\"),\n",
-           "np.multiply(self.w_hh.reshape(self.w_hh.shape[::-1]), scale,\n"
-           "                             order=\"C\"),\n",
+           "            np.multiply(params.w_hh.T, scale, order=\"C\"),\n",
+           "            np.multiply(params.w_hh.reshape(params.w_hh.shape[::-1]),"
+           " scale,\n                        order=\"C\"),\n",
            ("perfbench/test_smoke.py::test_quick_run_is_correct_and_well_formed"
             "[infer_paper-0]",
-            "tests/test_nn.py::TestReadOnlyModel::"
-            "test_one_and_two_rows_bit_identical_to_a_writable_copy"
-            "[float32-lengths0]")),
-    # the gates' pre-activation scale, folded into the weights: a loaded
-    # model's recurrent weights and a trainable model's input weights
+            "tests/test_nn.py::TestPrescaledGatesExact::"
+            "test_logits_and_predictions_equal_the_oracle[float32-3]")),
     Mutant("forward_ready_w_hh_unscaled", "src/sentimen/nn.py",
-           "np.multiply(self.w_hh.T, scale, order=\"C\"),\n",
-           "np.ascontiguousarray(self.w_hh.T),\n",
+           "            np.multiply(params.w_hh.T, scale, order=\"C\"),\n",
+           "            np.ascontiguousarray(params.w_hh.T),\n",
            ("tests/test_nn.py::TestPrescaledGatesExact::"
             "test_logits_and_predictions_equal_the_oracle[float32-16]",
             "tests/test_nn.py::TestPrescaledGatesExact::"
             "test_logits_and_predictions_equal_the_oracle[float64-256]")),
     Mutant("trainable_gates_unscaled", "src/sentimen/nn.py",
-           "    w_ih_t = (params.w_ih * scale[:, None]).T\n",
-           "    w_ih_t = params.w_ih.T\n",
+           "    return (np.multiply(params.w_ih.T, scale, order=\"C\"),\n",
+           "    return (np.ascontiguousarray(params.w_ih.T),\n",
            ("tests/test_nn.py::TestPrescaledGatesExact::"
             "test_logits_and_predictions_equal_the_oracle[float32-1]",
             "tests/test_nn.py::TestPrescaledGatesExact::"
             "test_training_forward_cache_equals_the_oracle[float64]")),
+    # a trainable model that reads w_ih.T through the transposed view again:
+    # one or two positions then run a GEMV with other bits than a loaded
+    # model's
+    Mutant("trainable_w_ih_view", "src/sentimen/nn.py",
+           "        return params.forward_ready\n"
+           "    return _prescaled_weights(params)\n",
+           "        return params.forward_ready\n"
+           "    scale = _gate_affine(params.config.hidden_dim, "
+           "params.w_hh.dtype)[0]\n"
+           "    _, w_hh_t, bias = _prescaled_weights(params)\n"
+           "    return (params.w_ih * scale[:, None]).T, w_hh_t, bias\n",
+           ("tests/test_nn.py::TestReadOnlyModel::"
+            "test_bit_identical_to_a_writable_copy[float32-lengths1]",
+            "tests/test_nn.py::TestReadOnlyModel::"
+            "test_bit_identical_to_a_writable_copy[float64-lengths1]")),
     # catch-up Adam: the moment decay, the window sums, the live-row phase
     # before T0 and the series pivot
     Mutant("catch_up_decays_m_one_step_short", "src/sentimen/nn.py",
