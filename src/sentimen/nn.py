@@ -14,7 +14,16 @@ t runs over the prefix of rows still inside their sequence.  Only the P
 real positions are gathered, projected, stepped and differentiated, so a
 padded row does the same arithmetic as its unpadded self, and the pad
 embedding row stays frozen at zero.  Final hidden states, logits and
-gradients come back in the caller's row order.
+gradients come back in the caller's row order.  Inference projects the
+positions a block of whole steps at a time, so it holds O((B + T) * 4H)
+gates, not O(P * 4H), with the bits of one GEMM over all of them.
+
+Batched inference (``predict_encoded``, ``train.evaluate_split``) runs its
+length-sorted batches on the calling thread plus helper threads, one per
+core that BLAS's own threads leave idle (``batch_workers``): none when
+``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` are unset, one more when
+BLAS runs one thread on two cores.  Each batch's logits are those of
+``forward_logits`` on it alone, so the thread count never changes a bit.
 
 A batch's P real positions touch at most P of the embedding table's V
 rows, so ``backward`` returns the embedding gradient as a ``RowGrad``: the
@@ -37,7 +46,9 @@ read-only model.
 from __future__ import annotations
 
 import math
+import os
 import struct
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -235,18 +246,37 @@ def _packing(lengths: np.ndarray) -> tuple[np.ndarray, list, list]:
     return np.array(order, dtype=np.intp), sizes, offsets
 
 
+_CACHE_LINE = 64
+
+
+def _line_aligned(like: np.ndarray) -> np.ndarray:
+    """An uninitialised C-contiguous array of ``like``'s shape and dtype
+    whose data start on a cache line.  numpy only promises 16 bytes, and
+    OpenBLAS's one-row product with a (128, 512) float32 matrix runs about
+    10% slower when its data start 16 bytes past a 32-byte boundary, so
+    without this a process's allocation history would set the speed of
+    single-comment predict."""
+    buf = np.empty(like.nbytes + _CACHE_LINE, dtype=np.uint8)
+    start = -buf.ctypes.data % _CACHE_LINE
+    return (buf[start:start + like.nbytes].view(like.dtype)
+            .reshape(like.shape))
+
+
 def _prescaled_weights(params: ModelParams,
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``w_ih.T`` and ``w_hh.T``, C-contiguous, and ``b_ih + b_hh``, each
-    gate column times its pre-activation scale (``_gate_affine``).
+    """``w_ih.T`` and ``w_hh.T``, C-contiguous and cache-line aligned, and
+    ``b_ih + b_hh``, each gate column times its pre-activation scale
+    (``_gate_affine``).
 
     Every scale is 0.5 or 1.0, a power of two, so it commutes with the
     rounding of the GEMMs and the adds: the scaled sums are exactly the
     sums times the scale, unless one turns subnormal.
     """
     scale = _gate_affine(params.config.hidden_dim, params.w_hh.dtype)[0]
-    return (np.multiply(params.w_ih.T, scale, order="C"),
-            np.multiply(params.w_hh.T, scale, order="C"),
+    return (np.multiply(params.w_ih.T, scale,
+                        out=_line_aligned(params.w_ih.T)),
+            np.multiply(params.w_hh.T, scale,
+                        out=_line_aligned(params.w_hh.T)),
             scale * (params.b_ih + params.b_hh))
 
 
@@ -257,6 +287,30 @@ def _forward_weights(params: ModelParams,
     if params.read_only():
         return params.forward_ready
     return _prescaled_weights(params)
+
+
+def _step_blocks(offsets: list, min_positions: int) -> list[int]:
+    """The steps that cut a packing (``offsets``, as ``_packing`` gives
+    them) into blocks of whole steps, as a list of bounds from 0 to the
+    step count.
+
+    A block ends at the first step boundary where it holds at least
+    ``min_positions`` positions, so every block but the last does; the last
+    holds the rest.  No cut leaves the last block one position, unless P is
+    1: a one-row product runs OpenBLAS's GEMV, whose bits differ from the
+    GEMM rows of the same inputs, while GEMMs over any row ranges of two or
+    more give the bits of one GEMM over all of them.
+    """
+    n_pos = offsets[-1]
+    if n_pos < min_positions + 2:  # no cut leaves a second block of two
+        return [0, len(offsets) - 1]
+    bounds = [0]
+    for t in range(1, len(offsets) - 1):
+        if (offsets[t] - offsets[bounds[-1]] >= min_positions
+                and n_pos - offsets[t] > 1):
+            bounds.append(t)
+    bounds.append(len(offsets) - 1)
+    return bounds
 
 
 def _lstm_forward_batch(params: ModelParams, indices: np.ndarray,
@@ -271,10 +325,15 @@ def _lstm_forward_batch(params: ModelParams, indices: np.ndarray,
     state after its last real token (zero for an empty row), in the
     caller's row order; its cell state is ``c`` at that position.
 
-    With ``for_backward`` every position's h, c and tanh(c) is kept;
-    without it each is one (B, H) buffer, the current step only, whose
-    prefix of live rows each step updates in place.  The weights come
-    from ``_forward_weights``.
+    The positions are gathered and projected a block of whole steps at a
+    time (``blocks``, from ``_step_blocks``), with the bits of one GEMM over
+    all of them.  With ``for_backward`` there is one block, and every
+    position's x, gates, h, c and tanh(c) is kept.  Without it a block
+    holds at least max(B, steps) positions and at most that plus B, and
+    h, c and tanh(c) are each one (B, H) buffer, the current step only,
+    whose prefix of live rows each step updates in place: the pass holds
+    O((B + T) * 4H) floats, not O(P * 4H).  The weights come from
+    ``_forward_weights``.
     """
     h_dim = params.w_hh.shape[1]
     dtype = params.w_ih.dtype
@@ -288,14 +347,10 @@ def _lstm_forward_batch(params: ModelParams, indices: np.ndarray,
         ids = ids.ravel()
     else:
         ids = ids[np.arange(steps)[:, None] < sorted_lengths]
-    x = params.embedding[ids]                # (P, E)
+    blocks = _step_blocks(offsets, n_pos if for_backward
+                          else max(batch, steps))
 
-    # input projection and bias of every real position in one GEMM, in
-    # the scaled pre-activations that the tanh reads
     w_ih_t, w_hh_t, bias = _forward_weights(params)
-    gates = x @ w_ih_t                       # (P, 4H)
-    gates += bias
-    gi, gf, gg, go = gates.reshape(n_pos, 4, h_dim).transpose(1, 0, 2)
     # as (1, 4H) rows: numpy runs a one-row step's in-place ops on arrays
     # of one shape at about half the cost of broadcasting a (4H,) vector
     scale, shift = (v.reshape(1, -1) for v in _gate_affine(h_dim, dtype))
@@ -307,28 +362,40 @@ def _lstm_forward_batch(params: ModelParams, indices: np.ndarray,
     c_buf = np.zeros((slots, h_dim), dtype=dtype)
     tanh_c = np.empty((slots, h_dim), dtype=dtype)
     cur = prev = 0
-    for t, (n, off) in enumerate(zip(sizes, offsets)):
-        end = off + n
-        a = gates[off:end]
-        if t:
-            a += h_buf[prev:prev + n] @ w_hh_t
-        np.tanh(a, out=a)
-        a *= scale
-        a += shift
-        i, f, g, o = gi[off:end], gf[off:end], gg[off:end], go[off:end]
-        if for_backward:
-            cur = off
-        c = c_buf[cur:cur + n]
-        if t:
-            np.multiply(f, c_buf[prev:prev + n], out=c)
-            c += i * g
-        else:
-            np.multiply(i, g, out=c)
-        tc = tanh_c[cur:cur + n]
-        np.tanh(c, out=tc)
-        np.multiply(o, tc, out=h_buf[cur:cur + n])
-        prev = cur
+    for first, stop in zip(blocks, blocks[1:]):
+        # the block's input projection and bias in one GEMM, in the scaled
+        # pre-activations that the tanh reads; rows from position ``lo``
+        lo = offsets[first]
+        x = params.embedding[ids[lo:offsets[stop]]]  # (block, E)
+        gates = x @ w_ih_t                           # (block, 4H)
+        gates += bias
+        gi, gf, gg, go = gates.reshape(len(x), 4, h_dim).transpose(1, 0, 2)
+        for t, n, off in zip(range(first, stop), sizes[first:stop],
+                             offsets[first:stop]):
+            off -= lo
+            end = off + n
+            a = gates[off:end]
+            if t:
+                a += h_buf[prev:prev + n] @ w_hh_t
+            np.tanh(a, out=a)
+            a *= scale
+            a += shift
+            i, f, g, o = gi[off:end], gf[off:end], gg[off:end], go[off:end]
+            if for_backward:
+                cur = off  # the one block starts at position 0
+            c = c_buf[cur:cur + n]
+            if t:
+                np.multiply(f, c_buf[prev:prev + n], out=c)
+                c += i * g
+            else:
+                np.multiply(i, g, out=c)
+            tc = tanh_c[cur:cur + n]
+            np.tanh(c, out=tc)
+            np.multiply(o, tc, out=h_buf[cur:cur + n])
+            prev = cur
 
+    cache = {"lengths": lengths, "order": order, "sizes": sizes,
+             "offsets": offsets, "blocks": blocks}
     if for_backward:
         # row r of the sorted batch ends at position offsets[len - 1] + r
         live = sizes[0] if steps else 0
@@ -336,13 +403,14 @@ def _lstm_forward_batch(params: ModelParams, indices: np.ndarray,
                 for r, n in enumerate(sorted_lengths[:live].tolist())]
         h_end = np.zeros((batch, h_dim), dtype=dtype)
         h_end[:live] = h_buf[last]
+        cache.update(x=x, ids=ids, gates=gates, h=h_buf, c=c_buf,
+                     tanh_c=tanh_c)
     else:
         h_end = h_buf
     h_final = np.empty_like(h_end)
     h_final[order] = h_end
-    return {"x": x, "ids": ids, "lengths": lengths, "order": order,
-            "sizes": sizes, "offsets": offsets, "gates": gates,
-            "h": h_buf, "c": c_buf, "tanh_c": tanh_c, "h_final": h_final}
+    cache["h_final"] = h_final
+    return cache
 
 
 def _lstm_backward_batch(params: ModelParams, cache: dict,
@@ -769,26 +837,97 @@ def length_sorted_batches(lengths: np.ndarray) -> Iterator[np.ndarray]:
         yield order[start:start + _PREDICT_BATCH]
 
 
+def _blas_threads(cores: int) -> int:
+    """The threads OpenBLAS runs: the first of ``OPENBLAS_NUM_THREADS`` and
+    ``OMP_NUM_THREADS`` that holds a positive integer, else every core."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            n = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if n > 0:
+            return n
+    return cores
+
+
+def batch_workers(n_batches: int) -> int:
+    """Threads to run ``n_batches`` forward passes on: as many as the cores
+    this process may run on leave room for beside BLAS's own threads, at
+    most one a batch, at least one."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cores = os.cpu_count() or 1
+    return max(1, min(n_batches, cores // _blas_threads(cores)))
+
+
+def sorted_batch_logits(params: ModelParams, indices: np.ndarray,
+                        lengths: np.ndarray,
+                        ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(rows, logits)`` of each ``length_sorted_batches`` batch, in that
+    order.
+
+    The batches run longest first, so the last to finish are short, on the
+    calling thread and ``batch_workers - 1`` helper threads, each taking
+    the next batch as it frees up.  A batch's logits are those of
+    ``forward_logits`` on it alone, whichever thread runs it.  The first
+    exception a batch raises is raised here once every helper has stopped;
+    no helper outlives the call.
+    """
+    batches = list(length_sorted_batches(lengths))
+    logits: list[np.ndarray | None] = [None] * len(batches)
+    todo = iter(range(len(batches) - 1, -1, -1))  # longest first
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+
+    def work() -> None:
+        while not errors:
+            with lock:
+                k = next(todo, None)
+            if k is None:
+                return
+            sel = batches[k]
+            try:
+                logits[k] = forward_logits(params, indices[sel], lengths[sel])
+            except BaseException as exc:
+                errors.append(exc)
+
+    helpers = [threading.Thread(target=work)
+               for _ in range(batch_workers(len(batches)) - 1)]
+    try:
+        for helper in helpers:
+            helper.start()
+        work()
+    finally:
+        for helper in helpers:
+            if helper.ident is not None:
+                helper.join()
+    if errors:
+        raise errors[0]
+    return list(zip(batches, logits))
+
+
 def predict_encoded(params: ModelParams, indices: np.ndarray,
                     lengths: np.ndarray) -> list[Prediction]:
     """Predictions for the rows of an encoded corpus, in their order.
 
     ``forward_logits`` runs over batches sorted by length, so each batch
-    runs few steps, and one softmax then runs over all the logits.  One row
-    needs no sorting and runs as given.  (More rows keep the sort even when
-    they fit one batch: the head's GEMM gives a row that falls in the
-    remainder of OpenBLAS's row blocks other bits, so the row order is part
-    of the result.)  The label is the argmax of the float64 softmax, ties
-    to Negative; a row left empty by preprocessing is Negative off the
-    zero-state pass, flagged low-confidence.
+    runs few steps (``sorted_batch_logits``, on the cores BLAS leaves
+    idle), and one softmax then runs over all the logits.  One row needs no
+    sorting and runs as given, on the calling thread.  (More rows keep the
+    sort even when they fit one batch: the head's GEMM gives a row that
+    falls in the remainder of OpenBLAS's row blocks other bits, so the row
+    order is part of the result.)  The label is the argmax of the float64
+    softmax, ties to Negative; a row left empty by preprocessing is
+    Negative off the zero-state pass, flagged low-confidence.
     """
     if len(lengths) == 1:
         logits = forward_logits(params, indices, lengths)
     else:
         logits = np.empty((len(lengths), params.b_out.shape[0]),
                           dtype=params.b_out.dtype)
-        for sel in length_sorted_batches(lengths):
-            logits[sel] = forward_logits(params, indices[sel], lengths[sel])
+        for sel, part in sorted_batch_logits(params, indices, lengths):
+            logits[sel] = part
     probs = softmax(logits)
     return [Prediction(_LABELS[k], p) if n else
             Prediction(Label.NEGATIVE, p, low_confidence=True)
@@ -827,34 +966,40 @@ def _write_array(fh, arr: np.ndarray) -> None:
 
 
 class _Reader:
-    """Length-checked reads over the bytes of a checkpoint file."""
+    """Length-checked reads from the current position of a checkpoint
+    file to its end."""
 
-    def __init__(self, view: memoryview):
-        self._view = view
-        self._pos = 0
+    def __init__(self, fh):
+        self._fh = fh
+        self._left = os.fstat(fh.fileno()).st_size - fh.tell()
 
-    def take(self, n: int, what: str) -> memoryview:
-        if n > len(self._view) - self._pos:
+    def _claim(self, n: int, what: str) -> None:
+        if n > self._left:
             raise CheckpointError(f"truncated checkpoint: {what}")
-        self._pos += n
-        return self._view[self._pos - n:self._pos]
+        self._left -= n
 
     def unpack(self, fmt: str, what: str) -> tuple:
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+        n = struct.calcsize(fmt)
+        self._claim(n, what)
+        return struct.unpack(fmt, self._fh.read(n))
 
     def array(self, shape, dtype) -> np.ndarray:
+        """The next array, read straight into a new C-contiguous array."""
         (nbytes,) = self.unpack("<Q", "array header")
         expected = math.prod(shape) * dtype.itemsize
         if nbytes != expected:
             raise CheckpointError(f"array payload {nbytes} bytes, "
                                   f"expected {expected}")
-        raw = self.take(nbytes, "array payload")
-        return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        self._claim(nbytes, "array payload")
+        arr = np.empty(shape, dtype=dtype)
+        if self._fh.readinto(memoryview(arr).cast("B")) != nbytes:
+            raise CheckpointError("truncated checkpoint: array payload")
+        return arr
 
     def end(self) -> None:
-        extra = len(self._view) - self._pos
-        if extra:
-            raise CheckpointError(f"{extra} bytes after the checkpoint payload")
+        if self._left:
+            raise CheckpointError(
+                f"{self._left} bytes after the checkpoint payload")
 
 
 def save_checkpoint(path: str | Path, params: ModelParams,
@@ -896,37 +1041,37 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, AdamState | None]:
     here, once, so no prediction pays for them.  To train it further,
     copy its arrays.  The Adam state stays writable.
     """
-    blob = Path(path).read_bytes()
-    if not blob.startswith(_MAGIC):
-        raise CheckpointError("not a model checkpoint")
-    reader = _Reader(memoryview(blob)[len(_MAGIC):])
-    version, code = reader.unpack("<IB", "header")
-    if version != _VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    if code not in _DTYPE_CODES:
-        raise CheckpointError(f"unknown dtype code {code}")
-    dtype = _DTYPE_CODES[code]
-    dims = reader.unpack("<5Q", "dimensions")
-    _, fc_dropout = reader.unpack("<2d", "dropout rates")
-    try:
-        cfg = ModelConfig(*dims, fc_dropout=fc_dropout)
-    except ValueError as exc:
-        raise CheckpointError(str(exc)) from None
-    shapes = _expected_shapes(cfg)
-    params = ModelParams(cfg, **{name: reader.array(shape, dtype)
-                                 for name, shape in shapes.items()})
-    (flag,) = reader.unpack("<B", "Adam flag")
-    if flag not in (0, 1):
-        raise CheckpointError(f"Adam flag {flag}, expected 0 or 1")
-    adam = None
-    if flag == 1:
-        (t,) = reader.unpack("<Q", "Adam step count")
-        m, v = {}, {}
-        for name, shape in shapes.items():
-            m[name] = reader.array(shape, dtype)
-            v[name] = reader.array(shape, dtype)
-        adam = AdamState(m=m, v=v, t=t)
-    reader.end()
+    with open(path, "rb") as fh:
+        if fh.read(len(_MAGIC)) != _MAGIC:
+            raise CheckpointError("not a model checkpoint")
+        reader = _Reader(fh)
+        version, code = reader.unpack("<IB", "header")
+        if version != _VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version}")
+        if code not in _DTYPE_CODES:
+            raise CheckpointError(f"unknown dtype code {code}")
+        dtype = _DTYPE_CODES[code]
+        dims = reader.unpack("<5Q", "dimensions")
+        _, fc_dropout = reader.unpack("<2d", "dropout rates")
+        try:
+            cfg = ModelConfig(*dims, fc_dropout=fc_dropout)
+        except ValueError as exc:
+            raise CheckpointError(str(exc)) from None
+        shapes = _expected_shapes(cfg)
+        params = ModelParams(cfg, **{name: reader.array(shape, dtype)
+                                     for name, shape in shapes.items()})
+        (flag,) = reader.unpack("<B", "Adam flag")
+        if flag not in (0, 1):
+            raise CheckpointError(f"Adam flag {flag}, expected 0 or 1")
+        adam = None
+        if flag == 1:
+            (t,) = reader.unpack("<Q", "Adam step count")
+            m, v = {}, {}
+            for name, shape in shapes.items():
+                m[name] = reader.array(shape, dtype)
+                v[name] = reader.array(shape, dtype)
+            adam = AdamState(m=m, v=v, t=t)
+        reader.end()
     for arr in params.arrays().values():
         arr.flags.writeable = False
     params.forward_ready  # computed here, not by the first prediction

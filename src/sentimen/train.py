@@ -72,14 +72,14 @@ def batch_iter(ds: EncodedDataset, batch_size: int, seed: int,
 
 def evaluate_split(params: nn.ModelParams,
                    ds: EncodedDataset) -> tuple[float, float]:
-    """(mean loss, accuracy) in inference mode, over length-sorted batches."""
+    """(mean loss, accuracy) in inference mode, over length-sorted batches
+    (``nn.sorted_batch_logits``), their losses summed in batch order."""
     if len(ds) == 0:
         raise ValueError("empty dataset")
     total_loss = 0.0
     correct = 0
-    for sel in nn.length_sorted_batches(ds.lengths):
+    for sel, logits in nn.sorted_batch_logits(params, ds.indices, ds.lengths):
         labels = ds.labels[sel]
-        logits = nn.forward_logits(params, ds.indices[sel], ds.lengths[sel])
         losses = nn.row_cross_entropy(logits, labels)
         total_loss += float(losses.sum(dtype=np.float64))
         correct += int((logits.argmax(axis=1) == labels).sum())

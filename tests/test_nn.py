@@ -703,6 +703,36 @@ class TestCheckpoint:
             with pytest.raises(nn.CheckpointError):
                 nn.load_checkpoint(tmp_path / "t.bin")
 
+    @pytest.mark.parametrize("with_adam", [False, True])
+    def test_each_prefix_names_the_field_it_cuts(self, tmp_path, with_adam):
+        params = random_params(tiny_config(V=3, E=2, H=1, T=2), seed=2)
+        adam = nn.AdamState.for_params(params) if with_adam else None
+        nn.save_checkpoint(tmp_path / "m.bin", params, adam)
+        blob = (tmp_path / "m.bin").read_bytes()
+        fields = [("header", 5), ("dimensions", 40), ("dropout rates", 16)]
+        arrays = list(params.arrays().values())
+        if with_adam:
+            arrays += [a for a in arrays for _ in (0, 1)]
+        for k, a in enumerate(arrays):
+            if k == len(params.arrays()):
+                fields += [("Adam flag", 1), ("Adam step count", 8)]
+            fields += [("array header", 8), ("array payload", a.nbytes)]
+        if not with_adam:
+            fields.append(("Adam flag", 1))
+        assert len(nn._MAGIC) + sum(n for _, n in fields) == len(blob)
+        end = len(nn._MAGIC)
+        for n in range(len(blob)):
+            if n < len(nn._MAGIC):
+                want = "not a model checkpoint"
+            else:
+                while n >= end + fields[0][1]:
+                    end += fields.pop(0)[1]
+                want = f"truncated checkpoint: {fields[0][0]}"
+            (tmp_path / "t.bin").write_bytes(blob[:n])
+            with pytest.raises(nn.CheckpointError) as err:
+                nn.load_checkpoint(tmp_path / "t.bin")
+            assert str(err.value) == want, n
+
     def test_trailing_byte_rejected(self, tmp_path):
         nn.save_checkpoint(tmp_path / "m.bin", nn.init_params(tiny_config()))
         blob = (tmp_path / "m.bin").read_bytes()
@@ -761,6 +791,25 @@ class TestCheckpoint:
         finally:
             tracemalloc.stop()
         assert peak < params.embedding.nbytes // 2
+
+    @pytest.mark.parametrize("with_adam", [False, True])
+    def test_load_makes_no_second_copy(self, tmp_path, with_adam):
+        import tracemalloc
+        cfg = nn.ModelConfig(vocab_size=20_000, embed_dim=16, hidden_dim=4,
+                             max_len=8)
+        params = nn.init_params(cfg, seed=0)
+        adam = nn.AdamState.for_params(params) if with_adam else None
+        nn.save_checkpoint(tmp_path / "m.bin", params, adam)
+        size = (tmp_path / "m.bin").stat().st_size
+        tracemalloc.start()
+        try:
+            loaded, _ = nn.load_checkpoint(tmp_path / "m.bin")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the arrays themselves, and no file-sized buffer beside them
+        assert peak < size + params.embedding.nbytes // 2
+        assert all(a.flags.c_contiguous for a in loaded.arrays().values())
 
     def test_float32_round_trip(self, tmp_path):
         params = nn.init_params(tiny_config(), dtype=np.float32)
@@ -908,11 +957,58 @@ class TestPackedLayout:
             idx = rng.integers(1, cfg.vocab_size, size=(batch, cfg.max_len))
             lengths = rng.integers(-2, cfg.max_len + 3, size=batch)
             real = int(np.clip(lengths, 0, cfg.max_len).sum())
-            for for_backward in (True, False):
-                cache = nn._lstm_forward_batch(params, idx, lengths,
-                                               for_backward=for_backward)
-                assert cache["gates"].shape == (real, 4 * cfg.hidden_dim)
-                assert cache["x"].shape == (real, cfg.embed_dim)
+            cache = nn._lstm_forward_batch(params, idx, lengths)
+            assert cache["gates"].shape == (real, 4 * cfg.hidden_dim)
+            assert cache["x"].shape == (real, cfg.embed_dim)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_inference_blocks_are_bounded_and_exact(self, dtype):
+        # the inference pass projects whole steps a block at a time: each
+        # block but the last holds at least max(B, steps) positions, every
+        # block at most that plus B, and none one position unless P is
+        # 1; the blocks' GEMMs give the bits of one GEMM over all of P, and
+        # the pass the h_final of the training pass, which runs one block
+        cfg = tiny_config(V=50, E=16, H=32, T=12)
+        params = random_params(cfg, seed=6, bias_scale=1.0)
+        params = nn.ModelParams(cfg, **{k: a.astype(dtype)
+                                        for k, a in params.arrays().items()})
+        w_ih_t, _, bias = nn._forward_weights(params)
+        rng = np.random.default_rng(17)
+        # one-row tails: the longest row one step longer than the rest
+        packings = [[1], [2], [3, 2, 2], [5, 4, 4, 4], [12] + [11] * 12,
+                    [2, 1] * 8, [0, 0, 0]]
+        for _ in range(60):
+            batch = int(rng.integers(1, 40))
+            lengths = rng.integers(0, cfg.max_len + 1, size=batch)
+            if rng.random() < 0.5:
+                lengths[0] = min(lengths.max() + 1, cfg.max_len)
+            packings.append(lengths.tolist())
+        cut_once = 0
+        for lengths in packings:
+            lengths = np.array(lengths)
+            batch = len(lengths)
+            idx = rng.integers(1, cfg.vocab_size, size=(batch, cfg.max_len))
+            cache = nn._lstm_forward_batch(params, idx, lengths,
+                                           for_backward=False)
+            train = nn._lstm_forward_batch(params, idx, lengths)
+            assert np.array_equal(cache["h_final"], train["h_final"])
+            assert train["blocks"] == [0, len(train["sizes"])]
+            blocks, offsets = cache["blocks"], cache["offsets"]
+            assert blocks[0] == 0 and blocks[-1] == len(cache["sizes"])
+            n_pos, least = offsets[-1], max(batch, len(cache["sizes"]))
+            spans = [offsets[b] - offsets[a]
+                     for a, b in zip(blocks, blocks[1:])]
+            assert all(s >= least for s in spans[:-1])
+            assert all(s <= least + batch for s in spans)
+            assert n_pos == 1 or 1 not in spans, lengths
+            cut_once += len(spans) > 1
+            x = params.embedding[train["ids"]]
+            one = x @ w_ih_t + bias
+            blocked = np.concatenate(
+                [x[offsets[a]:offsets[b]] @ w_ih_t + bias
+                 for a, b in zip(blocks, blocks[1:])])
+            assert np.array_equal(blocked, one), lengths
+        assert cut_once > 20
 
     def test_row_permutation_permutes_the_outputs(self):
         # ties and empty rows: the stable sort puts them in another order
@@ -1479,6 +1575,10 @@ class TestReadOnlyModel:
                              strict=True):
             assert got.flags.c_contiguous and got.dtype == want.dtype
             assert np.array_equal(got, want)
+        # the matrices start on a cache line, whatever numpy's allocator did
+        for model in (loaded, copy):
+            for w in nn._forward_weights(model)[:2]:
+                assert w.ctypes.data % nn._CACHE_LINE == 0
 
     def test_trainable_model_never_gets_cached_weights(self):
         from sentimen.train import EncodedDataset, TrainConfig, train

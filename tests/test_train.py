@@ -243,11 +243,14 @@ class TestEvaluateSplit:
 
         monkeypatch.setattr(nn, "forward_logits", recording)
         monkeypatch.setattr(nn, "_PREDICT_BATCH", 8)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)  # one thread, in order
         loss, acc = evaluate_split(params, ds)
         assert loss == pytest.approx(math.fsum(losses) / len(ds), rel=1e-12)
         assert acc == correct / len(ds)
         assert len(seen) == 5
-        assert np.all(np.diff(np.concatenate(seen)) >= 0)
+        # length-sorted batches, the longest first
+        assert np.all(np.diff(np.concatenate(seen[::-1])) >= 0)
 
 
 class TestWeightedLoss:

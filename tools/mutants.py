@@ -185,31 +185,31 @@ MUTANTS = (
             "tests/test_nn.py::TestPrescaledGatesExact::"
             "test_logits_and_predictions_equal_the_oracle[float64-256]")),
     Mutant("forward_ready_w_ih_untransposed", "src/sentimen/nn.py",
-           "    return (np.multiply(params.w_ih.T, scale, order=\"C\"),\n",
+           "    return (np.multiply(params.w_ih.T, scale,\n",
            "    return (np.multiply(params.w_ih.reshape(params.w_ih.shape[::-1]),"
-           " scale, order=\"C\"),\n",
+           " scale,\n",
            ("perfbench/test_smoke.py::test_quick_run_is_correct_and_well_formed"
             "[infer_paper-0]",
             "tests/test_nn.py::TestPrescaledGatesExact::"
             "test_training_forward_cache_equals_the_oracle[float32]")),
     Mutant("forward_ready_w_hh_reshaped", "src/sentimen/nn.py",
-           "            np.multiply(params.w_hh.T, scale, order=\"C\"),\n",
+           "            np.multiply(params.w_hh.T, scale,\n",
            "            np.multiply(params.w_hh.reshape(params.w_hh.shape[::-1]),"
-           " scale,\n                        order=\"C\"),\n",
+           " scale,\n",
            ("perfbench/test_smoke.py::test_quick_run_is_correct_and_well_formed"
             "[infer_paper-0]",
             "tests/test_nn.py::TestPrescaledGatesExact::"
             "test_logits_and_predictions_equal_the_oracle[float32-3]")),
     Mutant("forward_ready_w_hh_unscaled", "src/sentimen/nn.py",
-           "            np.multiply(params.w_hh.T, scale, order=\"C\"),\n",
-           "            np.ascontiguousarray(params.w_hh.T),\n",
+           "            np.multiply(params.w_hh.T, scale,\n",
+           "            np.multiply(params.w_hh.T, 1,\n",
            ("tests/test_nn.py::TestPrescaledGatesExact::"
             "test_logits_and_predictions_equal_the_oracle[float32-16]",
             "tests/test_nn.py::TestPrescaledGatesExact::"
             "test_logits_and_predictions_equal_the_oracle[float64-256]")),
     Mutant("trainable_gates_unscaled", "src/sentimen/nn.py",
-           "    return (np.multiply(params.w_ih.T, scale, order=\"C\"),\n",
-           "    return (np.ascontiguousarray(params.w_ih.T),\n",
+           "    return (np.multiply(params.w_ih.T, scale,\n",
+           "    return (np.multiply(params.w_ih.T, 1,\n",
            ("tests/test_nn.py::TestPrescaledGatesExact::"
             "test_logits_and_predictions_equal_the_oracle[float32-1]",
             "tests/test_nn.py::TestPrescaledGatesExact::"
@@ -229,6 +229,34 @@ MUTANTS = (
             "test_bit_identical_to_a_writable_copy[float32-lengths1]",
             "tests/test_nn.py::TestReadOnlyModel::"
             "test_bit_identical_to_a_writable_copy[float64-lengths1]")),
+    # batched inference: the blocked projection of the inference pass, and
+    # the helper threads that run the length-sorted batches
+    Mutant("inference_block_of_one_position", "src/sentimen/nn.py",
+           "                and n_pos - offsets[t] > 1):\n",
+           "                ):\n",
+           ("tests/test_nn.py::TestPackedLayout::"
+            "test_inference_blocks_are_bounded_and_exact[float32]",
+            "tests/test_nn.py::TestPackedLayout::"
+            "test_inference_blocks_are_bounded_and_exact[float64]")),
+    Mutant("helper_batch_dropped", "src/sentimen/nn.py",
+           "                logits[k] = forward_logits(params, indices[sel], "
+           "lengths[sel])\n",
+           "                part = forward_logits(params, indices[sel], "
+           "lengths[sel])\n"
+           "                if threading.current_thread() is "
+           "threading.main_thread():\n"
+           "                    logits[k] = part\n",
+           ("tests/test_batch_threads.py::"
+            "test_threads_match_one_batch_at_a_time[float32]",
+            "tests/test_batch_threads.py::"
+            "test_probabilities_match_the_float64_reference[float64-1e-12]")),
+    Mutant("helper_exception_swallowed", "src/sentimen/nn.py",
+           "    if errors:\n        raise errors[0]\n",
+           "",
+           ("tests/test_batch_threads.py::"
+            "test_helper_exception_reaches_the_caller[predict_encoded]",
+            "tests/test_batch_threads.py::"
+            "test_helper_exception_reaches_the_caller[evaluate_split]")),
     # catch-up Adam: the moment decay, the window sums, the live-row phase
     # before T0 and the series pivot
     Mutant("catch_up_decays_m_one_step_short", "src/sentimen/nn.py",
