@@ -19,11 +19,12 @@ positions a block of whole steps at a time, so it holds O((B + T) * 4H)
 gates, not O(P * 4H), with the bits of one GEMM over all of them.
 
 Batched inference (``predict_encoded``, ``train.evaluate_split``) runs its
-length-sorted batches on the calling thread plus helper threads, one per
-core that BLAS's own threads leave idle (``batch_workers``): none when
-``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` are unset, one more when
-BLAS runs one thread on two cores.  Each batch's logits are those of
+length-sorted batches on a thread pool of one thread per core that BLAS's
+own threads leave free (``batch_workers``), or on the calling thread,
+starting none, when that is one core, as when ``OPENBLAS_NUM_THREADS`` and
+``OMP_NUM_THREADS`` are unset.  Each batch's logits are those of
 ``forward_logits`` on it alone, so the thread count never changes a bit.
+After a failure the batches queued ahead of it and those running finish.
 
 A batch's P real positions touch at most P of the embedding table's V
 rows, so ``backward`` returns the embedding gradient as a ``RowGrad``: the
@@ -48,7 +49,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -106,6 +106,9 @@ class ModelConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} {getattr(self, name)}, "
                                  f"expected >= 1")
+        if not 0 <= self.fc_dropout < 1:  # NaN fails too
+            raise ValueError(f"fc_dropout {self.fc_dropout}, "
+                             f"expected in [0, 1)")
 
 
 def _expected_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -867,44 +870,32 @@ def sorted_batch_logits(params: ModelParams, indices: np.ndarray,
     """``(rows, logits)`` of each ``length_sorted_batches`` batch, in that
     order.
 
-    The batches run longest first, so the last to finish are short, on the
-    calling thread and ``batch_workers - 1`` helper threads, each taking
-    the next batch as it frees up.  A batch's logits are those of
-    ``forward_logits`` on it alone, whichever thread runs it.  The first
-    exception a batch raises is raised here once every helper has stopped;
-    no helper outlives the call.
+    The batches run longest first, so the last to finish are short.  With
+    one worker (``batch_workers``) they run on the calling thread and no
+    thread starts; with more, on a ``ThreadPoolExecutor`` of that many
+    threads, each taking the next batch as it frees up.  A batch's logits
+    are those of ``forward_logits`` on it alone, whichever thread runs it.
+    An exception a batch raises is raised here once every pool thread has
+    stopped: the batches ahead of it in that order, and any running then,
+    still finish first (``Executor.map`` drops the rest), and no pool
+    thread outlives the call.
     """
     batches = list(length_sorted_batches(lengths))
-    logits: list[np.ndarray | None] = [None] * len(batches)
-    todo = iter(range(len(batches) - 1, -1, -1))  # longest first
-    lock = threading.Lock()
-    errors: list[BaseException] = []
 
-    def work() -> None:
-        while not errors:
-            with lock:
-                k = next(todo, None)
-            if k is None:
-                return
-            sel = batches[k]
-            try:
-                logits[k] = forward_logits(params, indices[sel], lengths[sel])
-            except BaseException as exc:
-                errors.append(exc)
+    def run(sel: np.ndarray) -> np.ndarray:
+        return forward_logits(params, indices[sel], lengths[sel])
 
-    helpers = [threading.Thread(target=work)
-               for _ in range(batch_workers(len(batches)) - 1)]
-    try:
-        for helper in helpers:
-            helper.start()
-        work()
-    finally:
-        for helper in helpers:
-            if helper.ident is not None:
-                helper.join()
-    if errors:
-        raise errors[0]
-    return list(zip(batches, logits))
+    longest_first = batches[::-1]
+    workers = batch_workers(len(batches))
+    if workers == 1:
+        logits = list(map(run, longest_first))
+    else:
+        # imported here: the pool loads logging, which would slow every
+        # command's start-up
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(workers) as pool:
+            logits = list(pool.map(run, longest_first))
+    return list(zip(batches, logits[::-1]))
 
 
 def predict_encoded(params: ModelParams, indices: np.ndarray,

@@ -33,8 +33,11 @@ class InvalidUrlError(FetchError):
 
 
 def _error_for(status: int, payload: dict) -> FetchError:
-    reasons = {e.get("reason") for e in
-               payload.get("error", {}).get("errors", [])}
+    error = payload.get("error")
+    entries = error.get("errors") if isinstance(error, dict) else None
+    if not isinstance(entries, list):
+        entries = []
+    reasons = {e.get("reason") for e in entries if isinstance(e, dict)}
     if status == 403 and "quotaExceeded" in reasons:
         return FetchError("API quota exceeded")
     if status in (401, 403):

@@ -1,6 +1,6 @@
-"""Batched inference on helper threads (``nn.sorted_batch_logits``): the
+"""Batched inference on a thread pool (``nn.sorted_batch_logits``): the
 worker-count rule, bit identity with one batch at a time, failures in a
-helper, and the probabilities against an independent float64 LSTM."""
+pool thread, and the probabilities against an independent float64 LSTM."""
 
 import importlib.util
 import sys
@@ -46,33 +46,38 @@ def machine(monkeypatch):
 forward_logits = nn.forward_logits
 
 
-class HelperGoesFirst:
-    """Patches ``nn.forward_logits`` so that after each ``reset`` the calling
-    thread's first batch waits until a helper thread has started one: a
-    helper then runs a batch in every call.  ``ran`` holds the threads that
-    ran a batch since the ``reset``."""
+class TwoThreadsRun:
+    """Patches ``nn.forward_logits`` so that after each ``reset`` the first
+    batch any thread starts waits until a second thread has started one:
+    two threads then run a batch in every call.  ``ran`` holds the threads
+    that ran a batch since the ``reset``."""
 
     def __init__(self, monkeypatch):
-        self.started = threading.Event()
+        self.lock = threading.Lock()
+        self.second = threading.Event()
         self.ran = set()
+        self.reset()
         monkeypatch.setattr(nn, "forward_logits", self.forward_logits)
 
     def reset(self):
-        self.started.clear()
+        self.first = True
+        self.second.clear()
         self.ran.clear()
 
     def forward_logits(self, params, indices, lengths):
-        self.ran.add(threading.current_thread())
-        if threading.current_thread() is threading.main_thread():
-            self.started.wait(timeout=30)
-        else:
-            self.started.set()
+        with self.lock:
+            first, self.first = self.first, False
+            self.ran.add(threading.current_thread())
+            if len(self.ran) > 1:
+                self.second.set()
+        if first:
+            self.second.wait(timeout=30)
         return forward_logits(params, indices, lengths)
 
 
 @pytest.fixture
-def helper_goes_first(monkeypatch):
-    return HelperGoesFirst(monkeypatch)
+def two_threads_run(monkeypatch):
+    return TwoThreadsRun(monkeypatch)
 
 
 def no_threads(*args, **kwargs):
@@ -127,8 +132,25 @@ def test_worker_count_rule(machine, cores, openblas, omp, batches, workers):
     assert nn.batch_workers(batches) == workers
 
 
+# without affinity masks the rule counts os.cpu_count(), or 1 core when
+# that is unknown: cpu_count, OPENBLAS_NUM_THREADS, batches -> workers
+@pytest.mark.parametrize("cpu_count,openblas,batches,workers", [
+    (4, "1", 9, 4),
+    (4, "1", 3, 3),
+    (4, "2", 9, 2),
+    (4, None, 9, 1),
+    (None, "1", 9, 1),
+])
+def test_worker_count_without_affinity_masks(machine, monkeypatch, cpu_count,
+                                             openblas, batches, workers):
+    machine(1, openblas)
+    monkeypatch.delattr(nn.os, "sched_getaffinity")
+    monkeypatch.setattr(nn.os, "cpu_count", lambda: cpu_count)
+    assert nn.batch_workers(batches) == workers
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_threads_match_one_batch_at_a_time(machine, helper_goes_first,
+def test_threads_match_one_batch_at_a_time(machine, two_threads_run,
                                            monkeypatch, dtype):
     machine(2, "1")
     monkeypatch.setattr(nn, "_PREDICT_BATCH", 7)
@@ -138,9 +160,9 @@ def test_threads_match_one_batch_at_a_time(machine, helper_goes_first,
         idx, lengths = corpus(rng, rows, params.config)
         labels = rng.integers(0, 2, size=rows)
         want = serial_batch_logits(params, idx, lengths)
-        helper_goes_first.reset()
+        two_threads_run.reset()
         got = nn.sorted_batch_logits(params, idx, lengths)
-        assert len(helper_goes_first.ran) == 2, rows
+        assert len(two_threads_run.ran) == 2, rows
         assert len(got) == len(want)
         for (sel, part), (want_sel, want_part) in zip(got, want):
             assert np.array_equal(sel, want_sel)
@@ -151,7 +173,7 @@ def test_threads_match_one_batch_at_a_time(machine, helper_goes_first,
         for sel, part in want:
             logits[sel] = part
         probs = nn.softmax(logits)
-        helper_goes_first.reset()
+        two_threads_run.reset()
         preds = nn.predict_encoded(params, idx, lengths)
         assert np.array_equal([p.probabilities for p in preds], probs)
         assert [int(p.label) for p in preds] == \
@@ -164,7 +186,7 @@ def test_threads_match_one_batch_at_a_time(machine, helper_goes_first,
                 dtype=np.float64))
             correct += int((part.argmax(axis=1) == labels[sel]).sum())
         ds = EncodedDataset(idx, lengths, labels)
-        helper_goes_first.reset()
+        two_threads_run.reset()
         assert evaluate_split(params, ds) == (total / rows, correct / rows)
 
 
@@ -201,7 +223,7 @@ def test_more_threads_than_cores_run_each_batch_once(machine, monkeypatch):
 def test_unset_blas_threads_start_no_thread(machine, monkeypatch):
     machine(2)
     monkeypatch.setattr(nn, "_PREDICT_BATCH", 4)
-    monkeypatch.setattr(nn.threading, "Thread", no_threads)
+    monkeypatch.setattr(threading, "Thread", no_threads)
     params = model(np.float32)
     rng = np.random.default_rng(5)
     idx, lengths = corpus(rng, 20, params.config)
@@ -212,7 +234,7 @@ def test_unset_blas_threads_start_no_thread(machine, monkeypatch):
 def test_one_row_and_one_batch_start_no_thread(machine, monkeypatch):
     # a single prediction, and a predict command's chunk of one batch
     machine(2, "1")
-    monkeypatch.setattr(nn.threading, "Thread", no_threads)
+    monkeypatch.setattr(threading, "Thread", no_threads)
     params = model(np.float64)
     rng = np.random.default_rng(6)
     for rows in (1, 2, nn._PREDICT_BATCH):
@@ -228,14 +250,9 @@ class Boom(Exception):
 def test_helper_exception_reaches_the_caller(machine, monkeypatch, call):
     machine(2, "1")
     monkeypatch.setattr(nn, "_PREDICT_BATCH", 4)
-    started = threading.Event()
     raised = []
 
     def failing(params, indices, lengths):
-        if threading.current_thread() is threading.main_thread():
-            started.wait(timeout=30)  # a helper takes a batch first
-            return forward_logits(params, indices, lengths)
-        started.set()
         raised.append(threading.current_thread())
         raise Boom
 
@@ -250,14 +267,14 @@ def test_helper_exception_reaches_the_caller(machine, monkeypatch, call):
         else:
             evaluate_split(params, EncodedDataset(idx, lengths,
                                                   np.zeros(20, int)))
-    assert raised
+    assert raised and threading.main_thread() not in raised  # pool threads
     assert threading.active_count() == before
     assert not any(t.is_alive() for t in raised)
 
 
 @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
 def test_probabilities_match_the_float64_reference(tmp_path, machine,
-                                                   helper_goes_first,
+                                                   two_threads_run,
                                                    monkeypatch, dtype, tol):
     # perfbench/reference.py reads the checkpoint file and runs a masked
     # float64 LSTM over the padded rows, sharing no code with nn
@@ -270,7 +287,7 @@ def test_probabilities_match_the_float64_reference(tmp_path, machine,
     rng = np.random.default_rng(12)
     idx, lengths = corpus(rng, 70, params.config)
     preds = nn.predict_encoded(params, idx, lengths)
-    assert len(helper_goes_first.ran) == 2
+    assert len(two_threads_run.ran) == 2
     got = np.array([p.probabilities for p in preds])
     want = np.exp(reference.log_softmax(reference.lstm_logits(ckpt, idx,
                                                                lengths)))

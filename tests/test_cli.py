@@ -2,6 +2,7 @@ import argparse
 import csv
 import functools
 import io
+import math
 import struct
 import tempfile
 from pathlib import Path
@@ -565,6 +566,12 @@ def _hidden_dim_zero(blob):
             + b"\0")
 
 
+def _fc_dropout(rate):
+    """A corruption that writes ``rate`` into the file's dropout field,
+    after the dimensions and the retired rate slot."""
+    return lambda blob: blob[:61] + struct.pack("<d", rate) + blob[69:]
+
+
 BAD_MODEL_FILES = {
     "truncated": ("checkpoint.bin", lambda b: b[:20], "truncated checkpoint"),
     "trailing": ("checkpoint.bin", lambda b: b + b"\0\0",
@@ -578,6 +585,11 @@ BAD_MODEL_FILES = {
                       "bad checkpoint: 3 classes, expected 2"),
     "hidden_dim_zero": ("checkpoint.bin", _hidden_dim_zero,
                         "bad checkpoint: hidden_dim 0, expected >= 1"),
+    **{f"fc_dropout_{name}": ("checkpoint.bin", _fc_dropout(rate),
+                              f"bad checkpoint: fc_dropout {rate}, "
+                              f"expected in [0, 1)")
+       for name, rate in (("nan", math.nan), ("one", 1.0),
+                          ("negative", -0.5), ("seven", 7.0))},
     "extra_vocab_line": ("vocab.txt", lambda b: b + b"tambahan\n",
                          "vocabulary size 11 does not match checkpoint (10)"),
 }
@@ -819,6 +831,27 @@ class TestFetchCommand:
         out = tmp_path / "fetched.csv"
         assert run_cli("fetch", "vid", "--out", out) == 3
         assert_one_error_line(capsys, "error: fetch failed: API response")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("body", [b'{"error": "quota"}',
+                                      b'{"error": {"errors": "x"}}',
+                                      b'{"error": {"errors": [1]}}'])
+    def test_malformed_error_body_exit_3(self, tmp_path, monkeypatch, capsys,
+                                         body):
+        monkeypatch.setenv("SENTIMEN_API_KEY", "k")
+
+        class FakeSession:
+            def get(self, url, params, timeout):
+                resp = requests.Response()
+                resp.status_code, resp._content = 403, body
+                return resp
+
+        monkeypatch.setattr(cli.youtube, "fetch_comments", functools.partial(
+            youtube.fetch_comments, session=FakeSession()))
+        out = tmp_path / "fetched.csv"
+        assert run_cli("fetch", "vid", "--out", out) == 3
+        assert_one_error_line(capsys, "error: fetch failed: authentication "
+                                      "failed (HTTP 403)")
         assert not out.exists()
 
     def test_bad_base_url_exit_2(self, tmp_path, monkeypatch, capsys):

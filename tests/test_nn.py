@@ -64,6 +64,17 @@ class TestCountParameters:
             nn.count_parameters(0, 1, 1, 1)
 
 
+class TestModelConfig:
+    @pytest.mark.parametrize("rate", [math.nan, 1.0, -0.5, 7.0])
+    def test_rejects_dropout_outside_unit_interval(self, rate):
+        with pytest.raises(ValueError, match="fc_dropout"):
+            tiny_config(fc_dropout=rate)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.5, 0.999])
+    def test_accepts_dropout_in_unit_interval(self, rate):
+        assert tiny_config(fc_dropout=rate).fc_dropout == rate
+
+
 class TestSoftmax:
     def test_symmetry(self):
         assert np.allclose(nn.softmax(np.array([0.0, 0.0])), [0.5, 0.5])
@@ -677,6 +688,18 @@ class TestCheckpoint:
         assert loaded.config == params.config
         for name, arr in params.arrays().items():
             assert np.array_equal(arr, loaded.arrays()[name])
+
+    @pytest.mark.parametrize("rate", [math.nan, 1.0, -0.5, 7.0])
+    def test_dropout_rate_outside_unit_interval_rejected(self, tmp_path,
+                                                         rate):
+        nn.save_checkpoint(tmp_path / "m.bin",
+                           random_params(tiny_config(fc_dropout=0.25), seed=4))
+        blob = bytearray((tmp_path / "m.bin").read_bytes())
+        struct.pack_into("<d", blob, 8 + 5 + 40 + 8, rate)
+        (tmp_path / "bad.bin").write_bytes(bytes(blob))
+        with pytest.raises(nn.CheckpointError,
+                           match=r"fc_dropout .*, expected in \[0, 1\)"):
+            nn.load_checkpoint(tmp_path / "bad.bin")
 
     def test_truncated_file(self, tmp_path):
         params = nn.init_params(tiny_config())

@@ -123,6 +123,18 @@ class TestErrors:
             fetch_comments("vid", api_key="k",
                            session=FakeSession((503, b"[1, 2]")))
 
+    @pytest.mark.parametrize("body,shown", [
+        (b'{"error": "quota"}', "authentication failed"),
+        (b'{"error": {"errors": "x"}}', "authentication failed"),
+        (b'{"error": {"errors": [1]}}', "authentication failed"),
+        (b'{"error": {"errors": [1, {"reason": "quotaExceeded"}]}}',
+         "API quota exceeded"),
+    ])
+    def test_error_body_of_the_wrong_shape(self, body, shown):
+        with pytest.raises(FetchError, match=f"^{shown}"):
+            fetch_comments("vid", api_key="k",
+                           session=FakeSession((403, body)))
+
     @pytest.mark.parametrize("body", [
         b'{"items": "x"}',
         b'{"items": {"0": {}}}',

@@ -230,7 +230,8 @@ MUTANTS = (
             "tests/test_nn.py::TestReadOnlyModel::"
             "test_bit_identical_to_a_writable_copy[float64-lengths1]")),
     # batched inference: the blocked projection of the inference pass, and
-    # the helper threads that run the length-sorted batches
+    # the thread pool that runs the length-sorted batches (none for one
+    # worker)
     Mutant("inference_block_of_one_position", "src/sentimen/nn.py",
            "                and n_pos - offsets[t] > 1):\n",
            "                ):\n",
@@ -239,24 +240,30 @@ MUTANTS = (
             "tests/test_nn.py::TestPackedLayout::"
             "test_inference_blocks_are_bounded_and_exact[float64]")),
     Mutant("helper_batch_dropped", "src/sentimen/nn.py",
-           "                logits[k] = forward_logits(params, indices[sel], "
-           "lengths[sel])\n",
-           "                part = forward_logits(params, indices[sel], "
-           "lengths[sel])\n"
-           "                if threading.current_thread() is "
-           "threading.main_thread():\n"
-           "                    logits[k] = part\n",
+           "            logits = list(pool.map(run, longest_first))\n",
+           "            logits = [np.zeros_like(part) for part\n"
+           "                      in pool.map(run, longest_first)]\n",
            ("tests/test_batch_threads.py::"
             "test_threads_match_one_batch_at_a_time[float32]",
             "tests/test_batch_threads.py::"
             "test_probabilities_match_the_float64_reference[float64-1e-12]")),
     Mutant("helper_exception_swallowed", "src/sentimen/nn.py",
-           "    if errors:\n        raise errors[0]\n",
-           "",
+           "            logits = list(pool.map(run, longest_first))\n",
+           "            futures = [pool.submit(run, sel) for sel in "
+           "longest_first]\n"
+           "            logits = [f.result() for f in futures "
+           "if not f.exception()]\n",
            ("tests/test_batch_threads.py::"
             "test_helper_exception_reaches_the_caller[predict_encoded]",
             "tests/test_batch_threads.py::"
             "test_helper_exception_reaches_the_caller[evaluate_split]")),
+    Mutant("pool_for_one_worker", "src/sentimen/nn.py",
+           "    if workers == 1:\n",
+           "    if False:\n",
+           ("tests/test_batch_threads.py::"
+            "test_unset_blas_threads_start_no_thread",
+            "tests/test_batch_threads.py::"
+            "test_one_row_and_one_batch_start_no_thread")),
     # catch-up Adam: the moment decay, the window sums, the live-row phase
     # before T0 and the series pivot
     Mutant("catch_up_decays_m_one_step_short", "src/sentimen/nn.py",
