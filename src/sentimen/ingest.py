@@ -102,7 +102,8 @@ def load_csv(path: str | Path, strict: bool = True) -> Dataset:
     records: list[LabeledComment] = []
     skipped: list[tuple[int, str]] = []
     row_no = 1  # the row being read; 1 is the header
-    with path.open(newline="", encoding="utf-8") as fh:
+    # utf-8-sig: a leading byte-order mark is not part of the first name
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)

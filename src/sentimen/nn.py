@@ -18,13 +18,14 @@ gradients come back in the caller's row order.  Inference projects the
 positions a block of whole steps at a time, so it holds O((B + T) * 4H)
 gates, not O(P * 4H), with the bits of one GEMM over all of them.
 
-Batched inference (``predict_encoded``, ``train.evaluate_split``) runs its
-length-sorted batches on a thread pool of one thread per core that BLAS's
-own threads leave free (``batch_workers``), or on the calling thread,
-starting none, when that is one core, as when ``OPENBLAS_NUM_THREADS`` and
-``OMP_NUM_THREADS`` are unset.  Each batch's logits are those of
-``forward_logits`` on it alone, so the thread count never changes a bit.
-After a failure the batches queued ahead of it and those running finish.
+Batched inference (``encoded_logits``, under ``predict_encoded`` and
+``train.evaluate_split``) runs its length-sorted batches on a thread pool
+of one thread per core that BLAS's own threads leave free
+(``batch_workers``), or on the calling thread, starting none, when that is
+one core, as when ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` are
+unset.  Each batch writes the logits of ``forward_logits`` on it alone into
+its rows, so the thread count never changes a bit.  After a failure the
+batches queued ahead of it and those running finish.
 
 A batch's P real positions touch at most P of the embedding table's V
 rows, so ``backward`` returns the embedding gradient as a ``RowGrad``: the
@@ -599,21 +600,25 @@ class AdamState:
 
     ``last[r]`` is the step embedding row r was last brought up to, and
     ``live[r]`` is False while row r's moments are all zero: a g = 0 step
-    leaves such a row unchanged, so it is always current.  ``sums[s]``
-    holds the window sums of the steps after step s (``adam_catch_up``).
+    leaves such a row unchanged, so it is always current.  No row is ever
+    behind ``first``, the step the state was built at, so ``sums[s - first]``
+    holds the window sums of the steps after step s (``adam_catch_up``)
+    only for s >= first.
     """
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
+    first: int = field(init=False, repr=False)
     last: np.ndarray = field(init=False, repr=False)
     live: np.ndarray = field(init=False, repr=False)
     sums: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m, v = self.m["embedding"], self.v["embedding"]
+        self.first = self.t
         self.last = np.full(len(m), self.t)
         self.live = np.any(m, axis=1) | np.any(v, axis=1)
-        self.sums = np.zeros((self.t + 1, _SERIES_TERMS))
+        self.sums = np.zeros((1, _SERIES_TERMS))
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
@@ -748,12 +753,12 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray | RowGrad],
     params.embedding[0] = 0.0  # pad row frozen
 
     if t > t0:
-        if t >= len(state.sums):
-            grown = np.zeros((2 * t, _SERIES_TERMS))
+        if t - state.first >= len(state.sums):
+            grown = np.zeros((2 * (t - state.first), _SERIES_TERMS))
             grown[:len(state.sums)] = state.sums
             state.sums = grown
         # step t is step j = t - s of each open window s
-        s = np.arange(max(t0, t - span), t)
+        s = np.arange(max(t0, state.first, t - span), t)
         c = _window_c(s, t - s)
         a = lr * b1 ** (t - s) * c / bc1
         # (c - c*)**n for every n, as a running product along the terms
@@ -762,7 +767,7 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray | RowGrad],
         terms[:, 1:] = (c - _pivot(s))[:, None]
         np.cumprod(terms, axis=1, out=terms)
         terms *= a[:, None]
-        state.sums[s] += terms
+        state.sums[s - state.first] += terms
     return params, state
 
 
@@ -795,7 +800,7 @@ def adam_catch_up(params: ModelParams, state: AdamState,
     for r in _row_blocks(state.behind(rows), p.shape[1]):
         s = state.last[r]
         k = (state.t - s)[:, None]
-        sums = state.sums[s]
+        sums = state.sums[s - state.first]
         mb = m[r].astype(np.float64, copy=False)
         vb = v[r].astype(np.float64, copy=False)
         den = np.sqrt(vb)
@@ -864,62 +869,52 @@ def batch_workers(n_batches: int) -> int:
     return max(1, min(n_batches, cores // _blas_threads(cores)))
 
 
-def sorted_batch_logits(params: ModelParams, indices: np.ndarray,
-                        lengths: np.ndarray,
-                        ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``(rows, logits)`` of each ``length_sorted_batches`` batch, in that
+def encoded_logits(params: ModelParams, indices: np.ndarray,
+                   lengths: np.ndarray) -> np.ndarray:
+    """The (N, C) inference-mode logits of an encoded corpus, in its row
     order.
 
-    The batches run longest first, so the last to finish are short.  With
-    one worker (``batch_workers``) they run on the calling thread and no
-    thread starts; with more, on a ``ThreadPoolExecutor`` of that many
-    threads, each taking the next batch as it frees up.  A batch's logits
-    are those of ``forward_logits`` on it alone, whichever thread runs it.
-    An exception a batch raises is raised here once every pool thread has
-    stopped: the batches ahead of it in that order, and any running then,
-    still finish first (``Executor.map`` drops the rest), and no pool
-    thread outlives the call.
+    One row runs as given, on the calling thread.  More rows run as
+    ``length_sorted_batches``, even when they fit one batch (the head's
+    GEMM gives a row in the remainder of OpenBLAS's row blocks other bits,
+    so the row order is part of the result), longest first, so the last to
+    finish are short.  Each batch writes its ``forward_logits`` into its
+    own rows.  With one worker (``batch_workers``) the batches run on the
+    calling thread and no thread starts; with more, on a
+    ``ThreadPoolExecutor`` of that many threads.  A batch's exception is
+    raised here once every pool thread has stopped: the batches ahead of
+    it, and any running then, still finish first (``Executor.map`` drops
+    the rest).
     """
-    batches = list(length_sorted_batches(lengths))
+    if len(lengths) == 1:
+        return forward_logits(params, indices, lengths)
+    logits = np.empty((len(lengths), params.b_out.shape[0]),
+                      dtype=params.b_out.dtype)
 
-    def run(sel: np.ndarray) -> np.ndarray:
-        return forward_logits(params, indices[sel], lengths[sel])
+    def run(sel: np.ndarray) -> None:
+        logits[sel] = forward_logits(params, indices[sel], lengths[sel])
 
-    longest_first = batches[::-1]
-    workers = batch_workers(len(batches))
+    longest_first = list(length_sorted_batches(lengths))[::-1]
+    workers = batch_workers(len(longest_first))
     if workers == 1:
-        logits = list(map(run, longest_first))
+        list(map(run, longest_first))
     else:
         # imported here: the pool loads logging, which would slow every
         # command's start-up
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(workers) as pool:
-            logits = list(pool.map(run, longest_first))
-    return list(zip(batches, logits[::-1]))
+            list(pool.map(run, longest_first))
+    return logits
 
 
 def predict_encoded(params: ModelParams, indices: np.ndarray,
                     lengths: np.ndarray) -> list[Prediction]:
-    """Predictions for the rows of an encoded corpus, in their order.
-
-    ``forward_logits`` runs over batches sorted by length, so each batch
-    runs few steps (``sorted_batch_logits``, on the cores BLAS leaves
-    idle), and one softmax then runs over all the logits.  One row needs no
-    sorting and runs as given, on the calling thread.  (More rows keep the
-    sort even when they fit one batch: the head's GEMM gives a row that
-    falls in the remainder of OpenBLAS's row blocks other bits, so the row
-    order is part of the result.)  The label is the argmax of the float64
-    softmax, ties to Negative; a row left empty by preprocessing is
+    """Predictions for the rows of an encoded corpus, in their order: one
+    softmax over their ``encoded_logits``.  The label is the argmax of the
+    float64 softmax, ties to Negative; a row left empty by preprocessing is
     Negative off the zero-state pass, flagged low-confidence.
     """
-    if len(lengths) == 1:
-        logits = forward_logits(params, indices, lengths)
-    else:
-        logits = np.empty((len(lengths), params.b_out.shape[0]),
-                          dtype=params.b_out.dtype)
-        for sel, part in sorted_batch_logits(params, indices, lengths):
-            logits[sel] = part
-    probs = softmax(logits)
+    probs = softmax(encoded_logits(params, indices, lengths))
     return [Prediction(_LABELS[k], p) if n else
             Prediction(Label.NEGATIVE, p, low_confidence=True)
             for p, k, n in zip(probs, probs.argmax(axis=1).tolist(),

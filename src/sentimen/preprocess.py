@@ -64,8 +64,9 @@ def _data_text(name: str) -> str:
 
 
 def _file_text(path: str | Path) -> str:
+    """The file's UTF-8 text, a leading byte-order mark dropped."""
     try:
-        return Path(path).read_text("utf-8")
+        return Path(path).read_text("utf-8-sig")
     except UnicodeDecodeError:
         raise ValueError(f"{path}: not UTF-8 text") from None
 

@@ -72,17 +72,17 @@ def batch_iter(ds: EncodedDataset, batch_size: int, seed: int,
 
 def evaluate_split(params: nn.ModelParams,
                    ds: EncodedDataset) -> tuple[float, float]:
-    """(mean loss, accuracy) in inference mode, over length-sorted batches
-    (``nn.sorted_batch_logits``), their losses summed in batch order."""
+    """(mean loss, accuracy) in inference mode (``nn.encoded_logits``), the
+    losses summed one ``nn.length_sorted_batches`` batch at a time, in
+    that order."""
     if len(ds) == 0:
         raise ValueError("empty dataset")
+    logits = nn.encoded_logits(params, ds.indices, ds.lengths)
     total_loss = 0.0
-    correct = 0
-    for sel, logits in nn.sorted_batch_logits(params, ds.indices, ds.lengths):
-        labels = ds.labels[sel]
-        losses = nn.row_cross_entropy(logits, labels)
+    for sel in nn.length_sorted_batches(ds.lengths):
+        losses = nn.row_cross_entropy(logits[sel], ds.labels[sel])
         total_loss += float(losses.sum(dtype=np.float64))
-        correct += int((logits.argmax(axis=1) == labels).sum())
+    correct = int((logits.argmax(axis=1) == ds.labels).sum())
     return total_loss / len(ds), correct / len(ds)
 
 

@@ -1,6 +1,7 @@
-"""Batched inference on a thread pool (``nn.sorted_batch_logits``): the
-worker-count rule, bit identity with one batch at a time, failures in a
-pool thread, and the probabilities against an independent float64 LSTM."""
+"""Batched inference on a thread pool (``nn.encoded_logits``): the
+worker-count rule, bit identity with one batch at a time, a single row,
+failures in a pool thread, and the probabilities against an independent
+float64 LSTM."""
 
 import importlib.util
 import sys
@@ -107,9 +108,13 @@ def corpus(rng, rows, cfg):
 
 
 def serial_batch_logits(params, idx, lengths):
-    """One batch at a time, on the calling thread, in batch order."""
-    return [(sel, forward_logits(params, idx[sel], lengths[sel]))
-            for sel in nn.length_sorted_batches(lengths)]
+    """The (N, C) logits in row order, computed one batch at a time, on the
+    calling thread, in batch order."""
+    logits = np.empty((len(lengths), params.b_out.shape[0]),
+                      dtype=params.b_out.dtype)
+    for sel in nn.length_sorted_batches(lengths):
+        logits[sel] = forward_logits(params, idx[sel], lengths[sel])
+    return logits
 
 
 # cores, OPENBLAS_NUM_THREADS, OMP_NUM_THREADS, batches -> workers
@@ -161,18 +166,12 @@ def test_threads_match_one_batch_at_a_time(machine, two_threads_run,
         labels = rng.integers(0, 2, size=rows)
         want = serial_batch_logits(params, idx, lengths)
         two_threads_run.reset()
-        got = nn.sorted_batch_logits(params, idx, lengths)
+        got = nn.encoded_logits(params, idx, lengths)
         assert len(two_threads_run.ran) == 2, rows
-        assert len(got) == len(want)
-        for (sel, part), (want_sel, want_part) in zip(got, want):
-            assert np.array_equal(sel, want_sel)
-            assert part.dtype == dtype
-            assert np.array_equal(part, want_part), rows
+        assert got.shape == (rows, 2) and got.dtype == dtype
+        assert np.array_equal(got, want), rows
 
-        logits = np.empty((rows, 2), dtype=dtype)
-        for sel, part in want:
-            logits[sel] = part
-        probs = nn.softmax(logits)
+        probs = nn.softmax(want)
         two_threads_run.reset()
         preds = nn.predict_encoded(params, idx, lengths)
         assert np.array_equal([p.probabilities for p in preds], probs)
@@ -181,7 +180,8 @@ def test_threads_match_one_batch_at_a_time(machine, two_threads_run,
 
         # losses summed in batch order, as one thread sums them
         total, correct = 0.0, 0
-        for sel, part in want:
+        for sel in nn.length_sorted_batches(lengths):
+            part = want[sel]
             total += float(nn.row_cross_entropy(part, labels[sel]).sum(
                 dtype=np.float64))
             correct += int((part.argmax(axis=1) == labels[sel]).sum())
@@ -212,10 +212,9 @@ def test_more_threads_than_cores_run_each_batch_once(machine, monkeypatch):
     try:
         for _ in range(5):
             calls.clear()
-            got = nn.sorted_batch_logits(params, idx, lengths)
+            got = nn.encoded_logits(params, idx, lengths)
             assert sorted(calls) == [1] + [2] * 30
-            assert all(np.array_equal(part, w) for (_, part), (_, w)
-                       in zip(got, want))
+            assert np.array_equal(got, want)
     finally:
         sys.setswitchinterval(interval)
 
@@ -240,6 +239,24 @@ def test_one_row_and_one_batch_start_no_thread(machine, monkeypatch):
     for rows in (1, 2, nn._PREDICT_BATCH):
         idx, lengths = corpus(rng, rows, params.config)
         assert len(nn.predict_encoded(params, idx, lengths)) == rows
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_one_row_runs_as_given(machine, dtype):
+    # one row skips the sort: its logits are forward_logits' on the row,
+    # and evaluate_split scores a one-row dataset off them
+    machine(2, "1")
+    params = model(dtype)
+    rng = np.random.default_rng(7)
+    for k in range(10):
+        idx, lengths = corpus(rng, 1, params.config)
+        want = forward_logits(params, idx, lengths)
+        got = nn.encoded_logits(params, idx, lengths)
+        assert got.dtype == dtype and np.array_equal(got, want)
+        labels = np.array([k % 2])
+        loss = float(nn.row_cross_entropy(want, labels)[0])
+        assert evaluate_split(params, EncodedDataset(idx, lengths, labels)) \
+            == (loss, float(want.argmax() == k % 2))
 
 
 class Boom(Exception):

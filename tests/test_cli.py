@@ -464,6 +464,54 @@ def test_non_utf8_file_exit_2_naming_it(tmp_path, separable_csv, capsys,
         assert "row 7:" in err
 
 
+BOM = "\ufeff".encode("utf-8")
+
+
+@pytest.mark.parametrize("kind", ["corpus", "roots", "stopwords", "slang"])
+def test_byte_order_mark_reads_as_the_file_without_it(tmp_path, capsys,
+                                                      kind):
+    # each dictionary's first entry, and the corpus header's first name,
+    # sits right after the mark
+    rows = [("a1", "c", "makanan bgs sekali enak", "positive"),
+            ("a2", "c", "jelek sekali", "negative")]
+    plain = {"corpus": write_corpus_csv(tmp_path / "plain.csv", rows),
+             "roots": tmp_path / "roots.txt",
+             "stopwords": tmp_path / "stopwords.txt",
+             "slang": tmp_path / "slang.tsv"}
+    plain["roots"].write_text("makan\nenak\njelek\n", "utf-8")
+    plain["stopwords"].write_text("sekali\n", "utf-8")
+    plain["slang"].write_text("bgs\tbagus\n", "utf-8")
+    marked = tmp_path / f"bom_{plain[kind].name}"
+    marked.write_bytes(BOM + plain[kind].read_bytes())
+    tokens = {}
+    for name, path in (("plain", plain[kind]), ("marked", marked)):
+        corpus, flags = ((path, []) if kind == "corpus"
+                         else (plain["corpus"], [f"--{kind}", path]))
+        out = tmp_path / f"{name}_tokens.csv"
+        assert run_cli("preprocess", corpus, "--out", out, *flags) == 0
+        tokens[name] = out.read_bytes()
+    assert tokens["marked"] == tokens["plain"]
+    # stemmed to the root, slang mapped, stopword gone
+    assert b"\na1,c,makanan bgs sekali enak,positive,makan bagus enak\r\n" \
+        in tokens["marked"]
+
+
+def test_config_byte_order_mark_reads_as_the_file_without_it(tmp_path,
+                                                             separable_csv):
+    text = "seed = 5\nepochs = 1\nembed_dim = 6\nhidden_dim = 6\n"
+    histories = []
+    for name, head in (("plain", b""), ("marked", BOM)):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_bytes(head + text.encode("utf-8"))
+        out_dir = tmp_path / name
+        assert run_cli("--out-dir", out_dir, "--quiet", "train",
+                       separable_csv, "--config", cfg) == 0
+        assert "seed = 5\n" in (out_dir / "config.resolved.txt").read_text(
+            "utf-8")
+        histories.append((out_dir / "history.csv").read_bytes())
+    assert histories[0] == histories[1]
+
+
 @pytest.mark.parametrize("command,bad", [
     ("train", "roots"), ("evaluate", "roots"), ("compare", "roots"),
     ("train", "unsplittable"), ("compare", "unsplittable"),
@@ -670,6 +718,17 @@ class TestPredictCommand:
         run_cli("predict", trained_run / "checkpoint.bin", "bagus")
         label, prob = capsys.readouterr().out.strip().split("\t")
         assert 0.0 <= float(prob) <= 1.0
+
+    def test_adam_state_at_a_huge_step_count(self, trained_run, capsys):
+        # predict never reads the Adam state, and loading it sizes nothing
+        # by its step count
+        ckpt = trained_run / "checkpoint.bin"
+        params, _ = nn.load_checkpoint(ckpt)
+        adam = nn.AdamState.for_params(params)
+        adam.t = 2 ** 40
+        nn.save_checkpoint(ckpt, params, adam)
+        assert run_cli("predict", ckpt, "bagus enak mantap") == 0
+        assert capsys.readouterr().out.startswith("positive\t")
 
     def test_chunks_match_per_line_predict(self, trained_run, capsys,
                                            monkeypatch):

@@ -667,6 +667,23 @@ class TestCheckpoint:
         assert np.array_equal(adam.m["w_ih"], state.m["w_ih"])
         assert loaded.config == cfg
 
+    def test_huge_adam_step_count_loads_in_little_memory(self, tmp_path):
+        # the step count sizes no array
+        import tracemalloc
+        params = random_params(tiny_config(), seed=4)
+        state = nn.AdamState.for_params(params)
+        state.t = 2 ** 40
+        nn.save_checkpoint(tmp_path / "m.bin", params, state)
+        tracemalloc.start()
+        try:
+            _, adam = nn.load_checkpoint(tmp_path / "m.bin")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert adam.t == adam.first == 2 ** 40
+        assert len(adam.behind()) == 0
+        assert peak < 64 * 1024
+
     def test_retired_dropout_slot_written_as_zero(self, tmp_path):
         # the 16 bytes of rates follow the magic, the version and dtype
         # code, and five u64 dimensions
@@ -1466,6 +1483,33 @@ class TestCatchUpAdam:
         assert most_behind > 0
         for k, a in result.final_params.arrays().items():
             assert np.array_equal(a, want.arrays()[k]), k
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_reloaded_state_steps_as_the_running_one(self, tmp_path, dtype):
+        # a loaded state keeps window sums only from the step it was built
+        # at; stepped on, it moves every row as the state it was saved from
+        params, state = stale_state(dtype)
+        nn.adam_catch_up(params, state)
+        nn.save_checkpoint(tmp_path / "m.bin", params, state)
+        loaded, adam = nn.load_checkpoint(tmp_path / "m.bin")
+        copy = nn.ModelParams(loaded.config, **{
+            k: a.copy() for k, a in loaded.arrays().items()})
+        assert adam.first == state.t and len(adam.sums) == 1
+        rng = np.random.default_rng(8)
+        for t in range(40):
+            rows = np.arange(1 + t % 3, len(params.embedding), 3)
+            grads = {k: rng.normal(size=a.shape).astype(dtype)
+                     for k, a in params.arrays().items()}
+            grads["embedding"] = nn.RowGrad(rows, grads["embedding"][rows])
+            for p, st in ((params, state), (copy, adam)):
+                nn.adam_catch_up(p, st, rows)
+                nn.adam_step(p, grads, st, 0.01)
+        for p, st in ((params, state), (copy, adam)):
+            nn.adam_catch_up(p, st)
+        for k, a in params.arrays().items():
+            assert np.array_equal(a, copy.arrays()[k]), k
+            assert np.array_equal(state.m[k], adam.m[k]), k
+            assert np.array_equal(state.v[k], adam.v[k]), k
 
     def test_catch_up_memory_is_block_bounded(self):
         import tracemalloc

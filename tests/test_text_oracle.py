@@ -86,6 +86,8 @@ EDGE_CASES = {
                         + b",positive\r\n",
     "not_utf8_row": HEADER + b"1,s,bagus,positive\r\n\r\n2,s,\xff,negative\r\n",
     "not_utf8_header": b"\xffid,source,text,label\r\n",
+    "not_utf8_row_after_bom": b"\xef\xbb\xbf" + HEADER
+                              + b"1,s,bagus,positive\r\n2,s,\xff,negative\r\n",
 }
 
 
@@ -94,6 +96,21 @@ def test_load_csv_edge_cases(tmp_path, content):
     path = tmp_path / "corpus.csv"
     path.write_bytes(content)
     assert_same_load(path)
+
+
+def test_load_csv_byte_order_mark_dropped(tmp_path):
+    # the mark is not part of the first column name, and a bad byte's row
+    # number counts the rows as without it
+    for name in ("utf8_bom", "not_utf8_row_after_bom"):
+        content = EDGE_CASES[name]
+        marked, plain = tmp_path / "marked.csv", tmp_path / "plain.csv"
+        marked.write_bytes(content)
+        plain.write_bytes(content[3:])
+        want = outcome(load_csv, plain, True)
+        assert outcome(load_csv, marked, True) == (
+            want.replace(str(plain), str(marked)) if isinstance(want, str)
+            else want)
+    assert "row 3: not UTF-8 text" in want
 
 
 # cells with quotes, commas and line breaks, and labels of every kind
