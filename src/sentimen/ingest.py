@@ -1,7 +1,9 @@
 """Corpus loading, class accounting and deterministic stratified splits.
 
 The canonical corpus format is a UTF-8 CSV with a header row and columns
-``id,source,text,label`` (RFC 4180 quoting).  ``label`` is ``negative``,
+``id,source,text,label`` (RFC 4180 quoting: ``save_csv`` writes the bytes
+``csv.writer``'s default dialect writes, CRLF rows and a cell quoted only
+when it holds a comma, a quote or a line break).  ``label`` is ``negative``,
 ``positive`` or empty; rows with an empty label are kept as unlabeled
 records so raw fetched comments and labeled corpora share one format.  A
 tokenized corpus, as the preprocess command writes it, adds a ``tokens``
@@ -13,10 +15,10 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,15 +31,16 @@ class Label(IntEnum):
 
 
 LABEL_NAMES = {Label.NEGATIVE: "negative", Label.POSITIVE: "positive"}
-_NAME_TO_LABEL = {v: k for k, v in LABEL_NAMES.items()}
+# a label's cell in a saved corpus, and the label of each such cell
+_CELL_OF_LABEL = {None: "", **LABEL_NAMES}
+_LABEL_OF_CELL = {cell: label for label, cell in _CELL_OF_LABEL.items()}
 
 
 class CorpusError(Exception):
     """Malformed corpus file (missing column, bad label, empty text...)."""
 
 
-@dataclass(frozen=True)
-class LabeledComment:
+class LabeledComment(NamedTuple):
     """One comment.  ``label`` is None for records that were never labeled;
     ``tokens`` is None unless the comment was read from a ``tokens`` column
     (an empty cell there means no tokens)."""
@@ -80,11 +83,9 @@ COLUMNS = ("id", "source", "text", "label")
 
 def _parse_label(raw: str) -> Label | None:
     name = raw.strip().lower()
-    if name == "":
-        return None
-    if name not in _NAME_TO_LABEL:
+    if name not in _LABEL_OF_CELL:
         raise CorpusError(f"unknown label {raw!r} (expected negative/positive/empty)")
-    return _NAME_TO_LABEL[name]
+    return _LABEL_OF_CELL[name]
 
 
 def load_csv(path: str | Path, strict: bool = True) -> Dataset:
@@ -118,6 +119,7 @@ def load_csv(path: str | Path, strict: bool = True) -> Dataset:
             i_id, i_source, i_text, i_label = (at[col] for col in COLUMNS)
             i_tokens = at.get("tokens")
             width = len(header)
+            append = records.append
             row_no = 2
             for row in reader:
                 if not row:  # blank rows are skipped and not counted
@@ -125,18 +127,17 @@ def load_csv(path: str | Path, strict: bool = True) -> Dataset:
                 if len(row) < width:  # missing cells read as empty
                     row += [""] * (width - len(row))
                 try:
-                    label = _parse_label(row[i_label])
+                    # a cell save_csv writes needs no strip or lower
+                    cell = row[i_label]
+                    label = (_LABEL_OF_CELL[cell] if cell in _LABEL_OF_CELL
+                             else _parse_label(cell))
                     text = row[i_text]
                     if label is not None and not text.strip():
                         raise CorpusError("empty text on a labeled row")
-                    records.append(LabeledComment(
-                        id=row[i_id].strip(),
-                        source=row[i_source].strip(),
-                        text=text,
-                        label=label,
-                        tokens=tuple(row[i_tokens].split())
-                        if i_tokens is not None else None,
-                    ))
+                    append(LabeledComment(
+                        row[i_id].strip(), row[i_source].strip(), text, label,
+                        tuple(row[i_tokens].split())
+                        if i_tokens is not None else None))
                 except CorpusError as exc:
                     if strict:
                         raise CorpusError(
@@ -156,27 +157,39 @@ def load_csv(path: str | Path, strict: bool = True) -> Dataset:
     return Dataset(tuple(records), tuple(skipped))
 
 
+def _csv_field(cell: str) -> str:
+    """A cell as ``csv.writer`` writes it by default: in quotes, its quotes
+    doubled, when it holds a comma, a quote or a line break; else as is."""
+    if "," in cell or '"' in cell or "\r" in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def save_csv(ds: Dataset | Iterable[LabeledComment], path: str | Path,
              extra_columns: dict[str, list[str]] | None = None) -> None:
-    """Write records in the canonical CSV format.
+    """Write records in the canonical CSV format, byte for byte as
+    ``csv.writer`` writes them.
 
     ``extra_columns`` maps column name -> per-record values (e.g. the
-    ``tokens`` column emitted by the preprocess command).
+    ``tokens`` column emitted by the preprocess command); a name that
+    repeats a canonical column is rejected, since ``load_csv`` would read
+    only the last of the two.
     """
     records = list(ds)
     extra = extra_columns or {}
     for name, values in extra.items():
+        if name in COLUMNS:
+            raise ValueError(f"extra column {name!r} repeats a canonical column")
         if len(values) != len(records):
             raise ValueError(f"extra column {name!r} has {len(values)} values "
                              f"for {len(records)} records")
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*COLUMNS, *extra.keys()])
-        for i, r in enumerate(records):
-            name = "" if r.label is None else LABEL_NAMES[r.label]
-            writer.writerow([r.id, r.source, r.text, name,
-                             *(extra[c][i] for c in extra)])
+    field = _csv_field
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(map(field, [*COLUMNS, *extra])) + "\r\n")
+        # from a generator, so one row's line at a time is held in memory
+        fh.writelines(",".join([field(r.id), field(r.source), field(r.text),
+                                _CELL_OF_LABEL[r.label], *map(field, cells)])
+                      + "\r\n" for r, *cells in zip(records, *extra.values()))
 
 
 def class_distribution(ds: Dataset) -> dict[Label, float]:

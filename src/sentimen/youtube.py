@@ -55,6 +55,15 @@ def _json_object(value, what: str) -> dict:
     return value
 
 
+def _string(value, what: str) -> str:
+    """A comment's id or text; a missing or null one reads as ``""``."""
+    if value is None:
+        return ""
+    if not isinstance(value, str):
+        raise FetchError(f"API response {what} is not a string (HTTP 200)")
+    return value
+
+
 def fetch_comments(video_id: str, api_key: str | None = None,
                    max_pages: int = 1, base_url: str = DEFAULT_BASE_URL,
                    session: requests.Session | None = None,
@@ -63,8 +72,9 @@ def fetch_comments(video_id: str, api_key: str | None = None,
     preserved.  Raises before any network call on a missing key.  A base URL
     that ``requests`` rejects raises ``InvalidUrlError``; any other failure
     (a rejected key, an HTTP error status, a request that did not complete,
-    a 200 response whose body is not the API's shape of JSON objects)
-    raises ``FetchError``.  No message holds the key."""
+    a 200 response whose body is not the API's shape of JSON objects or
+    whose comment id or text is not a string) raises ``FetchError``.  No
+    message holds the key."""
     key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
     if not key:
         raise FetchError(f"no API key: pass api_key or set {API_KEY_ENV}")
@@ -113,9 +123,11 @@ def fetch_comments(video_id: str, api_key: str | None = None,
             top = _json_object(outer.get("topLevelComment", {}),
                                "topLevelComment")
             snippet = _json_object(top.get("snippet", {}), "comment snippet")
-            text = snippet.get("textOriginal") or snippet.get("textDisplay") or ""
+            text = (_string(snippet.get("textOriginal"), "comment text")
+                    or _string(snippet.get("textDisplay"), "comment text"))
             comments.append(LabeledComment(
-                id=top.get("id", ""), source=video_id, text=text, label=None))
+                id=_string(top.get("id"), "comment id"), source=video_id,
+                text=text, label=None))
         page_token = body.get("nextPageToken")
         if not page_token:
             break

@@ -873,9 +873,12 @@ class TestFetchCommand:
         assert key not in assert_one_error_line(capsys, "error: fetch failed")
         assert not out.exists()
 
-    @pytest.mark.parametrize("body", [b'{"items": ["x"]}',
-                                      b'{"items": [{"snippet": 5}]}',
-                                      b'{"items": 7}'])
+    @pytest.mark.parametrize("body", [
+        b'{"items": ["x"]}', b'{"items": [{"snippet": 5}]}', b'{"items": 7}',
+        b'{"items": [{"snippet": {"topLevelComment": {"id": 7, '
+        b'"snippet": {"textOriginal": {"a": 1}}}}}]}',
+        b'{"items": [{"snippet": {"topLevelComment": {"id": 7, '
+        b'"snippet": {"textOriginal": "bagus"}}}}]}'])
     def test_malformed_body_exit_3(self, tmp_path, monkeypatch, capsys, body):
         monkeypatch.setenv("SENTIMEN_API_KEY", "k")
 

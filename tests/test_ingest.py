@@ -155,6 +155,21 @@ class TestLoadCsv:
         save_csv(ds, tmp_path / "q.csv")
         assert load_csv(tmp_path / "q.csv").records[0].text == tricky
 
+    @pytest.mark.parametrize("name", ["id", "source", "text", "label"])
+    def test_extra_column_repeating_a_canonical_one_rejected(self, tmp_path,
+                                                             name):
+        # load_csv would read the last of the two columns of that name
+        path = tmp_path / "dup.csv"
+        with pytest.raises(ValueError, match=f"^extra column '{name}' repeats"):
+            save_csv(make_dataset(1, 0), path, extra_columns={name: ["x"]})
+        assert not path.exists()
+
+    def test_record_fields_cannot_be_assigned(self):
+        record = make_dataset(1, 0).records[0]
+        with pytest.raises(AttributeError):
+            record.label = Label.POSITIVE
+        assert record.label is Label.NEGATIVE
+
 
 class TestClassDistribution:
     def test_reference_proportions(self):

@@ -1,11 +1,12 @@
 """The text-path loops return exactly what their reference copies return.
 
-``text_reference.py`` holds verbatim copies of ``load_csv``,
+``text_reference.py`` holds verbatim copies of ``load_csv``, ``save_csv``,
 ``build_vocab`` and ``linear_fit`` as they were before their loops were
 made cheaper.  The rewrites do the same operations in the same order, so
 datasets, vocabularies, weights and biases are compared with ``==`` and
-``np.array_equal``, never with a tolerance.  The reference and the
-benchmark's corpus generator (standard library only) are loaded by path.
+``np.array_equal``, never with a tolerance, and written files byte for
+byte.  The reference and the benchmark's corpus generator (standard
+library only) are loaded by path.
 """
 
 import csv
@@ -17,13 +18,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sentimen import ingest
 from sentimen.baselines import (TfidfVectorizer, _logistic_grad, count_vector,
                                 linear_fit, logistic_loss_and_grad)
-from sentimen.ingest import COLUMNS, CorpusError, load_csv
+from sentimen.ingest import (COLUMNS, CorpusError, Dataset, Label,
+                             LabeledComment, load_csv)
 from sentimen.preprocess import PreprocessConfig, run_pipeline
 from sentimen.vocab import build_vocab
 
@@ -153,6 +155,62 @@ def test_load_csv_raw_text(body):
     check_text("id,source,text,label,tokens\n" + body)
 
 
+# --- save_csv ------------------------------------------------------------------
+
+# every character the writer quotes on, line breaks of each kind, and
+# characters it passes through: NUL, a vertical tab, non-ASCII, an emoji
+WRITTEN = (st.lists(st.sampled_from(["a", " ", ",", '"', "\r", "\n", "\r\n",
+                                     "\x00", "\x0b", "\t", "é", "\U0001F600"]),
+                    max_size=8).map("".join)
+           | st.text(max_size=6))
+LABELS = st.sampled_from([None, Label.NEGATIVE, Label.POSITIVE])
+EXTRA_NAMES = ("tokens", "x", "a,b", 'q"uote', "line\nbreak")
+
+
+@st.composite
+def saved_corpora(draw, key=WRITTEN):
+    """(records, extra columns); ids and sources are drawn from ``key``."""
+    records = draw(st.lists(st.builds(LabeledComment, key, key, WRITTEN, LABELS,
+                                      tokens=st.none()),
+                            max_size=6))
+    names = draw(st.lists(st.sampled_from(EXTRA_NAMES), unique=True, max_size=2))
+    extra = {name: draw(st.lists(WRITTEN, min_size=len(records),
+                                 max_size=len(records)))
+             for name in names}
+    return records, extra
+
+
+def written_bytes(writer, records, extra):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.csv"
+        writer(Dataset(tuple(records)), path, extra_columns=extra)
+        return path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(saved_corpora())
+@example(([LabeledComment("1", "s", "a\rb", Label.POSITIVE)], {}))
+@example(([LabeledComment("1", "s", 'kata "aneh"', None)], {"tokens": ["x"]}))
+def test_save_csv_bytes(corpus_and_extra):
+    records, extra = corpus_and_extra
+    assert (written_bytes(ingest.save_csv, records, extra)
+            == written_bytes(reference.save_csv, records, extra))
+
+
+@settings(max_examples=300, deadline=None)
+@given(saved_corpora(key=WRITTEN.map(str.strip)))
+@example(([LabeledComment("1", "s", "a\rb", Label.POSITIVE)], {}))
+@example(([LabeledComment("1", "s", 'kata "aneh"', None)], {}))
+def test_save_csv_round_trip(corpus_and_extra):
+    # load_csv strips ids and sources, and rejects a labeled blank text
+    records = [r for r in corpus_and_extra[0]
+               if r.label is None or r.text.strip()]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.csv"
+        ingest.save_csv(Dataset(tuple(records)), path)
+        assert load_csv(path).records == tuple(records)
+
+
 # --- build_vocab ---------------------------------------------------------------
 
 def assert_same_vocab(docs, min_freq):
@@ -234,6 +292,15 @@ def seed3_train(seed3_csv):
 
 def test_seed3_load_csv(seed3_csv):
     assert_same_load(seed3_csv)
+
+
+def test_seed3_save_csv(seed3_csv):
+    # the corpus as the preprocess command writes it, tokens column included
+    records = load_csv(seed3_csv).records
+    cfg = PreprocessConfig.default()
+    extra = {"tokens": [" ".join(run_pipeline(r.text, cfg)) for r in records]}
+    assert (written_bytes(ingest.save_csv, records, extra)
+            == written_bytes(reference.save_csv, records, extra))
 
 
 @pytest.mark.parametrize("min_freq", [1, 2, 3])

@@ -142,10 +142,33 @@ class TestErrors:
         b'{"items": [{"snippet": "x"}]}',
         b'{"items": [{"snippet": {"topLevelComment": 3}}]}',
         b'{"items": [{"snippet": {"topLevelComment": {"snippet": []}}}]}',
+        b'{"items": [{"snippet": {"topLevelComment": {"id": 7, '
+        b'"snippet": {"textOriginal": {"a": 1}}}}}]}',
+        b'{"items": [{"snippet": {"topLevelComment": {"id": null, '
+        b'"snippet": {"textOriginal": ["x"]}}}}]}',
     ])
     def test_200_body_of_the_wrong_shape(self, body):
         with pytest.raises(FetchError, match=r"^API response .* \(HTTP 200\)$"):
             fetch_comments("vid", api_key="k", session=FakeSession((200, body)))
+
+    @pytest.mark.parametrize("comment,what", [
+        (b'{"id": "c1", "snippet": {"textOriginal": {"a": 1}}}', "text"),
+        (b'{"id": "c1", "snippet": {"textDisplay": 5}}', "text"),
+        (b'{"id": 7, "snippet": {"textOriginal": "bagus"}}', "id"),
+    ])
+    def test_comment_field_not_a_string(self, comment, what):
+        body = b'{"items": [{"snippet": {"topLevelComment": %s}}]}' % comment
+        with pytest.raises(FetchError, match=f"^API response comment {what} "
+                                             r"is not a string \(HTTP 200\)$"):
+            fetch_comments("vid", api_key="k", session=FakeSession((200, body)))
+
+    def test_missing_or_null_id_and_text_read_empty(self):
+        body = (b'{"items": [{"snippet": {"topLevelComment": {}}}, '
+                b'{"snippet": {"topLevelComment": {"id": null, "snippet": '
+                b'{"textOriginal": null, "textDisplay": "lihat"}}}}]}')
+        out = fetch_comments("vid", api_key="k",
+                             session=FakeSession((200, body)))
+        assert [(c.id, c.text) for c in out] == [("", ""), ("", "lihat")]
 
     @pytest.mark.parametrize("base_url,kind", [
         ("notaurl", "MissingSchema"), ("ftp2://host/x", "InvalidSchema"),

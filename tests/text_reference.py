@@ -1,15 +1,16 @@
 """Reference copies of the text-path loops, as they were before the loops
 were made cheaper.
 
-``load_csv`` (read through ``csv.DictReader``), ``build_vocab`` (sorted by
-a ``(-frequency, token)`` key function), ``logistic_loss_and_grad`` and
-``linear_fit`` (Pegasos indexing flat ``array`` buffers by position) are
-verbatim copies, except that ``load_csv`` decodes ``utf-8-sig``, as the
-program does since a leading byte-order mark stopped being read as part
-of the first column name.  The rewritten functions do the same floating-point
-operations in the same order, so ``tests/test_text_oracle.py`` requires
-their results to be equal to these, not close.  The helpers, dataclasses
-and error types they use are imported from the package.
+``load_csv`` (read through ``csv.DictReader``), ``save_csv`` (written
+through ``csv.writer``), ``build_vocab`` (sorted by a ``(-frequency, token)``
+key function), ``logistic_loss_and_grad`` and ``linear_fit`` (Pegasos
+indexing flat ``array`` buffers by position) are verbatim copies, except
+that ``load_csv`` decodes ``utf-8-sig``, as the program does since a
+leading byte-order mark stopped being read as part of the first column
+name.  The rewritten functions do the same floating-point operations in
+the same order, and write the same bytes, so ``tests/test_text_oracle.py``
+requires their results to be equal to these, not close.  The helpers,
+record types and error types they use are imported from the package.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from sentimen.baselines import CsrMatrix, LinearModel
-from sentimen.ingest import (COLUMNS, CorpusError, Dataset, Label,
-                             LabeledComment, _parse_label)
+from sentimen.ingest import (COLUMNS, LABEL_NAMES, CorpusError, Dataset,
+                             Label, LabeledComment, _parse_label)
 from sentimen.vocab import Vocabulary
 
 
@@ -87,6 +88,29 @@ def load_csv(path: str | Path, strict: bool = True) -> Dataset:
             row = sum(1 for r in csv.reader(io.StringIO(head, newline="")) if r)
             raise CorpusError(f"{path}: row {row}: not UTF-8 text") from None
     return Dataset(tuple(records), tuple(skipped))
+
+
+def save_csv(ds: Dataset | Iterable[LabeledComment], path: str | Path,
+             extra_columns: dict[str, list[str]] | None = None) -> None:
+    """Write records in the canonical CSV format.
+
+    ``extra_columns`` maps column name -> per-record values (e.g. the
+    ``tokens`` column emitted by the preprocess command).
+    """
+    records = list(ds)
+    extra = extra_columns or {}
+    for name, values in extra.items():
+        if len(values) != len(records):
+            raise ValueError(f"extra column {name!r} has {len(values)} values "
+                             f"for {len(records)} records")
+    path = Path(path)
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([*COLUMNS, *extra.keys()])
+        for i, r in enumerate(records):
+            name = "" if r.label is None else LABEL_NAMES[r.label]
+            writer.writerow([r.id, r.source, r.text, name,
+                             *(extra[c][i] for c in extra)])
 
 
 def build_vocab(corpus: Iterable[Sequence[str]], min_freq: int = 1) -> Vocabulary:

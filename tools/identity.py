@@ -17,6 +17,11 @@ both revisions, each in fresh processes that import that revision's
   prints rounded, as ``.npy`` files: ``nn.predict`` on each unlabelled
   comment, one call each, and ``nn.predict_encoded`` over the test split.
 
+Then ``sentimen preprocess`` runs at both revisions on ``HANDWRITTEN``, a
+small corpus whose cells hold what the generated corpora never do: quotes,
+CR, LF and CRLF, commas, non-ASCII text, an id with surrounding spaces and
+an unlabelled empty text.
+
 Every artifact's sha256 is printed for both revisions, and the ones that
 differ are flagged.  For a probability file that differs, the line after
 it says how many vectors differ, by how much at most, and in how many the
@@ -28,6 +33,7 @@ BLAS runs one thread, as in the benchmark.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import io
 import os
@@ -42,6 +48,11 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 3)
 DTYPES = ("float32", "float64")
+HANDWRITTEN = ('id,source,text,label\r\n'
+               '1,vid,"kata ""aneh"", dengan koma",positive\r\n'
+               '2,vid,"baris\rsatu\nbaris dua\r\nbaris tiga",negative\r\n'
+               ' 3 ,vid,makanan énak sekali \U0001F600,positive\r\n'
+               '4,vid,,\r\n')
 
 # run at each revision: argv is the model dir, the test CSV, the unlabelled
 # comments (one a line) and the output file's prefix
@@ -86,10 +97,15 @@ def write_inputs(seed: int, out: Path) -> None:
         (out / f"{dtype}.cfg").write_text(f"dtype = {dtype}\n", "utf-8")
 
 
-def run_revision(src: Path, inputs: Path, out: Path) -> None:
-    """Every artifact of one revision, written under ``out``."""
+def write_handwritten(out: Path) -> None:
+    (out / "corpus.csv").write_bytes(HANDWRITTEN.encode("utf-8"))
+
+
+def runner(src: Path, out: Path):
+    """``python(*argv)`` in ``out``, importing ``src``; ``out`` is made."""
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    out.mkdir(parents=True)
 
     def python(*argv: str, stdin: Path | None = None,
                stdout: Path | None = None) -> None:
@@ -97,11 +113,22 @@ def run_revision(src: Path, inputs: Path, out: Path) -> None:
                 open(stdout or os.devnull, "wb") as fout:
             subprocess.run([sys.executable, *argv], cwd=out, env=env,
                            stdin=fin, stdout=fout, check=True)
+    return python
+
+
+def run_handwritten(src: Path, inputs: Path, out: Path) -> None:
+    runner(src, out)("-m", "sentimen.cli", "preprocess",
+                     str(inputs / "corpus.csv"),
+                     "--out", str(out / "preprocess.csv"), "--quiet")
+
+
+def run_revision(src: Path, inputs: Path, out: Path) -> None:
+    """Every artifact of one revision, written under ``out``."""
+    python = runner(src, out)
 
     def sentimen(*argv: str, **kw) -> None:
         python("-m", "sentimen.cli", *argv, **kw)
 
-    out.mkdir(parents=True)
     sentimen("preprocess", str(inputs / "corpus.csv"),
              "--out", str(out / "preprocess.csv"), "--quiet")
     for dtype in DTYPES:
@@ -156,28 +183,31 @@ def main(argv: list[str] | None = None) -> int:
                 archive.extractall(base, filter="data")
             else:
                 archive.extractall(base)
+        cases = [(f"seed{seed}", functools.partial(write_inputs, seed),
+                  run_revision) for seed in SEEDS]
+        cases.append(("handwritten", write_handwritten, run_handwritten))
         differing = total = 0
-        for seed in SEEDS:
-            inputs = work / f"seed{seed}" / "inputs"
+        for case, write, run in cases:
+            inputs = work / case / "inputs"
             inputs.mkdir(parents=True)
-            write_inputs(seed, inputs)
+            write(inputs)
             sides = {}
             for side, src in (("base", base / "src"), ("tree", ROOT / "src")):
-                print(f"seed {seed}: running {side} ...", flush=True)
-                run_revision(src, inputs, work / f"seed{seed}" / side)
-                sides[side] = digests(work / f"seed{seed}" / side)
+                print(f"{case}: running {side} ...", flush=True)
+                run(src, inputs, work / case / side)
+                sides[side] = digests(work / case / side)
             for name in sorted(sides["base"].keys() | sides["tree"].keys()):
                 a, b = sides["base"].get(name, "-"), sides["tree"].get(name, "-")
                 total += 1
                 if a == b:
-                    print(f"  same     seed{seed}/{name}  {a}")
+                    print(f"  same     {case}/{name}  {a}")
                 else:
                     differing += 1
-                    print(f"  DIFFERS  seed{seed}/{name}  base {a}  tree {b}")
+                    print(f"  DIFFERS  {case}/{name}  base {a}  tree {b}")
                     if name.startswith("probabilities-") and "-" not in (a, b):
                         print("           " + probability_change(
-                            work / f"seed{seed}" / "base" / name,
-                            work / f"seed{seed}" / "tree" / name))
+                            work / case / "base" / name,
+                            work / case / "tree" / name))
     print(f"{total - differing} of {total} artifacts byte-identical "
           f"(base {args.base}, working tree)")
     return 1 if differing else 0
