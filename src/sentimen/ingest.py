@@ -43,7 +43,11 @@ class CorpusError(Exception):
 class LabeledComment(NamedTuple):
     """One comment.  ``label`` is None for records that were never labeled;
     ``tokens`` is None unless the comment was read from a ``tokens`` column
-    (an empty cell there means no tokens)."""
+    (an empty cell there means no tokens).
+
+    A record is a tuple: it compares equal to a plain tuple of its fields,
+    and a changed copy comes from ``_replace``, not ``dataclasses.replace``.
+    """
 
     id: str
     source: str
@@ -127,10 +131,7 @@ def load_csv(path: str | Path, strict: bool = True) -> Dataset:
                 if len(row) < width:  # missing cells read as empty
                     row += [""] * (width - len(row))
                 try:
-                    # a cell save_csv writes needs no strip or lower
-                    cell = row[i_label]
-                    label = (_LABEL_OF_CELL[cell] if cell in _LABEL_OF_CELL
-                             else _parse_label(cell))
+                    label = _parse_label(row[i_label])
                     text = row[i_text]
                     if label is not None and not text.strip():
                         raise CorpusError("empty text on a labeled row")
@@ -168,10 +169,13 @@ def _csv_field(cell: str) -> str:
 def save_csv(ds: Dataset | Iterable[LabeledComment], path: str | Path,
              extra_columns: dict[str, list[str]] | None = None) -> None:
     """Write records in the canonical CSV format, byte for byte as
-    ``csv.writer`` writes them.
+    ``csv.writer`` writes the same str cells.
 
-    ``extra_columns`` maps column name -> per-record values (e.g. the
-    ``tokens`` column emitted by the preprocess command); a name that
+    Every id, source, text and extra value must be a str: unlike
+    ``csv.writer``, no other value is converted, and one raises
+    ``TypeError`` once the file is truncated and the rows before it
+    written.  ``extra_columns`` maps column name -> per-record values (e.g.
+    the ``tokens`` column emitted by the preprocess command); a name that
     repeats a canonical column is rejected, since ``load_csv`` would read
     only the last of the two.
     """

@@ -9,18 +9,16 @@ corpus, and the test split is saved as the benchmark saves it.  Then, at
 both revisions, each in fresh processes that import that revision's
 ``src/``:
 
-- ``sentimen preprocess`` on the corpus;
+- ``sentimen preprocess`` on the corpus, and on ``HANDWRITTEN``, a small
+  corpus whose cells hold what the generated corpora never do: quotes, CR,
+  LF and CRLF, commas, non-ASCII text, an id with surrounding spaces and an
+  unlabelled empty text;
 - ``sentimen train`` for one epoch, in float32 and in float64;
 - ``sentimen evaluate`` of each checkpoint on the test split;
 - ``sentimen predict`` of each checkpoint on the unlabelled comments;
 - the float64 probability vectors behind those outputs, which the CLI
   prints rounded, as ``.npy`` files: ``nn.predict`` on each unlabelled
   comment, one call each, and ``nn.predict_encoded`` over the test split.
-
-Then ``sentimen preprocess`` runs at both revisions on ``HANDWRITTEN``, a
-small corpus whose cells hold what the generated corpora never do: quotes,
-CR, LF and CRLF, commas, non-ASCII text, an id with surrounding spaces and
-an unlabelled empty text.
 
 Every artifact's sha256 is printed for both revisions, and the ones that
 differ are flagged.  For a probability file that differs, the line after
@@ -33,7 +31,6 @@ BLAS runs one thread, as in the benchmark.
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import io
 import os
@@ -77,7 +74,8 @@ for name, probs in (("predict", one), ("predict_encoded", batch)):
 
 
 def write_inputs(seed: int, out: Path) -> None:
-    """The seed's corpus, its test split and its unlabelled comments."""
+    """The seed's corpus, its test split and its unlabelled comments, and
+    the hand-written corpus."""
     import corpus
     from sentimen import ingest
 
@@ -93,19 +91,15 @@ def write_inputs(seed: int, out: Path) -> None:
     if any("\n" in t or "\r" in t for t in texts):
         raise ValueError("an unlabelled comment spans lines")
     (out / "unlabeled.txt").write_text("".join(t + "\n" for t in texts), "utf-8")
+    (out / "handwritten.csv").write_bytes(HANDWRITTEN.encode("utf-8"))
     for dtype in DTYPES:
         (out / f"{dtype}.cfg").write_text(f"dtype = {dtype}\n", "utf-8")
 
 
-def write_handwritten(out: Path) -> None:
-    (out / "corpus.csv").write_bytes(HANDWRITTEN.encode("utf-8"))
-
-
-def runner(src: Path, out: Path):
-    """``python(*argv)`` in ``out``, importing ``src``; ``out`` is made."""
+def run_revision(src: Path, inputs: Path, out: Path) -> None:
+    """Every artifact of one revision, written under ``out``."""
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    out.mkdir(parents=True)
 
     def python(*argv: str, stdin: Path | None = None,
                stdout: Path | None = None) -> None:
@@ -113,24 +107,15 @@ def runner(src: Path, out: Path):
                 open(stdout or os.devnull, "wb") as fout:
             subprocess.run([sys.executable, *argv], cwd=out, env=env,
                            stdin=fin, stdout=fout, check=True)
-    return python
-
-
-def run_handwritten(src: Path, inputs: Path, out: Path) -> None:
-    runner(src, out)("-m", "sentimen.cli", "preprocess",
-                     str(inputs / "corpus.csv"),
-                     "--out", str(out / "preprocess.csv"), "--quiet")
-
-
-def run_revision(src: Path, inputs: Path, out: Path) -> None:
-    """Every artifact of one revision, written under ``out``."""
-    python = runner(src, out)
 
     def sentimen(*argv: str, **kw) -> None:
         python("-m", "sentimen.cli", *argv, **kw)
 
+    out.mkdir(parents=True)
     sentimen("preprocess", str(inputs / "corpus.csv"),
              "--out", str(out / "preprocess.csv"), "--quiet")
+    sentimen("preprocess", str(inputs / "handwritten.csv"),
+             "--out", str(out / "handwritten.csv"), "--quiet")
     for dtype in DTYPES:
         model = out / f"train-{dtype}"
         sentimen("train", str(inputs / "corpus.csv"), "--epochs", "1",
@@ -183,31 +168,28 @@ def main(argv: list[str] | None = None) -> int:
                 archive.extractall(base, filter="data")
             else:
                 archive.extractall(base)
-        cases = [(f"seed{seed}", functools.partial(write_inputs, seed),
-                  run_revision) for seed in SEEDS]
-        cases.append(("handwritten", write_handwritten, run_handwritten))
         differing = total = 0
-        for case, write, run in cases:
-            inputs = work / case / "inputs"
+        for seed in SEEDS:
+            inputs = work / f"seed{seed}" / "inputs"
             inputs.mkdir(parents=True)
-            write(inputs)
+            write_inputs(seed, inputs)
             sides = {}
             for side, src in (("base", base / "src"), ("tree", ROOT / "src")):
-                print(f"{case}: running {side} ...", flush=True)
-                run(src, inputs, work / case / side)
-                sides[side] = digests(work / case / side)
+                print(f"seed {seed}: running {side} ...", flush=True)
+                run_revision(src, inputs, work / f"seed{seed}" / side)
+                sides[side] = digests(work / f"seed{seed}" / side)
             for name in sorted(sides["base"].keys() | sides["tree"].keys()):
                 a, b = sides["base"].get(name, "-"), sides["tree"].get(name, "-")
                 total += 1
                 if a == b:
-                    print(f"  same     {case}/{name}  {a}")
+                    print(f"  same     seed{seed}/{name}  {a}")
                 else:
                     differing += 1
-                    print(f"  DIFFERS  {case}/{name}  base {a}  tree {b}")
+                    print(f"  DIFFERS  seed{seed}/{name}  base {a}  tree {b}")
                     if name.startswith("probabilities-") and "-" not in (a, b):
                         print("           " + probability_change(
-                            work / case / "base" / name,
-                            work / case / "tree" / name))
+                            work / f"seed{seed}" / "base" / name,
+                            work / f"seed{seed}" / "tree" / name))
     print(f"{total - differing} of {total} artifacts byte-identical "
           f"(base {args.base}, working tree)")
     return 1 if differing else 0

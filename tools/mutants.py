@@ -93,15 +93,6 @@ MUTANTS = (
            '''        return '"' + cell + '"'\n''',
            ("tests/test_text_oracle.py::test_save_csv_bytes",
             "tests/test_text_oracle.py::test_save_csv_round_trip")),
-    Mutant("label_fast_path_without_fallback", "src/sentimen/ingest.py",
-           "                    label = (_LABEL_OF_CELL[cell] if cell in "
-           "_LABEL_OF_CELL\n"
-           "                             else _parse_label(cell))\n",
-           "                    label = _LABEL_OF_CELL.get(cell)\n",
-           ("tests/test_text_oracle.py::test_load_csv_edge_cases"
-            "[quoted_commas_and_newlines]",
-            "tests/test_text_oracle.py::test_load_csv_edge_cases"
-            "[blank_rows_not_counted]")),
     Mutant("logistic_gradient_without_l2", "src/sentimen/baselines.py",
            "    return l2 * w + x.rmatvec(s), float(s.sum())",
            "    return x.rmatvec(s), float(s.sum())",
