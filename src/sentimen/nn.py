@@ -8,7 +8,9 @@ parameter count matches the double-bias convention:
     V*E + 4*(E*H + H*H + 2H) + (H*C + C)
 
 There is one LSTM implementation, over (B, T) batches; a single sequence
-is a batch of one.  It runs on the packed form of the batch, as
+is a batch of one, except that inference on one row (``encoded_logits``,
+so each ``predict``) steps it on 1-D views with the same bits
+(``_one_row_logits``).  The batched pass runs on the packed form, as
 ``pack_padded_sequence`` lays it out: the rows go longest first, and step
 t runs over the prefix of rows still inside their sequence.  Only the P
 real positions are gathered, projected, stepped and differentiated, so a
@@ -511,6 +513,43 @@ def forward_logits(params: ModelParams, indices: np.ndarray,
     return h_final @ params.w_out.T + params.b_out
 
 
+def _one_row_logits(params: ModelParams, row: np.ndarray,
+                    length: int) -> np.ndarray:
+    """The (1, C) logits of ``forward_logits`` on one (T,) row, bit for
+    bit, without the batch's packing, step blocks and row order.
+
+    The same arithmetic on 1-D views: one GEMM projects the row's real
+    positions, and each step adds ``h @ w_hh_t`` (numpy hands an (H,) and
+    a (1, H) left operand to the same GEMV) and updates h and c, each one
+    (H,) buffer, in place.
+    """
+    h_dim = params.w_hh.shape[1]
+    n = min(max(int(length), 0), len(row))
+    w_ih_t, w_hh_t, bias = _forward_weights(params)
+    scale, shift = _gate_affine(h_dim, params.w_ih.dtype)
+    gates = params.embedding[row[:n]] @ w_ih_t  # (n, 4H)
+    gates += bias
+    gates4 = gates.reshape(n, 4, h_dim)
+    h = np.zeros(h_dim, dtype=gates.dtype)
+    c = np.empty_like(h)
+    for t in range(n):
+        a = gates[t]
+        if t:
+            a += h @ w_hh_t
+        np.tanh(a, out=a)
+        a *= scale
+        a += shift
+        i, f, g, o = gates4[t]
+        if t:
+            c *= f
+            c += i * g
+        else:
+            np.multiply(i, g, out=c)
+        np.tanh(c, out=h)
+        h *= o
+    return h[None] @ params.w_out.T + params.b_out
+
+
 def backward(params: ModelParams, indices: np.ndarray, lengths: np.ndarray,
              labels: np.ndarray, rng: np.random.Generator | None = None,
              class_weights: np.ndarray | None = None,
@@ -874,20 +913,21 @@ def encoded_logits(params: ModelParams, indices: np.ndarray,
     """The (N, C) inference-mode logits of an encoded corpus, in its row
     order.
 
-    One row runs as given, on the calling thread.  More rows run as
-    ``length_sorted_batches``, even when they fit one batch (the head's
-    GEMM gives a row in the remainder of OpenBLAS's row blocks other bits,
-    so the row order is part of the result), longest first, so the last to
-    finish are short.  Each batch writes its ``forward_logits`` into its
-    own rows.  With one worker (``batch_workers``) the batches run on the
-    calling thread and no thread starts; with more, on a
+    One row runs as given, on the calling thread, on the one-row
+    recurrence (``_one_row_logits``), with ``forward_logits``' bits.  More
+    rows run as ``length_sorted_batches``, even when they fit one batch
+    (the head's GEMM gives a row in the remainder of OpenBLAS's row blocks
+    other bits, so the row order is part of the result), longest first, so
+    the last to finish are short.  Each batch writes its ``forward_logits``
+    into its own rows.  With one worker (``batch_workers``) the batches run
+    on the calling thread and no thread starts; with more, on a
     ``ThreadPoolExecutor`` of that many threads.  A batch's exception is
     raised here once every pool thread has stopped: the batches ahead of
     it, and any running then, still finish first (``Executor.map`` drops
     the rest).
     """
     if len(lengths) == 1:
-        return forward_logits(params, indices, lengths)
+        return _one_row_logits(params, indices[0], lengths[0])
     logits = np.empty((len(lengths), params.b_out.shape[0]),
                       dtype=params.b_out.dtype)
 

@@ -164,7 +164,10 @@ class MockCommentsServer:
         self.httpd.fail_status = fail_status
         self.httpd.fail_body = fail_body
         self.httpd.requests = []
+        # a short poll: close()'s shutdown() waits for serve_forever's next
+        # poll, 0.5 s by default
         self.thread = threading.Thread(target=self.httpd.serve_forever,
+                                       kwargs={"poll_interval": 0.01},
                                        daemon=True)
         self.thread.start()
 

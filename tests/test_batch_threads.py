@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from sentimen import nn
+from sentimen.preprocess import PreprocessConfig, run_pipeline
 from sentimen.train import EncodedDataset, evaluate_split
+from sentimen.vocab import build_vocab, encode
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
 
@@ -242,21 +244,55 @@ def test_one_row_and_one_batch_start_no_thread(machine, monkeypatch):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_one_row_runs_as_given(machine, dtype):
-    # one row skips the sort: its logits are forward_logits' on the row,
-    # and evaluate_split scores a one-row dataset off them
+def test_one_row_runs_as_given(tmp_path, machine, monkeypatch, dtype):
+    # one row runs on the one-row recurrence, never through forward_logits:
+    # its logits are forward_logits' on the row, bit for bit, on a loaded
+    # (read-only) model and on its writable copy, for lengths out of range
+    # too; evaluate_split and nn.predict score a single row off them
     machine(2, "1")
-    params = model(dtype)
+    nn.save_checkpoint(tmp_path / "m.bin", model(dtype))
+    loaded, _ = nn.load_checkpoint(tmp_path / "m.bin")
+    copy = nn.ModelParams(loaded.config, **{k: a.copy() for k, a in
+                                            loaded.arrays().items()})
+    assert loaded.read_only() and not copy.read_only()
+    t_max = loaded.config.max_len
     rng = np.random.default_rng(7)
+    cases = []
+    for n in (0, 1, 2, t_max, t_max + 5, -1, -t_max - 2):
+        for _ in range(4):
+            idx, _ = corpus(rng, 1, loaded.config)
+            idx[0, max(n, 0):] = 0
+            cases.append((idx, np.array([n])))
     for k in range(10):
-        idx, lengths = corpus(rng, 1, params.config)
-        want = forward_logits(params, idx, lengths)
-        got = nn.encoded_logits(params, idx, lengths)
-        assert got.dtype == dtype and np.array_equal(got, want)
-        labels = np.array([k % 2])
-        loss = float(nn.row_cross_entropy(want, labels)[0])
-        assert evaluate_split(params, EncodedDataset(idx, lengths, labels)) \
-            == (loss, float(want.argmax() == k % 2))
+        cases.append(corpus(rng, 1, loaded.config))
+    words = [f"kata{chr(97 + k // 26)}{chr(97 + k % 26)}" for k in range(58)]
+    vocab = build_vocab([words])
+    pp = PreprocessConfig()
+    texts = ["", words[5], " ".join(rng.choice(words, 2 * t_max).tolist())]
+    encoded = [encode([run_pipeline(t, pp)], vocab, t_max) for t in texts]
+    assert [int(n[0]) for _, n in encoded] == [0, 1, t_max]
+    want = [([forward_logits(params, *case) for case in cases],
+             [nn.softmax(forward_logits(params, *e))[0] for e in encoded])
+            for params in (loaded, copy)]
+
+    def batch_path(*args):
+        raise AssertionError("one row ran through forward_logits")
+
+    monkeypatch.setattr(nn, "forward_logits", batch_path)
+    for params, (logits, probabilities) in zip((loaded, copy), want):
+        for k, ((idx, lengths), w) in enumerate(zip(cases, logits)):
+            got = nn.encoded_logits(params, idx, lengths)
+            assert got.dtype == dtype and got.shape == (1, 2)
+            assert np.array_equal(got, w), lengths
+            labels = np.array([k % 2])
+            loss = float(nn.row_cross_entropy(got, labels)[0])
+            assert evaluate_split(params, EncodedDataset(
+                idx, lengths, labels)) == (loss, float(got.argmax() == k % 2))
+        for text, probs in zip(texts, probabilities):
+            pred = nn.predict(text, params, vocab, pp)
+            assert np.array_equal(pred.probabilities, probs), text
+            assert pred.low_confidence == (text == "")
+            assert int(pred.label) == (int(probs.argmax()) if text else 0)
 
 
 class Boom(Exception):

@@ -210,6 +210,17 @@ class TestLargestRemainder:
         for n in (0, 1, 17, 963, 6419):
             assert sum(largest_remainder(n, (0.7, 0.15, 0.15))) == n
 
+    @pytest.mark.parametrize("n,sizes", [
+        # 7.0 | 1.5 | 1.5: the largest share has no remainder
+        (10, [7, 2, 1]),
+        # the paper-shape classes: 3940.3 | 844.35 | 844.35 and
+        # 553.0 | 118.5 | 118.5
+        (5629, [3940, 845, 844]),
+        (790, [553, 119, 118]),
+    ])
+    def test_leftover_follows_the_remainder_not_the_share(self, n, sizes):
+        assert largest_remainder(n, (0.7, 0.15, 0.15)) == sizes
+
 
 class TestStratifiedSplit:
     def test_reference_split_shape(self):

@@ -77,6 +77,15 @@ MUTANTS = (
            "kept.sort(key=freq.__getitem__)",
            ("tests/test_vocab.py::TestBuildVocab::test_hand_enumeration",
             "tests/test_text_oracle.py::test_seed3_build_vocab[1]")),
+    Mutant("leftover_by_share_not_remainder", "src/sentimen/ingest.py",
+           "key=lambda j: -(exact[j] - sizes[j]))",
+           "key=lambda j: -(exact[j] + sizes[j]))",
+           ("tests/test_ingest.py::TestLargestRemainder::"
+            "test_leftover_follows_the_remainder_not_the_share[10-sizes0]",
+            "tests/test_ingest.py::TestLargestRemainder::"
+            "test_leftover_follows_the_remainder_not_the_share[5629-sizes1]",
+            "tests/test_ingest.py::TestLargestRemainder::"
+            "test_leftover_follows_the_remainder_not_the_share[790-sizes2]")),
     Mutant("load_csv_without_short_row_padding", "src/sentimen/ingest.py",
            "                if len(row) < width:  # missing cells read as empty\n"
            "                    row += [\"\"] * (width - len(row))\n",
@@ -249,6 +258,19 @@ MUTANTS = (
             "test_inference_blocks_are_bounded_and_exact[float32]",
             "tests/test_nn.py::TestPackedLayout::"
             "test_inference_blocks_are_bounded_and_exact[float64]")),
+    # the one-row recurrence of a single prediction
+    Mutant("one_row_without_length_clamp", "src/sentimen/nn.py",
+           "    n = min(max(int(length), 0), len(row))\n",
+           "    n = int(length)\n",
+           ("tests/test_batch_threads.py::test_one_row_runs_as_given[float32]",
+            "tests/test_batch_threads.py::test_one_row_runs_as_given[float64]")),
+    Mutant("one_row_without_recurrence_at_step_1", "src/sentimen/nn.py",
+           "        if t:\n"
+           "            a += h @ w_hh_t\n",
+           "        if t > 1:\n"
+           "            a += h @ w_hh_t\n",
+           ("tests/test_batch_threads.py::test_one_row_runs_as_given[float32]",
+            "tests/test_batch_threads.py::test_one_row_runs_as_given[float64]")),
     Mutant("helper_batch_dropped", "src/sentimen/nn.py",
            "            list(pool.map(run, longest_first))\n",
            "            list(pool.map(run, longest_first))\n"
