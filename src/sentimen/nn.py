@@ -16,18 +16,20 @@ t runs over the prefix of rows still inside their sequence.  Only the P
 real positions are gathered, projected, stepped and differentiated, so a
 padded row does the same arithmetic as its unpadded self, and the pad
 embedding row stays frozen at zero.  Final hidden states, logits and
-gradients come back in the caller's row order.  Inference projects the
-positions a block of whole steps at a time, so it holds O((B + T) * 4H)
-gates, not O(P * 4H), with the bits of one GEMM over all of them.
+gradients come back in the caller's row order.  Inference projects each
+distinct token id of a batch once, into a table that each step reads its
+rows' gates from, so it holds O(min(P, V) * 4H + B * 4H) gates, not
+O(P * 4H), with the bits of one GEMM over all P positions.
 
 Batched inference (``encoded_logits``, under ``predict_encoded`` and
-``train.evaluate_split``) runs its length-sorted batches on a thread pool
-of one thread per core that BLAS's own threads leave free
-(``batch_workers``), or on the calling thread, starting none, when that is
-one core, as when ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` are
-unset.  Each batch writes the logits of ``forward_logits`` on it alone into
-its rows, so the thread count never changes a bit.  After a failure the
-batches queued ahead of it and those running finish.
+``train.evaluate_split``) runs its length-sorted batches on one thread per
+core that BLAS's own threads leave free (``batch_workers``): the calling
+thread and a pool of the rest, or the calling thread alone, starting none,
+when that is one core, as when ``OPENBLAS_NUM_THREADS`` and
+``OMP_NUM_THREADS`` are unset.  Each batch writes the logits of
+``forward_logits`` on it alone into its rows, so the thread count never
+changes a bit.  After a failure no thread takes another batch, and those
+running finish.
 
 A batch's P real positions touch at most P of the embedding table's V
 rows, so ``backward`` returns the embedding gradient as a ``RowGrad``: the
@@ -56,7 +58,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -295,30 +297,6 @@ def _forward_weights(params: ModelParams,
     return _prescaled_weights(params)
 
 
-def _step_blocks(offsets: list, min_positions: int) -> list[int]:
-    """The steps that cut a packing (``offsets``, as ``_packing`` gives
-    them) into blocks of whole steps, as a list of bounds from 0 to the
-    step count.
-
-    A block ends at the first step boundary where it holds at least
-    ``min_positions`` positions, so every block but the last does; the last
-    holds the rest.  No cut leaves the last block one position, unless P is
-    1: a one-row product runs OpenBLAS's GEMV, whose bits differ from the
-    GEMM rows of the same inputs, while GEMMs over any row ranges of two or
-    more give the bits of one GEMM over all of them.
-    """
-    n_pos = offsets[-1]
-    if n_pos < min_positions + 2:  # no cut leaves a second block of two
-        return [0, len(offsets) - 1]
-    bounds = [0]
-    for t in range(1, len(offsets) - 1):
-        if (offsets[t] - offsets[bounds[-1]] >= min_positions
-                and n_pos - offsets[t] > 1):
-            bounds.append(t)
-    bounds.append(len(offsets) - 1)
-    return bounds
-
-
 def _lstm_forward_batch(params: ModelParams, indices: np.ndarray,
                         lengths: np.ndarray, for_backward: bool = True) -> dict:
     """Forward over the packed form of a (B, T) batch; caches what the
@@ -331,15 +309,18 @@ def _lstm_forward_batch(params: ModelParams, indices: np.ndarray,
     state after its last real token (zero for an empty row), in the
     caller's row order; its cell state is ``c`` at that position.
 
-    The positions are gathered and projected a block of whole steps at a
-    time (``blocks``, from ``_step_blocks``), with the bits of one GEMM over
-    all of them.  With ``for_backward`` there is one block, and every
-    position's x, gates, h, c and tanh(c) is kept.  Without it a block
-    holds at least max(B, steps) positions and at most that plus B, and
-    h, c and tanh(c) are each one (B, H) buffer, the current step only,
-    whose prefix of live rows each step updates in place: the pass holds
-    O((B + T) * 4H) floats, not O(P * 4H).  The weights come from
-    ``_forward_weights``.
+    With ``for_backward`` one GEMM projects all P positions, and every
+    position's x, gates, h, c and tanh(c) is kept.  Without it the batch's
+    distinct token ids are projected once, into ``table``, and each step
+    takes its rows' gates from it into one (B, 4H) buffer; h, c and tanh(c)
+    are each one (B, H) buffer, the current step only, whose prefix of live
+    rows each step updates in place.  The pass then holds
+    O(min(P, V) * 4H + B * 4H) floats, not O(P * 4H).  A GEMM row has the
+    same bits whichever other rows share the call, as long as the call has
+    two or more: a one-row product runs OpenBLAS's GEMV, which rounds
+    otherwise.  So when P >= 2 positions share one id the table holds it
+    twice, and every table row has the bits of the training pass's GEMM.
+    The weights come from ``_forward_weights``.
     """
     h_dim = params.w_hh.shape[1]
     dtype = params.w_ih.dtype
@@ -353,13 +334,25 @@ def _lstm_forward_batch(params: ModelParams, indices: np.ndarray,
         ids = ids.ravel()
     else:
         ids = ids[np.arange(steps)[:, None] < sorted_lengths]
-    blocks = _step_blocks(offsets, n_pos if for_backward
-                          else max(batch, steps))
 
     w_ih_t, w_hh_t, bias = _forward_weights(params)
     # as (1, 4H) rows: numpy runs a one-row step's in-place ops on arrays
     # of one shape at about half the cost of broadcasting a (4H,) vector
     scale, shift = (v.reshape(1, -1) for v in _gate_affine(h_dim, dtype))
+    # the input projection and bias, in the scaled pre-activations that the
+    # tanh reads: every position's, or the table's rows
+    if for_backward:
+        x = params.embedding[ids]                # (P, E)
+        gates = x @ w_ih_t                       # (P, 4H)
+        gates += bias
+    else:
+        uniq, inv = np.unique(ids, return_inverse=True)
+        if n_pos > 1 and len(uniq) == 1:  # a GEMM of two rows, not a GEMV
+            uniq = np.repeat(uniq, 2)
+        table = params.embedding[uniq] @ w_ih_t  # (distinct ids, 4H)
+        table += bias
+        gates = np.empty((batch, 4 * h_dim), dtype=dtype)
+    gi, gf, gg, go = gates.reshape(len(gates), 4, h_dim).transpose(1, 0, 2)
 
     # state rows: position p when kept for backward, else the live prefix
     # of one (B, H) buffer
@@ -368,40 +361,34 @@ def _lstm_forward_batch(params: ModelParams, indices: np.ndarray,
     c_buf = np.zeros((slots, h_dim), dtype=dtype)
     tanh_c = np.empty((slots, h_dim), dtype=dtype)
     cur = prev = 0
-    for first, stop in zip(blocks, blocks[1:]):
-        # the block's input projection and bias in one GEMM, in the scaled
-        # pre-activations that the tanh reads; rows from position ``lo``
-        lo = offsets[first]
-        x = params.embedding[ids[lo:offsets[stop]]]  # (block, E)
-        gates = x @ w_ih_t                           # (block, 4H)
-        gates += bias
-        gi, gf, gg, go = gates.reshape(len(x), 4, h_dim).transpose(1, 0, 2)
-        for t, n, off in zip(range(first, stop), sizes[first:stop],
-                             offsets[first:stop]):
-            off -= lo
-            end = off + n
-            a = gates[off:end]
-            if t:
-                a += h_buf[prev:prev + n] @ w_hh_t
-            np.tanh(a, out=a)
-            a *= scale
-            a += shift
-            i, f, g, o = gi[off:end], gf[off:end], gg[off:end], go[off:end]
-            if for_backward:
-                cur = off  # the one block starts at position 0
-            c = c_buf[cur:cur + n]
-            if t:
-                np.multiply(f, c_buf[prev:prev + n], out=c)
-                c += i * g
-            else:
-                np.multiply(i, g, out=c)
-            tc = tanh_c[cur:cur + n]
-            np.tanh(c, out=tc)
-            np.multiply(o, tc, out=h_buf[cur:cur + n])
-            prev = cur
+    for t, (n, off) in enumerate(zip(sizes, offsets)):
+        if for_backward:
+            cur = off
+        else:
+            # inv is in range; numpy buffers the out of mode "raise"
+            np.take(table, inv[off:off + n], axis=0, out=gates[:n],
+                    mode="clip")
+        end = cur + n
+        a = gates[cur:end]
+        if t:
+            a += h_buf[prev:prev + n] @ w_hh_t
+        np.tanh(a, out=a)
+        a *= scale
+        a += shift
+        i, f, g, o = gi[cur:end], gf[cur:end], gg[cur:end], go[cur:end]
+        c = c_buf[cur:end]
+        if t:
+            np.multiply(f, c_buf[prev:prev + n], out=c)
+            c += i * g
+        else:
+            np.multiply(i, g, out=c)
+        tc = tanh_c[cur:end]
+        np.tanh(c, out=tc)
+        np.multiply(o, tc, out=h_buf[cur:end])
+        prev = cur
 
     cache = {"lengths": lengths, "order": order, "sizes": sizes,
-             "offsets": offsets, "blocks": blocks}
+             "offsets": offsets}
     if for_backward:
         # row r of the sorted batch ends at position offsets[len - 1] + r
         live = sizes[0] if steps else 0
@@ -413,6 +400,7 @@ def _lstm_forward_batch(params: ModelParams, indices: np.ndarray,
                      tanh_c=tanh_c)
     else:
         h_end = h_buf
+        cache["table"] = table
     h_final = np.empty_like(h_end)
     h_final[order] = h_end
     cache["h_final"] = h_final
@@ -516,7 +504,7 @@ def forward_logits(params: ModelParams, indices: np.ndarray,
 def _one_row_logits(params: ModelParams, row: np.ndarray,
                     length: int) -> np.ndarray:
     """The (1, C) logits of ``forward_logits`` on one (T,) row, bit for
-    bit, without the batch's packing, step blocks and row order.
+    bit, without the batch's packing, projection table and row order.
 
     The same arithmetic on 1-D views: one GEMM projects the row's real
     positions, and each step adds ``h @ w_hh_t`` (numpy hands an (H,) and
@@ -862,8 +850,7 @@ def adam_catch_up(params: ModelParams, state: AdamState,
 
 # --- prediction ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     label: Label
     probabilities: np.ndarray  # (C,), class order [negative, positive]
     low_confidence: bool = False
@@ -919,31 +906,46 @@ def encoded_logits(params: ModelParams, indices: np.ndarray,
     (the head's GEMM gives a row in the remainder of OpenBLAS's row blocks
     other bits, so the row order is part of the result), longest first, so
     the last to finish are short.  Each batch writes its ``forward_logits``
-    into its own rows.  With one worker (``batch_workers``) the batches run
-    on the calling thread and no thread starts; with more, on a
-    ``ThreadPoolExecutor`` of that many threads.  A batch's exception is
-    raised here once every pool thread has stopped: the batches ahead of
-    it, and any running then, still finish first (``Executor.map`` drops
-    the rest).
+    into its own rows, and projects each of its distinct token ids once:
+    about 2 MB of gates per batch of 256 at the paper's sizes in float32.
+    With one worker (``batch_workers``) the batches run on the calling
+    thread and no thread starts.  With more, the calling thread and a
+    ``ThreadPoolExecutor`` of one thread fewer take the batches from one
+    iterator: a pool thread costs its own malloc arena, about 4 MB of peak
+    memory.  A batch's exception is raised here once every pool thread has
+    stopped: after it, no thread takes another batch, and those running
+    finish first.
     """
     if len(lengths) == 1:
         return _one_row_logits(params, indices[0], lengths[0])
     logits = np.empty((len(lengths), params.b_out.shape[0]),
                       dtype=params.b_out.dtype)
-
-    def run(sel: np.ndarray) -> None:
-        logits[sel] = forward_logits(params, indices[sel], lengths[sel])
-
     longest_first = list(length_sorted_batches(lengths))[::-1]
+    # one next() on a list iterator is atomic under the interpreter lock
+    batches = iter(longest_first)
+
+    def run() -> None:
+        try:
+            for sel in batches:
+                logits[sel] = forward_logits(params, indices[sel],
+                                             lengths[sel])
+        except BaseException:
+            for _ in batches:  # no thread takes another batch
+                pass
+            raise
+
     workers = batch_workers(len(longest_first))
     if workers == 1:
-        list(map(run, longest_first))
-    else:
-        # imported here: the pool loads logging, which would slow every
-        # command's start-up
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(run, longest_first))
+        run()
+        return logits
+    # imported here: the pool loads logging, which would slow every
+    # command's start-up
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers - 1) as pool:
+        helpers = [pool.submit(run) for _ in range(workers - 1)]
+        run()
+    for helper in helpers:
+        helper.result()
     return logits
 
 

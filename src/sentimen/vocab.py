@@ -68,9 +68,10 @@ def encode(docs: Sequence[Sequence[str]], vocab: Vocabulary,
         raise ValueError("max_len must be >= 1")
     indices = np.zeros((len(docs), max_len), dtype=np.int64)
     lengths = np.zeros(len(docs), dtype=np.int64)
+    index = vocab.token_to_index.get  # Vocabulary.index, without its call
     for row, tokens in enumerate(docs):
         kept = tokens[:max_len]
-        indices[row, :len(kept)] = [vocab.index(tok) for tok in kept]
+        indices[row, :len(kept)] = [index(tok, OOV_INDEX) for tok in kept]
         lengths[row] = len(kept)
     return indices, lengths
 
@@ -118,7 +119,7 @@ def load_vocab(path: str | Path) -> tuple[Vocabulary, int, int]:
     or min_freq that is not an integer >= 1."""
     path = Path(path)
     tokens = [t for t in _file_text(path).split("\n") if t]
-    token_to_index = {t: i + 2 for i, t in enumerate(tokens)}
+    token_to_index = dict(zip(tokens, range(2, len(tokens) + 2)))
     meta_path = Path(str(path) + ".meta")
     if not meta_path.exists():
         raise ValueError(f"vocabulary sidecar not found: {meta_path}")

@@ -301,28 +301,39 @@ class Boom(Exception):
 
 @pytest.mark.parametrize("call", ["predict_encoded", "evaluate_split"])
 def test_helper_exception_reaches_the_caller(machine, monkeypatch, call):
+    # the calling thread and a pool thread each start a batch before one
+    # fails: the pool thread's batch alone, or both
     machine(2, "1")
     monkeypatch.setattr(nn, "_PREDICT_BATCH", 4)
-    raised = []
-
-    def failing(params, indices, lengths):
-        raised.append(threading.current_thread())
-        raise Boom
-
-    monkeypatch.setattr(nn, "forward_logits", failing)
     params = model(np.float32)
     rng = np.random.default_rng(8)
     idx, lengths = corpus(rng, 20, params.config)
-    before = threading.active_count()
-    with pytest.raises(Boom):
-        if call == "predict_encoded":
-            nn.predict_encoded(params, idx, lengths)
-        else:
-            evaluate_split(params, EncodedDataset(idx, lengths,
-                                                  np.zeros(20, int)))
-    assert raised and threading.main_thread() not in raised  # pool threads
-    assert threading.active_count() == before
-    assert not any(t.is_alive() for t in raised)
+    caller = threading.current_thread()
+    for pool_only in (True, False):
+        lock, both, ran = threading.Lock(), threading.Event(), set()
+
+        def failing(params, indices, lengths):
+            with lock:
+                ran.add(threading.current_thread())
+                if len(ran) > 1:
+                    both.set()
+            both.wait(timeout=30)
+            if pool_only and threading.current_thread() is caller:
+                return forward_logits(params, indices, lengths)
+            raise Boom
+
+        monkeypatch.setattr(nn, "forward_logits", failing)
+        before = threading.active_count()
+        with pytest.raises(Boom):
+            if call == "predict_encoded":
+                nn.predict_encoded(params, idx, lengths)
+            else:
+                evaluate_split(params, EncodedDataset(idx, lengths,
+                                                      np.zeros(20, int)))
+        pool = ran - {caller}
+        assert caller in ran and pool, pool_only  # a batch ran on each
+        assert threading.active_count() == before
+        assert not any(t.is_alive() for t in pool)
 
 
 @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])

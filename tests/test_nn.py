@@ -1002,53 +1002,49 @@ class TestPackedLayout:
             assert cache["x"].shape == (real, cfg.embed_dim)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_inference_blocks_are_bounded_and_exact(self, dtype):
-        # the inference pass projects whole steps a block at a time: each
-        # block but the last holds at least max(B, steps) positions, every
-        # block at most that plus B, and none one position unless P is
-        # 1; the blocks' GEMMs give the bits of one GEMM over all of P, and
-        # the pass the h_final of the training pass, which runs one block
-        cfg = tiny_config(V=50, E=16, H=32, T=12)
-        params = random_params(cfg, seed=6, bias_scale=1.0)
-        params = nn.ModelParams(cfg, **{k: a.astype(dtype)
-                                        for k, a in params.arrays().items()})
-        w_ih_t, _, bias = nn._forward_weights(params)
+    def test_inference_table_is_exact(self, dtype):
+        # the inference pass projects each distinct id of a batch once, into
+        # a table of max(distinct ids, 2 when P >= 2) rows: an id that all
+        # P >= 2 positions share is projected as two rows, so no product but
+        # that of P = 1 is a one-row GEMV.  Every position reads its id's
+        # row, with the bits of the training pass's GEMM over all P, and the
+        # pass gives the training pass's h_final
         rng = np.random.default_rng(17)
-        # one-row tails: the longest row one step longer than the rest
-        packings = [[1], [2], [3, 2, 2], [5, 4, 4, 4], [12] + [11] * 12,
-                    [2, 1] * 8, [0, 0, 0]]
-        for _ in range(60):
-            batch = int(rng.integers(1, 40))
-            lengths = rng.integers(0, cfg.max_len + 1, size=batch)
-            if rng.random() < 0.5:
-                lengths[0] = min(lengths.max() + 1, cfg.max_len)
-            packings.append(lengths.tolist())
-        cut_once = 0
-        for lengths in packings:
+        # (vocabulary size, lengths, every position one id)
+        cases = [(5, [1], False), (3, [0, 1, 0], False), (3, [0, 0, 0], False),
+                 (4, [0], False), (3, [2], True), (3, [1, 1], True),
+                 (20, [12] + [11] * 12, True), (9, [2, 1] * 8, False)]
+        for _ in range(80):
+            batch = int(rng.integers(1, 41))
+            lengths = rng.integers(0, 13, size=batch)
+            lengths[rng.random(batch) < 0.3] = 0
+            cases.append((int(rng.integers(3, 21)), lengths.tolist(),
+                          rng.random() < 0.2))
+        shared = 0
+        for vocab_size, lengths, one_id in cases:
+            cfg = tiny_config(V=vocab_size, E=16, H=32, T=12)
+            params = random_params(cfg, seed=vocab_size, bias_scale=1.0)
+            params = nn.ModelParams(cfg, **{
+                k: a.astype(dtype) for k, a in params.arrays().items()})
+            w_ih_t, _, bias = nn._forward_weights(params)
             lengths = np.array(lengths)
-            batch = len(lengths)
-            idx = rng.integers(1, cfg.vocab_size, size=(batch, cfg.max_len))
+            idx = rng.integers(1, vocab_size, size=(len(lengths), 12))
+            if one_id:
+                idx[:] = idx[0, 0]
             cache = nn._lstm_forward_batch(params, idx, lengths,
                                            for_backward=False)
             train = nn._lstm_forward_batch(params, idx, lengths)
-            assert np.array_equal(cache["h_final"], train["h_final"])
-            assert train["blocks"] == [0, len(train["sizes"])]
-            blocks, offsets = cache["blocks"], cache["offsets"]
-            assert blocks[0] == 0 and blocks[-1] == len(cache["sizes"])
-            n_pos, least = offsets[-1], max(batch, len(cache["sizes"]))
-            spans = [offsets[b] - offsets[a]
-                     for a, b in zip(blocks, blocks[1:])]
-            assert all(s >= least for s in spans[:-1])
-            assert all(s <= least + batch for s in spans)
-            assert n_pos == 1 or 1 not in spans, lengths
-            cut_once += len(spans) > 1
-            x = params.embedding[train["ids"]]
-            one = x @ w_ih_t + bias
-            blocked = np.concatenate(
-                [x[offsets[a]:offsets[b]] @ w_ih_t + bias
-                 for a, b in zip(blocks, blocks[1:])])
-            assert np.array_equal(blocked, one), lengths
-        assert cut_once > 20
+            assert np.array_equal(cache["h_final"], train["h_final"]), lengths
+            ids, table = train["ids"], cache["table"]
+            uniq = np.unique(ids)
+            two = len(ids) >= 2 and len(uniq) == 1
+            shared += two
+            assert len(table) == max(len(uniq), 2 * two), lengths
+            one = params.embedding[ids] @ w_ih_t + bias
+            assert np.array_equal(table[np.searchsorted(uniq, ids)], one)
+            assert np.array_equal(table[len(uniq):], table[:len(table)
+                                                           - len(uniq)])
+        assert shared > 10
 
     def test_row_permutation_permutes_the_outputs(self):
         # ties and empty rows: the stable sort puts them in another order

@@ -16,6 +16,8 @@ both revisions, each in fresh processes that import that revision's
 - ``sentimen train`` for one epoch, in float32 and in float64;
 - ``sentimen evaluate`` of each checkpoint on the test split;
 - ``sentimen predict`` of each checkpoint on the unlabelled comments;
+- ``sentimen compare`` for one epoch on the corpus, whose LSTM row reads
+  ``nn.predict_encoded``;
 - the float64 probability vectors behind those outputs, which the CLI
   prints rounded, as ``.npy`` files: ``nn.predict`` on each unlabelled
   comment, one call each, and ``nn.predict_encoded`` over the test split.
@@ -116,6 +118,8 @@ def run_revision(src: Path, inputs: Path, out: Path) -> None:
              "--out", str(out / "preprocess.csv"), "--quiet")
     sentimen("preprocess", str(inputs / "handwritten.csv"),
              "--out", str(out / "handwritten.csv"), "--quiet")
+    sentimen("compare", str(inputs / "corpus.csv"), "--epochs", "1",
+             "--out-dir", str(out / "compare"), "--quiet")
     for dtype in DTYPES:
         model = out / f"train-{dtype}"
         sentimen("train", str(inputs / "corpus.csv"), "--epochs", "1",

@@ -248,16 +248,23 @@ MUTANTS = (
             "test_bit_identical_to_a_writable_copy[float32-lengths1]",
             "tests/test_nn.py::TestReadOnlyModel::"
             "test_bit_identical_to_a_writable_copy[float64-lengths1]")),
-    # batched inference: the blocked projection of the inference pass, and
-    # the thread pool that runs the length-sorted batches (none for one
-    # worker)
-    Mutant("inference_block_of_one_position", "src/sentimen/nn.py",
-           "                and n_pos - offsets[t] > 1):\n",
-           "                ):\n",
+    # batched inference: the per-batch projection table of the inference
+    # pass, and the threads that run the length-sorted batches (none for
+    # one worker)
+    Mutant("inference_table_one_row_gemv", "src/sentimen/nn.py",
+           "        if n_pos > 1 and len(uniq) == 1:",
+           "        if False:",
            ("tests/test_nn.py::TestPackedLayout::"
-            "test_inference_blocks_are_bounded_and_exact[float32]",
+            "test_inference_table_is_exact[float32]",
             "tests/test_nn.py::TestPackedLayout::"
-            "test_inference_blocks_are_bounded_and_exact[float64]")),
+            "test_inference_table_is_exact[float64]")),
+    Mutant("inference_table_rows_by_id", "src/sentimen/nn.py",
+           "            np.take(table, inv[off:off + n], axis=0, out=gates[:n],\n",
+           "            np.take(table, ids[off:off + n], axis=0, out=gates[:n],\n",
+           ("tests/test_nn.py::TestPackedLayout::"
+            "test_inference_table_is_exact[float32]",
+            "tests/test_nn.py::TestPackedLayout::"
+            "test_inference_table_is_exact[float64]")),
     # the one-row recurrence of a single prediction
     Mutant("one_row_without_length_clamp", "src/sentimen/nn.py",
            "    n = min(max(int(length), 0), len(row))\n",
@@ -272,25 +279,24 @@ MUTANTS = (
            ("tests/test_batch_threads.py::test_one_row_runs_as_given[float32]",
             "tests/test_batch_threads.py::test_one_row_runs_as_given[float64]")),
     Mutant("helper_batch_dropped", "src/sentimen/nn.py",
-           "            list(pool.map(run, longest_first))\n",
-           "            list(pool.map(run, longest_first))\n"
-           "            logits[longest_first[0]] = 0\n",
+           "        run()\n    for helper in helpers:\n",
+           "        run()\n    logits[longest_first[0]] = 0\n"
+           "    for helper in helpers:\n",
            ("tests/test_batch_threads.py::"
             "test_threads_match_one_batch_at_a_time[float32]",
             "tests/test_batch_threads.py::"
             "test_probabilities_match_the_float64_reference[float64-1e-12]")),
     Mutant("helper_exception_swallowed", "src/sentimen/nn.py",
-           "            list(pool.map(run, longest_first))\n",
-           "            futures = [pool.submit(run, sel) for sel in "
-           "longest_first]\n"
-           "            [f.result() for f in futures if not f.exception()]\n",
+           "        helper.result()\n",
+           "        helper.exception()\n",
            ("tests/test_batch_threads.py::"
             "test_helper_exception_reaches_the_caller[predict_encoded]",
             "tests/test_batch_threads.py::"
             "test_helper_exception_reaches_the_caller[evaluate_split]")),
+    # a pool thread beside the calling thread even for one worker
     Mutant("pool_for_one_worker", "src/sentimen/nn.py",
-           "    if workers == 1:\n",
-           "    if False:\n",
+           "    if workers == 1:\n        run()\n        return logits\n",
+           "    workers = max(workers, 2)\n",
            ("tests/test_batch_threads.py::"
             "test_unset_blas_threads_start_no_thread",
             "tests/test_batch_threads.py::"
