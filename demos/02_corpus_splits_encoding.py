@@ -6,7 +6,7 @@ Reproduces the reference dataset shape: a 5,629 / 790 class split at
 """
 
 from sentimen.ingest import (Dataset, Label, LabeledComment, SplitSpec,
-                             class_distribution, stratified_split)
+                             stratified_split)
 from sentimen.vocab import build_vocab, decode, encode, suggest_max_len
 
 # synthetic corpus with the reference class counts
@@ -17,9 +17,10 @@ records = tuple(
        for i in range(790)])
 ds = Dataset(records)
 
-dist = class_distribution(ds)
-print(f"class distribution: negative {dist[Label.NEGATIVE]:.1%}, "
-      f"positive {dist[Label.POSITIVE]:.1%}")
+counts = ds.counts
+labeled = sum(counts.values())
+print(f"class distribution: negative {counts[Label.NEGATIVE] / labeled:.1%}, "
+      f"positive {counts[Label.POSITIVE] / labeled:.1%}")
 
 train, val, test = stratified_split(ds, SplitSpec(0.70, 0.15, 0.15, seed=42))
 for name, part in (("train", train), ("val", val), ("test", test)):

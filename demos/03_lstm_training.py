@@ -28,7 +28,9 @@ ds = EncodedDataset(idx, np.full(32, T, dtype=np.int64), labels)
 cfg = nn.ModelConfig(vocab_size=40, embed_dim=32, hidden_dim=32, max_len=T,
                      fc_dropout=0.5)
 params = nn.init_params(cfg, seed=0)
-print("toy model parameters:", f"{params.n_parameters():,}")
+toy_count = nn.count_parameters(cfg.vocab_size, cfg.embed_dim,
+                                cfg.hidden_dim, cfg.num_classes)
+print("toy model parameters:", f"{toy_count:,}")
 
 # one gradient step by hand: backward + Adam
 grads, loss = nn.backward(params, ds.indices[:16], ds.lengths[:16],

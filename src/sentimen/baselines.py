@@ -110,7 +110,9 @@ class NaiveBayesModel:
             [counts.matvec(ll) for ll in self.log_likelihoods], axis=1)
 
     def log_posteriors(self, counts: CsrMatrix) -> np.ndarray:
-        """(n_docs, C) normalized log posteriors."""
+        """(n_docs, C) normalized log posteriors.  The program reads
+        ``predict``; the hand-computed-posterior and sum-to-one tests read
+        this, as does the ``naive_bayes_half_smoothing`` mutant's test."""
         scores = self._scores(counts)
         m = scores.max(axis=1, keepdims=True)
         return scores - (m + np.log(np.exp(scores - m).sum(axis=1, keepdims=True)))
@@ -167,7 +169,9 @@ def _logistic_grad(w: np.ndarray, b: float, x: CsrMatrix, ys: np.ndarray,
 def logistic_loss_and_grad(w: np.ndarray, b: float, x: CsrMatrix,
                            ys: np.ndarray, l2: float,
                            ) -> tuple[float, np.ndarray, float]:
-    """L2-regularized mean log loss with y in {-1, +1}."""
+    """L2-regularized mean log loss with y in {-1, +1}.  ``linear_fit``
+    steps on ``_logistic_grad``; the finite-difference check of that
+    gradient reads this."""
     grad_w, grad_b = _logistic_grad(w, b, x, ys, l2)
     margin = ys * (x.matvec(w) + b)
     # log(1 + e^-m), stable for both signs of m

@@ -196,15 +196,6 @@ def save_csv(ds: Dataset | Iterable[LabeledComment], path: str | Path,
                       + "\r\n" for r, *cells in zip(records, *extra.values()))
 
 
-def class_distribution(ds: Dataset) -> dict[Label, float]:
-    """Proportions over labeled records only.  Sums to 1 within 1e-12."""
-    counts = ds.counts
-    total = sum(counts.values())
-    if total == 0:
-        raise ValueError("dataset has no labeled records")
-    return {label: n / total for label, n in counts.items()}
-
-
 @dataclass(frozen=True)
 class SplitSpec:
     train_fraction: float = 0.70

@@ -141,9 +141,6 @@ class ModelParams:
                 "w_hh": self.w_hh, "b_ih": self.b_ih, "b_hh": self.b_hh,
                 "w_out": self.w_out, "b_out": self.b_out}
 
-    def n_parameters(self) -> int:
-        return sum(a.size for a in self.arrays().values())
-
     def read_only(self) -> bool:
         """True when no parameter array is writable, as after
         ``load_checkpoint``."""

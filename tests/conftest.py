@@ -1,6 +1,8 @@
 import csv
+import importlib.util
 import io
 import json
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from urllib.parse import parse_qs, urlparse
@@ -70,6 +72,30 @@ def fresh_preprocess_tables():
     """Each test resolves new configs to a new word memo, so none sees the
     memo an earlier test warmed."""
     preprocess._memo_for.cache_clear()
+
+
+def load_by_path(name, path):
+    """The module in the file ``path``, imported once under ``name``: for
+    the benchmark's and the tests' standalone files, which are not on
+    ``sys.path``.  It is cached in ``sys.modules``, where dataclasses look
+    their module up."""
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+def length_sorted_logits(logits, params, idx, lengths) -> np.ndarray:
+    """The (N, C) ``logits(params, idx, lengths)`` of each of
+    ``nn.length_sorted_batches``, computed one batch at a time on the
+    calling thread and scattered back into row order."""
+    out = np.empty((len(lengths), params.b_out.shape[0]),
+                   dtype=params.b_out.dtype)
+    for sel in nn.length_sorted_batches(lengths):
+        out[sel] = logits(params, idx[sel], lengths[sel])
+    return out
 
 
 def dense(grad, shape, dtype) -> np.ndarray:

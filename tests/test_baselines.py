@@ -1,6 +1,4 @@
-import math
-from collections import Counter
-from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +11,18 @@ from sentimen.baselines import (ComparisonRow, LinearModel, TfidfVectorizer,
                                 logistic_loss_and_grad, majority_class,
                                 nb_fit, run_comparison)
 from sentimen.ingest import Label
-from sentimen.seeds import stream
 from sentimen.vocab import build_vocab
+
+from conftest import load_by_path
+
+HERE = Path(__file__).resolve().parent
+reference = load_by_path("perfbench_reference",
+                         HERE.parent / "perfbench" / "reference.py")
+text_reference = load_by_path("text_reference", HERE / "text_reference.py")
 
 
 def _dense(m):
+    """A ``CsrMatrix``, or the reference's ``Csr``, as a dense array."""
     out = np.zeros((m.n_rows, m.n_cols))
     out[m.rows, m.indices] = m.data
     return out
@@ -279,128 +284,50 @@ class TestComparison:
         assert counted == []
 
 
-# --- oracle: the per-document SparseVec implementation the matrix code replaced
+# --- the matrix code against references built one document at a time -------
+# perfbench/reference.py's CSR arithmetic (counts, TF-IDF, Naive Bayes, the
+# logistic fit) and the per-document Pegasos loop of tests/text_reference.py
 
-@dataclass(frozen=True)
-class _SparseVec:
-    cols: np.ndarray
-    vals: np.ndarray
-    dim: int
-
-    def dot(self, dense):
-        return float(dense[self.cols] @ self.vals)
-
-
-def _oracle_counts(tokens, vocab):
-    counts = Counter(vocab.token_to_index[t] - 2 for t in tokens
-                     if t in vocab.token_to_index)
-    cols = np.array(sorted(counts), dtype=np.int64)
-    return cols, np.array([counts[c] for c in cols], dtype=np.float64)
-
-
-def _oracle_tfidf(train_docs, docs, vocab):
-    n_features = vocab.size - 2
-    df = np.zeros(n_features, dtype=np.int64)
-    for tokens in train_docs:
-        df[_oracle_counts(tokens, vocab)[0]] += 1
-    idf = np.log((1.0 + len(train_docs)) / (1.0 + df)) + 1.0
-    out = []
-    for tokens in docs:
-        cols, vals = _oracle_counts(tokens, vocab)
-        vals = vals * idf[cols]
-        norm = np.linalg.norm(vals)
-        if norm > 0:
-            vals /= norm
-        out.append(_SparseVec(cols, vals, n_features))
-    return out
-
-
-def _oracle_nb_log_posteriors(train_docs, labels, docs, vocab):
-    class_counts = np.zeros(2)
-    word_counts = np.zeros((2, vocab.size - 2))
-    for tokens, label in zip(train_docs, labels):
-        class_counts[label] += 1
-        for t in tokens:
-            if t in vocab.token_to_index:
-                word_counts[label, vocab.token_to_index[t] - 2] += 1
-    with np.errstate(divide="ignore"):
-        log_priors = np.log(class_counts / class_counts.sum())
-    smoothed = word_counts + 1.0
-    log_likelihoods = np.log(smoothed / smoothed.sum(axis=1, keepdims=True))
-    out = []
-    for tokens in docs:
-        cols, vals = _oracle_counts(tokens, vocab)
-        scores = log_priors + log_likelihoods[:, cols] @ vals
-        m = float(np.max(scores))
-        out.append(scores - (m + math.log(float(np.exp(scores - m).sum()))))
-    return np.array(out)
-
-
-def _oracle_neg_sigmoid(margin):
-    if margin >= 0:
-        e = math.exp(-margin)
-        return e / (1.0 + e)
-    return 1.0 / (1.0 + math.exp(margin))
-
-
-def _oracle_linear_fit(xs, labels, objective, epochs, seed=0, l2=1e-4, lr=1.0):
-    ys = np.array([1.0 if int(l) == 1 else -1.0 for l in labels])
-    w = np.zeros(xs[0].dim)
-    b = 0.0
-    if objective == "logistic":
-        n = len(xs)
-        for _ in range(epochs):
-            grad_w = l2 * w
-            grad_b = 0.0
-            for x, y in zip(xs, ys):
-                s = -y * _oracle_neg_sigmoid(y * (x.dot(w) + b))
-                grad_w[x.cols] += (s / n) * x.vals
-                grad_b += s / n
-            w -= lr * grad_w
-            b -= lr * grad_b
-        return w, b
-    rng = stream(seed, "svm")
-    lam = l2
-    t = 0
-    for _ in range(epochs):
-        for j in rng.permutation(len(xs)):
-            t += 1
-            eta = 1.0 / (lam * t)
-            x, y = xs[j], ys[j]
-            margin = y * (x.dot(w) + b)
-            w *= (1.0 - eta * lam)
-            if margin < 1.0:
-                w[x.cols] += eta * y * x.vals
-                b += eta * y
-    return w, b
-
-
-def _oracle_dense(xs):
-    out = np.zeros((len(xs), xs[0].dim))
-    for i, x in enumerate(xs):
-        out[i, x.cols] = x.vals
-    return out
+def reference_counts(docs, vocab):
+    """``reference.count_matrix`` over the real tokens' columns."""
+    return reference.count_matrix(docs, {t: i - 2 for t, i in
+                                         vocab.token_to_index.items() if i >= 2})
 
 
 class TestMatrixAgainstPerDocumentOracle:
     TOL = 1e-12
 
+    def test_counts(self, random_corpus):
+        train_docs, _, test_docs, vocab = random_corpus
+        for docs in (train_docs, test_docs):
+            got = count_vector(docs, vocab)
+            want = reference_counts(docs, vocab)
+            assert got.n_cols == want.n_cols
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+
     def test_tfidf_values(self, random_corpus):
         train_docs, _, test_docs, vocab = random_corpus
         vec = TfidfVectorizer.fit(count_vector(train_docs, vocab))
         for docs in (train_docs, test_docs):
-            want = _oracle_dense(_oracle_tfidf(train_docs, docs, vocab))
+            _, want = reference.tfidf(reference_counts(train_docs, vocab),
+                                      reference_counts(docs, vocab))
             got = _dense(vec.transform(count_vector(docs, vocab)))
-            assert np.max(np.abs(got - want)) <= self.TOL
+            assert np.max(np.abs(got - _dense(want))) <= self.TOL
 
     def test_naive_bayes_log_posteriors(self, random_corpus):
+        # their margin; the normalisation is pinned by TestNaiveBayes
         train_docs, labels, test_docs, vocab = random_corpus
         model = nb_fit(count_vector(train_docs, vocab), labels)
         got = model.log_posteriors(count_vector(test_docs, vocab))
-        want = _oracle_nb_log_posteriors(train_docs, labels, test_docs, vocab)
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= self.TOL
+        want = reference.naive_bayes_margin(reference_counts(train_docs, vocab),
+                                            np.array(labels),
+                                            reference_counts(test_docs, vocab))
+        assert got.shape == (len(test_docs), 2)
+        assert np.max(np.abs((got[:, 1] - got[:, 0]) - want)) <= self.TOL
 
+    # counts, TF-IDF and fit end to end, against the reference's features;
+    # tests/test_text_oracle.py compares the fit alone, on equal features
     @pytest.mark.parametrize("objective,epochs",
                              [("logistic", 200), ("hinge", 4), ("hinge", 30)])
     def test_linear_weights(self, random_corpus, objective, epochs):
@@ -408,24 +335,14 @@ class TestMatrixAgainstPerDocumentOracle:
         counts = count_vector(train_docs, vocab)
         x = TfidfVectorizer.fit(counts).transform(counts)
         model = linear_fit(x, labels, objective=objective, epochs=epochs, seed=5)
-        w, b = _oracle_linear_fit(_oracle_tfidf(train_docs, train_docs, vocab),
-                                  labels, objective, epochs, seed=5)
-        assert np.max(np.abs(model.w - w)) <= self.TOL
-        assert abs(model.b - b) <= self.TOL
-
-    @pytest.mark.parametrize("docs,labels,epochs", [
-        ([["bagus", "enak"]], [1], 1),            # the t = 1 step alone
-        ([["buruk"]], [0], 3),
-        ([[], ["bagus", "enak"], [], ["buruk", "jelek", "buruk"], [],
-          ["enak"]], [0, 1, 1, 0, 1, 1], 7),     # empty rows take steps too
-        ([[], []], [1, 0], 2),                   # every row empty
-    ])
-    def test_hinge_small_corpora(self, docs, labels, epochs):
-        vocab = build_vocab([["bagus", "enak", "buruk", "jelek"]])
-        counts = count_vector(docs, vocab)
-        x = TfidfVectorizer.fit(counts).transform(counts)
-        model = linear_fit(x, labels, objective="hinge", epochs=epochs, seed=2)
-        w, b = _oracle_linear_fit(_oracle_tfidf(docs, docs, vocab), labels,
-                                  "hinge", epochs, seed=2)
+        ref_counts = reference_counts(train_docs, vocab)
+        train, _ = reference.tfidf(ref_counts, ref_counts)
+        if objective == "logistic":
+            w, b = reference.logistic_fit(train, np.array(labels), l2=1e-4,
+                                          lr=1.0, epochs=epochs)
+        else:
+            want = text_reference.linear_fit(train, labels, objective=objective,
+                                             epochs=epochs, seed=5)
+            w, b = want.w, want.b
         assert np.max(np.abs(model.w - w)) <= self.TOL
         assert abs(model.b - b) <= self.TOL

@@ -3,7 +3,6 @@ worker-count rule, bit identity with one batch at a time, a single row,
 failures in a pool thread, and the probabilities against an independent
 float64 LSTM."""
 
-import importlib.util
 import sys
 import threading
 from pathlib import Path
@@ -16,17 +15,9 @@ from sentimen.preprocess import PreprocessConfig, run_pipeline
 from sentimen.train import EncodedDataset, evaluate_split
 from sentimen.vocab import build_vocab, encode
 
+from conftest import length_sorted_logits, load_by_path
+
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
-
-
-def load_reference():
-    spec = importlib.util.spec_from_file_location("perfbench_reference",
-                                                  REFERENCE)
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses look their module up in sys.modules
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.fixture
@@ -109,16 +100,6 @@ def corpus(rng, rows, cfg):
     return idx, lengths
 
 
-def serial_batch_logits(params, idx, lengths):
-    """The (N, C) logits in row order, computed one batch at a time, on the
-    calling thread, in batch order."""
-    logits = np.empty((len(lengths), params.b_out.shape[0]),
-                      dtype=params.b_out.dtype)
-    for sel in nn.length_sorted_batches(lengths):
-        logits[sel] = forward_logits(params, idx[sel], lengths[sel])
-    return logits
-
-
 # cores, OPENBLAS_NUM_THREADS, OMP_NUM_THREADS, batches -> workers
 @pytest.mark.parametrize("cores,openblas,omp,batches,workers", [
     (2, None, None, 5, 1),   # unset: BLAS runs on every core
@@ -166,7 +147,7 @@ def test_threads_match_one_batch_at_a_time(machine, two_threads_run,
     for rows in (8, 15, 21, 29, 35):  # 2 to 5 batches
         idx, lengths = corpus(rng, rows, params.config)
         labels = rng.integers(0, 2, size=rows)
-        want = serial_batch_logits(params, idx, lengths)
+        want = length_sorted_logits(forward_logits, params, idx, lengths)
         two_threads_run.reset()
         got = nn.encoded_logits(params, idx, lengths)
         assert len(two_threads_run.ran) == 2, rows
@@ -207,7 +188,7 @@ def test_more_threads_than_cores_run_each_batch_once(machine, monkeypatch):
     params = model(np.float64)
     rng = np.random.default_rng(9)
     idx, lengths = corpus(rng, 61, params.config)  # 31 batches
-    want = serial_batch_logits(params, idx, lengths)
+    want = length_sorted_logits(forward_logits, params, idx, lengths)
     monkeypatch.setattr(nn, "forward_logits", counting)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -342,7 +323,7 @@ def test_probabilities_match_the_float64_reference(tmp_path, machine,
                                                    monkeypatch, dtype, tol):
     # perfbench/reference.py reads the checkpoint file and runs a masked
     # float64 LSTM over the padded rows, sharing no code with nn
-    reference = load_reference()
+    reference = load_by_path("perfbench_reference", REFERENCE)
     machine(2, "1")
     monkeypatch.setattr(nn, "_PREDICT_BATCH", 16)
     nn.save_checkpoint(tmp_path / "m.bin", model(dtype))

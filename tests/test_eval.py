@@ -190,3 +190,26 @@ class TestRendering:
         root = ET.fromstring(svg)
         assert root.tag.endswith("svg")
         assert "TP=67" in svg and "TN=787" in svg
+
+    def test_confusion_svg_geometry(self):
+        # 120-pixel cells from (150, 40), shaded 255 - int(195 * n / peak)
+        # with the peak TN = 787; each label at its cell's centre
+        import xml.etree.ElementTree as ET
+        root = ET.fromstring(confusion_svg(REFERENCE_CM))
+        ns = "{http://www.w3.org/2000/svg}"
+        rects = [(r.get("x"), r.get("y"), r.get("width"), r.get("height"),
+                  r.get("fill")) for r in root.iter(ns + "rect")]
+        assert rects == [("150", "40", "120", "120", "rgb(239,239,255)"),
+                         ("270", "40", "120", "120", "rgb(243,243,255)"),
+                         ("150", "160", "120", "120", "rgb(241,241,255)"),
+                         ("270", "160", "120", "120", "rgb(60,60,255)")]
+        labels = {t.text: (t.get("x"), t.get("y"))
+                  for t in root.iter(ns + "text")}
+        assert labels == {
+            "confusion matrix": ("240", "24"),
+            "predicted positive": ("210", "52"),
+            "predicted negative": ("330", "52"),
+            "actual positive": ("140", "95"),
+            "TP=67": ("210", "100"), "FN=51": ("330", "100"),
+            "actual negative": ("140", "215"),
+            "FP=58": ("210", "220"), "TN=787": ("330", "220")}

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sentimen.ingest import (CorpusError, Dataset, Label, LabeledComment,
-                             SplitSpec, class_distribution, largest_remainder,
+                             SplitSpec, largest_remainder,
                              load_csv, save_csv, stratified_split)
 
 from conftest import write_corpus_csv
@@ -169,33 +169,6 @@ class TestLoadCsv:
         with pytest.raises(AttributeError):
             record.label = Label.POSITIVE
         assert record.label is Label.NEGATIVE
-
-
-class TestClassDistribution:
-    def test_reference_proportions(self):
-        dist = class_distribution(make_dataset(5629, 790))
-        assert dist[Label.NEGATIVE] == pytest.approx(0.877, abs=5e-4)
-        assert dist[Label.POSITIVE] == pytest.approx(0.123, abs=5e-4)
-
-    def test_symmetry(self):
-        dist = class_distribution(make_dataset(1, 1))
-        assert dist == {Label.NEGATIVE: 0.5, Label.POSITIVE: 0.5}
-
-    def test_direct_ratio(self):
-        dist = class_distribution(make_dataset(3, 1))
-        assert dist == {Label.NEGATIVE: 0.75, Label.POSITIVE: 0.25}
-
-    def test_no_labels_rejected(self):
-        with pytest.raises(ValueError):
-            class_distribution(make_dataset(0, 0, n_unlabeled=2))
-
-    @given(n_neg=st.integers(0, 500), n_pos=st.integers(0, 500))
-    @settings(max_examples=30)
-    def test_sums_to_one(self, n_neg, n_pos):
-        if n_neg + n_pos == 0:
-            return
-        dist = class_distribution(make_dataset(n_neg, n_pos))
-        assert abs(sum(dist.values()) - 1.0) <= 1e-12
 
 
 class TestLargestRemainder:

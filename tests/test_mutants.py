@@ -4,7 +4,6 @@ the code a mutant targets, or merges or renames a test a mutant names,
 must carry the mutant forward.  Running the mutants is
 ``python tools/mutants.py``."""
 
-import importlib.util
 import os
 import shutil
 import subprocess
@@ -13,12 +12,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import load_by_path
+
 ROOT = Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location("mutants",
-                                               ROOT / "tools" / "mutants.py")
-mutants = importlib.util.module_from_spec(_spec)
-sys.modules["mutants"] = mutants  # dataclasses look their module up
-_spec.loader.exec_module(mutants)
+mutants = load_by_path("mutants", ROOT / "tools" / "mutants.py")
 
 
 @pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda m: m.name)

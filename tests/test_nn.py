@@ -11,7 +11,7 @@ from sentimen.ingest import Label
 from sentimen.nn import ModelParams, _gate_affine, _packing
 from sentimen.seeds import stream
 
-from conftest import dense, dense_grads
+from conftest import dense, dense_grads, length_sorted_logits
 
 
 def tiny_config(V=6, E=3, H=4, C=2, T=5, fc_dropout=0.0):
@@ -56,8 +56,8 @@ class TestCountParameters:
     def test_matches_direct_array_enumeration(self, V, E, H, C):
         cfg = nn.ModelConfig(vocab_size=V, embed_dim=E, hidden_dim=H,
                              num_classes=C, max_len=3)
-        params = nn.init_params(cfg)
-        assert params.n_parameters() == nn.count_parameters(V, E, H, C)
+        arrays = nn.init_params(cfg).arrays().values()
+        assert sum(a.size for a in arrays) == nn.count_parameters(V, E, H, C)
 
     def test_rejects_zero_dims(self):
         with pytest.raises(ValueError):
@@ -165,31 +165,6 @@ class TestCrossEntropy:
         assert row_loss(logits, label) >= 0
 
 
-def scalar_lstm_step(x, h, c, params):
-    """Independent per-element re-implementation of the gate equations."""
-    H = len(h)
-    E = len(x)
-    h_new = [0.0] * H
-    c_new = [0.0] * H
-    for k in range(H):
-        def pre(block):
-            row = block * H + k
-            acc = params.b_ih[row] + params.b_hh[row]
-            for j in range(E):
-                acc += params.w_ih[row, j] * x[j]
-            for j in range(H):
-                acc += params.w_hh[row, j] * h[j]
-            return acc
-
-        i = 1 / (1 + math.exp(-pre(0)))
-        f = 1 / (1 + math.exp(-pre(1)))
-        g = math.tanh(pre(2))
-        o = 1 / (1 + math.exp(-pre(3)))
-        c_new[k] = f * c[k] + i * g
-        h_new[k] = o * math.tanh(c_new[k])
-    return h_new, c_new
-
-
 def batch_with_gaps(cfg, rng, batch):
     """Random (indices, lengths) with a zero-length first row and a padded
     width past the longest sequence, so trailing columns are all padding."""
@@ -239,7 +214,7 @@ class TestLstmStep:
         assert cache["h_final"][0, 0] == pytest.approx(0.7616, abs=5e-5)
 
     def test_matches_scalar_oracle(self):
-        # scalar_lstm_step over each row's real tokens, then the dense head
+        # loop_forward over each row's real tokens, then the dense head
         rng = np.random.default_rng(11)
         for trial in range(10):
             cfg = tiny_config(V=int(rng.integers(3, 12)),
@@ -249,22 +224,14 @@ class TestLstmStep:
             params = random_params(cfg, seed=trial, bias_scale=0.7)
             idx, lengths = batch_with_gaps(cfg, rng, int(rng.integers(1, 5)))
             cache = nn._lstm_forward_batch(params, idx, lengths)
-            c_final = final_c(cache)
+            want = loop_forward(params, idx, lengths)
+            h = want["h_states"][-1]
+            assert np.max(np.abs(cache["h_final"] - h), initial=0.0) <= 1e-12
+            assert np.max(np.abs(final_c(cache) - want["c_states"][-1]),
+                          initial=0.0) <= 1e-12
             logits = nn.forward_logits(params, idx, lengths)
-            w, b = params.w_out, params.b_out
-            for row in range(len(idx)):
-                h = [0.0] * cfg.hidden_dim
-                c = [0.0] * cfg.hidden_dim
-                for t in range(lengths[row]):
-                    x = params.embedding[idx[row, t]]
-                    h, c = scalar_lstm_step(x, h, c, params)
-                assert np.max(np.abs(cache["h_final"][row] - h),
-                              initial=0.0) <= 1e-12
-                assert np.max(np.abs(c_final[row] - c), initial=0.0) <= 1e-12
-                for k in range(cfg.num_classes):
-                    ref = b[k] + sum(w[k, j] * h[j]
-                                     for j in range(cfg.hidden_dim))
-                    assert abs(logits[row, k] - ref) <= 1e-12
+            assert np.max(np.abs(logits - (h @ params.w_out.T + params.b_out)),
+                          initial=0.0) <= 1e-12
 
 
 class TestLstmForward:
@@ -289,8 +256,9 @@ class TestLstmForward:
         params = random_params(cfg, seed=3, bias_scale=1.0)
         idx = np.array([[4, 0, 0, 0], [2, 5, 1, 3]])
         cache = nn._lstm_forward_batch(params, idx, np.array([1, 4]))
-        h, c = scalar_lstm_step(params.embedding[idx[0, 0]],
-                                [0.0, 0.0], [0.0, 0.0], params)
+        # one step of the loop, from the zero state
+        step = loop_forward(params, idx[:1, :1], np.array([1]))
+        h, c = step["h_states"][1, 0], step["c_states"][1, 0]
         assert np.max(np.abs(cache["h_final"][0] - h)) <= 1e-12
         assert np.max(np.abs(final_c(cache)[0] - c)) <= 1e-12
 
@@ -860,7 +828,7 @@ class TestCheckpoint:
                               params.embedding)
 
 
-# --- the per-step loop LSTM as the batched path's oracle ----------------------
+# --- the per-step loop LSTM: the batched path's oracle at 1e-12 ---------------
 # The batched forward/backward before its packing, hoisted input
 # projection and post-loop weight GEMMs: one masked step at a time over the
 # full padded width, with the exp-based sigmoid.
@@ -1832,16 +1800,6 @@ def oracle_logits(params, idx, lengths):
     return h_final @ params.w_out.T + params.b_out
 
 
-def oracle_probabilities(params, idx, lengths):
-    """The softmax of the logits of length-sorted batches, as
-    ``predict_encoded`` computed them before it ran small inputs whole."""
-    logits = np.empty((len(lengths), params.b_out.shape[0]),
-                      dtype=params.b_out.dtype)
-    for sel in nn.length_sorted_batches(lengths):
-        logits[sel] = oracle_logits(params, idx[sel], lengths[sel])
-    return nn.softmax(logits)
-
-
 class TestPrescaledGatesExact:
     """Scaling the gate weights by powers of two commutes with every
     rounding of the forward pass, so its outputs equal the oracle's bit
@@ -1871,7 +1829,8 @@ class TestPrescaledGatesExact:
             got = nn.forward_logits(params, idx, lengths)
             assert got.dtype == dtype
             assert np.array_equal(got, oracle_logits(params, idx, lengths)), kind
-            want = oracle_probabilities(params, idx, lengths)
+            want = nn.softmax(length_sorted_logits(oracle_logits, params, idx,
+                                                   lengths))
             preds = nn.predict_encoded(params, idx, lengths)
             assert np.array_equal([p.probabilities for p in preds], want), kind
             assert [int(p.label) for p in preds] == \

@@ -7,9 +7,7 @@ matched.  Both files are loaded by path, as is the benchmark's corpus
 generator (it imports only the standard library).
 """
 
-import importlib.util
 import random
-import sys
 from pathlib import Path
 
 import pytest
@@ -19,21 +17,14 @@ from hypothesis import strategies as st
 from sentimen.preprocess import _data_text, case_fold, clean, load_root_words
 from sentimen.stemmer import IndonesianStemmer
 
+from conftest import load_by_path
+
 HERE = Path(__file__).resolve().parent
 DATA = HERE.parent / "src" / "sentimen" / "data"
 
-
-def load(name, path):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses look their module up in sys.modules
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-Reference = load("stemmer_reference", HERE / "stemmer_reference.py").IndonesianStemmer
-corpus = load("perfbench_corpus", HERE.parent / "perfbench" / "corpus.py")
+Reference = load_by_path("stemmer_reference",
+                         HERE / "stemmer_reference.py").IndonesianStemmer
+corpus = load_by_path("perfbench_corpus", HERE.parent / "perfbench" / "corpus.py")
 
 ROOTS = load_root_words()
 SORTED_ROOTS = sorted(ROOTS)

@@ -10,9 +10,7 @@ library only) are loaded by path.
 """
 
 import csv
-import importlib.util
 import io
-import sys
 import tempfile
 from pathlib import Path
 
@@ -29,21 +27,13 @@ from sentimen.ingest import (COLUMNS, CorpusError, Dataset, Label,
 from sentimen.preprocess import PreprocessConfig, run_pipeline
 from sentimen.vocab import build_vocab
 
+from conftest import load_by_path
+
 HERE = Path(__file__).resolve().parent
 DATA = HERE.parent / "src" / "sentimen" / "data"
 
-
-def load(name, path):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses look their module up in sys.modules
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-reference = load("text_reference", HERE / "text_reference.py")
-corpus = load("perfbench_corpus", HERE.parent / "perfbench" / "corpus.py")
+reference = load_by_path("text_reference", HERE / "text_reference.py")
+corpus = load_by_path("perfbench_corpus", HERE.parent / "perfbench" / "corpus.py")
 
 
 # --- load_csv ------------------------------------------------------------------
@@ -253,6 +243,18 @@ def tfidf(docs, vocab):
 def test_fits_on_random_corpus(random_corpus, objective, epochs, seed):
     train_docs, labels, _, vocab = random_corpus
     assert_same_fit(tfidf(train_docs, vocab), labels, objective, epochs, seed)
+
+
+@pytest.mark.parametrize("docs,labels,epochs", [
+    ([["bagus", "enak"]], [1], 1),            # the t = 1 step alone
+    ([["buruk"]], [0], 3),
+    ([[], ["bagus", "enak"], [], ["buruk", "jelek", "buruk"], [],
+      ["enak"]], [0, 1, 1, 0, 1, 1], 7),     # empty rows take steps too
+    ([[], []], [1, 0], 2),                   # every row empty
+])
+def test_hinge_small_corpora(docs, labels, epochs):
+    vocab = build_vocab([["bagus", "enak", "buruk", "jelek"]])
+    assert_same_fit(tfidf(docs, vocab), labels, "hinge", epochs, seed=2)
 
 
 def test_logistic_loss_and_grad(random_corpus):

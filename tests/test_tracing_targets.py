@@ -7,22 +7,15 @@ leaves a target behind fails here.
 """
 
 import importlib
-import importlib.util
 from pathlib import Path
 
 import pytest
 
+from conftest import load_by_path
+
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-
-
-def load_targets():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing.PACKAGE, tracing.TARGETS
-
-
-PACKAGE, TARGETS = load_targets()
+tracing = load_by_path("perfbench_tracing", TRACING)
+PACKAGE, TARGETS = tracing.PACKAGE, tracing.TARGETS
 
 
 @pytest.mark.parametrize("module_name,attr", TARGETS,

@@ -69,8 +69,8 @@ MUTANTS = (
            "            if t > 1:\n"
            "                scale *= 1.0 - eta * lam\n",
            "            scale *= 1.0 - eta * lam\n",
-           ("tests/test_baselines.py::TestMatrixAgainstPerDocumentOracle::"
-            "test_hinge_small_corpora[docs0-labels0-1]",
+           ("tests/test_text_oracle.py::test_hinge_small_corpora"
+            "[docs0-labels0-1]",
             "tests/test_text_oracle.py::test_fits_on_random_corpus[hinge-1-0]")),
     Mutant("vocab_frequency_ascending", "src/sentimen/vocab.py",
            "kept.sort(key=freq.__getitem__, reverse=True)",
@@ -102,6 +102,16 @@ MUTANTS = (
            '''        return '"' + cell + '"'\n''',
            ("tests/test_text_oracle.py::test_save_csv_bytes",
             "tests/test_text_oracle.py::test_save_csv_round_trip")),
+    Mutant("tfidf_idf_without_plus_one", "src/sentimen/baselines.py",
+           "np.log((1.0 + counts.n_rows) / (1.0 + df)) + 1.0)",
+           "np.log((1.0 + counts.n_rows) / (1.0 + df)))",
+           ("tests/test_baselines.py::TestMatrixAgainstPerDocumentOracle::"
+            "test_tfidf_values",)),
+    Mutant("confusion_svg_lighter_shade", "src/sentimen/evaluation.py",
+           "shade = 255 - int(195 * value / peak)",
+           "shade = 255 - int(190 * value / peak)",
+           ("tests/test_eval.py::TestRendering::"
+            "test_confusion_svg_geometry",)),
     Mutant("logistic_gradient_without_l2", "src/sentimen/baselines.py",
            "    return l2 * w + x.rmatvec(s), float(s.sum())",
            "    return x.rmatvec(s), float(s.sum())",
