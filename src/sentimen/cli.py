@@ -233,7 +233,7 @@ def _split_and_encode(args, cfg, pp, needed: tuple[str, ...]):
     full = ingest.load_csv(args.corpus)
     labels = [r.label for r in full.records if r.label is not None]
     if not labels:
-        raise CliError("corpus has no labeled records")
+        raise CliError(f"{args.corpus}: no labeled records")
     parts = ingest.stratified_indices(labels, cfg.split)
     for name, part in zip(("train", "val", "test"), parts):
         if name in needed and not part:
@@ -330,7 +330,7 @@ def cmd_evaluate(args, cfg) -> int:
     full = ingest.load_csv(args.test_csv)
     ds = full.labeled_only()
     if len(ds) == 0:
-        raise CliError("test file has no labeled records")
+        raise CliError(f"{args.test_csv}: no labeled records")
     pp = preprocess_config(args)
     echo_config(cfg, out_dir)
     docs = _tokenized(full, pp, args.quiet)
@@ -485,7 +485,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    # argparse matches predict's texts, empty, before an option and leaves
+    # the words after it over: those are texts too
+    if args.func is cmd_predict and not any(a.startswith("-") for a in extra):
+        args.text += extra
+        extra = []
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     for key, value in GLOBAL_DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, value)

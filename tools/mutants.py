@@ -124,7 +124,10 @@ MUTANTS = (
            "    except (CliError, FloatingPointError, ValueError,\n",
            ("tests/test_cli.py::TestPreprocessCommand::"
             "test_bad_row_strict_vs_lenient",
-            "tests/test_cli.py::test_csv_field_over_size_limit_exit_2[train]")),
+            "tests/test_cli.py::test_csv_field_over_size_limit_exit_2[train]",
+            "tests/test_cli.py::test_bad_input_exit_2[train-corpus-bad_label]",
+            "tests/test_cli.py::test_bad_input_exit_2["
+            "evaluate-test_csv-not_utf8]")),
     Mutant("every_fetch_error_exit_2", "src/sentimen/cli.py",
            "        return (EXIT_BAD_INPUT if isinstance(exc, "
            "youtube.InvalidUrlError)\n"
@@ -138,7 +141,9 @@ MUTANTS = (
            "            if getattr(self, name) < 0:\n",
            ("tests/test_nn.py::TestCountParameters::test_rejects_zero_dims",
             "tests/test_cli.py::test_bad_model_file_exit_2_naming_it["
-            "hidden_dim_zero-evaluate]")),
+            "hidden_dim_zero-evaluate]",
+            "tests/test_cli.py::test_bad_model_file_exit_2_naming_it["
+            "hidden_dim_zero-predict]")),
     Mutant("load_model_without_class_check", "src/sentimen/cli.py",
            "    if params.config.num_classes != len(ingest.Label):\n"
            "        raise CliError(f\"{ckpt}: bad checkpoint: "
@@ -166,6 +171,20 @@ MUTANTS = (
            "        for pred in reversed(nn.predict_encoded(params, *encoded)):\n",
            ("tests/test_cli.py::TestPredictCommand::"
             "test_chunks_match_per_line_predict",)),
+    Mutant("predict_texts_after_options_dropped", "src/sentimen/cli.py",
+           "        args.text += extra\n", "",
+           ("tests/test_cli.py::TestPredictCommand::"
+            "test_texts_before_between_or_after_options",)),
+    Mutant("out_dir_before_split_check", "src/sentimen/cli.py",
+           "    full = ingest.load_csv(args.corpus)\n",
+           "    echo_config(cfg, Path(args.out_dir))\n"
+           "    full = ingest.load_csv(args.corpus)\n",
+           ("tests/test_cli.py::test_bad_input_leaves_no_out_dir["
+            "train-unsplittable]",
+            "tests/test_cli.py::test_bad_input_leaves_no_out_dir["
+            "compare-empty_split]",
+            "tests/test_cli.py::test_bad_input_exit_2[train-corpus-no_labels]",
+            "tests/test_cli.py::test_bad_input_exit_2[train-corpus-missing]")),
     # the numeric gates: c04 gradients, c05 padding, c09 seeded streams,
     # the embedding gradient's summation order and Adam's bias correction
     Mutant("candidate_gate_derivative_sign", "src/sentimen/nn.py",
